@@ -46,7 +46,6 @@ from .channels import (
 )
 from .transfer import (
     TransferMatrix,
-    TransferOperator,
     OtocResult,
     build_transfer,
     boundary_left,
@@ -56,7 +55,6 @@ from .transfer import (
     parity_tag,
     otoc_finite,
     otoc_longtime,
-    otoc_longtime_projector,
 )
 from .eigenbases import (
     e_basis,
@@ -95,9 +93,9 @@ __all__ = [
     "Channel", "SpectrumReport", "channel_plus", "channel_minus",
     "channel_apply", "channel_spectrum", "choi_matrix",
     "lightcone_correlator", "m_n",
-    "TransferMatrix", "TransferOperator", "OtocResult", "build_transfer",
+    "TransferMatrix", "OtocResult", "build_transfer",
     "boundary_left", "boundary_right", "fixed_left", "fixed_right",
-    "parity_tag", "otoc_finite", "otoc_longtime", "otoc_longtime_projector",
+    "parity_tag", "otoc_finite", "otoc_longtime",
     "e_basis", "kim_z_basis", "xy_overlap_matrix", "xy_dual_basis",
     "xy_longtime_projector",
     "mc_longtime", "kim_longtime", "kim_correlator", "kim_integrable_otoc",

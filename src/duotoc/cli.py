@@ -42,7 +42,15 @@ from .closed_forms import (
 from .gates import build_kim, build_xy, is_dual_unitary, random_dual_unitary, random_kak
 from .opalg import normalize_coeffs, pauli_basis
 from .oracle import ChainSpec, oracle_correlator, oracle_otoc
-from .transfer import N_MAX_APPLY, build_transfer, otoc_finite, otoc_longtime, parity_tag
+from .transfer import (
+    N_MAX_APPLY,
+    _depths,
+    _separation,
+    build_transfer,
+    otoc_finite,
+    otoc_longtime,
+    parity_tag,
+)
 
 STRICT_TOL = 1e-10
 # The fixed-point iteration stops when overlap increments fall below 1e-10,
@@ -368,8 +376,7 @@ def cmd_corr(args) -> int:
 
 def _otoc_row(cfg, gate, spec, a_op, b_op, xt):
     x, t = xt
-    parity = parity_tag(x, t)
-    n_depth = (t - x + 2) // 2 if parity == "even" else (t - x + 1) // 2
+    n_depth, _, parity = _depths(x, t)
     row = {"x": x, "t": t, "parity": parity}
     methods = _selected(cfg)
     if "transfer" in methods:
@@ -398,7 +405,7 @@ def cmd_otoc(args) -> int:
 
 
 def _longtime_closed(cfg, gate, a_op, b_op, n, parity):
-    t_minus_x = 2 * n - 2 if parity == "even" else 2 * n - 1
+    t_minus_x = _separation(n, parity)
     if cfg.gate == "du":
         return float(mc_longtime(2, a_op, b_op, -t_minus_x, gate=gate))
     if _is_integrable_kim(cfg):
@@ -414,8 +421,7 @@ def _longtime_closed(cfg, gate, a_op, b_op, n, parity):
 
 def _longtime_row(cfg, gate, a_op, b_op, np_):
     n, parity = np_
-    row = {"n": n, "parity": parity,
-           "t_minus_x": 2 * n - 2 if parity == "even" else 2 * n - 1}
+    row = {"n": n, "parity": parity, "t_minus_x": _separation(n, parity)}
     methods = _selected(cfg)
     if "transfer" in methods:
         res = otoc_longtime(gate, a_op, b_op, n, parity)

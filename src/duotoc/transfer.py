@@ -21,17 +21,32 @@ contributes a scalar); it then satisfies T|R_n) = |R_n) and (L_n|T = (L_n| for
 every unitary gate, with the fixed points defined in the eigenbases module
 conventions.  All overlaps are bilinear (no conjugation), so the left identity
 reads T.T @ L = L.
+
+Two bases carry the column.  The dense ``build_transfer`` materializes it in
+the computational folded basis (slot index u*q + ubar) of the eigenbases
+module, where ``fixed_right`` and ``fixed_left`` live too; it is the
+independent reference.  Everything that applies the column -- the boundary
+vectors, ``otoc_finite`` and ``otoc_longtime`` -- works in the orthonormal
+Hermitian leg basis {sigma_mu / sqrt(2)} on every slot (see
+_PauliColumnKernel), where all numbers are real.  ``BoundaryVector.vec``
+holds that basis: a right boundary as the coefficients Q^T v of its complex
+vector v, a left boundary as Q^dagger l, slot by slot, with Q the unitary
+whose columns are vec(sigma_mu)/sqrt(2).  Their plain dot product equals the
+bilinear overlap of the complex vectors.  The Hermitian basis exists for
+q = 2 only, so the applying side rejects other q, and it rejects
+non-Hermitian insertions, whose coefficients would not be real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .eigenbases import SlotState, all_identity_state
 from .gates import gate_matrix
-from .opalg import pauli_basis
+from .opalg import pauli_basis, swap_gate
 
 TOL_FIXED = 1e-10
 TOL_REAL = 1e-10
@@ -56,22 +71,6 @@ def _bundle_tensor(u: np.ndarray, q: int) -> np.ndarray:
 def _inter_cap(q: int) -> np.ndarray:
     eye = np.eye(q)
     return np.einsum("ad,bc->abcd", eye, eye).reshape(q * q, q * q)
-
-
-def _apply_column(w, v, n, cap_f1, cap_f2, pcap):
-    """Contract one raw column against a ket given as a 2n-axis array."""
-    p = np.multiply.outer(v, cap_f1)
-    # sheet one, bottom to top: contract (chain, in_slot), emit (out_slot, chain)
-    for b in range(1, n + 1):
-        p = np.tensordot(p, w, axes=([2 * n, b - 1], [2, 3]))
-        p = np.moveaxis(p, [2 * n - 1, 2 * n], [b - 1, 2 * n])
-    p = np.tensordot(p, pcap, axes=([2 * n], [0]))
-    # sheet two, top to bottom on slots 2n+1-b
-    for b in range(n, 0, -1):
-        pos = 2 * n - b
-        p = np.tensordot(p, w, axes=([2 * n, pos], [1, 3]))
-        p = np.moveaxis(p, [2 * n - 1, 2 * n], [pos, 2 * n])
-    return np.tensordot(p, cap_f2, axes=([2 * n], [0]))
 
 
 def _sheet_mpo(w, n, cap, reverse):
@@ -100,102 +99,103 @@ class TransferMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
 
 @dataclass
 class BoundaryVector:
     n: int
     parity: str  # "even" / "odd" for right boundaries, None for left
     side: str
-    vec: np.ndarray
+    vec: np.ndarray  # real, in the Hermitian leg basis (see the module docstring)
     op: np.ndarray = None
 
 
-class TransferOperator:
-    """Matrix-free application of the depth-n column transfer matrix."""
-
-    def __init__(self, gate, n: int, q: int = 2):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        if n > N_MAX_APPLY:
-            raise ValueError(
-                f"depth n={n} exceeds the application budget (n <= {N_MAX_APPLY}); "
-                "use the brute-force oracle or a closed form"
-            )
-        u = gate_matrix(gate)
-        self.n = n
-        self.q = q
-        self._w = _bundle_tensor(u, q)
-        self._pcap = _inter_cap(q)
-        self._cap = np.eye(q).astype(complex).reshape(q * q)
-        self._scale = 1.0 / q
-
-    @property
-    def dim(self) -> int:
-        return (self.q * self.q) ** (2 * self.n)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        d = self.q * self.q
-        v = np.asarray(vec, dtype=complex).reshape((d,) * (2 * self.n))
-        out = _apply_column(self._w, v, self.n, self._cap, self._cap, self._pcap)
-        return self._scale * out.reshape(self.dim)
+def _require_qubits(q: int):
+    if q != 2:
+        raise ValueError(f"only q = 2 is supported (got q = {q}): the column "
+                         "kernel works in the Pauli basis")
 
 
-def _pauli_q(q: int = 2) -> np.ndarray:
-    """Columns are vec(sigma_mu)/sqrt(q): the unitary change from the
-    orthonormal Hermitian leg basis to the computational folded basis."""
-    basis = pauli_basis(q)
-    cols = [m.reshape(q * q) / np.sqrt(q) for m in basis.ops]
-    return np.stack(cols, axis=1)
+def _check_depth(n: int):
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > N_MAX_APPLY:
+        raise ValueError(
+            f"depth n={n} exceeds the application budget (n <= {N_MAX_APPLY}); "
+            "use the brute-force oracle or a closed form"
+        )
 
 
-def _axes_transform(vec: np.ndarray, n_axes: int, mat: np.ndarray) -> np.ndarray:
-    """Contract every axis of a d^n_axes tensor with mat over its first index."""
-    d = mat.shape[0]
-    t = np.asarray(vec).reshape((d,) * n_axes)
-    for ax in range(n_axes):
-        t = np.moveaxis(np.tensordot(t, mat, axes=([ax], [0])), -1, ax)
-    return t.reshape(-1)
+# Q: columns are vec(sigma_mu)/sqrt(2), the unitary change from the
+# orthonormal Hermitian leg basis to the computational folded basis
+_QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in pauli_basis(2).ops], axis=1)
+
+
+def _hermitian(op) -> np.ndarray:
+    op = np.asarray(op, dtype=complex)
+    residue = float(np.abs(op - op.conj().T).max())
+    if residue > TOL_REAL:
+        raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
+                         "operators Hermitian?")
+    return op
+
+
+def _slot_coeffs(op) -> np.ndarray:
+    """Right-slot coefficients Q^T vec(X) = tr(sigma_mu^T X)/sqrt(2), real for
+    Hermitian X; the identity maps to sqrt(2) e_0."""
+    return np.ascontiguousarray((_QMAT.T @ _hermitian(op).reshape(4)).real)
+
+
+_IDENTITY_COEFFS = _slot_coeffs(np.eye(2))
+
+
+def _pair_block(op) -> np.ndarray:
+    """Left pairing block tying two slots through X, in the dual basis:
+    B[mu, nu] = tr(sigma_mu^T X sigma_nu^T X)/2, real for Hermitian X; the
+    identity pairing is the 4x4 identity."""
+    x = _hermitian(op)
+    # complex-basis block A[(u,ubar),(v,vbar)] = X[vbar,u] X[ubar,v]
+    block = np.einsum("da,bc->abcd", x, x).reshape(4, 4)
+    return np.ascontiguousarray((_QMAT.conj().T @ block @ _QMAT.conj()).real)
+
+
+def _product(vectors) -> np.ndarray:
+    return reduce(np.multiply.outer, vectors).reshape(-1)
 
 
 class _PauliColumnKernel:
-    """Column application rewritten in the orthonormal Hermitian leg basis.
+    """Column application in the orthonormal Hermitian leg basis.
 
-    Expanding every leg in {sigma_mu/sqrt(q)} is an exact similarity transform
+    Expanding every leg in {sigma_mu/sqrt(2)} is an exact similarity transform
     of the column: all bundle coefficients become real (the folded action of a
     unitary on a Hermitian basis has real matrix elements), the vec(1) caps
-    become sqrt(q) e_0, and the crossed top cap becomes the identity bond.  One
+    become sqrt(2) e_0, and the crossed top cap becomes the identity bond.  One
     application then runs as 2n real middle-axes contractions, visiting slots
     2n down to 1, with the chain axis always adjacent to the slot being
     consumed: sheet two climbs from its bottom cap, the top cap passes the
     chain straight through, and sheet one descends to its bottom cap, leaving
-    the output slots already in canonical order.  Real float64 arithmetic
-    halves the memory traffic of the complex path; values agree to rounding.
+    the output slots already in canonical order.
+
+    ``cap`` replaces the bottom caps' coefficients (default: the identity's);
+    vec(sigma_beta) caps give the gate-dressed odd boundary.  Every step
+    writes into one of two preallocated buffers of d^(2n+1) floats, so a
+    kernel serves one thread; each otoc_finite/otoc_longtime call builds its
+    own.
     """
 
-    def __init__(self, gate, n: int, q: int = 2):
-        if q != 2:
-            raise NotImplementedError("the Hermitian-basis kernel assumes q = 2")
+    def __init__(self, gate, n: int, cap=None):
+        _check_depth(n)
         self.n = n
-        self.q = q
-        self.d = q * q
-        d = self.d
-        qmat = _pauli_q(q)
-        w = _bundle_tensor(gate_matrix(gate), q)
-        wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, qmat, qmat,
-                       qmat.conj(), qmat.conj())
+        self.d = d = 4
+        w = _bundle_tensor(gate_matrix(gate), 2)
+        wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, _QMAT, _QMAT,
+                       _QMAT.conj(), _QMAT.conj())
         if np.abs(wp.imag).max() > 1e-12:
             raise AssertionError("bundle is not real in the Hermitian leg basis")
         wp = np.ascontiguousarray(wp.real)
-        cap = qmat.T @ np.eye(q).reshape(d)
-        if np.abs(cap.imag).max() > 1e-12:
-            raise AssertionError("cap is not real in the Hermitian leg basis")
-        self._cap = np.ascontiguousarray(cap.real)
+        cap = _IDENTITY_COEFFS if cap is None else np.asarray(cap, dtype=float)
         # slot 2n: bottom cap of sheet two folds into the chain_dn leg
         self._m_first = np.ascontiguousarray(
-            np.einsum("oudi,d->iuo", wp, self._cap).reshape(d, d * d))
+            np.einsum("oudi,d->iuo", wp, cap).reshape(d, d * d))
         # remaining sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
         # stored transposed for the batched matmul in apply
         self._m2t = np.ascontiguousarray(
@@ -203,43 +203,44 @@ class _PauliColumnKernel:
         # sheet-one slots pair (in_slot, chain_up) -> (chain_dn, out)
         self._m1t = np.ascontiguousarray(
             wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T)
-        self._qmat = qmat
-        self._scale = 1.0 / q
+        # sheet one's bottom cap, carrying the 1/q normalization (an exact
+        # power-of-two scaling)
+        self._cap_last = cap / 2.0
+        self._buffers = (np.empty(d ** (2 * n + 1)), np.empty(d ** (2 * n + 1)))
+        self._last = 1  # buffer holding the previous result
 
-    def to_iterate_basis(self, vec: np.ndarray) -> np.ndarray:
-        u = _axes_transform(vec, 2 * self.n, self._qmat)
-        if np.abs(u.imag).max() > 1e-10:
-            raise AssertionError("iterate is not real in the Hermitian leg basis")
-        return np.ascontiguousarray(u.real)
-
-    def to_dual_basis(self, vec: np.ndarray) -> np.ndarray:
-        u = _axes_transform(vec, 2 * self.n, self._qmat.conj())
-        if np.abs(u.imag).max() > 1e-10:
-            raise AssertionError("left vector is not real in the Hermitian leg basis")
-        return np.ascontiguousarray(u.real)
-
-    def from_iterate_basis(self, u: np.ndarray) -> np.ndarray:
-        return _axes_transform(u.astype(complex), 2 * self.n,
-                               self._qmat.conj().T)
+    @property
+    def dim(self) -> int:
+        return self.d ** (2 * self.n)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """T u for a real Hermitian-basis vector u.  The result is a view into
+        the kernel's buffers, valid until the next call."""
         d, n = self.d, self.n
-        p = u.reshape(-1, d) @ self._m_first
+        bufs, cur = self._buffers, 1 - self._last
+        p = np.matmul(u.reshape(-1, d), self._m_first,
+                      out=bufs[cur].reshape(-1, d * d))
         for s in range(2 * n - 1, 0, -1):
             mat = self._m2t if s > n else self._m1t
-            p = np.matmul(mat, p.reshape(d ** (s - 1), d * d, -1))
-        out = self._cap @ p.reshape(d, -1)
-        return self._scale * out.reshape(-1)
+            cur = 1 - cur
+            shape = (d ** (s - 1), d * d, -1)
+            p = np.matmul(mat, p.reshape(shape), out=bufs[cur].reshape(shape))
+        cur = 1 - cur
+        out = np.matmul(self._cap_last, p.reshape(d, -1), out=bufs[cur][:self.dim])
+        self._last = cur
+        return out
 
 
 def fixed_right(n: int, q: int = 2) -> np.ndarray:
-    """|R_n) = q^{-n/2} |o ... o): identity products on all 2n slots."""
+    """|R_n) = q^{-n/2} |o ... o): identity products on all 2n slots, in the
+    computational folded basis of build_transfer."""
     state = all_identity_state(n, q)
     return float(q) ** (-n / 2.0) * state.vector()
 
 
 def fixed_left(n: int, q: int = 2) -> np.ndarray:
-    """(L_n| = q^{-n/2} nested identity pairings tying slots j and 2n+1-j."""
+    """(L_n| = q^{-n/2} nested identity pairings tying slots j and 2n+1-j, in
+    the computational folded basis of build_transfer."""
     eye = np.eye(q)
     pairs = tuple((j, 2 * n + 1 - j, eye) for j in range(1, n + 1))
     state = SlotState(n=n, side="left", pairs=pairs, q=q)
@@ -247,45 +248,42 @@ def fixed_left(n: int, q: int = 2) -> np.ndarray:
 
 
 def boundary_left(sigma_alpha, n: int, q: int = 2) -> BoundaryVector:
-    """(L_n(sigma_alpha)|: the innermost pairing carries the insertion."""
-    sa = np.asarray(sigma_alpha, dtype=complex)
-    eye = np.eye(q)
-    pairs = tuple((j, 2 * n + 1 - j, eye) for j in range(1, n)) + ((n, n + 1, sa),)
-    state = SlotState(n=n, side="left", pairs=pairs, q=q)
-    vec = float(q) ** (-n / 2.0) * state.vector()
-    return BoundaryVector(n=n, parity=None, side="left", vec=vec, op=sa)
+    """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
+    insertions except the innermost pairing, which carries sigma_alpha."""
+    _require_qubits(q)
+    vec = _pair_block(sigma_alpha).reshape(-1)
+    identity_pair = np.eye(4)
+    for _ in range(n - 1):
+        # wrap the next pairing around the slots built so far
+        vec = (identity_pair[:, None, :] * vec[None, :, None]).reshape(-1)
+    vec *= 2.0 ** (-n / 2.0)
+    return BoundaryVector(n=n, parity=None, side="left", vec=vec,
+                          op=np.asarray(sigma_alpha, dtype=complex))
 
 
 def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2) -> BoundaryVector:
     """|R_n(sigma_beta)) for the requested parity of t - x.
 
     even: product form, sigma_beta on the outermost slots 1 and 2n;
-    odd: gate-dressed form, one raw column with vec(sigma_beta) bottom caps
-    applied to the all-identity product and scaled by q^{-n/2-1}.  The dressed
+    odd: gate-dressed form, one normalized column with sigma_beta bottom caps
+    applied to the all-identity product and scaled by q^{-n/2}.  The dressed
     form needs the circuit gate; for sigma_beta = identity both reduce to |R_n).
     """
-    sb = np.asarray(sigma_beta, dtype=complex)
+    _require_qubits(q)
+    beta = _slot_coeffs(sigma_beta)
+    ident = _IDENTITY_COEFFS
+    scale = 2.0 ** (-n / 2.0)
     if parity == "even":
-        eye = np.eye(q)
-        prods = {s: eye for s in range(2, 2 * n)}
-        prods[1] = sb
-        prods[2 * n] = sb
-        state = SlotState(n=n, side="right", prods=prods, q=q)
-        vec = float(q) ** (-n / 2.0) * state.vector()
-        return BoundaryVector(n=n, parity="even", side="right", vec=vec, op=sb)
-    if parity == "odd":
+        vec = scale * _product([beta] + [ident] * (2 * n - 2) + [beta])
+    elif parity == "odd":
         if gate is None:
             raise ValueError("the odd-parity (dressed) right boundary needs the gate")
-        u = gate_matrix(gate)
-        d = q * q
-        w = _bundle_tensor(u, q)
-        pcap = _inter_cap(q)
-        cap = sb.reshape(d)
-        v0 = all_identity_state(n, q).vector().reshape((d,) * (2 * n))
-        out = _apply_column(w, v0, n, cap, cap, pcap)
-        vec = float(q) ** (-n / 2.0 - 1.0) * out.reshape(d ** (2 * n))
-        return BoundaryVector(n=n, parity="odd", side="right", vec=vec, op=sb)
-    raise ValueError("parity must be 'even' or 'odd'")
+        kern = _PauliColumnKernel(gate, n, cap=beta)
+        vec = scale * kern.apply(_product([ident] * (2 * n)))
+    else:
+        raise ValueError("parity must be 'even' or 'odd'")
+    return BoundaryVector(n=n, parity=parity, side="right", vec=vec,
+                          op=np.asarray(sigma_beta, dtype=complex))
 
 
 def _power_radius_estimate(apply_fn, dim, iters=200, seed=7):
@@ -307,7 +305,8 @@ def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
     """Dense depth-n transfer matrix with fixed-point checks at construction.
 
     Materialization is restricted to q**(4n) <= 4096 (n <= 3 at q = 2); the
-    matrix-free TransferOperator serves deeper columns.
+    matrix-free column kernel behind otoc_finite/otoc_longtime serves deeper
+    columns.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -316,7 +315,7 @@ def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
     if n > N_MAX_DENSE:
         raise ValueError(
             f"dense transfer at n={n} (dim {dim}) exceeds the materialization "
-            f"budget (n <= {N_MAX_DENSE}); use TransferOperator.apply instead"
+            f"budget (n <= {N_MAX_DENSE}); use otoc_finite or otoc_longtime instead"
         )
     u = gate_matrix(gate)
     w = _bundle_tensor(u, q)
@@ -356,21 +355,17 @@ class OtocResult:
     n: int = None
     meta: dict = field(default_factory=dict)
 
-    def to_row(self):
-        return (self.x, self.t, self.parity, self.value, self.method)
-
-
-def _real_value(val: complex) -> float:
-    if abs(val.imag) > TOL_REAL:
-        raise ValueError(f"OTOC value has imaginary residue {val.imag:.3e}; "
-                         "operators Hermitian?")
-    return float(val.real)
-
 
 def _depths(x: int, t: int):
+    """(depth n, applications, parity) of the column evaluation of C(x, t)."""
     if (t - x) % 2 == 0:
         return (t - x + 2) // 2, (t + x) // 2, "even"
     return (t - x + 1) // 2, (t + x + 1) // 2 - 1, "odd"
+
+
+def _separation(n: int, parity: str) -> int:
+    """t - x of the cells that _depths serves at depth n with this parity."""
+    return 2 * n - 2 if parity == "even" else 2 * n - 1
 
 
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> OtocResult:
@@ -380,99 +375,60 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     by mirroring the gate (conjugation by the swap), which reflects the
     brickwork about the origin.
     """
+    _require_qubits(q)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
         return OtocResult(x, t, parity_tag(x, t), 1.0, "finite_transfer")
     if x < 0:
-        from .opalg import swap_gate
-
-        swap = swap_gate(q)
+        swap = swap_gate(2)
         mirrored = otoc_finite(swap @ gate_matrix(gate) @ swap,
-                               sigma_alpha, sigma_beta, -x, t, q=q)
+                               sigma_alpha, sigma_beta, -x, t)
         return OtocResult(x, t, mirrored.parity, mirrored.value,
                           mirrored.method, n=mirrored.n, meta=mirrored.meta)
     n, applications, parity = _depths(x, t)
-    if n > N_MAX_APPLY:
-        raise ValueError(
-            f"depth n={n} exceeds the budget (n <= {N_MAX_APPLY}); "
-            "use the brute-force oracle or a closed form"
-        )
-    op = TransferOperator(gate, n, q=q)
-    v = boundary_right(sigma_beta, n, parity, gate=gate, q=q).vec
+    _check_depth(n)
+    left = boundary_left(sigma_alpha, n).vec
+    v = boundary_right(sigma_beta, n, parity, gate=gate).vec
+    kern = _PauliColumnKernel(gate, n)
     for _ in range(applications):
-        v = op.apply(v)
-    val = np.dot(boundary_left(sigma_alpha, n, q=q).vec, v)
-    return OtocResult(x, t, parity, _real_value(val), "finite_transfer", n=n)
+        v = kern.apply(v)
+    return OtocResult(x, t, parity, float(np.dot(left, v)), "finite_transfer", n=n)
 
 
 def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
-                  q: int = 2, engine: str = "pauli") -> OtocResult:
+                  q: int = 2) -> OtocResult:
     """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
-    application.
+    application of the column kernel.
 
+    The iterate starts as the right boundary's ``BoundaryVector.vec`` and stays
+    in the real Hermitian leg basis (Q^T per slot); the left boundary's vec
+    (Q^dagger per slot) reads each overlap as a plain dot product.
     Convergence is declared when successive overlaps differ by < 1e-10.  If the
     iteration cap is hit (unit-modulus eigenvalues keep the overlap
     oscillating), the result is the Cesaro mean over a trailing window of 64
     iterates, flagged with the oscillation amplitude.
-
-    engine "pauli" (default) runs the iteration in the real Hermitian leg
-    basis (see _PauliColumnKernel) -- an exact basis change that roughly
-    halves the cost per application; "direct" keeps the complex folded basis.
     """
-    if n > N_MAX_APPLY:
-        raise ValueError(
-            f"depth n={n} exceeds the application budget (n <= {N_MAX_APPLY}); "
-            "use the brute-force oracle or a closed form"
-        )
-    v = boundary_right(sigma_beta, n, parity, gate=gate, q=q).vec
-    lvec = boundary_left(sigma_alpha, n, q=q).vec
-    if engine == "pauli" and q == 2:
-        kern = _PauliColumnKernel(gate, n, q=q)
-        state = kern.to_iterate_basis(v)
-        left = kern.to_dual_basis(lvec)
-        apply_fn = kern.apply
-    elif engine in ("pauli", "direct"):
-        op = TransferOperator(gate, n, q=q)
-        state = v
-        left = lvec
-        apply_fn = op.apply
-    else:
-        raise ValueError("engine must be 'pauli' or 'direct'")
+    _require_qubits(q)
+    _check_depth(n)
+    left = boundary_left(sigma_alpha, n).vec
+    state = boundary_right(sigma_beta, n, parity, gate=gate).vec
+    kern = _PauliColumnKernel(gate, n)
     window = []
-    s_prev = np.dot(left, state)
+    s_prev = float(np.dot(left, state))
     for m in range(1, ITERATION_CAP + 1):
-        state = apply_fn(state)
-        s = np.dot(left, state)
+        state = kern.apply(state)
+        s = float(np.dot(left, state))
         window.append(s)
         if len(window) > CESARO_WINDOW:
             window.pop(0)
         if abs(s - s_prev) < 1e-10:
-            return OtocResult(None, None, parity, _real_value(s),
-                              "longtime_iterate", n=n,
+            return OtocResult(None, None, parity, s, "longtime_iterate", n=n,
                               meta={"iterations": m, "converged": True})
         s_prev = s
     tail = np.asarray(window)
-    mean = tail.mean()
+    mean = float(tail.mean())
     amplitude = float(np.max(np.abs(tail - mean)))
-    return OtocResult(None, None, parity, _real_value(mean),
-                      "longtime_iterate", n=n,
+    return OtocResult(None, None, parity, mean, "longtime_iterate", n=n,
                       meta={"iterations": ITERATION_CAP, "converged": False,
                             "amplitude": amplitude})
-
-
-def otoc_longtime_projector(gate, sigma_alpha, sigma_beta, n: int, parity: str,
-                            dual_pairs, q: int = 2) -> OtocResult:
-    """Long-time limit through an explicit unit-eigenvalue projector
-    sum_i |r_i)(l_i|, supplied as (left_vec, right_vec) dual pairs."""
-    rvec = boundary_right(sigma_beta, n, parity, gate=gate, q=q).vec
-    lvec = boundary_left(sigma_alpha, n, q=q).vec
-    val = sum(np.dot(lvec, _vec_of(r)) * np.dot(_vec_of(l), rvec)
-              for l, r in dual_pairs)
-    return OtocResult(None, None, parity, _real_value(complex(val)),
-                      "longtime_projector", n=n)
-
-
-def _vec_of(obj) -> np.ndarray:
-    vec = getattr(obj, "vec", obj)
-    return np.asarray(vec)
