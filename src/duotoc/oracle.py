@@ -2,15 +2,30 @@
 periodic brickwork chain.
 
 This module deliberately shares nothing with the transfer-matrix machinery
-beyond the gate itself: operators are embedded as dense q^L x q^L matrices,
-layers are multiplied out, and correlators/OTOCs are plain traces.  It is the
-ground truth that every folded-diagram result is validated against.
+beyond the gate itself: operators are dense q^L x q^L matrices, conjugated
+layer by layer, and correlators/OTOCs are plain traces.  It is the ground
+truth that every folded-diagram result is validated against.
+
+Layer application
+-----------------
+A brickwork layer is never formed as a dense matrix product.  It is applied
+to a q^L x N matrix one gate at a time: the row index splits into L/2
+two-site (q^2) axes, and each axis is contracted with the gate in a single
+BLAS product that also moves it behind the others, so after L/2 products
+every axis is back in order and the result comes out transposed.  For the
+odd layer the sites are first rolled by one, which makes the wrap bond
+(L-1, 0) a pair like any other.  One layer costs O(L q^(2L+2)) instead of
+the O(q^(3L)) of a dense product, conjugation applies the layer to both
+sides, and U(t) is never formed.  Every evolution still checks both layers
+for unitarity, with their product Lambda^dag Lambda formed the same way.
 
 Lattice conventions
 -------------------
-Sites 0..L-1, periodic.  The even layer couples (0,1), (2,3), ...; the odd
-layer couples (1,2), (3,4), ..., (L-1,0).  Time counts layers (half-steps),
-with the even layer applied first: U(t) = L_t ... L_2 L_1, L_1 even.
+Sites 0..L-1, periodic, site 0 the slowest index of the q^L basis.  The even
+layer couples (0,1), (2,3), ...; the odd layer couples (1,2), (3,4), ...,
+(L-1,0), the left site of each bond being the gate's first (slower) leg.
+Time counts layers (half-steps), with the even layer applied first:
+U(t) = L_t ... L_2 L_1, L_1 even.
 
 Operator placement follows the light-cone lattice of the brickwork diagrams:
 for the OTOC with x >= 0 the alpha operator anchors at site (t+1) mod 2 (for
@@ -27,12 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import gate_matrix
-from .opalg import assert_unitary
+from .opalg import TOL_UNITARY
 
 __all__ = [
     "ChainSpec",
     "EvolvedOperator",
-    "embed_two_site",
     "site_operator",
     "layer_unitaries",
     "evolution_operator",
@@ -67,16 +81,6 @@ class EvolvedOperator:
     t: int
 
 
-def embed_two_site(U: np.ndarray, i: int, j: int, L: int, q: int = 2) -> np.ndarray:
-    """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
-    rest = [s for s in range(L) if s not in (i, j)]
-    order = [i, j] + rest
-    perm = [order.index(s) for s in range(L)]
-    A = np.kron(U, np.eye(q ** (L - 2), dtype=complex)).reshape([q] * (2 * L))
-    A = A.transpose(perm + [L + p for p in perm])
-    return np.ascontiguousarray(A.reshape(q**L, q**L))
-
-
 def site_operator(sigma: np.ndarray, x: int, L: int, q: int = 2) -> np.ndarray:
     """Dense embedding of a one-site operator at site x."""
     x %= L
@@ -86,35 +90,78 @@ def site_operator(sigma: np.ndarray, x: int, L: int, q: int = 2) -> np.ndarray:
     )
 
 
+def _apply_layer_t(mat: np.ndarray, gate: np.ndarray, parity: str, L: int, q: int) -> np.ndarray:
+    """(Lambda mat)^T, C-ordered, for the layer of ``gate`` on the bonds of
+    this parity and a matrix with q^L rows (see the module docstring)."""
+    cols = mat.shape[1]
+    if parity == "odd":
+        # site 0 moves behind site L-1: the bonds are then (1,2), ..., (L-1,0)
+        mat = mat.reshape(q, q ** (L - 1), cols).transpose(1, 0, 2)
+    gate_t = gate.T
+    for _ in range(L // 2):
+        # contract the leading pair axis and append it behind the others
+        mat = np.matmul(mat.reshape(q * q, -1).T, gate_t)
+    if parity == "odd":
+        mat = mat.reshape(cols, q ** (L - 1), q).transpose(0, 2, 1)
+    return mat.reshape(cols, q**L)
+
+
+def _conjugate_layer(mat: np.ndarray, gate: np.ndarray, parity: str, L: int, q: int) -> np.ndarray:
+    """Lambda^dag mat Lambda: Lambda^dag on the rows, then Lambda^T (the layer
+    of the transposed gate) on the rows of the transpose."""
+    half = _apply_layer_t(mat, gate.conj().T, parity, L, q)
+    return _apply_layer_t(half, gate.T, parity, L, q)
+
+
+def _checked_gate(spec: ChainSpec) -> np.ndarray:
+    """The circuit gate, once both of its layers have passed the unitarity
+    check max |Lambda^dag Lambda - 1| < TOL_UNITARY."""
+    U = gate_matrix(spec.gate)
+    eye = np.eye(spec.q**spec.L, dtype=complex)
+    for parity in ("even", "odd"):
+        product = _conjugate_layer(eye, U, parity, spec.L, spec.q)
+        if not np.max(np.abs(product - eye)) < TOL_UNITARY:
+            raise ValueError(f"{parity} layer is not unitary within {TOL_UNITARY}")
+    return U
+
+
+def _parity(k: int) -> str:
+    """Parity of layer k (1-based): the even layer comes first."""
+    return "even" if k % 2 else "odd"
+
+
 def layer_unitaries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """The even-bond and odd-bond layer unitaries (full-period = odd @ even)."""
-    U = gate_matrix(spec.gate)
-    L, q = spec.L, spec.q
-    even = np.eye(q**L, dtype=complex)
-    odd = np.eye(q**L, dtype=complex)
-    for j in range(0, L, 2):
-        even = embed_two_site(U, j, j + 1, L, q) @ even
-    for j in range(1, L, 2):
-        odd = embed_two_site(U, j, (j + 1) % L, L, q) @ odd
-    assert_unitary(even, name="even layer")
-    assert_unitary(odd, name="odd layer")
-    return even, odd
+    U = _checked_gate(spec)
+    eye = np.eye(spec.q**spec.L, dtype=complex)
+    return tuple(_apply_layer_t(eye, U, parity, spec.L, spec.q).T
+                 for parity in ("even", "odd"))
 
 
 def evolution_operator(spec: ChainSpec, t: int) -> np.ndarray:
     """U(t) = L_t ... L_1 with the even layer first."""
-    even, odd = layer_unitaries(spec)
+    U = _checked_gate(spec)
     out = np.eye(spec.q**spec.L, dtype=complex)
     for k in range(1, t + 1):
-        out = (even if k % 2 else odd) @ out
+        out = _apply_layer_t(out, U, _parity(k), spec.L, spec.q).T
     return out
 
 
 def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> EvolvedOperator:
-    """sigma(site, t) = U(t)^dag sigma(site) U(t)."""
-    circ = evolution_operator(spec, t)
-    mat = circ.conj().T @ site_operator(sigma, site, spec.L, spec.q) @ circ
+    """sigma(site, t) = U(t)^dag sigma(site) U(t), conjugated by the layers
+    L_t, ..., L_1 in turn."""
+    U = _checked_gate(spec)
+    mat = site_operator(sigma, site, spec.L, spec.q)
+    for k in range(t, 0, -1):
+        mat = _conjugate_layer(mat, U, _parity(k), spec.L, spec.q)
     return EvolvedOperator(matrix=mat, site=site % spec.L, t=t)
+
+
+def _times_site_operator(mat: np.ndarray, sigma: np.ndarray, x: int, L: int, q: int) -> np.ndarray:
+    """mat @ site_operator(sigma, x, L, q), contracting only site x's column axis."""
+    x %= L
+    cols = mat.reshape(-1, q, q ** (L - x - 1))
+    return np.matmul(np.asarray(sigma, dtype=complex).T, cols).reshape(mat.shape)
 
 
 def _check_budget(spec: ChainSpec, t: int):
@@ -129,8 +176,7 @@ def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int, sigma_be
     _check_budget(spec, t)
     L, q = spec.L, spec.q
     A = evolve_heisenberg(spec, sigma_alpha, x, t).matrix
-    B = site_operator(sigma_beta, 0, L, q)
-    val = complex(np.trace(A @ B) / q**L)
+    val = complex(np.trace(_times_site_operator(A, sigma_beta, 0, L, q)) / q**L)
     if abs(val.imag) > _IMAG_TOL:
         return val
     return val.real
@@ -143,9 +189,9 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     L, q = spec.L, spec.q
     anchor = (t + 1) % 2 if x >= 0 else t % 2
     A = evolve_heisenberg(spec, sigma_alpha, anchor, t).matrix
-    B = site_operator(sigma_beta, anchor + x, L, q)
-    AB = A @ B
-    val = complex(np.trace(AB @ AB) / q**L)
+    AB = _times_site_operator(A, sigma_beta, anchor + x, L, q)
+    # tr(M M) = sum_ij M_ij M_ji
+    val = complex(np.sum(AB * AB.T) / q**L)
     if abs(val.imag) > _IMAG_TOL:
         return val
     return val.real

@@ -175,14 +175,15 @@ class _PauliColumnKernel:
     chain straight through, and sheet one descends to its bottom cap, leaving
     the output slots already in canonical order.
 
-    ``cap`` replaces the bottom caps' coefficients (default: the identity's);
-    vec(sigma_beta) caps give the gate-dressed odd boundary.  Every step
-    writes into one of two preallocated buffers of d^(2n+1) floats, so a
-    kernel serves one thread; each otoc_finite/otoc_longtime call builds its
-    own.
+    ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
+    application (default: the identity's); vec(sigma_beta) caps give the
+    gate-dressed odd boundary.  Every step writes into one of two
+    preallocated buffers of d^(2n+1) floats, so a kernel serves one thread;
+    each otoc_finite/otoc_longtime call builds its own and dresses its odd
+    boundary with it.
     """
 
-    def __init__(self, gate, n: int, cap=None):
+    def __init__(self, gate, n: int):
         _check_depth(n)
         self.n = n
         self.d = d = 4
@@ -191,11 +192,8 @@ class _PauliColumnKernel:
                        _QMAT.conj(), _QMAT.conj())
         if np.abs(wp.imag).max() > 1e-12:
             raise AssertionError("bundle is not real in the Hermitian leg basis")
-        wp = np.ascontiguousarray(wp.real)
-        cap = _IDENTITY_COEFFS if cap is None else np.asarray(cap, dtype=float)
-        # slot 2n: bottom cap of sheet two folds into the chain_dn leg
-        self._m_first = np.ascontiguousarray(
-            np.einsum("oudi,d->iuo", wp, cap).reshape(d, d * d))
+        self._wp = wp = np.ascontiguousarray(wp.real)
+        self._caps = self._cap_matrices(_IDENTITY_COEFFS)
         # remaining sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
         # stored transposed for the batched matmul in apply
         self._m2t = np.ascontiguousarray(
@@ -203,9 +201,6 @@ class _PauliColumnKernel:
         # sheet-one slots pair (in_slot, chain_up) -> (chain_dn, out)
         self._m1t = np.ascontiguousarray(
             wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T)
-        # sheet one's bottom cap, carrying the 1/q normalization (an exact
-        # power-of-two scaling)
-        self._cap_last = cap / 2.0
         self._buffers = (np.empty(d ** (2 * n + 1)), np.empty(d ** (2 * n + 1)))
         self._last = 1  # buffer holding the previous result
 
@@ -213,12 +208,25 @@ class _PauliColumnKernel:
     def dim(self) -> int:
         return self.d ** (2 * self.n)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """T u for a real Hermitian-basis vector u.  The result is a view into
-        the kernel's buffers, valid until the next call."""
+    def _cap_matrices(self, cap):
+        """(slot-2n matrix, last cap) for bottom-cap coefficients ``cap``."""
+        d = self.d
+        cap = np.asarray(cap, dtype=float)
+        # slot 2n: bottom cap of sheet two folds into the chain_dn leg
+        m_first = np.ascontiguousarray(
+            np.einsum("oudi,d->iuo", self._wp, cap).reshape(d, d * d))
+        # sheet one's bottom cap, carrying the 1/q normalization (an exact
+        # power-of-two scaling)
+        return m_first, cap / 2.0
+
+    def apply(self, u: np.ndarray, cap=None) -> np.ndarray:
+        """T u for a real Hermitian-basis vector u, with bottom-cap
+        coefficients ``cap`` if given.  The result is a view into the
+        kernel's buffers, valid until the next call."""
         d, n = self.d, self.n
+        m_first, cap_last = self._caps if cap is None else self._cap_matrices(cap)
         bufs, cur = self._buffers, 1 - self._last
-        p = np.matmul(u.reshape(-1, d), self._m_first,
+        p = np.matmul(u.reshape(-1, d), m_first,
                       out=bufs[cur].reshape(-1, d * d))
         for s in range(2 * n - 1, 0, -1):
             mat = self._m2t if s > n else self._m1t
@@ -226,7 +234,7 @@ class _PauliColumnKernel:
             shape = (d ** (s - 1), d * d, -1)
             p = np.matmul(mat, p.reshape(shape), out=bufs[cur].reshape(shape))
         cur = 1 - cur
-        out = np.matmul(self._cap_last, p.reshape(d, -1), out=bufs[cur][:self.dim])
+        out = np.matmul(cap_last, p.reshape(d, -1), out=bufs[cur][:self.dim])
         self._last = cur
         return out
 
@@ -261,13 +269,16 @@ def boundary_left(sigma_alpha, n: int, q: int = 2) -> BoundaryVector:
                           op=np.asarray(sigma_alpha, dtype=complex))
 
 
-def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2) -> BoundaryVector:
+def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2,
+                   kernel=None) -> BoundaryVector:
     """|R_n(sigma_beta)) for the requested parity of t - x.
 
     even: product form, sigma_beta on the outermost slots 1 and 2n;
     odd: gate-dressed form, one normalized column with sigma_beta bottom caps
     applied to the all-identity product and scaled by q^{-n/2}.  The dressed
-    form needs the circuit gate; for sigma_beta = identity both reduce to |R_n).
+    form needs the circuit gate, or ``kernel``, a depth-n column kernel of it
+    to make that one application with; for sigma_beta = identity both forms
+    reduce to |R_n).
     """
     _require_qubits(q)
     beta = _slot_coeffs(sigma_beta)
@@ -276,10 +287,11 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2) -> Bo
     if parity == "even":
         vec = scale * _product([beta] + [ident] * (2 * n - 2) + [beta])
     elif parity == "odd":
-        if gate is None:
-            raise ValueError("the odd-parity (dressed) right boundary needs the gate")
-        kern = _PauliColumnKernel(gate, n, cap=beta)
-        vec = scale * kern.apply(_product([ident] * (2 * n)))
+        if kernel is None:
+            if gate is None:
+                raise ValueError("the odd-parity (dressed) right boundary needs the gate")
+            kernel = _PauliColumnKernel(gate, n)
+        vec = scale * kernel.apply(_product([ident] * (2 * n)), cap=beta)
     else:
         raise ValueError("parity must be 'even' or 'odd'")
     return BoundaryVector(n=n, parity=parity, side="right", vec=vec,
@@ -323,7 +335,7 @@ def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
     cap = np.eye(q).astype(complex).reshape(d)
     s1 = _sheet_mpo(w, n, cap, reverse=False)
     s2 = _sheet_mpo(w, n, cap, reverse=True)
-    raw = np.einsum("kl,kab,lcd->acbd", pcap, s1, s2)
+    raw = np.einsum("kl,kab,lcd->acbd", pcap, s1, s2, optimize=True)
     half = d ** n
     mat = raw.reshape(half * half, half * half) / q
 
@@ -389,8 +401,8 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     n, applications, parity = _depths(x, t)
     _check_depth(n)
     left = boundary_left(sigma_alpha, n).vec
-    v = boundary_right(sigma_beta, n, parity, gate=gate).vec
     kern = _PauliColumnKernel(gate, n)
+    v = boundary_right(sigma_beta, n, parity, kernel=kern).vec
     for _ in range(applications):
         v = kern.apply(v)
     return OtocResult(x, t, parity, float(np.dot(left, v)), "finite_transfer", n=n)
@@ -412,8 +424,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
     _require_qubits(q)
     _check_depth(n)
     left = boundary_left(sigma_alpha, n).vec
-    state = boundary_right(sigma_beta, n, parity, gate=gate).vec
     kern = _PauliColumnKernel(gate, n)
+    state = boundary_right(sigma_beta, n, parity, kernel=kern).vec
     window = []
     s_prev = float(np.dot(left, state))
     for m in range(1, ITERATION_CAP + 1):

@@ -3,21 +3,68 @@
 import numpy as np
 import pytest
 
-from duotoc.gates import build_kim, random_dual_unitary
+from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import pauli_basis
 from duotoc.oracle import (
     ChainSpec,
     evolution_operator,
     evolve_heisenberg,
     haar_sample,
+    layer_unitaries,
     oracle_correlator,
     oracle_otoc,
     site_operator,
 )
 
 TOL = 1e-12
+REF_TOL = 1e-13
 
 I2, SX, SY, SZ = pauli_basis(2).ops
+
+REF_GATES = {
+    "du": random_dual_unitary(3),
+    "kim": build_kim(h1=0.4, h2=0.6),
+    "kak": random_kak(5),
+}
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: every bond embedded as a full q^L x q^L matrix with np.kron
+# and a transpose, layers and U(t) multiplied out.  The library applies the
+# layers gate by gate and never forms these products.
+
+def _embed_two_site(U, i, j, L, q=2):
+    """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
+    rest = [s for s in range(L) if s not in (i, j)]
+    order = [i, j] + rest
+    perm = [order.index(s) for s in range(L)]
+    A = np.kron(U, np.eye(q ** (L - 2), dtype=complex)).reshape([q] * (2 * L))
+    A = A.transpose(perm + [L + p for p in perm])
+    return A.reshape(q**L, q**L)
+
+
+def _dense_layers(U, L, q=2):
+    even = np.eye(q**L, dtype=complex)
+    odd = np.eye(q**L, dtype=complex)
+    for j in range(0, L, 2):
+        even = _embed_two_site(U, j, j + 1, L, q) @ even
+    for j in range(1, L, 2):
+        odd = _embed_two_site(U, j, (j + 1) % L, L, q) @ odd
+    return even, odd
+
+
+def _dense_evolution(U, L, t, q=2):
+    even, odd = _dense_layers(U, L, q)
+    out = np.eye(q**L, dtype=complex)
+    for k in range(1, t + 1):
+        out = (even if k % 2 else odd) @ out
+    return out
+
+
+def _random_operator(q, seed):
+    """A generic, non-Hermitian one-site operator."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
 
 
 def test_chain_spec_validation():
@@ -103,3 +150,77 @@ def test_haar_sample_seeding():
     rng = np.random.default_rng(3)
     u = haar_sample(2, rng)
     assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+
+
+def test_embedding_reference_places_the_wrap_bond():
+    # the reference itself: a product gate on the wrap bond (L-1, 0) acts with
+    # its first leg on site L-1 and its second on site 0
+    L = 4
+    got = _embed_two_site(np.kron(SX, SZ), L - 1, 0, L)
+    want = np.kron(np.kron(SZ, np.eye(4)), SX)
+    assert np.abs(got - want).max() == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(REF_GATES))
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_layers_match_dense_embedding(L, name):
+    spec = ChainSpec(gate=REF_GATES[name], L=L)
+    want_even, want_odd = _dense_layers(gate_matrix(spec.gate), L)
+    even, odd = layer_unitaries(spec)
+    assert np.abs(even - want_even).max() < REF_TOL
+    # the odd layer holds the wrap bond (L-1, 0)
+    assert np.abs(odd - want_odd).max() < REF_TOL
+
+
+@pytest.mark.parametrize("name", sorted(REF_GATES))
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_evolution_matches_dense_embedding(L, name):
+    spec = ChainSpec(gate=REF_GATES[name], L=L)
+    U = gate_matrix(spec.gate)
+    sigma = _random_operator(2, L)
+    for t in range(4):
+        circ = _dense_evolution(U, L, t)
+        assert np.abs(evolution_operator(spec, t) - circ).max() < REF_TOL
+        for site in (0, 1, L - 1):
+            want = circ.conj().T @ site_operator(sigma, site, L) @ circ
+            got = evolve_heisenberg(spec, sigma, site, t).matrix
+            assert np.abs(got - want).max() < REF_TOL
+
+
+def test_qutrit_chain_matches_dense_embedding():
+    L, q = 4, 3
+    U = haar_sample(q * q, 11)
+    spec = ChainSpec(gate=U, L=L, q=q)
+    sigma = _random_operator(q, 0)
+    for t in range(4):
+        circ = _dense_evolution(U, L, t, q)
+        assert np.abs(evolution_operator(spec, t) - circ).max() < REF_TOL
+        want = circ.conj().T @ site_operator(sigma, L - 1, L, q) @ circ
+        got = evolve_heisenberg(spec, sigma, L - 1, t).matrix
+        assert np.abs(got - want).max() < REF_TOL
+
+
+@pytest.mark.parametrize("x,t", [(0, 0), (1, 1), (-1, 1), (2, 2), (-2, 3), (3, 3)])
+def test_oracle_values_match_dense_traces(x, t):
+    L = 8
+    spec = ChainSpec(gate=REF_GATES["kak"], L=L)
+    circ = _dense_evolution(gate_matrix(spec.gate), L, t)
+    a, b = _random_operator(2, 1), _random_operator(2, 2)
+    anchor = (t + 1) % 2 if x >= 0 else t % 2
+    A = circ.conj().T @ site_operator(a, anchor, L) @ circ
+    AB = A @ site_operator(b, anchor + x, L)
+    assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
+        np.trace(AB @ AB) / 2**L, abs=REF_TOL)
+    A = circ.conj().T @ site_operator(a, x, L) @ circ
+    assert complex(oracle_correlator(spec, a, x, b, t)) == pytest.approx(
+        np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
+
+
+@pytest.mark.parametrize("call", ["otoc", "correlator"])
+def test_non_unitary_gate_rejected(call):
+    spec = ChainSpec(gate=1.001 * gate_matrix(random_kak(5)), L=6)
+    with pytest.raises(ValueError, match="not unitary"):
+        if call == "otoc":
+            oracle_otoc(spec, SX, SZ, 1, 2)
+        else:
+            oracle_correlator(spec, SX, 1, SZ, 2)

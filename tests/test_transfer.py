@@ -254,6 +254,22 @@ def test_boundary_right_odd_needs_gate():
     assert np.linalg.norm(v) > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
+    # otoc_finite/otoc_longtime dress the odd boundary with their own kernel,
+    # whose buffers already hold other data; the vector must not change
+    gate = random_kak(2)
+    fresh = boundary_right(BETA_I, n, "odd", gate=gate).vec
+    kern = _PauliColumnKernel(gate, n)
+    u = np.random.default_rng(n).standard_normal(kern.dim)
+    plain = kern.apply(u).copy()
+    kern.apply(u)
+    shared = boundary_right(BETA_I, n, "odd", kernel=kern).vec
+    assert np.array_equal(shared, fresh)
+    # the sigma_beta caps served one application only
+    assert np.array_equal(kern.apply(u), plain)
+
+
 def test_longtime_iteration_metadata():
     res = otoc_longtime(build_kim(h1=0.4, h2=0.6), ALPHA, BETA, 1, "odd")
     assert res.meta["converged"] is True
