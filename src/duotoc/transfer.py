@@ -39,6 +39,7 @@ non-Hermitian insertions, whose coefficients would not be real.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -55,6 +56,7 @@ N_MAX_DENSE = 3
 N_MAX_APPLY = 5
 ITERATION_CAP = 10_000
 CESARO_WINDOW = 64
+BLOCK_FLOATS = 2 ** 16
 
 
 def parity_tag(x: int, t: int) -> str:
@@ -75,8 +77,11 @@ def _inter_cap(q: int) -> np.ndarray:
 
 def _sheet_mpo(w, n, cap, reverse):
     """Per-sheet chain of n bundles with the bottom cap absorbed; returns
-    s[chain_top, out_slots, in_slots] with slots flattened row-major in column
-    order (bundle n slowest when reverse, fastest otherwise reversed...)."""
+    s[chain_top, out_slots, in_slots], each slot group flattened row-major
+    over d-dimensional bundle legs in column slot order.  Without ``reverse``
+    bundle 1 is the slowest leg and bundle n the fastest (sheet one, slots
+    1..n); with it bundle n is the slowest and bundle 1 the fastest (sheet
+    two, slots n+1..2n)."""
     d = w.shape[0]
     s = np.einsum("okyi,y->koi", w, cap)
     for _ in range(n - 1):
@@ -162,6 +167,15 @@ def _product(vectors) -> np.ndarray:
     return reduce(np.multiply.outer, vectors).reshape(-1)
 
 
+def _prefix_slots(n: int, d: int) -> int:
+    """Number K of leading slots whose values split the column kernel's
+    d^(2n+1) middle array into blocks of at most BLOCK_FLOATS floats."""
+    k = 0
+    while k < 2 * n - 2 and d ** (2 * n + 1 - k) > BLOCK_FLOATS:
+        k += 1
+    return k
+
+
 class _PauliColumnKernel:
     """Column application in the orthonormal Hermitian leg basis.
 
@@ -169,18 +183,36 @@ class _PauliColumnKernel:
     of the column: all bundle coefficients become real (the folded action of a
     unitary on a Hermitian basis has real matrix elements), the vec(1) caps
     become sqrt(2) e_0, and the crossed top cap becomes the identity bond.  One
-    application then runs as 2n real middle-axes contractions, visiting slots
-    2n down to 1, with the chain axis always adjacent to the slot being
-    consumed: sheet two climbs from its bottom cap, the top cap passes the
-    chain straight through, and sheet one descends to its bottom cap, leaving
-    the output slots already in canonical order.
+    application contracts slots 2n down to 1, with the chain axis always
+    adjacent to the slot being consumed: sheet two climbs from its bottom cap,
+    the top cap passes the chain straight through, and sheet one descends to
+    its bottom cap, leaving the output slots already in canonical order.  The
+    slot steps run in three stages:
+
+    * head: slots 2n and 2n-1 with sheet two's bottom cap, one dense
+      d^2 x d^3 matrix;
+    * middle: slots 2n-2 down to K+1, one d^2 x d^2 step each;
+    * tail: slots K..1 with sheet one's bottom cap, which carries the exact
+      1/q (a power of two), one dense d^K x d^(K+1) matrix.
+
+    The head and the middle run separately for each of the d^K values of
+    the prefix slots 1..K.  Such a block holds d^(2n+1-K) floats of the
+    intermediate [in_1..in_s, chain, out_(s+1)..out_2n]; the head writes it
+    into one of two block-sized scratch buffers, the middle steps ping-pong
+    between them, so the working set stays in L2, and the last step writes
+    the block into the d^(2n+1) middle array.  The tail is then one GEMM
+    from the middle array into the d^(2n) output.
+
+    K follows from the sizes alone: the smallest K <= 2n - 2 whose block is
+    at most BLOCK_FLOATS floats, i.e. K = 0 at n <= 3, 1 at n = 4 and 3 at
+    n = 5.  The buffers are the middle array, the output and the two scratch
+    blocks, one allocation of about 41 MB at n = 5.
 
     ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
-    application (default: the identity's); vec(sigma_beta) caps give the
-    gate-dressed odd boundary.  Every step writes into one of two
-    preallocated buffers of d^(2n+1) floats, so a kernel serves one thread;
-    each otoc_finite/otoc_longtime call builds its own and dresses its odd
-    boundary with it.
+    application (default: the identity's), which rebuilds the head and tail
+    matrices; vec(sigma_beta) caps give the gate-dressed odd boundary.  The
+    buffers make a kernel serve one thread; each otoc_finite/otoc_longtime
+    call builds its own and dresses its odd boundary with it.
     """
 
     def __init__(self, gate, n: int):
@@ -193,50 +225,74 @@ class _PauliColumnKernel:
         if np.abs(wp.imag).max() > 1e-12:
             raise AssertionError("bundle is not real in the Hermitian leg basis")
         self._wp = wp = np.ascontiguousarray(wp.real)
-        self._caps = self._cap_matrices(_IDENTITY_COEFFS)
-        # remaining sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
-        # stored transposed for the batched matmul in apply
+        # sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
+        # stored transposed for the batched matmul of one step
         self._m2t = np.ascontiguousarray(
             wp.transpose(3, 2, 1, 0).reshape(d * d, d * d).T)
         # sheet-one slots pair (in_slot, chain_up) -> (chain_dn, out)
         self._m1t = np.ascontiguousarray(
             wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T)
-        self._buffers = (np.empty(d ** (2 * n + 1)), np.empty(d ** (2 * n + 1)))
-        self._last = 1  # buffer holding the previous result
+        self.k = k = _prefix_slots(n, d)
+        self._head, self._tail = self._cap_matrices(_IDENTITY_COEFFS)
+        # middle array, output and both scratch blocks in one allocation, so
+        # the small blocks share the large one's huge pages (numpy asks for
+        # them from 4 MB on) instead of faulting in 4 kB pages per kernel
+        m, o, b = d ** (2 * n + 1), d ** (2 * n), d ** (2 * n + 1 - k)
+        buf = np.empty(m + o + 2 * b)
+        self._middle, self._out = buf[:m], buf[m:m + o]
+        self._scratch = scratch = (buf[m + o:m + o + b], buf[m + o + b:])
+        # per block: the head's destination and the (matrix, source,
+        # destination) of each middle step; the head writes scratch[0], the
+        # steps alternate between the two, and the last writes the block
+        self._blocks = []
+        slots = range(2 * n - 2, k, -1)
+        for block in self._middle.reshape(d ** k, -1):
+            head_dst = src = scratch[0] if slots else block
+            steps = []
+            for j, s in enumerate(slots):
+                dst = block if s == k + 1 else scratch[1 - j % 2]
+                shape = (d ** (s - 1 - k), d * d, -1)
+                steps.append((self._step_matrix(s), src.reshape(shape), dst.reshape(shape)))
+                src = dst
+            self._blocks.append((head_dst.reshape(-1, d ** 3), steps))
 
     @property
     def dim(self) -> int:
         return self.d ** (2 * self.n)
 
+    def _step_matrix(self, s: int) -> np.ndarray:
+        return self._m2t if s > self.n else self._m1t
+
     def _cap_matrices(self, cap):
-        """(slot-2n matrix, last cap) for bottom-cap coefficients ``cap``."""
-        d = self.d
+        """(head, tail) matrices for bottom-cap coefficients ``cap``."""
+        d, n, k = self.d, self.n, self.k
         cap = np.asarray(cap, dtype=float)
         # slot 2n: bottom cap of sheet two folds into the chain_dn leg
-        m_first = np.ascontiguousarray(
-            np.einsum("oudi,d->iuo", self._wp, cap).reshape(d, d * d))
-        # sheet one's bottom cap, carrying the 1/q normalization (an exact
-        # power-of-two scaling)
-        return m_first, cap / 2.0
+        first = np.einsum("oudi,d->iuo", self._wp, cap)
+        step = self._step_matrix(2 * n - 1).reshape(d, d, d, d)
+        head = np.einsum("zoic,jcp->ijzop", step, first).reshape(d * d, d ** 3)
+        # slots k..1 on the identity over (in_1..in_k, chain), then sheet one's
+        # bottom cap with the 1/q normalization
+        tail = np.eye(d ** (k + 1))
+        for s in range(k, 0, -1):
+            tail = np.matmul(self._step_matrix(s), tail.reshape(d ** (s - 1), d * d, -1))
+        tail = (cap / 2.0) @ tail.reshape(d, -1)
+        return head, tail.reshape(d ** k, d ** (k + 1))
 
     def apply(self, u: np.ndarray, cap=None) -> np.ndarray:
         """T u for a real Hermitian-basis vector u, with bottom-cap
         coefficients ``cap`` if given.  The result is a view into the
-        kernel's buffers, valid until the next call."""
-        d, n = self.d, self.n
-        m_first, cap_last = self._caps if cap is None else self._cap_matrices(cap)
-        bufs, cur = self._buffers, 1 - self._last
-        p = np.matmul(u.reshape(-1, d), m_first,
-                      out=bufs[cur].reshape(-1, d * d))
-        for s in range(2 * n - 1, 0, -1):
-            mat = self._m2t if s > n else self._m1t
-            cur = 1 - cur
-            shape = (d ** (s - 1), d * d, -1)
-            p = np.matmul(mat, p.reshape(shape), out=bufs[cur].reshape(shape))
-        cur = 1 - cur
-        out = np.matmul(cap_last, p.reshape(d, -1), out=bufs[cur][:self.dim])
-        self._last = cur
-        return out
+        kernel's buffers, valid until the next call; u may be that view."""
+        d, k = self.d, self.k
+        head, tail = (self._head, self._tail) if cap is None else self._cap_matrices(cap)
+        rows = u.reshape(d ** k, -1, d * d)
+        for prefix, (head_dst, steps) in enumerate(self._blocks):
+            np.matmul(rows[prefix], head, out=head_dst)
+            for mat, src, dst in steps:
+                np.matmul(mat, src, out=dst)
+        np.matmul(tail, self._middle.reshape(d ** (k + 1), -1),
+                  out=self._out.reshape(d ** k, -1))
+        return self._out
 
 
 def fixed_right(n: int, q: int = 2) -> np.ndarray:
@@ -426,14 +482,12 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
     left = boundary_left(sigma_alpha, n).vec
     kern = _PauliColumnKernel(gate, n)
     state = boundary_right(sigma_beta, n, parity, kernel=kern).vec
-    window = []
+    window = deque(maxlen=CESARO_WINDOW)
     s_prev = float(np.dot(left, state))
     for m in range(1, ITERATION_CAP + 1):
         state = kern.apply(state)
         s = float(np.dot(left, state))
         window.append(s)
-        if len(window) > CESARO_WINDOW:
-            window.pop(0)
         if abs(s - s_prev) < 1e-10:
             return OtocResult(None, None, parity, s, "longtime_iterate", n=n,
                               meta={"iterations": m, "converged": True})

@@ -11,6 +11,7 @@ from duotoc.gates import build_kim, build_xy, gate_matrix, random_dual_unitary, 
 from duotoc.opalg import pauli_basis, swap_gate
 from duotoc.oracle import ChainSpec, oracle_otoc
 from duotoc.transfer import (
+    _IDENTITY_COEFFS,
     ITERATION_CAP,
     N_MAX_APPLY,
     _bundle_tensor,
@@ -82,6 +83,60 @@ def test_operator_apply_matches_dense(n):
         k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
         mat = build_transfer(gate, n).mat
         assert np.abs(legs.conj() @ k @ legs.T - mat).max() < TOL_AGREE, name
+
+
+def _stepwise_apply(kern, u, cap):
+    """Reference column application: one full pass per slot, 2n down to 1,
+    each a batched 16 x 16 product, then sheet one's cap with the 1/q."""
+    d, n, wp = 4, kern.n, kern._wp
+    cap = np.asarray(cap, dtype=float)
+    first = np.einsum("oudi,d->iuo", wp, cap).reshape(d, d * d)
+    sheet_two = wp.transpose(3, 2, 1, 0).reshape(d * d, d * d).T
+    sheet_one = wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T
+    p = u.reshape(-1, d) @ first
+    for s in range(2 * n - 1, 0, -1):
+        mat = sheet_two if s > n else sheet_one
+        p = np.matmul(mat, p.reshape(d ** (s - 1), d * d, -1))
+    return cap / 2 @ p.reshape(d, -1)
+
+
+BLOCKED = [
+    ("kim", build_kim(h1=0.4, h2=0.6)),
+    ("kak", random_kak(1)),
+    ("du0", random_dual_unitary(0)),
+]
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name,gate", BLOCKED)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_matches_stepwise_reference(name, gate, n):
+    """The blocked kernel (prefix blocks from n = 4 on) against the
+    slot-by-slot reference, with identity caps and sigma_beta caps."""
+    kern = _PauliColumnKernel(gate, n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(kern.dim)
+    beta = rng.standard_normal(4)  # coefficients of a random Hermitian sigma_beta
+    _assert_close(kern.apply(u), _stepwise_apply(kern, u, _IDENTITY_COEFFS))
+    _assert_close(kern.apply(u, cap=beta), _stepwise_apply(kern, u, beta))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
+    gate = random_kak(1)
+    kern = _PauliColumnKernel(gate, n)
+    for buf in (kern._middle, kern._out, *kern._scratch):
+        buf.fill(np.nan)
+    u = np.random.default_rng(10 + n).standard_normal(kern.dim)
+    want = u
+    v = u.copy()
+    for _ in range(3):
+        want = _stepwise_apply(kern, want, _IDENTITY_COEFFS)
+        v = kern.apply(v)  # reads the buffer it is about to overwrite
+        _assert_close(v, want)
 
 
 def _complex_left(sigma_alpha, n):
@@ -254,7 +309,7 @@ def test_boundary_right_odd_needs_gate():
     assert np.linalg.norm(v) > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
     # otoc_finite/otoc_longtime dress the odd boundary with their own kernel,
     # whose buffers already hold other data; the vector must not change
