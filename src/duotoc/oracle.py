@@ -16,8 +16,20 @@ every axis is back in order and the result comes out transposed.  For the
 odd layer the sites are first rolled by one, which makes the wrap bond
 (L-1, 0) a pair like any other.  One layer costs O(L q^(2L+2)) instead of
 the O(q^(3L)) of a dense product, conjugation applies the layer to both
-sides, and U(t) is never formed.  Every evolution still checks both layers
-for unitarity, with their product Lambda^dag Lambda formed the same way.
+sides, and U(t) is never formed.
+
+Per-chain memo
+--------------
+Both layers are checked for unitarity, with their product Lambda^dag Lambda
+formed the same way, once per chain and gate: each ``ChainSpec`` remembers
+the bytes of the gates whose layers passed, so a gate changed in place is
+checked again and a failing gate raises on every call.  ``oracle_otoc`` and
+``oracle_correlator`` also keep the one latest evolved sigma_alpha of the
+chain (keyed by gate, operator, site and t), which serves every x at one t;
+it is dropped before a different operator is evolved, so a chain holds at
+most one q^L x q^L matrix.  The memo changes no value: the same layer
+operations run in the same order, only fewer times.  Threads that share a
+spec may duplicate work but always read a consistent entry.
 
 Lattice conventions
 -------------------
@@ -37,7 +49,7 @@ t (the leftward edge of this lattice is x = -(t-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +71,14 @@ __all__ = [
 _IMAG_TOL = 1e-10
 
 
+class _ChainMemo:
+    """What a chain remembers between oracle calls (see the module docstring)."""
+
+    def __init__(self):
+        self.passed = set()  # bytes of the gates whose layers are unitary
+        self.evolved = None  # (key, read-only matrix) of the latest evolution
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """A small periodic brickwork chain; L must be even, at most 12 qubits."""
@@ -66,6 +86,8 @@ class ChainSpec:
     gate: object
     L: int = 8
     q: int = 2
+    _memo: _ChainMemo = field(default_factory=_ChainMemo, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.L % 2 or self.L < 4:
@@ -115,13 +137,19 @@ def _conjugate_layer(mat: np.ndarray, gate: np.ndarray, parity: str, L: int, q: 
 
 def _checked_gate(spec: ChainSpec) -> np.ndarray:
     """The circuit gate, once both of its layers have passed the unitarity
-    check max |Lambda^dag Lambda - 1| < TOL_UNITARY."""
+    check max |Lambda^dag Lambda - 1| < TOL_UNITARY.  The check runs once per
+    chain and gate bytes; a failure is never remembered, so it raises on every
+    call."""
     U = gate_matrix(spec.gate)
+    key = U.tobytes()
+    if key in spec._memo.passed:
+        return U
     eye = np.eye(spec.q**spec.L, dtype=complex)
     for parity in ("even", "odd"):
         product = _conjugate_layer(eye, U, parity, spec.L, spec.q)
         if not np.max(np.abs(product - eye)) < TOL_UNITARY:
             raise ValueError(f"{parity} layer is not unitary within {TOL_UNITARY}")
+    spec._memo.passed.add(key)
     return U
 
 
@@ -147,14 +175,37 @@ def evolution_operator(spec: ChainSpec, t: int) -> np.ndarray:
     return out
 
 
-def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> EvolvedOperator:
-    """sigma(site, t) = U(t)^dag sigma(site) U(t), conjugated by the layers
-    L_t, ..., L_1 in turn."""
-    U = _checked_gate(spec)
-    mat = site_operator(sigma, site, spec.L, spec.q)
+def _evolve(U: np.ndarray, sigma: np.ndarray, site: int, t: int, L: int, q: int) -> np.ndarray:
+    """U(t)^dag sigma(site) U(t), conjugated by the layers L_t, ..., L_1 in turn."""
+    mat = site_operator(sigma, site, L, q)
     for k in range(t, 0, -1):
-        mat = _conjugate_layer(mat, U, _parity(k), spec.L, spec.q)
+        mat = _conjugate_layer(mat, U, _parity(k), L, q)
+    return mat
+
+
+def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> EvolvedOperator:
+    """sigma(site, t) = U(t)^dag sigma(site) U(t), a fresh matrix the caller owns."""
+    U = _checked_gate(spec)
+    mat = _evolve(U, sigma, site, t, spec.L, spec.q)
     return EvolvedOperator(matrix=mat, site=site % spec.L, t=t)
+
+
+def _memo_evolved(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> np.ndarray:
+    """sigma(site, t) as a read-only matrix, shared by the calls that ask for
+    the chain's latest evolution again."""
+    U = _checked_gate(spec)
+    sigma = np.asarray(sigma, dtype=complex)
+    key = (U.tobytes(), sigma.shape, sigma.tobytes(), site % spec.L, t)
+    memo = spec._memo
+    latest = memo.evolved  # one read: another thread may replace it meanwhile
+    if latest is not None and latest[0] == key:
+        return latest[1]
+    # free the old matrix, this frame's reference too, before the new one is built
+    latest = memo.evolved = None
+    mat = _evolve(U, sigma, site, t, spec.L, spec.q)
+    mat.flags.writeable = False
+    memo.evolved = (key, mat)
+    return mat
 
 
 def _times_site_operator(mat: np.ndarray, sigma: np.ndarray, x: int, L: int, q: int) -> np.ndarray:
@@ -175,7 +226,7 @@ def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int, sigma_be
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / q^L."""
     _check_budget(spec, t)
     L, q = spec.L, spec.q
-    A = evolve_heisenberg(spec, sigma_alpha, x, t).matrix
+    A = _memo_evolved(spec, sigma_alpha, x, t)
     val = complex(np.trace(_times_site_operator(A, sigma_beta, 0, L, q)) / q**L)
     if abs(val.imag) > _IMAG_TOL:
         return val
@@ -188,7 +239,7 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     _check_budget(spec, t)
     L, q = spec.L, spec.q
     anchor = (t + 1) % 2 if x >= 0 else t % 2
-    A = evolve_heisenberg(spec, sigma_alpha, anchor, t).matrix
+    A = _memo_evolved(spec, sigma_alpha, anchor, t)
     AB = _times_site_operator(A, sigma_beta, anchor + x, L, q)
     # tr(M M) = sum_ij M_ij M_ji
     val = complex(np.sum(AB * AB.T) / q**L)

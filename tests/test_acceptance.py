@@ -224,20 +224,26 @@ def test_criterion_08_haar_equivalence(record_criterion):
     p_tilde = sum(np.outer(s.vec.real, s.vec.real) for s in tilde)
     basis_dev = np.abs(proj - p_tilde).max()
 
-    rng = np.random.default_rng(7)
+    # haar_sample batched: one draw in the order of successive calls (real
+    # then imaginary parts), a stacked QR and the same R-diagonal phase fix
     n_samples = 100_000
-    acc = np.zeros((16, 16), dtype=complex)
-    for _ in range(n_samples):
-        u = haar_sample(2, rng)
-        folded = np.kron(u, u.conj())
-        acc += np.kron(folded, folded)
+    g = np.random.default_rng(7).normal(size=(n_samples, 2, 2, 2))
+    Q, R = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(R, axis1=1, axis2=2)
+    u = Q * (d / np.abs(d))[:, None, :]
+    rng = np.random.default_rng(7)
+    same = all(np.array_equal(u[k], haar_sample(2, rng)) for k in range(100))
+    # mean of kron(F, F) with F = kron(u, conj(u))
+    folded = np.einsum("nab,ncd->nacbd", u, u.conj()).reshape(n_samples, 4, 4)
+    acc = np.einsum("nij,nkl->ikjl", folded, folded).reshape(16, 16)
     mc_dev = np.abs(acc / n_samples - proj).max()
 
-    ok = basis_dev < 1e-12 and mc_dev < 3e-3
+    ok = basis_dev < 1e-12 and mc_dev < 3e-3 and same
     record_criterion(8, "Haar projector == eigenbasis projector; Monte Carlo "
                         "agrees", ok,
                      f"basis dev = {basis_dev:.2e}, MC dev ({n_samples} "
-                     f"samples) = {mc_dev:.2e}")
+                     f"samples) = {mc_dev:.2e}, first 100 samples == "
+                     f"haar_sample: {same}")
     assert ok
 
 

@@ -1,5 +1,9 @@
 """Brute-force chain simulator: exactness at small sizes, budgets, sampling."""
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -219,8 +223,136 @@ def test_oracle_values_match_dense_traces(x, t):
 @pytest.mark.parametrize("call", ["otoc", "correlator"])
 def test_non_unitary_gate_rejected(call):
     spec = ChainSpec(gate=1.001 * gate_matrix(random_kak(5)), L=6)
+    for _ in range(3):  # a failed check is never remembered by the spec
+        with pytest.raises(ValueError, match="not unitary"):
+            if call == "otoc":
+                oracle_otoc(spec, SX, SZ, 1, 2)
+            else:
+                oracle_correlator(spec, SX, 1, SZ, 2)
+
+
+# ---------------------------------------------------------------------------
+# Per-chain memo: one shared spec gives exactly the values of a fresh spec per
+# call, re-checks a gate changed in place, holds one matrix at most, and hands
+# out no array that a caller can change.  test_non_unitary_gate_rejected
+# checks that a failure is never remembered.
+
+def _memo_grid(L):
+    """(kind, x, t) cells for 2t < L, t outer so one evolution serves several x."""
+    return [(kind, x, t) for t in range(L // 2) for kind in ("otoc", "corr")
+            for x in range(-t, t + 1)]
+
+
+def _memo_value(spec, a, b, cell):
+    kind, x, t = cell
+    if kind == "otoc":
+        return oracle_otoc(spec, a, b, x, t)
+    return oracle_correlator(spec, a, x, b, t)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_memo_matches_fresh_spec_exactly(L):
+    gate = REF_GATES["kak"]
+    a, b = _random_operator(2, 3), _random_operator(2, 4)
+    # L = 10 adds t = 4, on both edges and both anchors: fresh specs are slow
+    cells = _memo_grid(L) if L == 8 else [
+        ("otoc", -4, 4), ("otoc", -1, 4), ("otoc", 0, 4), ("otoc", 4, 4),
+        ("corr", 4, 4)]
+    shared = ChainSpec(gate=gate, L=L)
+    for cell in cells:
+        got = _memo_value(shared, a, b, cell)
+        want = _memo_value(ChainSpec(gate=gate, L=L), a, b, cell)
+        assert got == want, cell
+
+
+def test_memo_leaves_spec_equality_and_repr_alone():
+    gate = REF_GATES["kak"]
+    used, fresh = ChainSpec(gate=gate, L=6), ChainSpec(gate=gate, L=6)
+    oracle_otoc(used, SX, SZ, 1, 2)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+
+
+def test_memo_key_covers_gate_operator_site_and_t():
+    # each call changes one part of the key of the call before it
+    U = gate_matrix(random_kak(5)).copy()
+    spec = ChainSpec(gate=U, L=8)
+    a, b, c = (_random_operator(2, seed) for seed in (9, 10, 11))
+    # (reseed the gate in place with another unitary?, sigma_alpha, x, t)
+    steps = [(None, a, 1, 3), (None, a, 1, 1), (None, a, -1, 1),
+             (None, c, -1, 1), (6, c, -1, 1)]
+    for reseed, sigma, x, t in steps:
+        if reseed is not None:
+            U[:] = gate_matrix(random_kak(reseed))
+        want = oracle_otoc(ChainSpec(gate=U.copy(), L=8), sigma, b, x, t)
+        assert oracle_otoc(spec, sigma, b, x, t) == want, (reseed, x, t)
+
+
+def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
+    gate = REF_GATES["kak"]
+    a, b = _random_operator(2, 12), _random_operator(2, 13)
+
+    def peak(warm):
+        tracemalloc.start()
+        try:
+            spec = ChainSpec(gate=gate, L=8)
+            warm(spec)
+            tracemalloc.reset_peak()
+            oracle_otoc(spec, a, b, 0, 3)  # another anchor and t: evolves
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the warm-up leaves sigma_alpha(1, 2) in the memo, or only the checked gate
+    held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
+    none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
+    matrix = 16 * 4**8
+    assert held < none + matrix // 4
+
+
+def test_memo_rechecks_gate_changed_in_place():
+    U = gate_matrix(random_kak(5)).copy()
+    spec = ChainSpec(gate=U, L=6)
+    oracle_otoc(spec, SX, SZ, 1, 2)
+    U *= 1.001
     with pytest.raises(ValueError, match="not unitary"):
-        if call == "otoc":
-            oracle_otoc(spec, SX, SZ, 1, 2)
-        else:
-            oracle_correlator(spec, SX, 1, SZ, 2)
+        oracle_otoc(spec, SX, SZ, 1, 2)
+    with pytest.raises(ValueError, match="not unitary"):
+        oracle_correlator(spec, SX, 1, SZ, 2)
+
+
+def test_memo_threads_sharing_a_spec_give_serial_values():
+    gate = REF_GATES["du"]
+    a, b = _random_operator(2, 5), _random_operator(2, 6)
+    cells = _memo_grid(8)
+    serial_spec = ChainSpec(gate=gate, L=8)
+    serial = [_memo_value(serial_spec, a, b, c) for c in cells]
+    shared = ChainSpec(gate=gate, L=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the memo's steps
+    try:
+        # rounds in shifted orders, so the threads keep replacing the entry
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for order in (cells, cells[11:] + cells[:11], cells[::-1]):
+                values = pool.map(lambda c: _memo_value(shared, a, b, c), order,
+                                  timeout=120)
+                got = dict(zip(order, values))
+                assert [got[c] for c in cells] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_memo_evolve_heisenberg_returns_an_owned_copy():
+    spec = ChainSpec(gate=REF_GATES["kak"], L=8)
+    a, b = _random_operator(2, 7), _random_operator(2, 8)
+    x, t = 1, 3
+    anchor = (t + 1) % 2
+    want = oracle_otoc(spec, a, b, x, t)
+    ev = evolve_heisenberg(spec, a, anchor, t)
+    assert ev.matrix.flags.writeable
+    ev.matrix[:] = 0.0
+    assert oracle_otoc(spec, a, b, x, t) == want
+    # and the other way round: evolve first, change it, then ask the oracle
+    spec = ChainSpec(gate=REF_GATES["kak"], L=8)
+    evolve_heisenberg(spec, a, anchor, t).matrix[:] = 1.0
+    assert oracle_otoc(spec, a, b, x, t) == want
