@@ -35,6 +35,9 @@ whose columns are vec(sigma_mu)/sqrt(2).  Their plain dot product equals the
 bilinear overlap of the complex vectors.  The Hermitian basis exists for
 q = 2 only, so the applying side rejects other q, and it rejects
 non-Hermitian insertions, whose coefficients would not be real.
+
+Long-time limits iterate the same kernel and stop on a window of settled
+Aitken extrapolates (else of settled overlaps), see ``_stopped_limit``.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ N_MAX_DENSE = 3
 N_MAX_APPLY = 5
 ITERATION_CAP = 10_000
 CESARO_WINDOW = 64
+STOP_WINDOW = 6
+TOL_STOP = 1e-10
 BLOCK_FLOATS = 2 ** 16
 
 
@@ -354,13 +359,28 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2,
                           op=np.asarray(sigma_beta, dtype=complex))
 
 
-def _power_radius_estimate(apply_fn, dim, iters=200, seed=7):
+def _power_radius_estimate(gate, n: int, iters=200, seed=7):
+    """Power-iteration estimate of the spectral radius of the depth-n column.
+
+    The seed's complex start vector, given in the computational folded basis,
+    is carried into the Hermitian leg basis by Q^T per slot; that map is
+    unitary and the column kernel is the transfer matrix in that basis, so
+    the norms are those of the same iteration on ``build_transfer``'s dense
+    matrix.  The kernel is real, so it applies to the real and imaginary
+    parts separately.
+    """
+    kern = _PauliColumnKernel(gate, n)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = rng.standard_normal(kern.dim) + 1j * rng.standard_normal(kern.dim)
     v /= np.linalg.norm(v)
+    for _ in range(2 * n):
+        # Q^T on the leading slot, which then moves behind the others
+        v = (_QMAT.T @ v.reshape(4, -1)).T.reshape(-1)
     growth = 0.0
     for _ in range(iters):
-        w = apply_fn(v)
+        # apply returns a view of the kernel's buffer: keep the real part
+        w = kern.apply(v.real).copy()
+        w = w + 1j * kern.apply(v.imag)
         nrm = np.linalg.norm(w)
         if nrm < 1e-300:
             return 0.0
@@ -407,7 +427,7 @@ def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
         if radius > 1.0 + TOL_RADIUS:
             raise AssertionError(f"transfer spectral radius {radius} exceeds 1")
     else:
-        radius = float(_power_radius_estimate(lambda v: mat @ v, dim))
+        radius = float(_power_radius_estimate(gate, n))
         if radius > 1.0 + 1e-6:
             raise AssertionError(f"transfer spectral radius estimate {radius} exceeds 1")
     return TransferMatrix(n=n, q=q, mat=mat, gate=u, spectral_radius=radius)
@@ -464,6 +484,44 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     return OtocResult(x, t, parity, float(np.dot(left, v)), "finite_transfer", n=n)
 
 
+def _aitken(s0: float, s1: float, s2: float):
+    """(lam, e) of three successive overlaps: the ratio lam = d2/d1 of the
+    increments d1 = s1 - s0, d2 = s2 - s1 and the extrapolate
+    e = s2 + d2 lam/(1 - lam).  lam is None where d1 = 0; e is None there
+    and where |lam| >= 1."""
+    d1, d2 = s1 - s0, s2 - s1
+    if d1 == 0.0:
+        return None, None
+    lam = d2 / d1
+    if abs(lam) >= 1.0:
+        return lam, None
+    return lam, s2 + d2 * lam / (1.0 - lam)
+
+
+def _stopped_limit(overlaps):
+    """Long-time stop rule over the overlaps s_0 .. s_m (any sequence whose
+    last entries are the latest): (limit, lam, span) if the iteration may
+    stop at m, else None.
+
+    Stop when the Aitken extrapolates of the last STOP_WINDOW + 1 overlap
+    triples are all defined and span less than TOL_STOP, and return the last
+    one; otherwise stop when the last STOP_WINDOW + 1 overlaps span less than
+    TOL_STOP, and return s_m.  lam is the last increment ratio (or None),
+    span the spread of the settled window.  A window rather than one
+    increment keeps a single small step, where two decaying modes cross,
+    from ending the iteration.
+    """
+    tail = list(overlaps)[-(STOP_WINDOW + 3):]
+    triples = [_aitken(*tail[k:k + 3]) for k in range(len(tail) - 2)]
+    lam = triples[-1][0] if triples else None
+    for window in ([e for _, e in triples], tail[-(STOP_WINDOW + 1):]):
+        if len(window) > STOP_WINDOW and None not in window:
+            span = max(window) - min(window)
+            if span < TOL_STOP:
+                return window[-1], lam, span
+    return None
+
+
 def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
                   q: int = 2) -> OtocResult:
     """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
@@ -471,28 +529,34 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
 
     The iterate starts as the right boundary's ``BoundaryVector.vec`` and stays
     in the real Hermitian leg basis (Q^T per slot); the left boundary's vec
-    (Q^dagger per slot) reads each overlap as a plain dot product.
-    Convergence is declared when successive overlaps differ by < 1e-10.  If the
+    (Q^dagger per slot) reads each overlap as a plain dot product.  The
+    iteration stops by the rule of ``_stopped_limit``: a window of
+    STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
+    the last extrapolate), else a window of overlaps that agree to TOL_STOP
+    (the value is the last overlap).  ``meta`` then holds ``iterations``,
+    ``converged`` (True), ``lambda``, the last ratio of successive increments
+    (None where an increment is zero), and ``error_estimate``, the spread of
+    the settled window: an estimate of the error, not a bound.  If the
     iteration cap is hit (unit-modulus eigenvalues keep the overlap
     oscillating), the result is the Cesaro mean over a trailing window of 64
-    iterates, flagged with the oscillation amplitude.
+    overlaps, flagged with ``converged`` False and the oscillation amplitude.
     """
     _require_qubits(q)
     _check_depth(n)
     left = boundary_left(sigma_alpha, n).vec
     kern = _PauliColumnKernel(gate, n)
     state = boundary_right(sigma_beta, n, parity, kernel=kern).vec
-    window = deque(maxlen=CESARO_WINDOW)
-    s_prev = float(np.dot(left, state))
+    overlaps = deque([float(np.dot(left, state))], maxlen=CESARO_WINDOW)
     for m in range(1, ITERATION_CAP + 1):
         state = kern.apply(state)
-        s = float(np.dot(left, state))
-        window.append(s)
-        if abs(s - s_prev) < 1e-10:
-            return OtocResult(None, None, parity, s, "longtime_iterate", n=n,
-                              meta={"iterations": m, "converged": True})
-        s_prev = s
-    tail = np.asarray(window)
+        overlaps.append(float(np.dot(left, state)))
+        stop = _stopped_limit(overlaps)
+        if stop is not None:
+            value, lam, span = stop
+            return OtocResult(None, None, parity, value, "longtime_iterate", n=n,
+                              meta={"iterations": m, "converged": True,
+                                    "lambda": lam, "error_estimate": span})
+    tail = np.asarray(overlaps)
     mean = float(tail.mean())
     amplitude = float(np.max(np.abs(tail - mean)))
     return OtocResult(None, None, parity, mean, "longtime_iterate", n=n,

@@ -1,24 +1,31 @@
 """Column transfer matrix: fixed points, parity dispatch, the Hermitian-basis
-kernel against the dense complex-basis reference, mirrors."""
+kernel against the dense complex-basis reference, mirrors, the long-time stop
+rule."""
 
+from collections import deque
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from duotoc.cli import operator_from_coeffs
+from duotoc.closed_forms import kim_longtime
 from duotoc.eigenbases import SlotState, all_identity_state
 from duotoc.gates import build_kim, build_xy, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import pauli_basis, swap_gate
 from duotoc.oracle import ChainSpec, oracle_otoc
 from duotoc.transfer import (
     _IDENTITY_COEFFS,
+    CESARO_WINDOW,
     ITERATION_CAP,
     N_MAX_APPLY,
+    STOP_WINDOW,
     _bundle_tensor,
     _depths,
     _inter_cap,
     _PauliColumnKernel,
     _sheet_mpo,
+    _stopped_limit,
     boundary_left,
     boundary_right,
     build_transfer,
@@ -64,6 +71,32 @@ def test_fixed_points(name, gate, n):
 def test_spectral_radius_bounded(name, gate):
     tm = build_transfer(gate, 2)
     assert np.abs(np.linalg.eigvals(tm.mat)).max() < 1 + 1e-8
+
+
+def _dense_radius_estimate(mat, iters=200, seed=7):
+    """Reference: the same power iteration on the dense complex matrix."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
+    v /= np.linalg.norm(v)
+    growth = 0.0
+    for _ in range(iters):
+        w = mat @ v
+        growth = np.linalg.norm(w)
+        v = w / growth
+    return growth
+
+
+@pytest.mark.parametrize("name,gate", [
+    ("kak", random_kak(1)),
+    ("du0", random_dual_unitary(0)),
+    ("kim00", build_kim(h1=0.0, h2=0.0)),
+])
+def test_radius_estimate_on_kernel_matches_dense(name, gate):
+    """build_transfer's n = 3 radius check runs on the column kernel; the
+    Q^T change of the start vector is unitary, so it sees the norms of the
+    dense iteration."""
+    tm = build_transfer(gate, 3)
+    assert tm.spectral_radius == pytest.approx(_dense_radius_estimate(tm.mat), abs=TOL_AGREE)
 
 
 def _legs(n):
@@ -255,20 +288,20 @@ def test_depth_budget_guard():
 def test_pauli_engine_matches_direct(name, gate, n, parity):
     """The Hermitian-basis iteration is an exact change of basis of plain
     power iteration on the dense complex matrix: identical values and
-    identical convergence histories."""
+    identical convergence histories under the same stop rule."""
     mat = build_transfer(gate, n).mat
     left = _complex_left(ALPHA, n)
     v = _complex_right(gate, BETA, n, parity)
-    s_prev = np.dot(left, v)
+    overlaps = [float(np.dot(left, v).real)]
     for m in range(1, ITERATION_CAP + 1):
         v = mat @ v
-        s = np.dot(left, v)
-        if abs(s - s_prev) < 1e-10:
+        overlaps.append(float(np.dot(left, v).real))
+        stop = _stopped_limit(overlaps)
+        if stop is not None:
             break
-        s_prev = s
     res = otoc_longtime(gate, ALPHA, BETA, n, parity)
     assert res.meta["converged"] is True
-    assert res.value == pytest.approx(s.real, abs=TOL_AGREE)
+    assert res.value == pytest.approx(stop[0], abs=TOL_AGREE)
     assert res.meta["iterations"] == m
 
 
@@ -328,5 +361,96 @@ def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
 def test_longtime_iteration_metadata():
     res = otoc_longtime(build_kim(h1=0.4, h2=0.6), ALPHA, BETA, 1, "odd")
     assert res.meta["converged"] is True
-    assert res.meta["iterations"] >= 1
+    assert res.meta["iterations"] >= STOP_WINDOW
+    assert 0.0 <= res.meta["error_estimate"] < 1e-10
+    lam = res.meta["lambda"]
+    assert lam is None or isinstance(lam, float)
     assert res.method == "longtime_iterate"
+
+
+def _first_stop(sequence):
+    """(m, value) where _stopped_limit first stops on s_0, s_1, ..., fed
+    through the same bounded window as otoc_longtime; None if it never does."""
+    overlaps = deque(maxlen=CESARO_WINDOW)
+    for m, s in enumerate(sequence):
+        overlaps.append(float(s))
+        stop = _stopped_limit(overlaps)
+        if stop is not None:
+            return m, stop[0]
+    return None
+
+
+def _single_increment_stop(sequence):
+    """(m, s_m) at the first |s_m - s_(m-1)| < 1e-10, the rule this one
+    replaced."""
+    for m in range(1, len(sequence)):
+        if abs(sequence[m] - sequence[m - 1]) < 1e-10:
+            return m, sequence[m]
+    raise AssertionError("the single-increment rule never stopped")
+
+
+LIMIT = -0.25
+M = np.arange(2000)
+
+
+def test_stop_rule_crossing_modes():
+    """Two opposite-sign geometric modes whose increment is zero at m = 10:
+    one small step must not end the iteration."""
+    l1, l2, crossing = 0.9, 0.5, 10
+    b = (1 - l1) * l1 ** (crossing - 1) / ((1 - l2) * l2 ** (crossing - 1))
+    seq = LIMIT + l1 ** M - b * l2 ** M
+    m_old, old = _single_increment_stop(seq)
+    assert m_old == crossing and abs(old - LIMIT) > 0.1
+    m, value = _first_stop(seq)
+    assert m > crossing
+    assert abs(value - LIMIT) < 1e-10
+
+
+def test_stop_rule_complex_pair():
+    """r^m cos(theta m + phi), phi set so the increment vanishes at m = 20:
+    the rule runs on past that step to the limit."""
+    r, theta, crossing = 0.9, 1.0, 20
+    c, p = crossing * theta, (crossing - 1) * theta
+    phi = np.arctan((r * np.cos(c) - np.cos(p)) / (r * np.sin(c) - np.sin(p)))
+    seq = LIMIT + r ** M * np.cos(theta * M + phi)
+    m_old, old = _single_increment_stop(seq)
+    assert m_old == crossing and abs(old - LIMIT) > 1e-2
+    m, value = _first_stop(seq)
+    assert m > crossing
+    assert abs(value - LIMIT) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.98, -0.9, 0.5])
+def test_stop_rule_geometric_tail(lam):
+    """A single decaying mode: the extrapolate is the limit, so the rule
+    stops long before the overlaps settle, within 1e-10 of the limit."""
+    seq = LIMIT + 0.7 * lam ** M
+    m, value = _first_stop(seq)
+    assert abs(value - LIMIT) < 1e-10
+    assert m < 20
+
+
+def test_stop_rule_constant_stops_at_the_first_full_window():
+    """Zero increments define no extrapolate; the settled overlaps stop the
+    rule at m = STOP_WINDOW with the exact value."""
+    assert _first_stop(np.full(20, LIMIT)) == (STOP_WINDOW, LIMIT)
+
+
+def test_stop_rule_unit_modulus_oscillation_never_stops():
+    """A unit-modulus mode neither decays nor extrapolates: the rule never
+    stops within the cap, so otoc_longtime falls through to its Cesaro
+    mean."""
+    seq = LIMIT + 0.3 * np.cos(1.0 * np.arange(ITERATION_CAP + 1))
+    assert _first_stop(seq) is None
+
+
+def test_longtime_single_increment_false_stop_regression():
+    """Kicked Ising (0.4, 0.6) at n = 4, even, with the operators that
+    ``bench/run.py --seed 801`` draws: one small increment where two modes
+    crossed used to stop the iteration 1.2e-8 off the closed form."""
+    rng = np.random.default_rng(801)
+    a = operator_from_coeffs(rng.standard_normal(3))
+    b = operator_from_coeffs(rng.standard_normal(3))
+    res = otoc_longtime(build_kim(h1=0.4, h2=0.6), a, b, 4, "even")
+    assert res.meta["converged"] is True
+    assert abs(res.value - kim_longtime(0.4, 0.6, a, b, 2, 8)) <= 5e-10
