@@ -36,8 +36,13 @@ bilinear overlap of the complex vectors.  The Hermitian basis exists for
 q = 2 only, so the applying side rejects other q, and it rejects
 non-Hermitian insertions, whose coefficients would not be real.
 
-Long-time limits iterate the same kernel and stop on a window of settled
-Aitken extrapolates (else of settled overlaps), see ``_stopped_limit``.
+Finite-time values share work along a diagonal of the light-cone lattice:
+cells with the same t - x differ only in the number of applications, so
+``otoc_finite`` remembers the overlaps of its latest trajectory per depth
+and parity (floats only, no vectors) and serves the nearer cells of that
+diagonal from them.  Long-time limits iterate the same kernel and stop on a
+window of settled Aitken extrapolates (else of settled overlaps), see
+``_stopped_limit``.
 """
 
 from __future__ import annotations
@@ -216,8 +221,9 @@ class _PauliColumnKernel:
     ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
     application (default: the identity's), which rebuilds the head and tail
     matrices; vec(sigma_beta) caps give the gate-dressed odd boundary.  The
-    buffers make a kernel serve one thread; each otoc_finite/otoc_longtime
-    call builds its own and dresses its odd boundary with it.
+    buffers make a kernel serve one thread; each otoc_longtime call, and each
+    otoc_finite call that runs a trajectory, builds its own and dresses its
+    odd boundary with it.
     """
 
     def __init__(self, gate, n: int):
@@ -456,12 +462,32 @@ def _separation(n: int, parity: str) -> int:
     return 2 * n - 2 if parity == "even" else 2 * n - 1
 
 
+# The latest trajectory of each (depth, parity) slot: (key, overlaps), with
+# key the bytes of the gate, sigma_alpha and sigma_beta, and overlaps the
+# floats (L|T^m|R) for m = 0..applications.  An entry is replaced whole, so a
+# thread reads either the old tuple or the new one; threads that race on one
+# slot keep their own results and at worst recompute a trajectory later.
+_TRAJECTORIES = {}
+
+
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> OtocResult:
     """C(x, t) by n_+ applications of the depth-n_- transfer matrix.
 
     Outside the light cone the value is 1 without computation; x < 0 is served
     by mirroring the gate (conjugation by the swap), which reflects the
     brickwork about the origin.
+
+    Every cell with the same t - x is (L|T^m|R) at the same depth and parity,
+    for some number m of applications.  A call records the overlap after
+    every application and remembers that trajectory for its (depth, parity)
+    slot, keyed on the bytes of the gate and both insertions, so at most
+    2 N_MAX_APPLY trajectories of floats are kept.  A later call for the same
+    key whose m falls within the remembered trajectory returns its overlap
+    without building a boundary or a kernel; it is the float a fresh call
+    computes, from the same applications on the same vector.  All argument
+    checks run first, so a call raises whether or not it would be served
+    from memory.  Scanning a diagonal from its farthest cell serves the rest
+    of it from memory.
     """
     _require_qubits(q)
     if t < 0:
@@ -476,12 +502,23 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
                           mirrored.method, n=mirrored.n, meta=mirrored.meta)
     n, applications, parity = _depths(x, t)
     _check_depth(n)
-    left = boundary_left(sigma_alpha, n).vec
-    kern = _PauliColumnKernel(gate, n)
-    v = boundary_right(sigma_beta, n, parity, kernel=kern).vec
-    for _ in range(applications):
-        v = kern.apply(v)
-    return OtocResult(x, t, parity, float(np.dot(left, v)), "finite_transfer", n=n)
+    key = tuple(op.tobytes() for op in (gate_matrix(gate), _hermitian(sigma_alpha),
+                                        _hermitian(sigma_beta)))
+    slot = (n, parity)
+    remembered = _TRAJECTORIES.get(slot)
+    if remembered is not None and remembered[0] == key and applications < len(remembered[1]):
+        overlaps = remembered[1]
+    else:
+        left = boundary_left(sigma_alpha, n).vec
+        kern = _PauliColumnKernel(gate, n)
+        v = boundary_right(sigma_beta, n, parity, kernel=kern).vec
+        overlaps = [float(np.dot(left, v))]
+        for _ in range(applications):
+            v = kern.apply(v)
+            overlaps.append(float(np.dot(left, v)))
+        overlaps = tuple(overlaps)
+        _TRAJECTORIES[slot] = (key, overlaps)
+    return OtocResult(x, t, parity, overlaps[applications], "finite_transfer", n=n)
 
 
 def _aitken(s0: float, s1: float, s2: float):

@@ -1,12 +1,14 @@
 """Command-line interface: presets, config resolution, output contracts."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from duotoc.cli import main, operator_from_coeffs, resolve_config
+from duotoc.cli import build_gate, main, operator_from_coeffs, resolve_config
+from duotoc.transfer import _TRAJECTORIES, _PauliColumnKernel, otoc_finite
 
 TOL = 1e-10
 
@@ -111,6 +113,38 @@ def test_longtime_metadata_and_strict(tmp_path):
         assert row["oracle"] == ""
 
 
+def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, monkeypatch):
+    """fig5: the t = tmax row runs one trajectory per diagonal (80 column
+    applications, 12 of them at n = 5, where every cell on its own takes
+    340 and 26); the other rows are served from memory, with the values of
+    cells computed one by one."""
+    _TRAJECTORIES.clear()
+    depths = []
+    apply = _PauliColumnKernel.apply
+
+    def counted(self, u, cap=None):
+        depths.append(self.n)
+        return apply(self, u, cap)
+
+    monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
+    out = tmp_path / "fig5.csv"
+    assert main(["otoc", "--preset", "fig5", "--method", "all", "--out", str(out)]) == 0
+    assert len(depths) == 80
+    assert depths.count(5) == 12
+    cfg = resolve_config(argparse.Namespace(preset="fig5"))
+    gate = build_gate(cfg)
+    a_op, b_op = operator_from_coeffs(cfg.alpha), operator_from_coeffs(cfg.beta)
+    rows = _read_csv(out)
+    grid = [(x, t) for t in range(cfg.tmax + 1) for x in range(t + 1)]
+    assert [(int(row["x"]), int(row["t"])) for row in rows] == grid
+    for row, (x, t) in zip(rows, grid):
+        if (x, t) == (0, 10):  # depth 6, beyond N_MAX_APPLY
+            assert row["transfer"] == ""
+            continue
+        _TRAJECTORIES.clear()
+        assert float(row["transfer"]) == otoc_finite(gate, a_op, b_op, x, t).value, (x, t)
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["corr", "--gate", "xy", "--params", str(np.pi / 10),
             "--alpha", "1,1,1", "--beta", "1,-1,1", "--tmax", "6"]
@@ -201,8 +235,6 @@ def test_operator_from_coeffs_normalization():
 
 
 def test_resolve_config_unknown_preset():
-    import argparse
-
     ns = argparse.Namespace(preset="fig99", config=None, strict=False)
     with pytest.raises(ValueError):
         resolve_config(ns)

@@ -1,8 +1,10 @@
 """Column transfer matrix: fixed points, parity dispatch, the Hermitian-basis
-kernel against the dense complex-basis reference, mirrors, the long-time stop
-rule."""
+kernel against the dense complex-basis reference, mirrors, the finite-time
+trajectory memo, the long-time stop rule."""
 
+import sys
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -20,6 +22,7 @@ from duotoc.transfer import (
     ITERATION_CAP,
     N_MAX_APPLY,
     STOP_WINDOW,
+    _TRAJECTORIES,
     _bundle_tensor,
     _depths,
     _inter_cap,
@@ -356,6 +359,131 @@ def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
     assert np.array_equal(shared, fresh)
     # the sigma_beta caps served one application only
     assert np.array_equal(kern.apply(u), plain)
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Clears otoc_finite's trajectory memo; the list collects the depth of
+    every kernel application that follows."""
+    _TRAJECTORIES.clear()
+    depths = []
+    apply = _PauliColumnKernel.apply
+
+    def counted(self, u, cap=None):
+        depths.append(self.n)
+        return apply(self, u, cap)
+
+    monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
+    return depths
+
+
+def _fresh(gate, sigma_alpha, sigma_beta, x, t):
+    _TRAJECTORIES.clear()
+    return otoc_finite(gate, sigma_alpha, sigma_beta, x, t).value
+
+
+@pytest.mark.parametrize("k", range(6))  # t - x: n = 1..3, both parities
+def test_memo_hit_is_bit_identical_to_a_fresh_call(applies, k):
+    gate = random_kak(1)
+    cells = [(x, x + k) for x in range(5)]
+    far = otoc_finite(gate, ALPHA_I, BETA_I, *cells[-1]).value
+    assert applies
+    del applies[:]
+    hits = [otoc_finite(gate, ALPHA_I, BETA_I, x, t).value for x, t in cells]
+    assert applies == []
+    assert hits[-1] == far
+    assert hits == [_fresh(gate, ALPHA_I, BETA_I, x, t) for x, t in cells]
+
+
+def test_memo_does_not_bypass_argument_checks(monkeypatch, applies):
+    gate = random_kak(1)
+    # anti-Hermitian residue 2e-11, within TOL_REAL until that is tightened
+    beta = BETA + 1e-11j * I2
+    otoc_finite(gate, ALPHA, beta, 1, 6)  # n = 3, odd: remembers 3 applications
+    del applies[:]
+    otoc_finite(gate, ALPHA, beta, 0, 5)
+    assert applies == []  # the remembered trajectory serves (0, 5)
+    with pytest.raises(ValueError, match="only q = 2"):
+        otoc_finite(gate, ALPHA, beta, 0, 5, q=3)
+    with pytest.raises(ValueError, match="Hermitian"):
+        otoc_finite(gate, SX + 1j * SZ, beta, 0, 5)
+    with monkeypatch.context() as m:
+        m.setattr("duotoc.transfer.TOL_REAL", 1e-12)
+        with pytest.raises(ValueError, match="Hermitian"):
+            otoc_finite(gate, ALPHA, beta, 0, 5)
+    with monkeypatch.context() as m:
+        m.setattr("duotoc.transfer.N_MAX_APPLY", 2)
+        with pytest.raises(ValueError, match="budget"):
+            otoc_finite(gate, ALPHA, beta, 0, 5)
+    assert applies == []
+
+
+def test_memo_misses_on_changed_operators_and_gates(applies):
+    base = gate_matrix(random_kak(1))
+    other = gate_matrix(random_kak(2))
+    # (gate, sigma_beta, cell) after (2, 6) on base remembered n = 3, even
+    calls = {"changed sigma_beta": (base, BETA, (1, 5)),
+             "mirrored gate": (base, BETA_I, (-1, 5))}
+    for name, (gate, beta, (x, t)) in calls.items():
+        _TRAJECTORIES.clear()
+        otoc_finite(base, ALPHA_I, BETA_I, 2, 6)
+        del applies[:]
+        got = otoc_finite(gate, ALPHA_I, beta, x, t).value
+        assert applies, name
+        assert got == _fresh(gate, ALPHA_I, beta, x, t), name
+        assert got != _fresh(base, ALPHA_I, BETA_I, 1, 5), name
+    # a gate array changed in place after its trajectory was remembered
+    gate = base.copy()
+    _TRAJECTORIES.clear()
+    otoc_finite(gate, ALPHA_I, BETA_I, 2, 6)
+    gate[...] = other
+    del applies[:]
+    got = otoc_finite(gate, ALPHA_I, BETA_I, 1, 5).value
+    assert applies
+    assert got == _fresh(other, ALPHA_I, BETA_I, 1, 5)
+    assert got != _fresh(base, ALPHA_I, BETA_I, 1, 5)
+
+
+def test_memo_holds_at_most_one_trajectory_per_slot():
+    _TRAJECTORIES.clear()
+    gate = random_kak(1)
+    for t in range(2 * N_MAX_APPLY):  # (0, t) covers every depth and parity
+        otoc_finite(gate, ALPHA, BETA, 0, t)
+    for beta in (BETA_I, SZ):
+        for t in range(1, 6):
+            otoc_finite(gate, ALPHA, beta, 1, t)
+            otoc_finite(SWAP @ gate_matrix(gate) @ SWAP, ALPHA, beta, 1, t)
+    assert len(_TRAJECTORIES) == 2 * N_MAX_APPLY
+    assert set(_TRAJECTORIES) == {(n, parity) for n in range(1, N_MAX_APPLY + 1)
+                                  for parity in ("even", "odd")}
+
+
+def test_memo_serves_threads_on_different_slots():
+    """Eight threads, more than the cores, each sweep one diagonal far cell
+    first; two operators share every slot, so entries are replaced while
+    other threads read them."""
+    gate = random_kak(1)
+    betas = (BETA, BETA_I)
+    jobs = [(b, k) for b in range(len(betas)) for k in range(4)]  # n <= 2
+    cells = {(b, k): [(x, x + k) for x in range(6, -1, -1)] for b, k in jobs}
+    want = {job: [_fresh(gate, ALPHA, betas[job[0]], x, t) for x, t in cells[job]]
+            for job in jobs}
+    _TRAJECTORIES.clear()
+
+    def sweep(job):
+        return [otoc_finite(gate, ALPHA, betas[job[0]], x, t).value
+                for _ in range(5) for x, t in cells[job]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
+            futures = {job: ex.submit(sweep, job) for job in jobs}
+            got = {job: f.result(timeout=120) for job, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for job in jobs:
+        assert got[job] == want[job] * 5, job
 
 
 def test_longtime_iteration_metadata():
