@@ -2,6 +2,8 @@
 
 import pytest
 
+from duotoc.transfer import _TRAJECTORIES, _PauliColumnKernel
+
 _ACCEPTANCE_LINES = {}
 _NOTES = []
 
@@ -29,6 +31,22 @@ def record_note():
         _NOTES.append(text)
 
     return _note
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Clears otoc_finite's trajectory memo; the list collects the depth of
+    every column-kernel application that follows."""
+    _TRAJECTORIES.clear()
+    depths = []
+    apply = _PauliColumnKernel.apply
+
+    def counted(self, u, cap=None):
+        depths.append(self.n)
+        return apply(self, u, cap)
+
+    monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
+    return depths
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from duotoc.cli import build_gate, main, operator_from_coeffs, resolve_config
-from duotoc.transfer import _TRAJECTORIES, _PauliColumnKernel, otoc_finite
+from duotoc.transfer import _TRAJECTORIES, otoc_finite
 
 TOL = 1e-10
 
@@ -113,24 +113,15 @@ def test_longtime_metadata_and_strict(tmp_path):
         assert row["oracle"] == ""
 
 
-def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, monkeypatch):
+def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies):
     """fig5: the t = tmax row runs one trajectory per diagonal (80 column
     applications, 12 of them at n = 5, where every cell on its own takes
     340 and 26); the other rows are served from memory, with the values of
     cells computed one by one."""
-    _TRAJECTORIES.clear()
-    depths = []
-    apply = _PauliColumnKernel.apply
-
-    def counted(self, u, cap=None):
-        depths.append(self.n)
-        return apply(self, u, cap)
-
-    monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
     out = tmp_path / "fig5.csv"
     assert main(["otoc", "--preset", "fig5", "--method", "all", "--out", str(out)]) == 0
-    assert len(depths) == 80
-    assert depths.count(5) == 12
+    assert len(applies) == 80
+    assert applies.count(5) == 12
     cfg = resolve_config(argparse.Namespace(preset="fig5"))
     gate = build_gate(cfg)
     a_op, b_op = operator_from_coeffs(cfg.alpha), operator_from_coeffs(cfg.beta)

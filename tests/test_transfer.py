@@ -361,22 +361,6 @@ def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
     assert np.array_equal(kern.apply(u), plain)
 
 
-@pytest.fixture
-def applies(monkeypatch):
-    """Clears otoc_finite's trajectory memo; the list collects the depth of
-    every kernel application that follows."""
-    _TRAJECTORIES.clear()
-    depths = []
-    apply = _PauliColumnKernel.apply
-
-    def counted(self, u, cap=None):
-        depths.append(self.n)
-        return apply(self, u, cap)
-
-    monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
-    return depths
-
-
 def _fresh(gate, sigma_alpha, sigma_beta, x, t):
     _TRAJECTORIES.clear()
     return otoc_finite(gate, sigma_alpha, sigma_beta, x, t).value
