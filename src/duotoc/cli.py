@@ -454,15 +454,26 @@ def _longtime_row(cfg, gate, a_op, b_op, np_):
 
 
 def cmd_longtime(args) -> int:
+    """Long-time rows (n, parity) for n = 1..nmax, in grid order.
+
+    Two passes: the even rows, deepest first, then the odd rows, deepest
+    first.  Each even call iterates its depth's left vector until even
+    parity stops and reads the odd overlaps on the way; the odd call then
+    returns the odd result if it settled first, or resumes the remembered
+    trajectory (see otoc_longtime).
+    """
     cfg = resolve_config(args)
     gate = build_gate(cfg)
     a_op = operator_from_coeffs(cfg.alpha)
     b_op = operator_from_coeffs(cfg.beta)
     if cfg.nmax > N_MAX_APPLY:
         raise ConfigError(f"longtime depth is capped at nmax <= {N_MAX_APPLY}")
-    grid = [(n, parity) for n in range(1, cfg.nmax + 1)
-            for parity in ("even", "odd")]
-    rows = _map_rows(lambda np_: _longtime_row(cfg, gate, a_op, b_op, np_), grid)
+    done = {}
+    for parity in ("even", "odd"):
+        items = [(n, parity) for n in range(cfg.nmax, 0, -1)]
+        done.update(zip(items, _map_rows(
+            lambda np_: _longtime_row(cfg, gate, a_op, b_op, np_), items)))
+    rows = [done[n, parity] for n in range(1, cfg.nmax + 1) for parity in ("even", "odd")]
     names = ["n", "parity", "t_minus_x"] + list(_selected(cfg))
     if "transfer" in _selected(cfg):
         names += ["iterations", "converged", "amplitude"]

@@ -40,9 +40,12 @@ Finite-time values share work along a diagonal of the light-cone lattice:
 cells with the same t - x differ only in the number of applications, so
 ``otoc_finite`` remembers the overlaps of its latest trajectory per depth
 and parity (floats only, no vectors) and serves the nearer cells of that
-diagonal from them.  Long-time limits iterate the same kernel and stop on a
-window of settled Aitken extrapolates (else of settled overlaps), see
-``_stopped_limit``.
+diagonal from them.  Long-time limits iterate the transposed kernel on the
+left boundary, (T^T)^m L, which both parities of a depth share: one such
+trajectory reads the overlaps of both right boundaries, each parity stops on
+a window of settled Aitken extrapolates (else of settled overlaps), see
+``_stopped_limit``, and ``otoc_longtime`` remembers the latest trajectory
+per depth, with the left vector while a parity is unsettled.
 """
 
 from __future__ import annotations
@@ -220,13 +223,20 @@ class _PauliColumnKernel:
 
     ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
     application (default: the identity's), which rebuilds the head and tail
-    matrices; vec(sigma_beta) caps give the gate-dressed odd boundary.  The
-    buffers make a kernel serve one thread; each otoc_longtime call, and each
-    otoc_finite call that runs a trajectory, builds its own and dresses its
-    odd boundary with it.
+    matrices; vec(sigma_beta) caps give the gate-dressed odd boundary.
+
+    With ``transpose`` the kernel applies T^T, which carries a left vector:
+    the same network with each bundle's out and in slot legs swapped,
+    wp[o,u,d,i] -> wp[i,u,d,o].  The caps and the 1/q sit on chain legs, so
+    they stay where they are, and (T^T l) . r = l . (T r).
+
+    The buffers make a kernel serve one thread; each otoc_finite call that
+    runs a trajectory builds its own forward kernel and dresses its odd
+    boundary with it, each otoc_longtime call that iterates builds its own
+    transposed kernel.
     """
 
-    def __init__(self, gate, n: int):
+    def __init__(self, gate, n: int, transpose: bool = False):
         _check_depth(n)
         self.n = n
         self.d = d = 4
@@ -235,7 +245,8 @@ class _PauliColumnKernel:
                        _QMAT.conj(), _QMAT.conj())
         if np.abs(wp.imag).max() > 1e-12:
             raise AssertionError("bundle is not real in the Hermitian leg basis")
-        self._wp = wp = np.ascontiguousarray(wp.real)
+        wp = wp.real.transpose(3, 1, 2, 0) if transpose else wp.real
+        self._wp = wp = np.ascontiguousarray(wp)
         # sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
         # stored transposed for the batched matmul of one step
         self._m2t = np.ascontiguousarray(
@@ -462,6 +473,13 @@ def _separation(n: int, parity: str) -> int:
     return 2 * n - 2 if parity == "even" else 2 * n - 1
 
 
+def _memo_key(gate, sigma_alpha, sigma_beta) -> tuple:
+    """The bytes of the gate and both insertions, which raises on a
+    non-Hermitian insertion."""
+    return tuple(op.tobytes() for op in (gate_matrix(gate), _hermitian(sigma_alpha),
+                                        _hermitian(sigma_beta)))
+
+
 # The latest trajectory of each (depth, parity) slot: (key, overlaps), with
 # key the bytes of the gate, sigma_alpha and sigma_beta, and overlaps the
 # floats (L|T^m|R) for m = 0..applications.  An entry is replaced whole, so a
@@ -502,8 +520,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
                           mirrored.method, n=mirrored.n, meta=mirrored.meta)
     n, applications, parity = _depths(x, t)
     _check_depth(n)
-    key = tuple(op.tobytes() for op in (gate_matrix(gate), _hermitian(sigma_alpha),
-                                        _hermitian(sigma_beta)))
+    key = _memo_key(gate, sigma_alpha, sigma_beta)
     slot = (n, parity)
     remembered = _TRAJECTORIES.get(slot)
     if remembered is not None and remembered[0] == key and applications < len(remembered[1]):
@@ -559,47 +576,108 @@ def _stopped_limit(overlaps):
     return None
 
 
-def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
-                  q: int = 2) -> OtocResult:
-    """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
-    application of the column kernel.
+# The latest left trajectory of each depth n: (key, m, states, left), with key
+# as in _TRAJECTORIES, m the number of transposed applications made, states a
+# dict mapping each parity to its settled OtocResult or, while it is
+# unsettled, the tuple of its trailing overlaps (at most CESARO_WINDOW), and
+# left an owned copy of (T^T)^m L while some parity is unsettled, else None.
+# Nothing stored is changed afterwards and an entry is replaced whole, so a
+# thread reads either the old tuple or the new one; threads that race on one
+# depth keep their own results and at worst repeat applications later.
+_LEFT_TRAJECTORIES = {}
 
-    The iterate starts as the right boundary's ``BoundaryVector.vec`` and stays
-    in the real Hermitian leg basis (Q^T per slot); the left boundary's vec
-    (Q^dagger per slot) reads each overlap as a plain dot product.  The
-    iteration stops by the rule of ``_stopped_limit``: a window of
-    STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
-    the last extrapolate), else a window of overlaps that agree to TOL_STOP
-    (the value is the last overlap).  ``meta`` then holds ``iterations``,
-    ``converged`` (True), ``lambda``, the last ratio of successive increments
-    (None where an increment is zero), and ``error_estimate``, the spread of
-    the settled window: an estimate of the error, not a bound, and one that
-    can be far too small where the decay is slow.  For
-    ``random_dual_unitary(7)``, sigma = sigma_x, at n = 3 (lambda = 0.9942)
-    the error against the exact limits is 16 times the estimate for even
-    parity and 34 times for odd (about 1.6e-9 and 3.3e-9).  If the
-    iteration cap is hit (unit-modulus eigenvalues keep the overlap
-    oscillating), the result is the Cesaro mean over a trailing window of 64
-    overlaps, flagged with ``converged`` False and the oscillation amplitude.
-    """
-    _require_qubits(q)
-    _check_depth(n)
-    left = boundary_left(sigma_alpha, n).vec
-    kern = _PauliColumnKernel(gate, n)
-    state = boundary_right(sigma_beta, n, parity, kernel=kern).vec
-    overlaps = deque([float(np.dot(left, state))], maxlen=CESARO_WINDOW)
-    for m in range(1, ITERATION_CAP + 1):
-        state = kern.apply(state)
-        overlaps.append(float(np.dot(left, state)))
-        stop = _stopped_limit(overlaps)
-        if stop is not None:
-            value, lam, span = stop
-            return OtocResult(None, None, parity, value, "longtime_iterate", n=n,
-                              meta={"iterations": m, "converged": True,
-                                    "lambda": lam, "error_estimate": span})
+
+def _settled(overlaps, m: int, n: int, parity: str):
+    """The OtocResult of a parity whose overlaps s_0 .. s_m end in
+    ``overlaps``, or None while it may not stop at m (see otoc_longtime)."""
+    stop = _stopped_limit(overlaps)
+    if stop is not None:
+        value, lam, span = stop
+        return OtocResult(None, None, parity, value, "longtime_iterate", n=n,
+                          meta={"iterations": m, "converged": True,
+                                "lambda": lam, "error_estimate": span})
+    if m < ITERATION_CAP:
+        return None
     tail = np.asarray(overlaps)
     mean = float(tail.mean())
     amplitude = float(np.max(np.abs(tail - mean)))
     return OtocResult(None, None, parity, mean, "longtime_iterate", n=n,
                       meta={"iterations": ITERATION_CAP, "converged": False,
                             "amplitude": amplitude})
+
+
+def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
+                  q: int = 2) -> OtocResult:
+    """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
+    application of the transposed column kernel to the left boundary.
+
+    The iterate l_m = (T^T)^m L starts as the left boundary's
+    ``BoundaryVector.vec`` and stays in the real Hermitian leg basis
+    (Q^dagger per slot); the overlap s_m = l_m . R is a plain dot product
+    with the right boundary's vec (Q^T per slot).  Both parities of a depth
+    share T and L, so one trajectory reads the overlaps of every parity not
+    yet settled, and each parity stops on its own overlaps by the rule of
+    ``_stopped_limit``: a window of STOP_WINDOW + 1 Aitken extrapolates that
+    agree to TOL_STOP (the value is the last extrapolate), else a window of
+    overlaps that agree to TOL_STOP (the value is the last overlap).
+
+    The latest trajectory of each depth is remembered, keyed on the bytes of
+    the gate and both insertions: the settled results, the other parity's
+    trailing overlaps, and a copy of l_m while that parity is unsettled (8 MB
+    at n = 5).  A later call for a settled parity returns its result without
+    an application; one for the unsettled parity resumes from l_m.  A call
+    applies the kernel only until its own parity stops, and its result is
+    the float a call on an empty memory computes, from the same applications
+    on the same vectors.  All argument checks run before the lookup.
+
+    ``meta`` holds ``iterations`` (the m at which the parity stopped),
+    ``converged`` (True), ``lambda``, the last ratio of successive increments
+    (None where an increment is zero), ``error_estimate``, the spread of the
+    settled window, and ``applications``, the kernel applications this call
+    made: the transposed ones past the remembered m plus one for each
+    gate-dressed odd boundary it built, 0 when it was served from memory.
+    The error estimate is not a bound, and it can be far too small where the
+    decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
+    n = 3 (lambda = 0.9942) the error against the exact limits is 16 times
+    the estimate for even parity and 34 times for odd (about 1.6e-9 and
+    3.3e-9).  If the iteration cap is hit (unit-modulus eigenvalues keep the
+    overlap oscillating), the result is the Cesaro mean over a trailing
+    window of 64 overlaps, flagged with ``converged`` False and the
+    oscillation amplitude.
+    """
+    _require_qubits(q)
+    _check_depth(n)
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    key = _memo_key(gate, sigma_alpha, sigma_beta)
+    remembered = _LEFT_TRAJECTORIES.get(n)
+    if remembered is not None and remembered[0] == key:
+        _, m, states, left = remembered
+    else:
+        m, states, left = 0, {"even": (), "odd": ()}, boundary_left(sigma_alpha, n).vec
+    applications = 0
+    if not isinstance(states[parity], OtocResult):
+        states = dict(states)
+        # every unsettled parity's right boundary; the odd one's forward kernel
+        # is freed before the transposed kernel is allocated
+        rights = {p: boundary_right(sigma_beta, n, p, gate=gate).vec
+                  for p, state in states.items() if not isinstance(state, OtocResult)}
+        applications = sum(p == "odd" for p in rights)
+        windows = {p: deque(states[p] if m else [float(np.dot(left, rights[p]))],
+                            maxlen=CESARO_WINDOW) for p in rights}
+        kern = _PauliColumnKernel(gate, n, transpose=True)
+        while parity in windows:
+            left = kern.apply(left)
+            m += 1
+            applications += 1
+            for p in list(windows):
+                windows[p].append(float(np.dot(left, rights[p])))
+                result = _settled(windows[p], m, n, p)
+                if result is not None:
+                    states[p] = result
+                    del windows[p]
+        states.update((p, tuple(window)) for p, window in windows.items())
+        _LEFT_TRAJECTORIES[n] = (key, m, states, left.copy() if windows else None)
+    result = states[parity]
+    return OtocResult(None, None, parity, result.value, result.method, n=n,
+                      meta={**result.meta, "applications": applications})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from duotoc.transfer import _TRAJECTORIES, _PauliColumnKernel
+from duotoc.transfer import _LEFT_TRAJECTORIES, _TRAJECTORIES, _PauliColumnKernel
 
 _ACCEPTANCE_LINES = {}
 _NOTES = []
@@ -33,16 +33,29 @@ def record_note():
     return _note
 
 
+class _Applies(list):
+    """Depth of every column-kernel application, in call order; ``dressed``
+    holds the depths of those given bottom caps (gate-dressed odd
+    boundaries)."""
+
+    def __init__(self):
+        super().__init__()
+        self.dressed = []
+
+
 @pytest.fixture
 def applies(monkeypatch):
-    """Clears otoc_finite's trajectory memo; the list collects the depth of
-    every column-kernel application that follows."""
+    """Clears the trajectory memos of otoc_finite and otoc_longtime; the list
+    collects the depth of every column-kernel application that follows."""
     _TRAJECTORIES.clear()
-    depths = []
+    _LEFT_TRAJECTORIES.clear()
+    depths = _Applies()
     apply = _PauliColumnKernel.apply
 
     def counted(self, u, cap=None):
         depths.append(self.n)
+        if cap is not None:
+            depths.dressed.append(self.n)
         return apply(self, u, cap)
 
     monkeypatch.setattr(_PauliColumnKernel, "apply", counted)

@@ -136,6 +136,24 @@ def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies):
         assert float(row["transfer"]) == otoc_finite(gate, a_op, b_op, x, t).value, (x, t)
 
 
+def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
+    """fig4: the even pass iterates each depth's left vector until both
+    parities are settled or even stops, so a depth costs max(iterations)
+    applications plus its gate-dressed odd boundaries: one, or two where the
+    odd row resumes the trajectory."""
+    out = tmp_path / "fig4.csv"
+    assert main(["longtime", "--preset", "fig4", "--method", "all", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    grid = [(n, parity) for n in range(1, 6) for parity in ("even", "odd")]
+    assert [(int(row["n"]), row["parity"]) for row in rows] == grid
+    assert all(row["converged"] == "true" for row in rows)
+    its = {(int(row["n"]), row["parity"]): int(row["iterations"]) for row in rows}
+    for n in range(1, 6):
+        even, odd = its[n, "even"], its[n, "odd"]
+        assert applies.dressed.count(n) == (1 if odd <= even else 2), n
+        assert applies.count(n) == max(even, odd) + applies.dressed.count(n), n
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["corr", "--gate", "xy", "--params", str(np.pi / 10),
             "--alpha", "1,1,1", "--beta", "1,-1,1", "--tmax", "6"]

@@ -1,6 +1,7 @@
 """Column transfer matrix: fixed points, parity dispatch, the Hermitian-basis
-kernel against the dense complex-basis reference, mirrors, the finite-time
-trajectory memo, the long-time stop rule."""
+kernel and its transpose against the dense complex-basis reference, the
+slot-reversal symmetry, mirrors, the finite-time and long-time trajectory
+memos, the long-time stop rule."""
 
 import sys
 from collections import deque
@@ -22,6 +23,7 @@ from duotoc.transfer import (
     ITERATION_CAP,
     N_MAX_APPLY,
     STOP_WINDOW,
+    _LEFT_TRAJECTORIES,
     _TRAJECTORIES,
     _bundle_tensor,
     _depths,
@@ -121,6 +123,20 @@ def test_operator_apply_matches_dense(n):
         assert np.abs(legs.conj() @ k @ legs.T - mat).max() < TOL_AGREE, name
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_transposed_apply_matches_dense_transpose(n):
+    """The transposed kernel carries left vectors, whose Hermitian-basis
+    coefficients are Q^dagger l per slot: mapped back (l = Q u), it is the
+    transpose of the dense complex-basis transfer matrix."""
+    legs = _legs(n)
+    for name, gate in GATES:
+        kern = _PauliColumnKernel(gate, n, transpose=True)
+        basis = np.eye(kern.dim)
+        k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
+        mat = build_transfer(gate, n).mat
+        assert np.abs(legs @ k @ legs.conj().T - mat.T).max() < TOL_AGREE, name
+
+
 def _stepwise_apply(kern, u, cap):
     """Reference column application: one full pass per slot, 2n down to 1,
     each a batched 16 x 16 product, then sheet one's cap with the 1/q."""
@@ -160,10 +176,44 @@ def test_kernel_matches_stepwise_reference(name, gate, n):
     _assert_close(kern.apply(u, cap=beta), _stepwise_apply(kern, u, beta))
 
 
+@pytest.mark.parametrize("name,gate", BLOCKED)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
+def test_transposed_kernel_pairs_with_the_forward_one(name, gate, n):
+    """(T^T l) . r = l . (T r), with identity caps and sigma_beta caps."""
+    fwd = _PauliColumnKernel(gate, n)
+    bwd = _PauliColumnKernel(gate, n, transpose=True)
+    rng = np.random.default_rng(20 + n)
+    l, r = rng.standard_normal((2, fwd.dim))
+    for cap in (None, rng.standard_normal(4)):
+        want = np.dot(l, fwd.apply(r, cap=cap))
+        got = np.dot(bwd.apply(l, cap=cap), r)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _reverse_slots(u, n):
+    """The slot reversal R, j <-> 2n + 1 - j, which exchanges the sheets."""
+    return u.reshape((4,) * (2 * n)).transpose(range(2 * n - 1, -1, -1)).reshape(-1)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_commutes_with_slot_reversal(n, transpose):
+    """T R = R T in both directions: an invariant of the column that any
+    rewrite of the kernel must keep."""
+    rng = np.random.default_rng(30 + n)
+    for name, gate in [("kim", build_kim(h1=0.4, h2=0.6)), ("kak", random_kak(1)),
+                       ("du3", random_dual_unitary(3)), ("xy", build_xy(j=0.6))]:
+        kern = _PauliColumnKernel(gate, n, transpose=transpose)
+        u = rng.standard_normal(kern.dim)
+        want = _reverse_slots(kern.apply(u), n)
+        _assert_close(kern.apply(_reverse_slots(u, n)), want)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n, transpose):
     gate = random_kak(1)
-    kern = _PauliColumnKernel(gate, n)
+    kern = _PauliColumnKernel(gate, n, transpose=transpose)
     for buf in (kern._middle, kern._out, *kern._scratch):
         buf.fill(np.nan)
     u = np.random.default_rng(10 + n).standard_normal(kern.dim)
@@ -468,6 +518,162 @@ def test_memo_serves_threads_on_different_slots():
         sys.setswitchinterval(interval)
     for job in jobs:
         assert got[job] == want[job] * 5, job
+
+
+PARITIES = ("even", "odd")
+
+
+def _fresh_longtime(gate, sigma_alpha, sigma_beta, n, parity):
+    _LEFT_TRAJECTORIES.clear()
+    return otoc_longtime(gate, sigma_alpha, sigma_beta, n, parity)
+
+
+def _without_applications(res):
+    return res.value, {k: v for k, v in res.meta.items() if k != "applications"}
+
+
+# (gate, n) with the iterations (even, odd) each parity stops at
+SETTLE_ORDERS = {
+    "odd first": (build_kim(h1=0.4, h2=0.6), 1, (35, 8)),
+    "even first": (build_kim(h1=0.4, h2=0.6), 2, (38, 39)),
+    "together": (random_kak(1), 1, (20, 20)),
+}
+
+
+@pytest.mark.parametrize("first", PARITIES)
+@pytest.mark.parametrize("order", SETTLE_ORDERS)
+def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
+    """Whichever parity is asked first and whichever settles first, the
+    second call returns what a call on an empty memory returns, bit for bit,
+    and makes only the applications past the first call's stop."""
+    gate, n, iterations = SETTLE_ORDERS[order]
+    its = dict(zip(PARITIES, iterations))
+    fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
+    for p in PARITIES:
+        assert fresh[p].meta["iterations"] == its[p]
+        # each fresh call also dresses the odd boundary, to read both parities
+        assert fresh[p].meta["applications"] == its[p] + 1
+    second = "odd" if first == "even" else "even"
+    _LEFT_TRAJECTORIES.clear()
+    del applies[:]
+    got = {p: otoc_longtime(gate, ALPHA_I, BETA_I, n, p) for p in (first, second)}
+    for p in PARITIES:
+        assert _without_applications(got[p]) == _without_applications(fresh[p]), p
+    assert got[first].meta["applications"] == its[first] + 1
+    if its[second] <= its[first]:
+        assert got[second].meta["applications"] == 0
+    else:
+        assert got[second].meta["applications"] == (its[second] - its[first]
+                                                    + (second == "odd"))
+    assert len(applies) == sum(res.meta["applications"] for res in got.values())
+    assert applies.count(n) == len(applies)
+    # a third call of either parity is a hit
+    del applies[:]
+    for p in PARITIES:
+        again = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
+        assert _without_applications(again) == _without_applications(fresh[p])
+        assert again.meta["applications"] == 0
+    assert applies == []
+
+
+def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
+    """Where neither parity settles before the cap, the first call leaves
+    both Cesaro means, and the other parity is served from memory."""
+    monkeypatch.setattr("duotoc.transfer.ITERATION_CAP", 12)
+    gate = random_dual_unitary(0)
+    fresh = {p: _fresh_longtime(gate, ALPHA, BETA, 2, p) for p in PARITIES}
+    assert all(res.meta["converged"] is False for res in fresh.values())
+    _LEFT_TRAJECTORIES.clear()
+    otoc_longtime(gate, ALPHA, BETA, 2, "even")
+    del applies[:]
+    odd = otoc_longtime(gate, ALPHA, BETA, 2, "odd")
+    assert applies == []
+    assert _without_applications(odd) == _without_applications(fresh["odd"])
+
+
+def test_longtime_memo_key_covers_gate_operators_and_depth(applies):
+    """After an even call on the base key, an odd call that differs in the
+    gate, either insertion or the depth runs its own trajectory: its
+    applications are those of a call on an empty memory."""
+    base = gate_matrix(build_kim(h1=0.4, h2=0.6))
+    other = gate_matrix(random_kak(2))
+    calls = {"gate": (other, ALPHA_I, BETA_I, 2),
+             "sigma_alpha": (base, ALPHA, BETA_I, 2),
+             "sigma_beta": (base, ALPHA_I, BETA, 2),
+             "depth": (base, ALPHA_I, BETA_I, 1)}
+    for name, (gate, alpha, beta, n) in calls.items():
+        _LEFT_TRAJECTORIES.clear()
+        otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
+        got = otoc_longtime(gate, alpha, beta, n, "odd")
+        assert got.meta["applications"] == got.meta["iterations"] + 1, name
+        want = _fresh_longtime(gate, alpha, beta, n, "odd")
+        assert _without_applications(got) == _without_applications(want), name
+    # the base key itself resumes (odd settles after even here)
+    _LEFT_TRAJECTORIES.clear()
+    otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
+    assert otoc_longtime(base, ALPHA_I, BETA_I, 2, "odd").meta["applications"] == 2
+    # a gate array changed in place after its trajectory was remembered
+    gate = base.copy()
+    _LEFT_TRAJECTORIES.clear()
+    otoc_longtime(gate, ALPHA_I, BETA_I, 2, "even")
+    gate[...] = other
+    got = otoc_longtime(gate, ALPHA_I, BETA_I, 2, "odd")
+    assert got.meta["applications"] == got.meta["iterations"] + 1
+    want = _fresh_longtime(other, ALPHA_I, BETA_I, 2, "odd")
+    assert _without_applications(got) == _without_applications(want)
+
+
+def test_longtime_memo_does_not_bypass_argument_checks(monkeypatch, applies):
+    gate = random_kak(1)
+    # anti-Hermitian residue 2e-11, within TOL_REAL until that is tightened
+    beta = BETA + 1e-11j * I2
+    otoc_longtime(gate, ALPHA, beta, 2, "even")
+    otoc_longtime(gate, ALPHA, beta, 2, "odd")
+    del applies[:]
+    assert otoc_longtime(gate, ALPHA, beta, 2, "odd").meta["applications"] == 0
+    with pytest.raises(ValueError, match="only q = 2"):
+        otoc_longtime(gate, ALPHA, beta, 2, "odd", q=3)
+    with pytest.raises(ValueError, match="Hermitian"):
+        otoc_longtime(gate, SX + 1j * SZ, beta, 2, "odd")
+    with pytest.raises(ValueError, match="parity"):
+        otoc_longtime(gate, ALPHA, beta, 2, "Odd")
+    with monkeypatch.context() as m:
+        m.setattr("duotoc.transfer.TOL_REAL", 1e-12)
+        with pytest.raises(ValueError, match="Hermitian"):
+            otoc_longtime(gate, ALPHA, beta, 2, "odd")
+    with monkeypatch.context() as m:
+        m.setattr("duotoc.transfer.N_MAX_APPLY", 1)
+        with pytest.raises(ValueError, match="budget"):
+            otoc_longtime(gate, ALPHA, beta, 2, "odd")
+    assert applies == []
+
+
+def test_longtime_memo_serves_threads_on_shared_depths():
+    """Eight threads, more than the cores, each ask one (operator, depth,
+    parity) five times; two operators and both parities share each depth,
+    so entries are replaced and resumed while other threads read them."""
+    gate = build_kim(h1=0.4, h2=0.6)
+    betas = (BETA, BETA_I)
+    jobs = [(b, n, p) for b in range(len(betas)) for n in (1, 2) for p in PARITIES]
+    want = {job: _without_applications(_fresh_longtime(gate, ALPHA, betas[job[0]],
+                                                       *job[1:]))
+            for job in jobs}
+    _LEFT_TRAJECTORIES.clear()
+
+    def ask(job):
+        return [_without_applications(otoc_longtime(gate, ALPHA, betas[job[0]], *job[1:]))
+                for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
+            futures = {job: ex.submit(ask, job) for job in jobs}
+            got = {job: f.result(timeout=120) for job, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for job in jobs:
+        assert got[job] == [want[job]] * 5, job
 
 
 def test_longtime_iteration_metadata():
