@@ -8,6 +8,7 @@ output pair (a,b) with the left site slower.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,14 @@ def random_dual_unitary(seed) -> Gate:
     return Gate(u=g.u, family="dual", meta={**g.meta, "seed": seed})
 
 
+def _reject_number(p, keyword_form: str):
+    """A bare number passed as the params object would fail later on an
+    attribute lookup; say how to pass it instead."""
+    if isinstance(p, numbers.Number):
+        raise TypeError(f"gate parameters go by keyword: {keyword_form}, "
+                        f"not a positional {type(p).__name__}")
+
+
 def build_kim(p: KimParams | None = None, h1: float | None = None, h2: float | None = None) -> Gate:
     """The self-dual kicked Ising gate.
 
@@ -168,6 +177,7 @@ def build_kim(p: KimParams | None = None, h1: float | None = None, h2: float | N
 
     Dual-unitary for every (h1, h2); integrable (non-ergodic) when h1 = -h2.
     """
+    _reject_number(p, "build_kim(h1=..., h2=...)")
     if p is None:
         p = KimParams(h1=float(h1), h2=float(h2))
     u = np.zeros((4, 4), dtype=complex)
@@ -220,6 +230,7 @@ def build_xy(p: XyParams | None = None, j: float | None = None) -> Gate:
     (to 1e-12) is selected and recorded in ``meta["placement"]``.  If none
     does, the conventions are broken and construction fails loudly.
     """
+    _reject_number(p, "build_xy(j=...)")
     if p is None:
         p = XyParams(j=float(j))
     kick = np.cos(np.pi / 4) * np.eye(2) + 1j * np.sin(np.pi / 4) * _SX

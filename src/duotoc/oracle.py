@@ -18,19 +18,6 @@ odd layer the sites are first rolled by one, which makes the wrap bond
 the O(q^(3L)) of a dense product, conjugation applies the layer to both
 sides, and U(t) is never formed.
 
-Per-chain memo
---------------
-Both layers are checked for unitarity, with their product Lambda^dag Lambda
-formed the same way, once per chain and gate: each ``ChainSpec`` remembers
-the bytes of the gates whose layers passed, so a gate changed in place is
-checked again and a failing gate raises on every call.  ``oracle_otoc`` and
-``oracle_correlator`` also keep the one latest evolved sigma_alpha of the
-chain (keyed by gate, operator, site and t), which serves every x at one t;
-it is dropped before a different operator is evolved, so a chain holds at
-most one q^L x q^L matrix.  The memo changes no value: the same layer
-operations run in the same order, only fewer times.  Threads that share a
-spec may duplicate work but always read a consistent entry.
-
 Lattice conventions
 -------------------
 Sites 0..L-1, periodic, site 0 the slowest index of the q^L basis.  The even
@@ -39,12 +26,52 @@ layer couples (0,1), (2,3), ...; the odd layer couples (1,2), (3,4), ...,
 Time counts layers (half-steps), with the even layer applied first:
 U(t) = L_t ... L_2 L_1, L_1 even.
 
+Let S move every site one step to the right, site L-1 wrapping to site 0.
+The odd layer is the even layer moved by one site, L_odd = S L_even S^dag =
+S^dag L_even S, and S^2 commutes with both layers.  Hence U(t+1) =
+S U(t) S^dag L_1, that is
+
+    sigma_x(t+1) = L_1^dag S sigma_{x-1}(t) S^dag L_1,
+
+and the same with S^dag in place of S and sigma_{x+1}(t).  The evolution is
+built from this one step: translate the operator by one site, then conjugate
+it by the even layer.  Step k (k = 0, 1, ...) translates to the right for
+even k and to the left for odd k, so an operator that starts at site s0 sits
+at s0 + (t mod 2) after t steps.
+
+The oracle runs two canonical chains.  A request for sigma_alpha at site a
+and time t uses chain c = (a - t) mod 2, which starts with sigma_alpha at
+site c; at time t the operator sits at s = c + (t mod 2), a site of the
+parity of a.  Translation by an even number of sites is an exact symmetry of
+the chain, so the value is that of the request moved by s - a: the OTOC puts
+sigma_beta at s + x, the correlator (sigma_alpha at x, sigma_beta at 0) puts
+it at s - x.
+
 Operator placement follows the light-cone lattice of the brickwork diagrams:
 for the OTOC with x >= 0 the alpha operator anchors at site (t+1) mod 2 (for
 x < 0 at t mod 2) so that the causal edge site x = +-t is realized for every
-t; beta sits x sites to its right.  The correlator needs no anchor shift:
-sigma_alpha(x, t) with sigma_beta at site 0 realizes the x = +t edge for all
-t (the leftward edge of this lattice is x = -(t-1)).
+t; beta sits x sites to its right.  Every OTOC with x >= 0 therefore runs
+chain 1, and every OTOC with x < 0 chain 0.  The correlator needs no anchor
+shift: sigma_alpha(x, t) with sigma_beta at site 0 realizes the x = +t edge
+for all t (the leftward edge of this lattice is x = -(t-1)).  It reads the
+trace from the diagonal blocks of sigma_alpha(x, t) alone.
+
+Per-chain memo
+--------------
+Both layers are checked for unitarity, with their product Lambda^dag Lambda
+formed the same way, once per chain and gate: each ``ChainSpec`` remembers
+the bytes of the gates whose layers passed, so a gate changed in place is
+checked again and a failing gate raises on every call.  ``oracle_otoc`` and
+``oracle_correlator`` also keep one chain state per spec: the key (gate
+bytes, sigma_alpha, c), the time t and a read-only matrix, which serves every
+x at that t.  A request at the same t is a hit, a later t on the same chain
+extends the state, and anything else restarts the chain from t = 0.  The
+memo's reference is dropped before the first step, and each step frees the
+matrix it translated before it applies the layer, so a chain holds at most
+one q^L x q^L matrix besides the working set of one step.  Every (c, t)
+matrix comes from the same sequence of steps from t = 0, so no value
+depends on the order of the requests; threads that share a spec may
+duplicate work but always read a consistent entry.
 """
 
 from __future__ import annotations
@@ -76,7 +103,7 @@ class _ChainMemo:
 
     def __init__(self):
         self.passed = set()  # bytes of the gates whose layers are unitary
-        self.evolved = None  # (key, read-only matrix) of the latest evolution
+        self.evolved = None  # (key, t, read-only matrix): the one chain state
 
 
 @dataclass(frozen=True)
@@ -175,37 +202,59 @@ def evolution_operator(spec: ChainSpec, t: int) -> np.ndarray:
     return out
 
 
-def _evolve(U: np.ndarray, sigma: np.ndarray, site: int, t: int, L: int, q: int) -> np.ndarray:
-    """U(t)^dag sigma(site) U(t), conjugated by the layers L_t, ..., L_1 in turn."""
-    mat = site_operator(sigma, site, L, q)
-    for k in range(t, 0, -1):
-        mat = _conjugate_layer(mat, U, _parity(k), L, q)
+def _translate(mat: np.ndarray, shift: int, L: int, q: int) -> np.ndarray:
+    """S mat S^dag for shift = 1, S^dag mat S for shift = -1: every site of
+    both indices moves one step right (left), site L-1 (site 0) wrapping
+    round.  A new C-ordered matrix; ``mat`` is only read."""
+    split = (q ** (L - 1), q) if shift == 1 else (q, q ** (L - 1))
+    return mat.reshape(split + split).transpose(1, 0, 3, 2).reshape(mat.shape)
+
+
+def _chain_evolved(memo: _ChainMemo, U: np.ndarray, sigma: np.ndarray, start: int,
+                   t: int, L: int, q: int) -> np.ndarray:
+    """The chain that starts with sigma at site ``start``, after t steps (see
+    the module docstring), as a read-only matrix: sigma(start + t % 2, t).
+    ``memo`` serves its state at the same t, extends it to a later t, or the
+    chain restarts from t = 0, and then holds the new state."""
+    sigma = np.asarray(sigma, dtype=complex)
+    key = (U.tobytes(), sigma.shape, sigma.tobytes(), start)
+    latest = memo.evolved  # one read: another thread may replace it meanwhile
+    resume = latest is not None and latest[0] == key and latest[1] <= t
+    if resume and latest[1] == t:
+        return latest[2]
+    done, mat = latest[1:] if resume else (0, None)
+    # drop the memo's reference and this frame's other one, so that the first
+    # translation frees the remembered matrix (a restart builds nothing while
+    # it lives)
+    latest = memo.evolved = None
+    if mat is None:
+        mat = site_operator(sigma, start, L, q)
+    for k in range(done, t):
+        # two assignments: the translated matrix's input is freed before the
+        # layer is applied
+        mat = _translate(mat, 1 if k % 2 == 0 else -1, L, q)
+        mat = _conjugate_layer(mat, U, "even", L, q)
+    mat.flags.writeable = False
+    memo.evolved = (key, t, mat)
     return mat
 
 
 def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> EvolvedOperator:
-    """sigma(site, t) = U(t)^dag sigma(site) U(t), a fresh matrix the caller owns."""
+    """sigma(site, t) = U(t)^dag sigma(site) U(t), a fresh matrix the caller
+    owns: the chain that starts at site - t % 2, run on a memo of its own."""
     U = _checked_gate(spec)
-    mat = _evolve(U, sigma, site, t, spec.L, spec.q)
+    mat = _chain_evolved(_ChainMemo(), U, sigma, site - t % 2, t, spec.L, spec.q)
+    mat.flags.writeable = True  # its memo is gone: nothing else holds it
     return EvolvedOperator(matrix=mat, site=site % spec.L, t=t)
 
 
-def _memo_evolved(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> np.ndarray:
-    """sigma(site, t) as a read-only matrix, shared by the calls that ask for
-    the chain's latest evolution again."""
-    U = _checked_gate(spec)
-    sigma = np.asarray(sigma, dtype=complex)
-    key = (U.tobytes(), sigma.shape, sigma.tobytes(), site % spec.L, t)
-    memo = spec._memo
-    latest = memo.evolved  # one read: another thread may replace it meanwhile
-    if latest is not None and latest[0] == key:
-        return latest[1]
-    # free the old matrix, this frame's reference too, before the new one is built
-    latest = memo.evolved = None
-    mat = _evolve(U, sigma, site, t, spec.L, spec.q)
-    mat.flags.writeable = False
-    memo.evolved = (key, mat)
-    return mat
+def _chain_operator(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):
+    """(A, s): sigma(site, t) moved by an even number of sites, as the
+    read-only state of the spec's chain c = (site - t) mod 2 at time t, and
+    the site s = c + t % 2 where it sits."""
+    chain = (site - t) % 2
+    A = _chain_evolved(spec._memo, _checked_gate(spec), sigma, chain, t, spec.L, spec.q)
+    return A, chain + t % 2
 
 
 def _times_site_operator(mat: np.ndarray, sigma: np.ndarray, x: int, L: int, q: int) -> np.ndarray:
@@ -213,6 +262,19 @@ def _times_site_operator(mat: np.ndarray, sigma: np.ndarray, x: int, L: int, q: 
     x %= L
     cols = mat.reshape(-1, q, q ** (L - x - 1))
     return np.matmul(np.asarray(sigma, dtype=complex).T, cols).reshape(mat.shape)
+
+
+def _trace_times_site_operator(mat: np.ndarray, sigma: np.ndarray, y: int, L: int, q: int):
+    """tr(mat @ site_operator(sigma, y, L, q)) from the diagonal blocks of mat:
+    the partial trace over every site but y, each of its q x q entries a
+    pairwise sum, contracted with sigma."""
+    y %= L
+    outer, inner = q**y, q ** (L - y - 1)
+    blocks = mat.reshape(outer, q, inner, outer, q, inner)
+    # diag[j, l, i, k] = mat[(i, j, k), (i, l, k)]
+    diag = np.diagonal(np.diagonal(blocks, axis1=0, axis2=3), axis1=1, axis2=3)
+    reduced = diag.reshape(q, q, outer * inner).sum(axis=-1)
+    return np.sum(reduced * np.asarray(sigma, dtype=complex).T)
 
 
 def _check_budget(spec: ChainSpec, t: int):
@@ -226,8 +288,8 @@ def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int, sigma_be
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / q^L."""
     _check_budget(spec, t)
     L, q = spec.L, spec.q
-    A = _memo_evolved(spec, sigma_alpha, x, t)
-    val = complex(np.trace(_times_site_operator(A, sigma_beta, 0, L, q)) / q**L)
+    A, site = _chain_operator(spec, sigma_alpha, x, t)
+    val = complex(_trace_times_site_operator(A, sigma_beta, site - x, L, q) / q**L)
     if abs(val.imag) > _IMAG_TOL:
         return val
     return val.real
@@ -239,8 +301,8 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     _check_budget(spec, t)
     L, q = spec.L, spec.q
     anchor = (t + 1) % 2 if x >= 0 else t % 2
-    A = _memo_evolved(spec, sigma_alpha, anchor, t)
-    AB = _times_site_operator(A, sigma_beta, anchor + x, L, q)
+    A, site = _chain_operator(spec, sigma_alpha, anchor, t)
+    AB = _times_site_operator(A, sigma_beta, site + x, L, q)
     # tr(M M) = sum_ij M_ij M_ji
     val = complex(np.sum(AB * AB.T) / q**L)
     if abs(val.imag) > _IMAG_TOL:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from duotoc import oracle
 from duotoc.transfer import _LEFT_TRAJECTORIES, _TRAJECTORIES, _PauliColumnKernel
 
 _ACCEPTANCE_LINES = {}
@@ -60,6 +61,22 @@ def applies(monkeypatch):
 
     monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
     return depths
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """The layer parity of every oracle layer conjugation that follows, in
+    call order: the unitarity check makes one of each parity per chain and
+    gate, every evolution step one even."""
+    parities = []
+    conjugate = oracle._conjugate_layer
+
+    def counted(mat, gate, parity, L, q):
+        parities.append(parity)
+        return conjugate(mat, gate, parity, L, q)
+
+    monkeypatch.setattr(oracle, "_conjugate_layer", counted)
+    return parities
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -211,6 +212,24 @@ def test_oracle_check_passes_strict(tmp_path):
     assert code == 0
     for row in _read_csv(out):
         assert float(row["delta"]) < TOL
+
+
+def test_oracle_check_fig5_extends_the_chain_row_by_row(tmp_path, conjugations,
+                                                       monkeypatch):
+    """oracle-check fig5 clamps tmax to 3 on the L = 8 chain and runs every
+    cell on chain 1.  With one worker the t = 3 row takes three steps and,
+    after the t = 0 row restarts the chain, the rows t = 1 and 2 one each.
+    The pool's threads may evict each other's chain state and step more
+    often, but give the same CSV."""
+    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+    assert main(["oracle-check", "--preset", "fig5", "--out", str(pooled)]) == 0
+    # each unitarity check conjugates by both layers; threads may both check
+    assert conjugations.count("even") - conjugations.count("odd") >= 5
+    conjugations.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert main(["oracle-check", "--preset", "fig5", "--out", str(serial)]) == 0
+    assert conjugations == ["even", "odd"] + ["even"] * 5
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_spectrum_rows(capsys):

@@ -11,6 +11,7 @@ from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import pauli_basis
 from duotoc.oracle import (
     ChainSpec,
+    _translate,
     evolution_operator,
     evolve_heisenberg,
     haar_sample,
@@ -356,3 +357,83 @@ def test_memo_evolve_heisenberg_returns_an_owned_copy():
     spec = ChainSpec(gate=REF_GATES["kak"], L=8)
     evolve_heisenberg(spec, a, anchor, t).matrix[:] = 1.0
     assert oracle_otoc(spec, a, b, x, t) == want
+
+
+# ---------------------------------------------------------------------------
+# Two translated chains: a step translates the operator by one site and
+# conjugates it by the even layer, chain c = (a - t) mod 2 serves sigma_alpha
+# at site a, and a request at a later t extends the remembered chain state.
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_translate_moves_every_site_one_step(L):
+    sigma = _random_operator(2, L)
+    for x in range(L):
+        op = site_operator(sigma, x, L)
+        assert np.array_equal(_translate(op, 1, L, 2), site_operator(sigma, x + 1, L))
+        assert np.array_equal(_translate(op, -1, L, 2), site_operator(sigma, x - 1, L))
+    # the odd layer is the even one moved by a site, either way round
+    even, odd = layer_unitaries(ChainSpec(gate=REF_GATES["kak"], L=L))
+    for shift in (1, -1):
+        assert np.abs(_translate(even, shift, L, 2) - odd).max() < REF_TOL
+
+
+def test_chain_values_match_dense_traces_at_every_cell():
+    # both chains, x < 0, and odd t, where the chain's operator sits at s = 2
+    # while sigma_alpha was asked for at site 0
+    L = 8
+    spec = ChainSpec(gate=REF_GATES["du"], L=L)
+    circs = [_dense_evolution(gate_matrix(spec.gate), L, t) for t in range(L // 2)]
+    a, b = _random_operator(2, 14), _random_operator(2, 15)
+    for kind, x, t in _memo_grid(L):
+        circ = circs[t]
+        if kind == "otoc":
+            anchor = (t + 1) % 2 if x >= 0 else t % 2
+            A = circ.conj().T @ site_operator(a, anchor, L) @ circ
+            AB = A @ site_operator(b, anchor + x, L)
+            want = np.trace(AB @ AB) / 2**L
+        else:
+            A = circ.conj().T @ site_operator(a, x, L) @ circ
+            want = np.trace(A @ site_operator(b, 0, L)) / 2**L
+        got = complex(_memo_value(spec, a, b, (kind, x, t)))
+        assert got == pytest.approx(want, abs=REF_TOL), (kind, x, t)
+
+
+def test_chain_requests_in_any_order_equal_a_fresh_spec():
+    gate = REF_GATES["kak"]
+    a, b = _random_operator(2, 16), _random_operator(2, 17)
+    cells = _memo_grid(8)  # both chains at every t, x < 0 included
+    want = {cell: _memo_value(ChainSpec(gate=gate, L=8), a, b, cell) for cell in cells}
+    shuffled = [cells[i] for i in np.random.default_rng(18).permutation(len(cells))]
+    for order in (cells, cells[::-1], shuffled):
+        spec = ChainSpec(gate=gate, L=8)
+        for cell in order:
+            assert _memo_value(spec, a, b, cell) == want[cell], cell
+
+
+def test_chain_request_below_the_remembered_t_restarts(conjugations):
+    gate = REF_GATES["kak"]
+    a, b = _random_operator(2, 19), _random_operator(2, 20)
+    want = oracle_otoc(ChainSpec(gate=gate, L=8), a, b, 1, 2)
+    spec = ChainSpec(gate=gate, L=8)
+    oracle_otoc(spec, a, b, 1, 3)
+    conjugations.clear()
+    assert oracle_otoc(spec, a, b, 1, 2) == want
+    assert conjugations == ["even"] * 2  # two steps from t = 0
+    oracle_otoc(spec, a, b, 0, 3)
+    assert conjugations == ["even"] * 3  # and one on to t = 3
+
+
+def test_oracle_sweep_grid_steps_each_chain_once(conjugations):
+    """The oracle cells of the bench's oracle_sweep, at L = 8: the OTOC grid
+    0 <= x <= t <= tmax runs chain 1 up to tmax, then the correlator at
+    x = t runs chain 0 up to tmax, one step per t."""
+    L, tmax = 8, 3
+    spec = ChainSpec(gate=REF_GATES["kak"], L=L)
+    a, b = _random_operator(2, 21), _random_operator(2, 22)
+    for t in range(tmax + 1):
+        for x in range(t + 1):
+            oracle_otoc(spec, a, b, x, t)
+    for t in range(tmax + 1):
+        oracle_correlator(spec, a, t, b, t)
+    # the unitarity check's two, then 2 * tmax steps
+    assert conjugations == ["even", "odd"] + ["even"] * (2 * tmax)
