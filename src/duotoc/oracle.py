@@ -53,15 +53,28 @@ x < 0 at t mod 2) so that the causal edge site x = +-t is realized for every
 t; beta sits x sites to its right.  Every OTOC with x >= 0 therefore runs
 chain 1, and every OTOC with x < 0 chain 0.  The correlator needs no anchor
 shift: sigma_alpha(x, t) with sigma_beta at site 0 realizes the x = +t edge
-for all t (the leftward edge of this lattice is x = -(t-1)).  It reads the
-trace from the diagonal blocks of sigma_alpha(x, t) alone.
+for all t (the leftward edge of this lattice is x = -(t-1)).
+
+Traces
+------
+The correlator reads its trace from the diagonal blocks of sigma_alpha(x, t)
+alone.  The OTOC uses tr(ABAB) = tr(X X) with X = BA: sigma_beta acts on
+site y's row axis in one product whose contiguous inner run is at least one
+row (q^L entries) at every y, and tr(X X) = sum_ij X_ij X_ji comes from one
+batched product of X's row slabs of b rows with its column slabs of b
+columns, whose b x b results hold the sum on their diagonals.  b = q^3
+divides q^L because L >= 4, X is read twice with full cache lines, and no
+matrix-sized temporary is formed besides X.  Both traces are exact for any
+sigma and q.
 
 Per-chain memo
 --------------
-Both layers are checked for unitarity, with their product Lambda^dag Lambda
-formed the same way, once per chain and gate: each ``ChainSpec`` remembers
-the bytes of the gates whose layers passed, so a gate changed in place is
-checked again and a failing gate raises on every call.  ``oracle_otoc`` and
+The even layer is checked for unitarity, with its product Lambda^dag Lambda
+formed the same way, once per chain and gate; the odd layer is its exact
+translate, so it needs no check of its own.  Each ``ChainSpec`` remembers
+the bytes of the gates whose layer passed, under a lock, so threads that
+share a spec check a gate once; a gate changed in place is checked again
+and a failing gate raises on every call.  ``oracle_otoc`` and
 ``oracle_correlator`` also keep one chain state per spec: the key (gate
 bytes, sigma_alpha, c), the time t and a read-only matrix, which serves every
 x at that t.  A request at the same t is a hit, a later t on the same chain
@@ -76,6 +89,7 @@ duplicate work but always read a consistent entry.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +116,8 @@ class _ChainMemo:
     """What a chain remembers between oracle calls (see the module docstring)."""
 
     def __init__(self):
-        self.passed = set()  # bytes of the gates whose layers are unitary
+        self.lock = threading.Lock()  # guards the check-then-record of passed
+        self.passed = set()  # bytes of the gates whose even layer is unitary
         self.evolved = None  # (key, t, read-only matrix): the one chain state
 
 
@@ -163,20 +178,21 @@ def _conjugate_layer(mat: np.ndarray, gate: np.ndarray, parity: str, L: int, q: 
 
 
 def _checked_gate(spec: ChainSpec) -> np.ndarray:
-    """The circuit gate, once both of its layers have passed the unitarity
-    check max |Lambda^dag Lambda - 1| < TOL_UNITARY.  The check runs once per
-    chain and gate bytes; a failure is never remembered, so it raises on every
-    call."""
+    """The circuit gate, once its even layer has passed the unitarity check
+    max |Lambda^dag Lambda - 1| < TOL_UNITARY; the odd layer is the even one
+    translated by a site, an exact permutation.  The check runs once per
+    chain and gate bytes, even for threads that share the chain; a failure is
+    never remembered, so it raises on every call."""
     U = gate_matrix(spec.gate)
     key = U.tobytes()
-    if key in spec._memo.passed:
-        return U
-    eye = np.eye(spec.q**spec.L, dtype=complex)
-    for parity in ("even", "odd"):
-        product = _conjugate_layer(eye, U, parity, spec.L, spec.q)
-        if not np.max(np.abs(product - eye)) < TOL_UNITARY:
-            raise ValueError(f"{parity} layer is not unitary within {TOL_UNITARY}")
-    spec._memo.passed.add(key)
+    memo = spec._memo
+    with memo.lock:
+        if key not in memo.passed:
+            eye = np.eye(spec.q**spec.L, dtype=complex)
+            product = _conjugate_layer(eye, U, "even", spec.L, spec.q)
+            if not np.max(np.abs(product - eye)) < TOL_UNITARY:
+                raise ValueError(f"layer is not unitary within {TOL_UNITARY}")
+            memo.passed.add(key)
     return U
 
 
@@ -257,13 +273,6 @@ def _chain_operator(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):
     return A, chain + t % 2
 
 
-def _times_site_operator(mat: np.ndarray, sigma: np.ndarray, x: int, L: int, q: int) -> np.ndarray:
-    """mat @ site_operator(sigma, x, L, q), contracting only site x's column axis."""
-    x %= L
-    cols = mat.reshape(-1, q, q ** (L - x - 1))
-    return np.matmul(np.asarray(sigma, dtype=complex).T, cols).reshape(mat.shape)
-
-
 def _trace_times_site_operator(mat: np.ndarray, sigma: np.ndarray, y: int, L: int, q: int):
     """tr(mat @ site_operator(sigma, y, L, q)) from the diagonal blocks of mat:
     the partial trace over every site but y, each of its q x q entries a
@@ -302,9 +311,13 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     L, q = spec.L, spec.q
     anchor = (t + 1) % 2 if x >= 0 else t % 2
     A, site = _chain_operator(spec, sigma_alpha, anchor, t)
-    AB = _times_site_operator(A, sigma_beta, site + x, L, q)
-    # tr(M M) = sum_ij M_ij M_ji
-    val = complex(np.sum(AB * AB.T) / q**L)
+    n, y, b = q**L, (site + x) % L, q**3
+    # X = BA, and tr(ABAB) = tr(X X)
+    X = np.matmul(np.asarray(sigma_beta, dtype=complex),
+                  A.reshape(q**y, q, -1)).reshape(n, n)
+    # rows kb..kb+b-1 times columns kb..kb+b-1: the diagonals sum to tr(X X)
+    slabs = np.matmul(X.reshape(n // b, b, n), X.reshape(n, n // b, b).transpose(1, 0, 2))
+    val = complex(np.trace(slabs, axis1=1, axis2=2).sum() / n)
     if abs(val.imag) > _IMAG_TOL:
         return val
     return val.real

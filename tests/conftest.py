@@ -66,8 +66,8 @@ def applies(monkeypatch):
 @pytest.fixture
 def conjugations(monkeypatch):
     """The layer parity of every oracle layer conjugation that follows, in
-    call order: the unitarity check makes one of each parity per chain and
-    gate, every evolution step one even."""
+    call order: the unitarity check makes one even per chain and gate, every
+    evolution step one even."""
     parities = []
     conjugate = oracle._conjugate_layer
 

@@ -1,6 +1,7 @@
 """Brute-force chain simulator: exactness at small sizes, budgets, sampling."""
 
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,6 +222,27 @@ def test_oracle_values_match_dense_traces(x, t):
         np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
 
 
+@pytest.mark.parametrize("L,q", [(4, 2), (6, 2), (8, 2), (4, 3)])
+def test_otoc_trace_matches_dense_at_every_beta_site(L, q):
+    # sigma_beta at every site y = s + x of the chain, x < 0 wrapping round;
+    # the qutrit chain's 81 rows are divided by no power of 2
+    U = gate_matrix(REF_GATES["kak"]) if q == 2 else haar_sample(q * q, 23)
+    spec = ChainSpec(gate=U, L=L, q=q)
+    a, b = _random_operator(q, 24), _random_operator(q, 25)
+    sites = set()
+    for t in range(L // 2):
+        circ = _dense_evolution(U, L, t, q)
+        for x in range(-t, t + 1):
+            anchor = (t + 1) % 2 if x >= 0 else t % 2
+            A = circ.conj().T @ site_operator(a, anchor, L, q) @ circ
+            AB = A @ site_operator(b, anchor + x, L, q)
+            assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
+                np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
+            # the chain c = (anchor - t) mod 2 holds the operator at c + t % 2
+            sites.add(((anchor - t) % 2 + t % 2 + x) % L)
+    assert sites == set(range(L))
+
+
 @pytest.mark.parametrize("call", ["otoc", "correlator"])
 def test_non_unitary_gate_rejected(call):
     spec = ChainSpec(gate=1.001 * gate_matrix(random_kak(5)), L=6)
@@ -343,6 +365,28 @@ def test_memo_threads_sharing_a_spec_give_serial_values():
         sys.setswitchinterval(interval)
 
 
+def test_memo_threads_check_a_fresh_spec_once(conjugations):
+    # at t = 0 no step runs, so the one conjugation is the unitarity check's;
+    # four threads on the shared spec start together
+    spec = ChainSpec(gate=REF_GATES["kak"], L=8)
+    a, b = _random_operator(2, 26), _random_operator(2, 27)
+    start = threading.Barrier(4, timeout=60)
+
+    def call(_):
+        start.wait()
+        return oracle_otoc(spec, a, b, 0, 0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = list(pool.map(call, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert conjugations == ["even"]
+    assert values == [oracle_otoc(ChainSpec(gate=REF_GATES["kak"], L=8), a, b, 0, 0)] * 4
+
+
 def test_memo_evolve_heisenberg_returns_an_owned_copy():
     spec = ChainSpec(gate=REF_GATES["kak"], L=8)
     a, b = _random_operator(2, 7), _random_operator(2, 8)
@@ -435,5 +479,5 @@ def test_oracle_sweep_grid_steps_each_chain_once(conjugations):
             oracle_otoc(spec, a, b, x, t)
     for t in range(tmax + 1):
         oracle_correlator(spec, a, t, b, t)
-    # the unitarity check's two, then 2 * tmax steps
-    assert conjugations == ["even", "odd"] + ["even"] * (2 * tmax)
+    # the unitarity check's one, then 2 * tmax steps
+    assert conjugations == ["even"] + ["even"] * (2 * tmax)
