@@ -50,7 +50,10 @@ per depth, with the left vector while a parity is unsettled.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -70,6 +73,13 @@ CESARO_WINDOW = 64
 STOP_WINDOW = 6
 TOL_STOP = 1e-10
 BLOCK_FLOATS = 2 ** 16
+
+# the column kernel's helper threads and its count of running applies, which
+# are shared by every kernel in the process (see _PauliColumnKernel)
+_CORES = os.cpu_count() or 1
+_HELPERS = ThreadPoolExecutor(_CORES - 1, "duotoc-column") if _CORES > 1 else None
+_RUNNING_LOCK = threading.Lock()
+_running = 0  # applies in progress, on any thread
 
 
 def parity_tag(x: int, t: int) -> str:
@@ -218,8 +228,29 @@ class _PauliColumnKernel:
 
     K follows from the sizes alone: the smallest K <= 2n - 2 whose block is
     at most BLOCK_FLOATS floats, i.e. K = 0 at n <= 3, 1 at n = 4 and 3 at
-    n = 5.  The buffers are the middle array, the output and the two scratch
-    blocks, one allocation of about 41 MB at n = 5.
+    n = 5.
+
+    The blocks are independent, so an apply runs on up to min(cores, d^K)
+    workers: the calling thread and helpers from the module's pool of
+    cores - 1 threads.  The pieces are the d^K blocks, then the tail GEMM
+    split by columns of the middle array into one range per worker (each
+    range reads its own columns of the middle array, where a split by rows
+    would read all of it in every piece); the workers claim them in that
+    order from one counter, and a tail piece starts once every block is
+    written.  A helper claims a piece only while fewer applies are running,
+    on any thread, than there are cores, so two applies that already fill
+    two cores (the CLI's row pool at n = 5) run on their own threads as
+    before.  The caller cancels the helper tasks that have not started and
+    waits for those that have, so an apply never waits for a busy pool.  A
+    piece runs the same matmul on the same data whichever worker claims it,
+    so the output is bit-identical to a one-worker apply; at n <= 3 (one
+    block) the caller runs the apply alone.  The workers compete with a
+    multi-threaded BLAS for the same cores: pin BLAS to one thread (as the
+    benchmark does) to gain from them.
+
+    The buffers are the middle array, the output and one pair of scratch
+    blocks per worker, one allocation of about 41 MB at n = 5 on one
+    core, plus 1 MB per helper.
 
     ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
     application (default: the identity's), which rebuilds the head and tail
@@ -230,7 +261,8 @@ class _PauliColumnKernel:
     wp[o,u,d,i] -> wp[i,u,d,o].  The caps and the 1/q sit on chain legs, so
     they stay where they are, and (T^T l) . r = l . (T r).
 
-    The buffers make a kernel serve one thread; each otoc_finite call that
+    The buffers make a kernel serve one calling thread at a time (the
+    helpers work inside that thread's apply); each otoc_finite call that
     runs a trajectory builds its own forward kernel and dresses its odd
     boundary with it, each otoc_longtime call that iterates builds its own
     transposed kernel.
@@ -256,27 +288,39 @@ class _PauliColumnKernel:
             wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T)
         self.k = k = _prefix_slots(n, d)
         self._head, self._tail = self._cap_matrices(_IDENTITY_COEFFS)
-        # middle array, output and both scratch blocks in one allocation, so
-        # the small blocks share the large one's huge pages (numpy asks for
-        # them from 4 MB on) instead of faulting in 4 kB pages per kernel
+        # middle array, output and every worker's scratch pair in one
+        # allocation, so the small blocks share the large one's huge pages
+        # (numpy asks for them from 4 MB on) instead of faulting in 4 kB
+        # pages per kernel
+        workers = min(_CORES, d ** k)
         m, o, b = d ** (2 * n + 1), d ** (2 * n), d ** (2 * n + 1 - k)
-        buf = np.empty(m + o + 2 * b)
+        buf = np.empty(m + o + 2 * b * workers)
         self._middle, self._out = buf[:m], buf[m:m + o]
-        self._scratch = scratch = (buf[m + o:m + o + b], buf[m + o + b:])
-        # per block: the head's destination and the (matrix, source,
-        # destination) of each middle step; the head writes scratch[0], the
-        # steps alternate between the two, and the last writes the block
+        self._scratch = buf[m + o:].reshape(workers, 2, b)
+        # per worker and block: the head's destination and the (matrix,
+        # source, destination) of each middle step; the head writes the
+        # worker's scratch[0], the steps alternate between its two blocks, and
+        # the last writes the block
         self._blocks = []
         slots = range(2 * n - 2, k, -1)
-        for block in self._middle.reshape(d ** k, -1):
-            head_dst = src = scratch[0] if slots else block
-            steps = []
-            for j, s in enumerate(slots):
-                dst = block if s == k + 1 else scratch[1 - j % 2]
-                shape = (d ** (s - 1 - k), d * d, -1)
-                steps.append((self._step_matrix(s), src.reshape(shape), dst.reshape(shape)))
-                src = dst
-            self._blocks.append((head_dst.reshape(-1, d ** 3), steps))
+        for scratch in self._scratch:
+            blocks = []
+            for block in self._middle.reshape(d ** k, -1):
+                head_dst = src = scratch[0] if slots else block
+                steps = []
+                for j, s in enumerate(slots):
+                    dst = block if s == k + 1 else scratch[1 - j % 2]
+                    shape = (d ** (s - 1 - k), d * d, -1)
+                    steps.append((self._step_matrix(s), src.reshape(shape),
+                                  dst.reshape(shape)))
+                    src = dst
+                blocks.append((head_dst.reshape(-1, d ** 3), steps))
+            self._blocks.append(blocks)
+        # the tail GEMM, one piece per worker: (source, destination) column
+        # ranges of the middle array and the output
+        mid, out = self._middle.reshape(d ** (k + 1), -1), self._out.reshape(d ** k, -1)
+        edges = [out.shape[1] * j // workers for j in range(workers + 1)]
+        self._tail_cols = [(mid[:, a:z], out[:, a:z]) for a, z in zip(edges, edges[1:])]
 
     @property
     def dim(self) -> int:
@@ -305,15 +349,61 @@ class _PauliColumnKernel:
         """T u for a real Hermitian-basis vector u, with bottom-cap
         coefficients ``cap`` if given.  The result is a view into the
         kernel's buffers, valid until the next call; u may be that view."""
+        global _running
         d, k = self.d, self.k
         head, tail = (self._head, self._tail) if cap is None else self._cap_matrices(cap)
         rows = u.reshape(d ** k, -1, d * d)
-        for prefix, (head_dst, steps) in enumerate(self._blocks):
-            np.matmul(rows[prefix], head, out=head_dst)
-            for mat, src, dst in steps:
-                np.matmul(mat, src, out=dst)
-        np.matmul(tail, self._middle.reshape(d ** (k + 1), -1),
-                  out=self._out.reshape(d ** k, -1))
+        blocks, pieces = d ** k, d ** k + len(self._tail_cols)
+        lock, blocks_done = threading.Lock(), threading.Event()
+        claimed = finished = 0
+
+        def work(worker: int, helper: bool):
+            """Claim and run pieces until none is left: the blocks first, then
+            the tail's column ranges once every block has been written."""
+            nonlocal claimed, finished
+            try:
+                while not helper or _running < _CORES:
+                    with lock:
+                        piece, claimed = claimed, claimed + 1
+                    if piece >= pieces:
+                        return
+                    if piece < blocks:
+                        head_dst, steps = self._blocks[worker][piece]
+                        np.matmul(rows[piece], head, out=head_dst)
+                        for mat, src, dst in steps:
+                            np.matmul(mat, src, out=dst)
+                        with lock:
+                            finished += 1
+                            if finished == blocks:
+                                blocks_done.set()
+                    else:
+                        blocks_done.wait()
+                        src, dst = self._tail_cols[piece - blocks]
+                        np.matmul(tail, src, out=dst)
+            except BaseException:
+                # (a KeyboardInterrupt in the caller, say) stop the claims and
+                # release any worker waiting for a block this one held; the
+                # caller re-raises a helper's exception from its future
+                with lock:
+                    claimed = pieces
+                blocks_done.set()
+                raise
+
+        with _RUNNING_LOCK:
+            _running += 1
+        try:
+            helpers = [_HELPERS.submit(work, worker, True)
+                       for worker in range(1, len(self._blocks))]
+            try:
+                work(0, False)
+            finally:
+                # a helper that has started finishes the piece it holds
+                for future in helpers:
+                    if not future.cancel():
+                        future.result()
+        finally:
+            with _RUNNING_LOCK:
+                _running -= 1
         return self._out
 
 
@@ -506,12 +596,17 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     checks run first, so a call raises whether or not it would be served
     from memory.  Scanning a diagonal from its farthest cell serves the rest
     of it from memory.
+
+    ``meta["applications"]`` counts the kernel applications the call made:
+    n_+ plus one for the gate-dressed odd boundary, 0 when the remembered
+    trajectory served it or the cell lies outside the light cone.
     """
     _require_qubits(q)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
-        return OtocResult(x, t, parity_tag(x, t), 1.0, "finite_transfer")
+        return OtocResult(x, t, parity_tag(x, t), 1.0, "finite_transfer",
+                          meta={"applications": 0})
     if x < 0:
         swap = swap_gate(2)
         mirrored = otoc_finite(swap @ gate_matrix(gate) @ swap,
@@ -524,7 +619,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     slot = (n, parity)
     remembered = _TRAJECTORIES.get(slot)
     if remembered is not None and remembered[0] == key and applications < len(remembered[1]):
-        overlaps = remembered[1]
+        overlaps, made = remembered[1], 0
     else:
         left = boundary_left(sigma_alpha, n).vec
         kern = _PauliColumnKernel(gate, n)
@@ -535,7 +630,9 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
             overlaps.append(float(np.dot(left, v)))
         overlaps = tuple(overlaps)
         _TRAJECTORIES[slot] = (key, overlaps)
-    return OtocResult(x, t, parity, overlaps[applications], "finite_transfer", n=n)
+        made = applications + (parity == "odd")
+    return OtocResult(x, t, parity, overlaps[applications], "finite_transfer", n=n,
+                      meta={"applications": made})
 
 
 def _aitken(s0: float, s1: float, s2: float):

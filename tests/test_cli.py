@@ -114,15 +114,26 @@ def test_longtime_metadata_and_strict(tmp_path):
         assert row["oracle"] == ""
 
 
-def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies):
+def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
+                                                            monkeypatch):
     """fig5: the t = tmax row runs one trajectory per diagonal (80 column
     applications, 12 of them at n = 5, where every cell on its own takes
     340 and 26); the other rows are served from memory, with the values of
-    cells computed one by one."""
+    cells computed one by one.  The calls' ``meta["applications"]`` add up
+    to the applications made."""
+    results = []
+
+    def recorded(*args):
+        results.append(otoc_finite(*args))
+        return results[-1]
+
+    monkeypatch.setattr("duotoc.cli.otoc_finite", recorded)
     out = tmp_path / "fig5.csv"
     assert main(["otoc", "--preset", "fig5", "--method", "all", "--out", str(out)]) == 0
     assert len(applies) == 80
     assert applies.count(5) == 12
+    assert sum(res.meta["applications"] for res in results) == 80
+    assert sum(res.meta["applications"] > 0 for res in results) == 10
     cfg = resolve_config(argparse.Namespace(preset="fig5"))
     gate = build_gate(cfg)
     a_op, b_op = operator_from_coeffs(cfg.alpha), operator_from_coeffs(cfg.beta)

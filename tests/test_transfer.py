@@ -4,13 +4,15 @@ slot-reversal symmetry, mirrors, the finite-time and long-time trajectory
 memos, the long-time stop rule."""
 
 import sys
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from duotoc import transfer
 from duotoc.cli import operator_from_coeffs
 from duotoc.closed_forms import kim_longtime
 from duotoc.eigenbases import SlotState, all_identity_state
@@ -214,6 +216,8 @@ def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
     gate = random_kak(1)
     for transpose in (False, True):
         kern = _PauliColumnKernel(gate, n, transpose=transpose)
+        # one scratch pair per worker: the caller and each helper
+        assert len(kern._scratch) == min(transfer._CORES, 4 ** kern.k)
         for buf in (kern._middle, kern._out, *kern._scratch):
             buf.fill(np.nan)
         u = np.random.default_rng(10 + n).standard_normal(kern.dim)
@@ -223,6 +227,166 @@ def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
             want = _stepwise_apply(kern, want, _IDENTITY_COEFFS)
             v = kern.apply(v)  # reads the buffer it is about to overwrite
             _assert_close(v, want)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The kernel's helper pool; on a one-core machine a one-thread pool
+    stands in for it, so that kernels built in the test have two workers."""
+    if transfer._HELPERS is not None:
+        yield transfer._HELPERS
+        return
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(transfer, "_CORES", 2)
+        monkeypatch.setattr(transfer, "_HELPERS", pool)
+        yield pool
+
+
+class _InlinePool:
+    """A helper pool that runs each task to its end inside ``submit``, so
+    the first helper claims every piece it may before the caller claims
+    any."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_running_or_notify_cancel()
+        future.set_result(fn(*args))
+        return future
+
+
+def _one_worker_kernel(monkeypatch, gate, n, transpose=False):
+    """The kernel as built on a one-core machine: one scratch pair, one tail
+    piece, no helpers."""
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_CORES", 1)
+        kern = _PauliColumnKernel(gate, n, transpose=transpose)
+    assert len(kern._scratch) == 1
+    return kern
+
+
+def _chain(kern, u, cap, times=3):
+    out, v = [], u
+    for _ in range(times):
+        v = kern.apply(v, cap=cap)
+        out.append(v.copy())
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_shared_apply_is_bit_identical_to_one_worker(n, helpers, monkeypatch):
+    """Caller and helpers in whatever interleaving the pool gives, and a
+    helper that takes every piece, produce the one-worker apply bit for bit:
+    forward and transposed, identity and sigma_beta caps, chained on the
+    kernel's own output."""
+    gate = random_kak(1)
+    rng = np.random.default_rng(40 + n)
+    u = rng.standard_normal(4 ** (2 * n))
+    caps = (None, rng.standard_normal(4))
+    for transpose in (False, True):
+        alone = _one_worker_kernel(monkeypatch, gate, n, transpose)
+        want = [_chain(alone, u, cap) for cap in caps]
+        del alone
+        kern = _PauliColumnKernel(gate, n, transpose=transpose)
+        assert len(kern._scratch) >= 2
+        for _ in range(3):  # the real pool: any split between the workers
+            for cap, chain in zip(caps, want):
+                assert all(np.array_equal(got, w) for got, w in
+                           zip(_chain(kern, u, cap), chain)), (transpose, cap)
+        with monkeypatch.context() as m:
+            m.setattr(transfer, "_HELPERS", _InlinePool())
+            for cap, chain in zip(caps, want):
+                kern._scratch.fill(np.nan)
+                got = _chain(kern, u, cap)
+                # the first helper ran every block in its own scratch pair
+                assert np.isnan(kern._scratch[0]).all()
+                assert not np.isnan(kern._scratch[1]).any()
+                assert all(np.array_equal(g, w) for g, w in zip(got, chain)), (transpose, cap)
+
+
+def test_helpers_take_no_piece_while_the_cores_are_busy(helpers, monkeypatch):
+    """With as many applies running as there are cores, counting this one, a
+    helper returns without a piece: its scratch pair keeps its NaNs and the
+    caller's output is the one-worker apply's."""
+    gate = random_kak(1)
+    u = np.random.default_rng(50).standard_normal(4 ** 10)
+    want = _one_worker_kernel(monkeypatch, gate, 5).apply(u).copy()
+    kern = _PauliColumnKernel(gate, 5)
+    kern._scratch.fill(np.nan)
+    monkeypatch.setattr(transfer, "_HELPERS", _InlinePool())
+    monkeypatch.setattr(transfer, "_running", transfer._CORES - 1)
+    got = kern.apply(u)
+    assert transfer._running == transfer._CORES - 1
+    assert np.isnan(kern._scratch[1:]).all()
+    assert np.array_equal(got, want)
+
+
+def _in_threads(*jobs, timeout=120):
+    """Run each job in its own daemon thread, started together, and return
+    their results; a job that has not finished within the timeout fails the
+    test instead of hanging it."""
+    results, barrier = {}, threading.Barrier(len(jobs))
+
+    def run(i, job):
+        barrier.wait(timeout)
+        results[i] = job()
+
+    threads = [threading.Thread(target=run, args=(i, job), daemon=True)
+               for i, job in enumerate(jobs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads), "an apply did not finish"
+    return [results[i] for i in range(len(jobs))]
+
+
+def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
+    """Every helper thread is blocked on an event: an n = 5 apply cancels its
+    queued helper tasks, runs every piece on its caller and returns the
+    one-worker apply's bits."""
+    gate = build_kim(h1=0.4, h2=0.6)
+    u = np.random.default_rng(51).standard_normal(4 ** 10)
+    want = _chain(_one_worker_kernel(monkeypatch, gate, 5, True), u, None, 2)
+    kern = _PauliColumnKernel(gate, 5, transpose=True)
+    started, release = threading.Semaphore(0), threading.Event()
+
+    def block():
+        started.release()
+        release.wait(120)  # frees the pool if the test fails
+
+    blockers = [helpers.submit(block) for _ in range(transfer._CORES - 1)]
+    try:
+        for _ in blockers:
+            assert started.acquire(timeout=60)
+        [got] = _in_threads(lambda: _chain(kern, u, None, 2))
+    finally:
+        release.set()
+    for future in blockers:
+        future.result(timeout=60)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n,threads", [(5, 2), (4, 6)])
+def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatch):
+    """Threads chain applies of their own kernels at the same time and get
+    the bits of serial one-worker chains: two at n = 5 (the finite_scan
+    pattern), and more threads than cores at n = 4 with a 1 us switch
+    interval; afterwards no apply counts as running."""
+    gates = [random_kak(seed) for seed in range(threads)]
+    starts = np.random.default_rng(52).standard_normal((threads, 4 ** (2 * n)))
+    want = [_chain(_one_worker_kernel(monkeypatch, g, n), u, None)
+            for g, u in zip(gates, starts)]
+    kernels = [_PauliColumnKernel(g, n) for g in gates]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _in_threads(*(lambda k=k, u=u: _chain(k, u, None)
+                            for k, u in zip(kernels, starts)))
+    finally:
+        sys.setswitchinterval(interval)
+    for chains, wants in zip(got, want):
+        assert all(np.array_equal(g, w) for g, w in zip(chains, wants))
+    assert transfer._running == 0
 
 
 def _complex_left(sigma_alpha, n):
@@ -427,6 +591,22 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(applies, k):
     assert applies == []
     assert hits[-1] == far
     assert hits == [_fresh(gate, ALPHA_I, BETA_I, x, t) for x, t in cells]
+
+
+def test_finite_meta_counts_the_applications_made(applies):
+    """meta["applications"]: n_+ kernel applications, plus one for a
+    gate-dressed odd boundary, and 0 for a cell served from memory or
+    outside the light cone; a mirrored cell reports its mirror image's."""
+    gate = random_kak(1)
+    cells = {(1, 6): 4,    # n = 3, odd: 3 applications and the dressing
+             (0, 5): 0,    # the same diagonal, served from memory
+             (2, 6): 4,    # n = 3, even
+             (5, 3): 0,    # outside the light cone
+             (-1, 4): 3}   # the mirrored gate's (1, 4): n = 2, odd
+    for (x, t), made in cells.items():
+        del applies[:]
+        res = otoc_finite(gate, ALPHA, BETA, x, t)
+        assert res.meta["applications"] == len(applies) == made, (x, t)
 
 
 def test_memo_does_not_bypass_argument_checks(monkeypatch, applies):
