@@ -16,7 +16,6 @@ from .opalg import (
     op_to_vec,
     vec_to_op,
     normalize_coeffs,
-    fold,
     dual,
     swap_gate,
 )
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OperatorBasis", "pauli_basis", "op_to_vec", "vec_to_op",
-    "normalize_coeffs", "fold", "dual", "swap_gate",
+    "normalize_coeffs", "dual", "swap_gate",
     "Gate", "KakParams", "KimParams", "XyParams", "gate_matrix",
     "build_kak", "build_kim", "build_xy", "random_kak",
     "random_dual_unitary", "is_dual_unitary",

@@ -280,31 +280,33 @@ def _scan_rows(fn, tmax: int) -> list:
     return _map_rows(fn, near) + far_rows
 
 
+def _json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write(cfg: RunConfig, payload: str):
+    """Write ``payload`` to --out, or to stdout without it."""
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def _emit(cfg: RunConfig, fieldnames: list, rows: list,
           strict_tol: float = STRICT_TOL) -> int:
     """Write CSV (+ config sidecar) or a single JSON document; then apply
     --strict to the delta column."""
     if cfg.format == "json":
-        doc = {"config": cfg.to_json_dict(), "rows": rows}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(cfg, _json({"config": cfg.to_json_dict(), "rows": rows}))
     else:
         lines = [",".join(fieldnames)]
         for row in rows:
             lines.append(",".join(_fmt(row.get(name)) for name in fieldnames))
-        payload = "\n".join(lines) + "\n"
+        _write(cfg, "\n".join(lines) + "\n")
         if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(payload)
             with open(cfg.out + ".json", "w") as fh:
-                json.dump(cfg.to_json_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        else:
-            sys.stdout.write(payload)
+                fh.write(_json(cfg.to_json_dict()))
     if cfg.strict:
         worst = max((row["delta"] for row in rows
                      if row.get("delta") is not None), default=0.0)
@@ -338,12 +340,7 @@ def cmd_classify(args) -> int:
         "maximal_velocity": n_unit > 1,
     }
     if cfg.format == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(cfg, _json(report))
         return 0
     def _eig_line(rep):
         return ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in rep.eigenvalues)
@@ -487,15 +484,9 @@ def cmd_spectrum(args) -> int:
     plus = channel_spectrum(channel_plus(gate))
     minus = channel_spectrum(channel_minus(gate))
     if cfg.format == "json":
-        doc = {"config": cfg.to_json_dict(),
-               "channel_plus": plus.to_json_dict(),
-               "channel_minus": minus.to_json_dict()}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(cfg, _json({"config": cfg.to_json_dict(),
+                           "channel_plus": plus.to_json_dict(),
+                           "channel_minus": minus.to_json_dict()}))
         return 0
     rows = []
     for name, rep in (("plus", plus), ("minus", minus)):

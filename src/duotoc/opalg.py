@@ -1,4 +1,4 @@
-"""Operator algebra substrate: bases, vectorization, folding, dual gates.
+"""Operator algebra substrate: bases, vectorization, dual gates.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -16,7 +16,7 @@ as "unitary" or "an eigenvalue equal to one".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,10 @@ __all__ = [
     "TOL_EIG",
     "TOL_BASIS",
     "OperatorBasis",
-    "FoldedGate",
     "pauli_basis",
     "op_to_vec",
     "vec_to_op",
     "normalize_coeffs",
-    "fold",
     "dual",
     "swap_gate",
     "assert_unitary",
@@ -139,30 +137,6 @@ def is_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> bool:
 def assert_unitary(U: np.ndarray, tol: float = TOL_UNITARY, name: str = "gate"):
     if not is_unitary(U, tol):
         raise ValueError(f"{name} is not unitary within {tol}")
-
-
-@dataclass(frozen=True)
-class FoldedGate:
-    """Folded representation of a two-site gate.
-
-    ``w_plus @ vec(X) == vec(U X U^dag)`` and ``w_minus @ vec(X) == vec(U^dag X U)``
-    under row-major vectorization; ``w_minus`` is the adjoint of ``w_plus``.
-    """
-
-    q: int
-    w_plus: np.ndarray
-    w_minus: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.w_minus is None:
-            object.__setattr__(self, "w_minus", self.w_plus.conj().T)
-
-
-def fold(U: np.ndarray, q: int = 2) -> FoldedGate:
-    """Fold a two-site unitary into its doubled-space representation U kron U*."""
-    U = np.asarray(U, dtype=complex)
-    assert_unitary(U)
-    return FoldedGate(q=q, w_plus=np.kron(U, U.conj()))
 
 
 def dual(U: np.ndarray, q: int = 2) -> np.ndarray:

@@ -101,8 +101,6 @@ __all__ = [
     "ChainSpec",
     "EvolvedOperator",
     "site_operator",
-    "layer_unitaries",
-    "evolution_operator",
     "evolve_heisenberg",
     "oracle_correlator",
     "oracle_otoc",
@@ -194,28 +192,6 @@ def _checked_gate(spec: ChainSpec) -> np.ndarray:
                 raise ValueError(f"layer is not unitary within {TOL_UNITARY}")
             memo.passed.add(key)
     return U
-
-
-def _parity(k: int) -> str:
-    """Parity of layer k (1-based): the even layer comes first."""
-    return "even" if k % 2 else "odd"
-
-
-def layer_unitaries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The even-bond and odd-bond layer unitaries (full-period = odd @ even)."""
-    U = _checked_gate(spec)
-    eye = np.eye(spec.q**spec.L, dtype=complex)
-    return tuple(_apply_layer_t(eye, U, parity, spec.L, spec.q).T
-                 for parity in ("even", "odd"))
-
-
-def evolution_operator(spec: ChainSpec, t: int) -> np.ndarray:
-    """U(t) = L_t ... L_1 with the even layer first."""
-    U = _checked_gate(spec)
-    out = np.eye(spec.q**spec.L, dtype=complex)
-    for k in range(1, t + 1):
-        out = _apply_layer_t(out, U, _parity(k), spec.L, spec.q).T
-    return out
 
 
 def _translate(mat: np.ndarray, shift: int, L: int, q: int) -> np.ndarray:

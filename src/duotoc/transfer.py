@@ -18,23 +18,24 @@ of gates runs from a bottom cap to a shared top cap:
 The normalized transfer matrix is the raw contraction divided by q (each
 bundle passes the folded identity through losslessly, so only the top cap
 contributes a scalar); it then satisfies T|R_n) = |R_n) and (L_n|T = (L_n| for
-every unitary gate, with the fixed points defined in the eigenbases module
-conventions.  All overlaps are bilinear (no conjugation), so the left identity
-reads T.T @ L = L.
+every unitary gate, with the fixed points the boundaries of the identity
+(``fixed_right``, ``fixed_left``).  All overlaps are bilinear (no
+conjugation), so the left identity reads T.T @ L = L.
 
-Two bases carry the column.  The dense ``build_transfer`` materializes it in
-the computational folded basis (slot index u*q + ubar) of the eigenbases
-module, where ``fixed_right`` and ``fixed_left`` live too; it is the
-independent reference.  Everything that applies the column -- the boundary
-vectors, ``otoc_finite`` and ``otoc_longtime`` -- works in the orthonormal
-Hermitian leg basis {sigma_mu / sqrt(2)} on every slot (see
-_PauliColumnKernel), where all numbers are real.  ``BoundaryVector.vec``
-holds that basis: a right boundary as the coefficients Q^T v of its complex
-vector v, a left boundary as Q^dagger l, slot by slot, with Q the unitary
-whose columns are vec(sigma_mu)/sqrt(2).  Their plain dot product equals the
-bilinear overlap of the complex vectors.  The Hermitian basis exists for
-q = 2 only, so the applying side rejects other q, and it rejects
-non-Hermitian insertions, whose coefficients would not be real.
+One basis carries the column: the orthonormal Hermitian leg basis
+{sigma_mu / sqrt(2)} on every slot (see _PauliColumnKernel), where all
+numbers are real.  The boundary vectors, ``otoc_finite``, ``otoc_longtime``
+and the dense ``build_transfer`` all work in it.  Let Q be the unitary whose
+columns are vec(sigma_mu)/sqrt(2), in the complex computational folded basis
+(slot index u*q + ubar).  ``BoundaryVector.vec`` holds a right boundary as
+the coefficients Q^T v of its complex vector v and a left boundary as
+Q^dagger l, slot by slot; their plain dot product equals the bilinear
+overlap of the complex vectors.  ``TransferMatrix.mat`` is the complex-basis
+matrix T in the same basis, Q^T T conj(Q) slot by slot, so it carries the
+right coefficients and its transpose the left ones.  The Hermitian basis
+exists for q = 2 only, so every entry point rejects a gate that is not 4 x 4
+or an insertion that is not 2 x 2, and it rejects non-Hermitian insertions,
+whose coefficients would not be real.
 
 Finite-time values share work along a diagonal of the light-cone lattice:
 cells with the same t - x differ only in the number of applications, so
@@ -59,7 +60,6 @@ from functools import reduce
 
 import numpy as np
 
-from .eigenbases import SlotState, all_identity_state
 from .gates import gate_matrix
 from .opalg import pauli_basis, swap_gate
 
@@ -86,46 +86,18 @@ def parity_tag(x: int, t: int) -> str:
     return "even" if (t - x) % 2 == 0 else "odd"
 
 
-def _bundle_tensor(u: np.ndarray, q: int) -> np.ndarray:
-    u4 = np.asarray(u, dtype=complex).reshape(q, q, q, q)
-    w = np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj())
-    d = q * q
-    return w.reshape(d, d, d, d)
-
-
-def _inter_cap(q: int) -> np.ndarray:
-    eye = np.eye(q)
-    return np.einsum("ad,bc->abcd", eye, eye).reshape(q * q, q * q)
-
-
-def _sheet_mpo(w, n, cap, reverse):
-    """Per-sheet chain of n bundles with the bottom cap absorbed; returns
-    s[chain_top, out_slots, in_slots], each slot group flattened row-major
-    over d-dimensional bundle legs in column slot order.  Without ``reverse``
-    bundle 1 is the slowest leg and bundle n the fastest (sheet one, slots
-    1..n); with it bundle n is the slowest and bundle 1 the fastest (sheet
-    two, slots n+1..2n)."""
-    d = w.shape[0]
-    s = np.einsum("okyi,y->koi", w, cap)
-    for _ in range(n - 1):
-        if reverse:
-            s = np.einsum("okyi,yAB->koAiB", w, s).reshape(d, s.shape[1] * d, s.shape[2] * d)
-        else:
-            s = np.einsum("okyi,yAB->kAoBi", w, s).reshape(d, s.shape[1] * d, s.shape[2] * d)
-    return s
+def _bundle_tensor(u: np.ndarray) -> np.ndarray:
+    """W = U (x) U* of a 4 x 4 gate as w[out_slot, chain_up, chain_dn, in_slot]
+    over folded legs (u, ubar) -> u*2 + ubar."""
+    u4 = u.reshape(2, 2, 2, 2)
+    return np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj()).reshape(4, 4, 4, 4)
 
 
 @dataclass
 class TransferMatrix:
     n: int
-    q: int
-    mat: np.ndarray
-    gate: np.ndarray
+    mat: np.ndarray  # real, in the Hermitian leg basis (see the module docstring)
     spectral_radius: float = None
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 @dataclass
@@ -137,10 +109,17 @@ class BoundaryVector:
     op: np.ndarray = None
 
 
-def _require_qubits(q: int):
-    if q != 2:
-        raise ValueError(f"only q = 2 is supported (got q = {q}): the column "
-                         "kernel works in the Pauli basis")
+def _check_qubits(gate, *ops):
+    """Raise unless ``gate`` (if not None) is 4 x 4 and every insertion in
+    ``ops`` is 2 x 2: the column kernel works in the qubit Pauli basis."""
+    shapes = [np.shape(op) for op in ops]
+    want = [(2, 2)] * len(ops)
+    if gate is not None:
+        shapes.append(gate_matrix(gate).shape)
+        want.append((4, 4))
+    if shapes != want:
+        raise ValueError(f"only q = 2 is supported (got shapes {shapes}, need "
+                         f"{want}): the column kernel works in the Pauli basis")
 
 
 def _check_depth(n: int):
@@ -272,7 +251,7 @@ class _PauliColumnKernel:
         _check_depth(n)
         self.n = n
         self.d = d = 4
-        w = _bundle_tensor(gate_matrix(gate), 2)
+        w = _bundle_tensor(gate_matrix(gate))
         wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, _QMAT, _QMAT,
                        _QMAT.conj(), _QMAT.conj())
         if np.abs(wp.imag).max() > 1e-12:
@@ -407,26 +386,21 @@ class _PauliColumnKernel:
         return self._out
 
 
-def fixed_right(n: int, q: int = 2) -> np.ndarray:
-    """|R_n) = q^{-n/2} |o ... o): identity products on all 2n slots, in the
-    computational folded basis of build_transfer."""
-    state = all_identity_state(n, q)
-    return float(q) ** (-n / 2.0) * state.vector()
+def fixed_right(n: int) -> np.ndarray:
+    """|R_n) = 2^{-n/2} |1 ... 1): the even right boundary of the identity."""
+    return boundary_right(np.eye(2), n, "even").vec
 
 
-def fixed_left(n: int, q: int = 2) -> np.ndarray:
-    """(L_n| = q^{-n/2} nested identity pairings tying slots j and 2n+1-j, in
-    the computational folded basis of build_transfer."""
-    eye = np.eye(q)
-    pairs = tuple((j, 2 * n + 1 - j, eye) for j in range(1, n + 1))
-    state = SlotState(n=n, side="left", pairs=pairs, q=q)
-    return float(q) ** (-n / 2.0) * state.vector()
+def fixed_left(n: int) -> np.ndarray:
+    """(L_n| = 2^{-n/2} nested identity pairings tying slots j and 2n+1-j:
+    the left boundary of the identity."""
+    return boundary_left(np.eye(2), n).vec
 
 
-def boundary_left(sigma_alpha, n: int, q: int = 2) -> BoundaryVector:
+def boundary_left(sigma_alpha, n: int) -> BoundaryVector:
     """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
     insertions except the innermost pairing, which carries sigma_alpha."""
-    _require_qubits(q)
+    _check_qubits(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
     identity_pair = np.eye(4)
     for _ in range(n - 1):
@@ -437,7 +411,7 @@ def boundary_left(sigma_alpha, n: int, q: int = 2) -> BoundaryVector:
                           op=np.asarray(sigma_alpha, dtype=complex))
 
 
-def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2,
+def boundary_right(sigma_beta, n: int, parity: str, gate=None,
                    kernel=None) -> BoundaryVector:
     """|R_n(sigma_beta)) for the requested parity of t - x.
 
@@ -448,7 +422,7 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2,
     to make that one application with; for sigma_beta = identity both forms
     reduce to |R_n).
     """
-    _require_qubits(q)
+    _check_qubits(gate, sigma_beta)
     beta = _slot_coeffs(sigma_beta)
     ident = _IDENTITY_COEFFS
     scale = 2.0 ** (-n / 2.0)
@@ -466,21 +440,20 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None, q: int = 2,
                           op=np.asarray(sigma_beta, dtype=complex))
 
 
-def _power_radius_estimate(gate, n: int, iters=200, seed=7):
-    """Power-iteration estimate of the spectral radius of the depth-n column.
+def _power_radius_estimate(kern, iters=200, seed=7):
+    """Power-iteration estimate of the spectral radius of the column that the
+    kernel ``kern`` applies.
 
-    The seed's complex start vector, given in the computational folded basis,
-    is carried into the Hermitian leg basis by Q^T per slot; that map is
-    unitary and the column kernel is the transfer matrix in that basis, so
-    the norms are those of the same iteration on ``build_transfer``'s dense
-    matrix.  The kernel is real, so it applies to the real and imaginary
-    parts separately.
+    The seed's complex start vector is drawn in the complex computational
+    folded basis and carried into the Hermitian leg basis by Q^T per slot.
+    That map is unitary, so the norms are those of the same iteration on the
+    complex-basis transfer matrix.  The kernel is real, so it applies to the
+    real and imaginary parts separately.
     """
-    kern = _PauliColumnKernel(gate, n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(kern.dim) + 1j * rng.standard_normal(kern.dim)
     v /= np.linalg.norm(v)
-    for _ in range(2 * n):
+    for _ in range(2 * kern.n):
         # Q^T on the leading slot, which then moves behind the others
         v = (_QMAT.T @ v.reshape(4, -1)).T.reshape(-1)
     growth = 0.0
@@ -496,34 +469,47 @@ def _power_radius_estimate(gate, n: int, iters=200, seed=7):
     return growth
 
 
-def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
-    """Dense depth-n transfer matrix with fixed-point checks at construction.
+def build_transfer(gate, n: int) -> TransferMatrix:
+    """Dense depth-n transfer matrix in the Hermitian leg basis, with
+    fixed-point and spectral-radius checks at construction.
 
-    Materialization is restricted to q**(4n) <= 4096 (n <= 3 at q = 2); the
-    matrix-free column kernel behind otoc_finite/otoc_longtime serves deeper
-    columns.
+    Column j of ``mat`` is the column kernel applied to the j-th unit vector,
+    written into row j of ``mat.T`` (so ``mat`` is Fortran-ordered).  The
+    column commutes with the slot reversal R, j <-> 2n + 1 - j, which
+    exchanges the two sheets: T e_j = R T e_(R j).  So only the
+    (16^n + 4^n)/2 unit vectors with j <= R j are applied (2,080 of 4,096 at
+    n = 3), and column j > R j is column R j permuted by R.  The checks:
+    ``mat`` fixes ``fixed_right(n)``, ``mat.T`` fixes ``fixed_left(n)``, and
+    the spectral radius is at most 1, from the eigenvalues at n <= 2 and from
+    a power iteration on the kernel at n = 3.  Materialization is restricted
+    to 16^n <= 4096 (n <= 3); the matrix-free kernel behind
+    otoc_finite/otoc_longtime serves deeper columns.
     """
+    _check_qubits(gate)
     if n < 1:
         raise ValueError("need n >= 1")
-    d = q * q
-    dim = d ** (2 * n)
+    dim = 16 ** n
     if n > N_MAX_DENSE:
         raise ValueError(
             f"dense transfer at n={n} (dim {dim}) exceeds the materialization "
             f"budget (n <= {N_MAX_DENSE}); use otoc_finite or otoc_longtime instead"
         )
-    u = gate_matrix(gate)
-    w = _bundle_tensor(u, q)
-    pcap = _inter_cap(q)
-    cap = np.eye(q).astype(complex).reshape(d)
-    s1 = _sheet_mpo(w, n, cap, reverse=False)
-    s2 = _sheet_mpo(w, n, cap, reverse=True)
-    raw = np.einsum("kl,kab,lcd->acbd", pcap, s1, s2, optimize=True)
-    half = d ** n
-    mat = raw.reshape(half * half, half * half) / q
+    kern = _PauliColumnKernel(gate, n)
+    # the slot reversal R as a permutation of the basis
+    rev = np.arange(dim).reshape((4,) * (2 * n)).transpose(range(2 * n - 1, -1, -1)).reshape(-1)
+    mat_t = np.empty((dim, dim))
+    unit = np.zeros(dim)
+    for j, row in enumerate(mat_t):
+        if rev[j] < j:
+            row[:] = mat_t[rev[j], rev]
+            continue
+        unit[j] = 1.0
+        row[:] = kern.apply(unit)
+        unit[j] = 0.0
+    mat = mat_t.T
 
-    rvec = fixed_right(n, q)
-    lvec = fixed_left(n, q)
+    rvec = fixed_right(n)
+    lvec = fixed_left(n)
     if np.linalg.norm(mat @ rvec - rvec) > TOL_FIXED:
         raise AssertionError("transfer construction lost the right fixed point")
     if np.linalg.norm(mat.T @ lvec - lvec) > TOL_FIXED:
@@ -534,10 +520,10 @@ def build_transfer(gate, n: int, q: int = 2) -> TransferMatrix:
         if radius > 1.0 + TOL_RADIUS:
             raise AssertionError(f"transfer spectral radius {radius} exceeds 1")
     else:
-        radius = float(_power_radius_estimate(gate, n))
+        radius = float(_power_radius_estimate(kern))
         if radius > 1.0 + 1e-6:
             raise AssertionError(f"transfer spectral radius estimate {radius} exceeds 1")
-    return TransferMatrix(n=n, q=q, mat=mat, gate=u, spectral_radius=radius)
+    return TransferMatrix(n=n, mat=mat, spectral_radius=radius)
 
 
 @dataclass
@@ -578,7 +564,7 @@ def _memo_key(gate, sigma_alpha, sigma_beta) -> tuple:
 _TRAJECTORIES = {}
 
 
-def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> OtocResult:
+def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     """C(x, t) by n_+ applications of the depth-n_- transfer matrix.
 
     Outside the light cone the value is 1 without computation; x < 0 is served
@@ -601,7 +587,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int, q: int = 2) -> Ot
     n_+ plus one for the gate-dressed odd boundary, 0 when the remembered
     trajectory served it or the cell lies outside the light cone.
     """
-    _require_qubits(q)
+    _check_qubits(gate, sigma_alpha, sigma_beta)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
@@ -703,8 +689,7 @@ def _settled(overlaps, m: int, n: int, parity: str):
                             "amplitude": amplitude})
 
 
-def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
-                  q: int = 2) -> OtocResult:
+def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocResult:
     """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
     application of the transposed column kernel to the left boundary.
 
@@ -742,7 +727,7 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str,
     window of 64 overlaps, flagged with ``converged`` False and the
     oscillation amplitude.
     """
-    _require_qubits(q)
+    _check_qubits(gate, sigma_alpha, sigma_beta)
     _check_depth(n)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")

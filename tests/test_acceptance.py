@@ -7,6 +7,7 @@ the collected lines are printed in a dedicated section after the run.
 import numpy as np
 import pytest
 from itertools import product as iproduct
+from conftest import hermitian_coeffs
 
 from duotoc.channels import (
     channel_minus,
@@ -153,7 +154,7 @@ def test_criterion_05_integrable_projector(record_criterion, record_note):
     tmat2 = build_transfer(gate, 2).mat
     rule_res = 0.0
     for combo in iproduct(range(4), repeat=4):
-        v = product_state([ops4[k] for k in combo]).vec
+        v = hermitian_coeffs(product_state([ops4[k] for k in combo]).vec, "right")
         image = tmat2 @ v
         n_yz = sum(1 for k in combo if k in (2, 3))
         target = v if n_yz % 2 == 0 else 0.0
@@ -275,15 +276,17 @@ def test_criterion_10_property_suite(record_criterion):
             if is_dual_unitary(gate):
                 raw, _ = e_basis(n)
                 for state in raw:
-                    eig_res = max(eig_res, np.abs(tmat @ state.vec - state.vec).max())
+                    v = hermitian_coeffs(state.vec, "right")
+                    eig_res = max(eig_res, np.abs(tmat @ v - v).max())
             if label.startswith("kim"):
                 zs, _ = kim_z_basis(n)
                 for state in zs:
-                    eig_res = max(eig_res, np.abs(tmat @ state.vec - state.vec).max())
+                    v = hermitian_coeffs(state.vec, "right")
+                    eig_res = max(eig_res, np.abs(tmat @ v - v).max())
             if label.startswith("xy"):
                 for lab in xy_overlap_matrix(n).labels:
-                    rv = xy_right_state(lab).vec
-                    lv = xy_left_state(lab).vec
+                    rv = hermitian_coeffs(xy_right_state(lab).vec, "right")
+                    lv = hermitian_coeffs(xy_left_state(lab).vec, "left")
                     eig_res = max(eig_res,
                                   np.abs(tmat @ rv - rv).max() / np.linalg.norm(rv),
                                   np.abs(tmat.T @ lv - lv).max() / np.linalg.norm(lv))

@@ -176,6 +176,28 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# the gate flags behind each tests/golden/classify_<name>.json
+CLASSIFY_GOLDEN = {
+    "kim_0.4_0.6": ["--gate", "kim", "--params", "0.4,0.6"],
+    "kim_0_0": ["--gate", "kim", "--params", "0,0"],
+    "xy_pi_10": ["--gate", "xy", "--params", str(np.pi / 10)],
+    "du_seed3": ["--gate", "du", "--seed", "3"],
+    "kak_seed5": ["--gate", "kak", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFY_GOLDEN)
+def test_classify_matches_golden(tmp_path, name):
+    """classify --format json, the CLI's path through build_transfer, byte
+    for byte against its committed output."""
+    out = tmp_path / "classify.json"
+    flags = CLASSIFY_GOLDEN[name]
+    assert main(["classify", *flags, "--format", "json", "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"classify_{name}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_json_format_bundles_config(capsys):
     code = main(["corr", "--gate", "kim", "--params", "0.4,0.6",
                  "--tmax", "2", "--format", "json"])

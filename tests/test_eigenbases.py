@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import hermitian_coeffs
 
 from duotoc.eigenbases import (
     bilinear,
@@ -33,7 +34,7 @@ def test_e_states_are_unit_eigenvectors(seed, n):
     tm = build_transfer(random_dual_unitary(seed), n)
     raw, _ = e_basis(n)
     for state in raw:
-        v = state.vec
+        v = hermitian_coeffs(state.vec, "right")
         assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
@@ -52,7 +53,7 @@ def test_kim_z_states_are_unit_eigenvectors(n):
     tm = build_transfer(build_kim(h1=0.4, h2=0.6), n)
     zs, _ = kim_z_basis(n)
     for state in zs:
-        v = state.vec
+        v = hermitian_coeffs(state.vec, "right")
         assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
@@ -74,10 +75,10 @@ def test_xy_states_are_unit_eigenvectors(n, j):
     tm = build_transfer(build_xy(j=j), n)
     labels = xy_overlap_matrix(n).labels
     for r in labels:
-        v = xy_right_state(r).vec
+        v = hermitian_coeffs(xy_right_state(r).vec, "right")
         assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
     for l in labels:
-        v = xy_left_state(l).vec
+        v = hermitian_coeffs(xy_left_state(l).vec, "left")
         assert np.abs(tm.mat.T @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 

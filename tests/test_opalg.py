@@ -1,11 +1,10 @@
-"""Operator algebra: Pauli basis, vectorization, folding, duals."""
+"""Operator algebra: Pauli basis, vectorization, duals."""
 
 import numpy as np
 import pytest
 
 from duotoc.opalg import (
     dual,
-    fold,
     is_unitary,
     normalize_coeffs,
     op_to_vec,
@@ -50,15 +49,6 @@ def test_normalize_coeffs():
         normalize_coeffs([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         normalize_coeffs([1.0, 2.0])
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_fold_is_unitary(seed):
-    u = gate_matrix(random_kak(seed))
-    folded = fold(u)
-    assert folded.w_plus.shape == (16, 16)
-    assert is_unitary(folded.w_plus)
-    assert np.abs(folded.w_minus - folded.w_plus.conj().T).max() < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1])

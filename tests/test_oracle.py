@@ -12,11 +12,10 @@ from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import pauli_basis
 from duotoc.oracle import (
     ChainSpec,
+    _apply_layer_t,
     _translate,
-    evolution_operator,
     evolve_heisenberg,
     haar_sample,
-    layer_unitaries,
     oracle_correlator,
     oracle_otoc,
     site_operator,
@@ -64,6 +63,26 @@ def _dense_evolution(U, L, t, q=2):
     out = np.eye(q**L, dtype=complex)
     for k in range(1, t + 1):
         out = (even if k % 2 else odd) @ out
+    return out
+
+
+# The library's layer application, gate by gate, multiplied out into the same
+# dense matrices for comparison with the references above.
+
+def layer_unitaries(spec):
+    """The even-bond and odd-bond layers of the chain, from the oracle's
+    layer application on the identity."""
+    U, eye = gate_matrix(spec.gate), np.eye(spec.q**spec.L, dtype=complex)
+    return tuple(_apply_layer_t(eye, U, parity, spec.L, spec.q).T
+                 for parity in ("even", "odd"))
+
+
+def evolution_operator(spec, t):
+    """U(t) = L_t ... L_1 with the even layer first, from the oracle's layer
+    application."""
+    U, out = gate_matrix(spec.gate), np.eye(spec.q**spec.L, dtype=complex)
+    for k in range(1, t + 1):
+        out = _apply_layer_t(out, U, "even" if k % 2 else "odd", spec.L, spec.q).T
     return out
 
 

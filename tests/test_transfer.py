@@ -1,7 +1,7 @@
 """Column transfer matrix: fixed points, parity dispatch, the Hermitian-basis
-kernel and its transpose against the dense complex-basis reference, the
-slot-reversal symmetry, mirrors, the finite-time and long-time trajectory
-memos, the long-time stop rule."""
+kernel, its transpose and the dense matrix built from it against the dense
+complex-basis reference, the slot-reversal symmetry, mirrors, the
+finite-time and long-time trajectory memos, the long-time stop rule."""
 
 import sys
 import threading
@@ -11,6 +11,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from conftest import Q_LEG, hermitian_coeffs
 
 from duotoc import transfer
 from duotoc.cli import operator_from_coeffs
@@ -27,11 +28,8 @@ from duotoc.transfer import (
     STOP_WINDOW,
     _LEFT_TRAJECTORIES,
     _TRAJECTORIES,
-    _bundle_tensor,
     _depths,
-    _inter_cap,
     _PauliColumnKernel,
-    _sheet_mpo,
     _stopped_limit,
     boundary_left,
     boundary_right,
@@ -62,6 +60,55 @@ GATES = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# Dense reference: the column contracted sheet by sheet with einsum in the
+# complex computational folded basis (slot index u*2 + ubar).  The library
+# builds its dense matrix from the Hermitian-basis kernel and shares none of
+# this.
+
+def _sheet_mpo(w, n, cap, reverse):
+    """Per-sheet chain of n bundles with the bottom cap absorbed; returns
+    s[chain_top, out_slots, in_slots], each slot group flattened row-major
+    over 4-dimensional bundle legs in column slot order.  Without
+    ``reverse`` bundle 1 is the slowest leg and bundle n the fastest (sheet
+    one, slots 1..n); with it bundle n is the slowest and bundle 1 the
+    fastest (sheet two, slots n+1..2n)."""
+    d = w.shape[0]
+    s = np.einsum("okyi,y->koi", w, cap)
+    for _ in range(n - 1):
+        if reverse:
+            s = np.einsum("okyi,yAB->koAiB", w, s).reshape(d, s.shape[1] * d, s.shape[2] * d)
+        else:
+            s = np.einsum("okyi,yAB->kAoBi", w, s).reshape(d, s.shape[1] * d, s.shape[2] * d)
+    return s
+
+
+def _complex_sheets(gate, n, cap):
+    """(top cap, sheet one, sheet two) of the depth-n column with bottom caps
+    vec(cap): bundles W = U (x) U* on axes (out_slot, chain_up, chain_dn,
+    in_slot), the top cap a crossed delta tying the two sheets."""
+    u4 = gate_matrix(gate).reshape(2, 2, 2, 2)
+    w = np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj()).reshape(4, 4, 4, 4)
+    eye = np.eye(2)
+    top = np.einsum("ad,bc->abcd", eye, eye).reshape(4, 4)
+    cap = np.asarray(cap, dtype=complex).reshape(4)
+    return top, _sheet_mpo(w, n, cap, reverse=False), _sheet_mpo(w, n, cap, reverse=True)
+
+
+def _complex_transfer(gate, n):
+    """The normalized depth-n transfer matrix in the complex folded basis:
+    the raw contraction divided by q."""
+    top, s1, s2 = _complex_sheets(gate, n, np.eye(2))
+    mat = np.einsum("kl,kab,lcd->acbd", top, s1, s2, optimize=True).reshape(16 ** n, -1)
+    mat /= 2
+    return mat
+
+
+def _legs(n):
+    """Q on all 2n slots: columns vec(sigma_mu)/sqrt(2), slot 1 slowest."""
+    return reduce(np.kron, [Q_LEG] * (2 * n))
+
+
 @pytest.mark.parametrize("name,gate", GATES)
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_points(name, gate, n):
@@ -72,6 +119,36 @@ def test_fixed_points(name, gate, n):
     assert np.abs(tm.mat.T @ l - l).max() < TOL_FIXED
     # bilinear pairing of the fixed points is unity
     assert np.dot(l, r) == pytest.approx(1.0, abs=TOL_FIXED)
+    # the complex-basis fixed points, mapped slot by slot
+    complex_r = 2.0 ** (-n / 2) * all_identity_state(n).vector()
+    pairs = tuple((j, 2 * n + 1 - j, I2) for j in range(1, n + 1))
+    complex_l = 2.0 ** (-n / 2) * SlotState(n=n, side="left", pairs=pairs).vector()
+    assert np.abs(hermitian_coeffs(complex_r, "right") - r).max() < TOL_AGREE
+    assert np.abs(hermitian_coeffs(complex_l, "left") - l).max() < TOL_AGREE
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dense_matrix_matches_complex_reference(n):
+    """build_transfer's matrix, mapped back leg by leg (conj(Q) on the rows,
+    Q^T on the columns), is the complex-basis reference."""
+    legs = _legs(n)
+    for name, gate in GATES:
+        mat = build_transfer(gate, n).mat
+        assert np.abs(legs.conj() @ mat @ legs.T - _complex_transfer(gate, n)).max() < 1e-13, name
+
+
+def test_build_transfer_checks_at_construction(monkeypatch):
+    """A kernel off by 1 % loses the fixed points, which build_transfer checks
+    at every depth; deeper columns are refused."""
+    gate = random_kak(1)
+    with pytest.raises(ValueError, match="budget"):
+        build_transfer(gate, 4)
+    apply = _PauliColumnKernel.apply
+    monkeypatch.setattr(_PauliColumnKernel, "apply",
+                        lambda self, u, cap=None: 1.01 * apply(self, u, cap))
+    for n in (1, 2, 3):
+        with pytest.raises(AssertionError, match="fixed point"):
+            build_transfer(gate, n)
 
 
 @pytest.mark.parametrize("name,gate", GATES)
@@ -101,15 +178,10 @@ def _dense_radius_estimate(mat, iters=200, seed=7):
 def test_radius_estimate_on_kernel_matches_dense(name, gate):
     """build_transfer's n = 3 radius check runs on the column kernel; the
     Q^T change of the start vector is unitary, so it sees the norms of the
-    dense iteration."""
-    tm = build_transfer(gate, 3)
-    assert tm.spectral_radius == pytest.approx(_dense_radius_estimate(tm.mat), abs=TOL_AGREE)
-
-
-def _legs(n):
-    """Q on all 2n slots: columns vec(sigma_mu)/sqrt(2), slot 1 slowest."""
-    q1 = np.stack([op.reshape(4) / np.sqrt(2) for op in (I2, SX, SY, SZ)], axis=1)
-    return reduce(np.kron, [q1] * (2 * n))
+    dense iteration on the complex-basis reference."""
+    radius = build_transfer(gate, 3).spectral_radius
+    assert radius == pytest.approx(_dense_radius_estimate(_complex_transfer(gate, 3)),
+                                   abs=TOL_AGREE)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -121,7 +193,7 @@ def test_operator_apply_matches_dense(n):
         kern = _PauliColumnKernel(gate, n)
         basis = np.eye(kern.dim)
         k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
-        mat = build_transfer(gate, n).mat
+        mat = _complex_transfer(gate, n)
         assert np.abs(legs.conj() @ k @ legs.T - mat).max() < TOL_AGREE, name
 
 
@@ -135,7 +207,7 @@ def test_transposed_apply_matches_dense_transpose(n):
         kern = _PauliColumnKernel(gate, n, transpose=True)
         basis = np.eye(kern.dim)
         k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
-        mat = build_transfer(gate, n).mat
+        mat = _complex_transfer(gate, n)
         assert np.abs(legs @ k @ legs.conj().T - mat.T).max() < TOL_AGREE, name
 
 
@@ -398,27 +470,24 @@ def _complex_right(gate, sigma_beta, n, parity):
         prods = {s: I2 for s in range(2, 2 * n)}
         prods[1] = prods[2 * n] = sigma_beta
         return 2.0 ** (-n / 2) * SlotState(n=n, side="right", prods=prods).vector()
-    # odd: build_transfer's sheet construction with vec(sigma_beta) bottom
-    # caps, applied to the all-identity product
-    w = _bundle_tensor(gate_matrix(gate), 2)
-    cap = np.asarray(sigma_beta, dtype=complex).reshape(4)
-    s1 = _sheet_mpo(w, n, cap, reverse=False)
-    s2 = _sheet_mpo(w, n, cap, reverse=True)
+    # odd: the reference column with vec(sigma_beta) bottom caps, applied to
+    # the all-identity product
+    top, s1, s2 = _complex_sheets(gate, n, sigma_beta)
     half = 4 ** n
     v0 = all_identity_state(n).vector().reshape(half, half)
-    raw = np.einsum("kl,kab,lcd,bd->ac", _inter_cap(2), s1, s2, v0, optimize=True)
+    raw = np.einsum("kl,kab,lcd,bd->ac", top, s1, s2, v0, optimize=True)
     return 2.0 ** (-n / 2 - 1) * raw.reshape(-1)
 
 
 def _dense_otoc(gate, sigma_alpha, sigma_beta, x, t, mats):
-    """C(x, t) from build_transfer(...).mat and complex-basis boundaries;
-    mats caches the dense matrices by (mirrored, n)."""
+    """C(x, t) from the complex-basis reference matrix and boundaries; mats
+    caches the dense matrices by (mirrored, n)."""
     mirrored = x < 0
     if mirrored:
         gate, x = SWAP @ gate_matrix(gate) @ SWAP, -x
     n, applications, parity = _depths(x, t)
     if (mirrored, n) not in mats:
-        mats[mirrored, n] = build_transfer(gate, n).mat
+        mats[mirrored, n] = _complex_transfer(gate, n)
     v = _complex_right(gate, sigma_beta, n, parity)
     for _ in range(applications):
         v = mats[mirrored, n] @ v
@@ -505,7 +574,7 @@ def test_pauli_engine_matches_direct(name, gate, n, parity):
     """The Hermitian-basis iteration is an exact change of basis of plain
     power iteration on the dense complex matrix: identical values and
     identical convergence histories under the same stop rule."""
-    mat = build_transfer(gate, n).mat
+    mat = _complex_transfer(gate, n)
     left = _complex_left(ALPHA, n)
     v = _complex_right(gate, BETA, n, parity)
     overlaps = [float(np.dot(left, v).real)]
@@ -538,9 +607,17 @@ def test_non_hermitian_rejected_before_any_apply(monkeypatch, bad):
 def test_only_qubits_supported():
     gate = random_dual_unitary(0)
     with pytest.raises(ValueError, match="only q = 2"):
-        otoc_finite(gate, SX, SX, 0, 2, q=3)
+        otoc_finite(np.eye(9), SX, SX, 0, 2)
     with pytest.raises(ValueError, match="only q = 2"):
-        otoc_longtime(gate, SX, SX, 1, "even", q=3)
+        otoc_longtime(gate, SX, np.eye(3), 1, "even")
+    # every entry point checks the shapes before it reshapes anything
+    for call in (lambda: build_transfer(np.eye(9), 1),
+                 lambda: boundary_left(np.eye(3), 1),
+                 lambda: boundary_right(np.eye(3), 1, "even"),
+                 lambda: boundary_right(SX, 1, "odd", gate=np.eye(9)),
+                 lambda: otoc_finite(np.eye(9), SX, SX, 3, 1)):  # outside the cone
+        with pytest.raises(ValueError, match="only q = 2"):
+            call()
 
 
 def test_boundary_overlap_t0_identity():
@@ -617,7 +694,7 @@ def test_memo_does_not_bypass_argument_checks(monkeypatch, applies):
     otoc_finite(gate, ALPHA, beta, 0, 5)
     assert applies == []  # the remembered trajectory serves (0, 5)
     with pytest.raises(ValueError, match="only q = 2"):
-        otoc_finite(gate, ALPHA, beta, 0, 5, q=3)
+        otoc_finite(gate, np.eye(3), beta, 0, 5)
     with pytest.raises(ValueError, match="Hermitian"):
         otoc_finite(gate, SX + 1j * SZ, beta, 0, 5)
     with monkeypatch.context() as m:
@@ -811,7 +888,7 @@ def test_longtime_memo_does_not_bypass_argument_checks(monkeypatch, applies):
     del applies[:]
     assert otoc_longtime(gate, ALPHA, beta, 2, "odd").meta["applications"] == 0
     with pytest.raises(ValueError, match="only q = 2"):
-        otoc_longtime(gate, ALPHA, beta, 2, "odd", q=3)
+        otoc_longtime(np.eye(9), ALPHA, beta, 2, "odd")
     with pytest.raises(ValueError, match="Hermitian"):
         otoc_longtime(gate, SX + 1j * SZ, beta, 2, "odd")
     with pytest.raises(ValueError, match="parity"):
