@@ -479,9 +479,11 @@ def build_transfer(gate, n: int) -> TransferMatrix:
     exchanges the two sheets: T e_j = R T e_(R j).  So only the
     (16^n + 4^n)/2 unit vectors with j <= R j are applied (2,080 of 4,096 at
     n = 3), and column j > R j is column R j permuted by R.  The checks:
-    ``mat`` fixes ``fixed_right(n)``, ``mat.T`` fixes ``fixed_left(n)``, and
-    the spectral radius is at most 1, from the eigenvalues at n <= 2 and from
-    a power iteration on the kernel at n = 3.  Materialization is restricted
+    ``mat`` fixes ``fixed_right(n)``, ``mat.T`` fixes ``fixed_left(n)``,
+    ``mat`` times a random vector is the kernel's apply of it (which covers
+    the columns filled through R), and the spectral radius is at most 1,
+    from the eigenvalues at n <= 2 and from a power iteration on the kernel
+    at n = 3.  Materialization is restricted
     to 16^n <= 4096 (n <= 3); the matrix-free kernel behind
     otoc_finite/otoc_longtime serves deeper columns.
     """
@@ -514,6 +516,9 @@ def build_transfer(gate, n: int) -> TransferMatrix:
         raise AssertionError("transfer construction lost the right fixed point")
     if np.linalg.norm(mat.T @ lvec - lvec) > TOL_FIXED:
         raise AssertionError("transfer construction lost the left fixed point")
+    probe = np.random.default_rng(7).standard_normal(dim)
+    if np.linalg.norm(mat @ probe - kern.apply(probe)) > TOL_FIXED * np.linalg.norm(probe):
+        raise AssertionError("transfer construction does not match the column kernel")
 
     if dim <= 256:
         radius = float(np.max(np.abs(np.linalg.eigvals(mat))))

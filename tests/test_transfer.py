@@ -151,6 +151,22 @@ def test_build_transfer_checks_at_construction(monkeypatch):
             build_transfer(gate, n)
 
 
+def test_build_transfer_checks_the_reversal_fill(monkeypatch):
+    """A kernel that keeps both fixed points but no longer commutes with the
+    slot reversal R: the columns filled through R miss its change, and the
+    comparison with one more apply raises."""
+    apply = _PauliColumnKernel.apply
+
+    def skewed(self, u, cap=None):
+        out = apply(self, u, cap).copy()
+        out[1] += 1e-3 * u[4]  # column 4 = R column 1 at n = 1 is never applied
+        return out
+
+    monkeypatch.setattr(_PauliColumnKernel, "apply", skewed)
+    with pytest.raises(AssertionError, match="column kernel"):
+        build_transfer(random_kak(1), 1)
+
+
 @pytest.mark.parametrize("name,gate", GATES)
 def test_spectral_radius_bounded(name, gate):
     tm = build_transfer(gate, 2)
