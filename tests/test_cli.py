@@ -134,6 +134,7 @@ def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
     assert applies.count(5) == 12
     assert sum(res.meta["applications"] for res in results) == 80
     assert sum(res.meta["applications"] > 0 for res in results) == 10
+    assert_matches_golden(out, "otoc", "fig5")
     cfg = resolve_config(argparse.Namespace(preset="fig5"))
     gate = build_gate(cfg)
     a_op, b_op = operator_from_coeffs(cfg.alpha), operator_from_coeffs(cfg.beta)
@@ -155,6 +156,7 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
     odd row resumes the trajectory."""
     out = tmp_path / "fig4.csv"
     assert main(["longtime", "--preset", "fig4", "--method", "all", "--out", str(out)]) == 0
+    assert_matches_golden(out, "longtime", "fig4")
     rows = _read_csv(out)
     grid = [(n, parity) for n in range(1, 6) for parity in ("even", "odd")]
     assert [(int(row["n"]), row["parity"]) for row in rows] == grid
@@ -185,6 +187,50 @@ CLASSIFY_GOLDEN = {
     "du_seed3": ["--gate", "du", "--seed", "3"],
     "kak_seed5": ["--gate", "kak", "--seed", "5"],
 }
+
+
+# tests/golden/<subcommand>_<preset>.csv holds the --method all CSV of each
+# figure preset; the fig5 otoc and fig4 longtime files are checked by the
+# scan-count tests above, which already produce them
+FIGURE_GOLDEN = [("corr", "fig2"), ("corr", "fig5"), ("corr", "fig8"),
+                 ("otoc", "fig2"), ("otoc", "fig8"),
+                 ("longtime", "fig3"), ("longtime", "fig6"), ("longtime", "fig7")]
+# value columns compared to a tolerance, per subcommand; every other column
+# (the closed forms among them) byte for byte, except long-time iterations
+GOLDEN_TOL = {"corr": {"transfer": 1e-13, "oracle": 1e-13, "delta": 1e-13},
+              "otoc": {"transfer": 1e-13, "oracle": 1e-13, "delta": 1e-13},
+              "longtime": {"transfer": 1e-9, "delta": 1e-9}}
+GOLDEN_FREE = {"longtime": {"iterations"}}
+
+
+def assert_matches_golden(path, subcommand, preset):
+    """The CSV at ``path`` against tests/golden/<subcommand>_<preset>.csv:
+    the same header and rows, each column compared as GOLDEN_TOL and
+    GOLDEN_FREE say, a blank cell only where the golden one is blank."""
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    with open(os.path.join(GOLDEN, f"{subcommand}_{preset}.csv"), newline="") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    tol, free = GOLDEN_TOL[subcommand], GOLDEN_FREE.get(subcommand, set())
+    for line, (row, gold) in enumerate(zip(got[1:], want[1:]), start=2):
+        for name, cell, golden in zip(want[0], row, gold):
+            where = (preset, line, name)
+            if name in free:
+                assert (cell == "") == (golden == ""), where
+            elif name in tol and golden != "":
+                assert cell != "", where
+                assert abs(float(cell) - float(golden)) <= tol[name], where
+            else:
+                assert cell == golden, where
+
+
+@pytest.mark.parametrize("subcommand,preset", FIGURE_GOLDEN)
+def test_figure_data_matches_golden(tmp_path, subcommand, preset):
+    out = tmp_path / f"{subcommand}_{preset}.csv"
+    assert main([subcommand, "--preset", preset, "--method", "all", "--out", str(out)]) == 0
+    assert_matches_golden(out, subcommand, preset)
 
 
 @pytest.mark.parametrize("name", CLASSIFY_GOLDEN)
