@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -258,26 +256,25 @@ def _delta(row: dict, methods: tuple):
 
 
 def _map_rows(fn, items):
-    """Evaluate grid rows concurrently; results keep the input order."""
-    if len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as ex:
-        return list(ex.map(fn, items))
+    """fn over the grid rows ``items``, one after another, in that order."""
+    return [fn(it) for it in items]
 
 
 def _scan_rows(fn, tmax: int) -> list:
     """fn over the grid 0 <= x <= t <= tmax, rows in grid order (t-major).
 
-    Two passes.  The first evaluates the row t = tmax, which holds the
-    farthest cell (tmax - k, tmax) of every diagonal t - x = k, deepest
-    diagonal first, so the slowest cells start together; otoc_finite
-    remembers each such cell's trajectory.  The second evaluates the rows
-    t < tmax in grid order, whose transfer values that memory then serves.
+    Two passes.  The first evaluates the row t = tmax from x = tmax down to
+    0.  It holds the cell (tmax - k, tmax) of every diagonal t - x = k, the
+    one with the most applications, and x falling takes the depths in
+    increasing order with each depth's even cell, the one with the larger m,
+    first; so each depth's trajectory is extended once (see otoc_finite).
+    The second evaluates the rows t < tmax in grid order, whose transfer
+    values the remembered trajectories then serve.
     """
-    far = [(x, tmax) for x in range(tmax + 1)]
+    far = [(x, tmax) for x in range(tmax, -1, -1)]
     near = [(x, t) for t in range(tmax) for x in range(t + 1)]
     far_rows = _map_rows(fn, far)
-    return _map_rows(fn, near) + far_rows
+    return _map_rows(fn, near) + far_rows[::-1]
 
 
 def _json(doc: dict) -> str:
@@ -451,13 +448,12 @@ def _longtime_row(cfg, gate, a_op, b_op, np_):
 
 
 def cmd_longtime(args) -> int:
-    """Long-time rows (n, parity) for n = 1..nmax, in grid order.
+    """Long-time rows (n, parity) for n = 1..nmax, evaluated in grid order.
 
-    Two passes: the even rows, deepest first, then the odd rows, deepest
-    first.  Each even call iterates its depth's left vector until even
-    parity stops and reads the odd overlaps on the way; the odd call then
-    returns the odd result if it settled first, or resumes the remembered
-    trajectory (see otoc_longtime).
+    The even call of a depth extends the depth's trajectory until even
+    parity stops; the odd call then reads its result from the remembered
+    overlaps if it stopped on the way, or extends the trajectory further
+    (see otoc_longtime).
     """
     cfg = resolve_config(args)
     gate = build_gate(cfg)
@@ -465,12 +461,8 @@ def cmd_longtime(args) -> int:
     b_op = operator_from_coeffs(cfg.beta)
     if cfg.nmax > N_MAX_APPLY:
         raise ConfigError(f"longtime depth is capped at nmax <= {N_MAX_APPLY}")
-    done = {}
-    for parity in ("even", "odd"):
-        items = [(n, parity) for n in range(cfg.nmax, 0, -1)]
-        done.update(zip(items, _map_rows(
-            lambda np_: _longtime_row(cfg, gate, a_op, b_op, np_), items)))
-    rows = [done[n, parity] for n in range(1, cfg.nmax + 1) for parity in ("even", "odd")]
+    items = [(n, parity) for n in range(1, cfg.nmax + 1) for parity in ("even", "odd")]
+    rows = _map_rows(lambda np_: _longtime_row(cfg, gate, a_op, b_op, np_), items)
     names = ["n", "parity", "t_minus_x"] + list(_selected(cfg))
     if "transfer" in _selected(cfg):
         names += ["iterations", "converged", "amplitude"]

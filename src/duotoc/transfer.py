@@ -37,23 +37,23 @@ exists for q = 2 only, so every entry point rejects a gate that is not 4 x 4
 or an insertion that is not 2 x 2, and it rejects non-Hermitian insertions,
 whose coefficients would not be real.
 
-Finite-time values share work along a diagonal of the light-cone lattice:
-cells with the same t - x differ only in the number of applications, so
-``otoc_finite`` remembers the overlaps of its latest trajectory per depth
-and parity (floats only, no vectors) and serves the nearer cells of that
-diagonal from them.  Long-time limits iterate the transposed kernel on the
-left boundary, (T^T)^m L, which both parities of a depth share: one such
-trajectory reads the overlaps of both right boundaries, each parity stops on
-a window of settled Aitken extrapolates (else of settled overlaps), see
-``_stopped_limit``, and ``otoc_longtime`` remembers the latest trajectory
-per depth, with the left vector while a parity is unsettled.
+Every OTOC cell at depth n, finite-time or long-time, is an overlap
+(L|T^m|R) with the same column T and the same left boundary L; only m and
+the parity of the right boundary differ.  So one trajectory per depth
+serves them all: the transposed kernel iterates the left boundary,
+l_m = (T^T)^m L, and each step reads the overlaps l_m . R of both parities.
+The module remembers the latest trajectory of each depth (the overlaps of
+both parities for m = 0..M and a copy of l_M).  ``otoc_finite`` reads a
+cell with m <= M from it, and ``otoc_longtime`` stops a parity at the first
+m whose window of Aitken extrapolates (else of overlaps) has settled, see
+``_stopped_limit``; either extends the trajectory when the remembered
+overlaps do not reach far enough.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -104,9 +104,7 @@ class TransferMatrix:
 class BoundaryVector:
     n: int
     parity: str  # "even" / "odd" for right boundaries, None for left
-    side: str
     vec: np.ndarray  # real, in the Hermitian leg basis (see the module docstring)
-    op: np.ndarray = None
 
 
 def _check_qubits(gate, *ops):
@@ -218,8 +216,7 @@ class _PauliColumnKernel:
     order from one counter, and a tail piece starts once every block is
     written.  A helper claims a piece only while fewer applies are running,
     on any thread, than there are cores, so two applies that already fill
-    two cores (the CLI's row pool at n = 5) run on their own threads as
-    before.  The caller cancels the helper tasks that have not started and
+    two cores run on their own threads alone.  The caller cancels the helper tasks that have not started and
     waits for those that have, so an apply never waits for a busy pool.  A
     piece runs the same matmul on the same data whichever worker claims it,
     so the output is bit-identical to a one-worker apply; at n <= 3 (one
@@ -241,10 +238,8 @@ class _PauliColumnKernel:
     they stay where they are, and (T^T l) . r = l . (T r).
 
     The buffers make a kernel serve one calling thread at a time (the
-    helpers work inside that thread's apply); each otoc_finite call that
-    runs a trajectory builds its own forward kernel and dresses its odd
-    boundary with it, each otoc_longtime call that iterates builds its own
-    transposed kernel.
+    helpers work inside that thread's apply); each extension of a depth's
+    trajectory builds its own transposed kernel (see _extend).
     """
 
     def __init__(self, gate, n: int, transpose: bool = False):
@@ -407,8 +402,7 @@ def boundary_left(sigma_alpha, n: int) -> BoundaryVector:
         # wrap the next pairing around the slots built so far
         vec = (identity_pair[:, None, :] * vec[None, :, None]).reshape(-1)
     vec *= 2.0 ** (-n / 2.0)
-    return BoundaryVector(n=n, parity=None, side="left", vec=vec,
-                          op=np.asarray(sigma_alpha, dtype=complex))
+    return BoundaryVector(n=n, parity=None, vec=vec)
 
 
 def boundary_right(sigma_beta, n: int, parity: str, gate=None,
@@ -436,8 +430,7 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None,
         vec = scale * kernel.apply(_product([ident] * (2 * n)), cap=beta)
     else:
         raise ValueError("parity must be 'even' or 'odd'")
-    return BoundaryVector(n=n, parity=parity, side="right", vec=vec,
-                          op=np.asarray(sigma_beta, dtype=complex))
+    return BoundaryVector(n=n, parity=parity, vec=vec)
 
 
 def _power_radius_estimate(kern, iters=200, seed=7):
@@ -561,12 +554,52 @@ def _memo_key(gate, sigma_alpha, sigma_beta) -> tuple:
                                         _hermitian(sigma_beta)))
 
 
-# The latest trajectory of each (depth, parity) slot: (key, overlaps), with
-# key the bytes of the gate, sigma_alpha and sigma_beta, and overlaps the
-# floats (L|T^m|R) for m = 0..applications.  An entry is replaced whole, so a
-# thread reads either the old tuple or the new one; threads that race on one
-# slot keep their own results and at worst recompute a trajectory later.
-_TRAJECTORIES = {}
+PARITIES = ("even", "odd")
+
+# The latest trajectory of each depth n: (key, m, overlaps, left), with key
+# the bytes of the gate, sigma_alpha and sigma_beta, m the number of
+# transposed applications made, overlaps a dict mapping each parity to the
+# tuple of floats (L|T^k|R_parity) for k = 0..m, and left an owned copy of
+# l_m = (T^T)^m L.  An entry is replaced whole.
+_TRAJECTORY_MEMO = {}
+
+
+def _remembered(n: int, key: tuple):
+    """Depth n's remembered (key, m, overlaps, left) if it is for ``key``,
+    else None."""
+    entry = _TRAJECTORY_MEMO.get(n)
+    return entry if entry is not None and entry[0] == key else None
+
+
+def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
+    """Depth n's trajectory for ``key``, resumed from memory or started at
+    the left boundary, extended by transposed applications until
+    ``done(overlaps)`` holds, with overlaps a dict of each parity's list
+    s_0 .. s_m; remembers it and returns (overlaps, applications made).
+
+    Both right boundaries are built first, so the odd one's forward kernel
+    is freed before the transposed kernel is allocated; dressing the odd
+    boundary counts as one application.
+    """
+    remembered = _remembered(n, key)
+    rights = {p: boundary_right(sigma_beta, n, p, gate=gate).vec for p in PARITIES}
+    if remembered is not None:
+        _, m, overlaps, left = remembered
+        overlaps = {p: list(overlaps[p]) for p in PARITIES}
+    else:
+        m, left = 0, boundary_left(sigma_alpha, n).vec
+        overlaps = {p: [float(np.dot(left, rights[p]))] for p in PARITIES}
+    kern = _PauliColumnKernel(gate, n, transpose=True)
+    applications = 1
+    while not done(overlaps):
+        left = kern.apply(left)
+        m += 1
+        applications += 1
+        for p in PARITIES:
+            overlaps[p].append(float(np.dot(left, rights[p])))
+    overlaps = {p: tuple(s) for p, s in overlaps.items()}
+    _TRAJECTORY_MEMO[n] = (key, m, overlaps, left.copy())
+    return overlaps, applications
 
 
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
@@ -576,23 +609,24 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     by mirroring the gate (conjugation by the swap), which reflects the
     brickwork about the origin.
 
-    Every cell with the same t - x is (L|T^m|R) at the same depth and parity,
-    for some number m of applications.  A call records the overlap after
-    every application and remembers that trajectory for its (depth, parity)
-    slot, keyed on the bytes of the gate and both insertions, so at most
-    2 N_MAX_APPLY trajectories of floats are kept.  A later call for the same
-    key whose m falls within the remembered trajectory returns its overlap
-    without building a boundary or a kernel; it is the float a fresh call
-    computes, from the same applications on the same vector.  All argument
-    checks run first, so a call raises whether or not it would be served
-    from memory.  Scanning a diagonal from its farthest cell serves the rest
-    of it from memory.
+    The cell is (L|T^m|R) at depth n = n_- with m = n_+, read from the
+    depth's trajectory as l_m . R (see the module docstring).  A cell whose
+    m lies within the remembered trajectory of the same gate and insertions
+    (keyed on their bytes) is read without building a boundary or a kernel;
+    otherwise the call extends the trajectory to m.  Either way the value is
+    the float a call on an empty memory computes, from the same applications
+    on the same vectors.  All argument checks run first, so a call raises
+    whether or not it would be served from memory or lies outside the light
+    cone.  Asking for each depth's cell with the largest m first serves the
+    rest of a scan from memory.
 
     ``meta["applications"]`` counts the kernel applications the call made:
-    n_+ plus one for the gate-dressed odd boundary, 0 when the remembered
-    trajectory served it or the cell lies outside the light cone.
+    the transposed applications past the remembered m plus one for the
+    gate-dressed odd boundary, 0 when the remembered trajectory served it or
+    the cell lies outside the light cone.
     """
     _check_qubits(gate, sigma_alpha, sigma_beta)
+    key = _memo_key(gate, sigma_alpha, sigma_beta)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
@@ -604,25 +638,15 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
                                sigma_alpha, sigma_beta, -x, t)
         return OtocResult(x, t, mirrored.parity, mirrored.value,
                           mirrored.method, n=mirrored.n, meta=mirrored.meta)
-    n, applications, parity = _depths(x, t)
+    n, m, parity = _depths(x, t)
     _check_depth(n)
-    key = _memo_key(gate, sigma_alpha, sigma_beta)
-    slot = (n, parity)
-    remembered = _TRAJECTORIES.get(slot)
-    if remembered is not None and remembered[0] == key and applications < len(remembered[1]):
-        overlaps, made = remembered[1], 0
+    remembered = _remembered(n, key)
+    if remembered is not None and m <= remembered[1]:
+        overlaps, made = remembered[2], 0
     else:
-        left = boundary_left(sigma_alpha, n).vec
-        kern = _PauliColumnKernel(gate, n)
-        v = boundary_right(sigma_beta, n, parity, kernel=kern).vec
-        overlaps = [float(np.dot(left, v))]
-        for _ in range(applications):
-            v = kern.apply(v)
-            overlaps.append(float(np.dot(left, v)))
-        overlaps = tuple(overlaps)
-        _TRAJECTORIES[slot] = (key, overlaps)
-        made = applications + (parity == "odd")
-    return OtocResult(x, t, parity, overlaps[applications], "finite_transfer", n=n,
+        overlaps, made = _extend(gate, sigma_alpha, sigma_beta, n, key,
+                                 lambda ov: len(ov[parity]) > m)
+    return OtocResult(x, t, parity, overlaps[parity][m], "finite_transfer", n=n,
                       meta={"applications": made})
 
 
@@ -664,21 +688,10 @@ def _stopped_limit(overlaps):
     return None
 
 
-# The latest left trajectory of each depth n: (key, m, states, left), with key
-# as in _TRAJECTORIES, m the number of transposed applications made, states a
-# dict mapping each parity to its settled OtocResult or, while it is
-# unsettled, the tuple of its trailing overlaps (at most CESARO_WINDOW), and
-# left an owned copy of (T^T)^m L while some parity is unsettled, else None.
-# Nothing stored is changed afterwards and an entry is replaced whole, so a
-# thread reads either the old tuple or the new one; threads that race on one
-# depth keep their own results and at worst repeat applications later.
-_LEFT_TRAJECTORIES = {}
-
-
 def _settled(overlaps, m: int, n: int, parity: str):
-    """The OtocResult of a parity whose overlaps s_0 .. s_m end in
-    ``overlaps``, or None while it may not stop at m (see otoc_longtime)."""
-    stop = _stopped_limit(overlaps)
+    """The OtocResult of a parity whose overlaps s_0 .. s_m begin
+    ``overlaps`` if it may stop at m (see otoc_longtime), else None."""
+    stop = _stopped_limit(overlaps[max(0, m - STOP_WINDOW - 2):m + 1])
     if stop is not None:
         value, lam, span = stop
         return OtocResult(None, None, parity, value, "longtime_iterate", n=n,
@@ -686,12 +699,22 @@ def _settled(overlaps, m: int, n: int, parity: str):
                                 "lambda": lam, "error_estimate": span})
     if m < ITERATION_CAP:
         return None
-    tail = np.asarray(overlaps)
+    tail = np.asarray(overlaps[max(0, m + 1 - CESARO_WINDOW):m + 1])
     mean = float(tail.mean())
     amplitude = float(np.max(np.abs(tail - mean)))
     return OtocResult(None, None, parity, mean, "longtime_iterate", n=n,
                       meta={"iterations": ITERATION_CAP, "converged": False,
                             "amplitude": amplitude})
+
+
+def _first_settled(overlaps, n: int, parity: str):
+    """_settled at the first m at which a parity with overlaps s_0 .. s_M
+    may stop, or None if it may stop at no m <= M."""
+    for m in range(len(overlaps)):
+        result = _settled(overlaps, m, n, parity)
+        if result is not None:
+            return result
+    return None
 
 
 def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocResult:
@@ -701,28 +724,26 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     The iterate l_m = (T^T)^m L starts as the left boundary's
     ``BoundaryVector.vec`` and stays in the real Hermitian leg basis
     (Q^dagger per slot); the overlap s_m = l_m . R is a plain dot product
-    with the right boundary's vec (Q^T per slot).  Both parities of a depth
-    share T and L, so one trajectory reads the overlaps of every parity not
-    yet settled, and each parity stops on its own overlaps by the rule of
-    ``_stopped_limit``: a window of STOP_WINDOW + 1 Aitken extrapolates that
-    agree to TOL_STOP (the value is the last extrapolate), else a window of
-    overlaps that agree to TOL_STOP (the value is the last overlap).
+    with the right boundary's vec (Q^T per slot).  The parity stops at the
+    first m allowed by the rule of ``_stopped_limit``: a window of
+    STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
+    the last extrapolate), else a window of overlaps that agree to TOL_STOP
+    (the value is the last overlap).
 
-    The latest trajectory of each depth is remembered, keyed on the bytes of
-    the gate and both insertions: the settled results, the other parity's
-    trailing overlaps, and a copy of l_m while that parity is unsettled (8 MB
-    at n = 5).  A later call for a settled parity returns its result without
-    an application; one for the unsettled parity resumes from l_m.  A call
-    applies the kernel only until its own parity stops, and its result is
-    the float a call on an empty memory computes, from the same applications
-    on the same vectors.  All argument checks run before the lookup.
+    The overlaps come from the depth's trajectory, which every OTOC cell at
+    depth n shares (see the module docstring).  A parity that stops within
+    the remembered trajectory of the same gate and insertions is read from
+    its overlaps without an application; otherwise the call extends the
+    trajectory until the parity stops.  Either way the result is the float a
+    call on an empty memory computes, from the same applications on the same
+    vectors.  All argument checks run before the lookup.
 
     ``meta`` holds ``iterations`` (the m at which the parity stopped),
     ``converged`` (True), ``lambda``, the last ratio of successive increments
     (None where an increment is zero), ``error_estimate``, the spread of the
     settled window, and ``applications``, the kernel applications this call
-    made: the transposed ones past the remembered m plus one for each
-    gate-dressed odd boundary it built, 0 when it was served from memory.
+    made: the transposed ones past the remembered m plus one for the
+    gate-dressed odd boundary, 0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the
     decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
     n = 3 (lambda = 0.9942) the error against the exact limits is 16 times
@@ -734,37 +755,16 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     """
     _check_qubits(gate, sigma_alpha, sigma_beta)
     _check_depth(n)
-    if parity not in ("even", "odd"):
+    if parity not in PARITIES:
         raise ValueError("parity must be 'even' or 'odd'")
     key = _memo_key(gate, sigma_alpha, sigma_beta)
-    remembered = _LEFT_TRAJECTORIES.get(n)
-    if remembered is not None and remembered[0] == key:
-        _, m, states, left = remembered
-    else:
-        m, states, left = 0, {"even": (), "odd": ()}, boundary_left(sigma_alpha, n).vec
+    remembered = _remembered(n, key)
+    result = None if remembered is None else _first_settled(remembered[2][parity], n, parity)
     applications = 0
-    if not isinstance(states[parity], OtocResult):
-        states = dict(states)
-        # every unsettled parity's right boundary; the odd one's forward kernel
-        # is freed before the transposed kernel is allocated
-        rights = {p: boundary_right(sigma_beta, n, p, gate=gate).vec
-                  for p, state in states.items() if not isinstance(state, OtocResult)}
-        applications = sum(p == "odd" for p in rights)
-        windows = {p: deque(states[p] if m else [float(np.dot(left, rights[p]))],
-                            maxlen=CESARO_WINDOW) for p in rights}
-        kern = _PauliColumnKernel(gate, n, transpose=True)
-        while parity in windows:
-            left = kern.apply(left)
-            m += 1
-            applications += 1
-            for p in list(windows):
-                windows[p].append(float(np.dot(left, rights[p])))
-                result = _settled(windows[p], m, n, p)
-                if result is not None:
-                    states[p] = result
-                    del windows[p]
-        states.update((p, tuple(window)) for p, window in windows.items())
-        _LEFT_TRAJECTORIES[n] = (key, m, states, left.copy() if windows else None)
-    result = states[parity]
+    if result is None:
+        overlaps, applications = _extend(
+            gate, sigma_alpha, sigma_beta, n, key,
+            lambda ov: _settled(ov[parity], len(ov[parity]) - 1, n, parity) is not None)
+        result = _settled(overlaps[parity], len(overlaps[parity]) - 1, n, parity)
     return OtocResult(None, None, parity, result.value, result.method, n=n,
                       meta={**result.meta, "applications": applications})

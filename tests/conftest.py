@@ -6,7 +6,7 @@ import pytest
 
 from duotoc import oracle
 from duotoc.opalg import pauli_basis
-from duotoc.transfer import _LEFT_TRAJECTORIES, _TRAJECTORIES, _PauliColumnKernel
+from duotoc.transfer import _TRAJECTORY_MEMO, _PauliColumnKernel
 
 # Q: columns vec(sigma_mu)/sqrt(2), from the Hermitian leg basis of the
 # transfer module to the complex computational folded basis of one slot
@@ -66,10 +66,10 @@ class _Applies(list):
 
 @pytest.fixture
 def applies(monkeypatch):
-    """Clears the trajectory memos of otoc_finite and otoc_longtime; the list
-    collects the depth of every column-kernel application that follows."""
-    _TRAJECTORIES.clear()
-    _LEFT_TRAJECTORIES.clear()
+    """Clears the trajectory memo that otoc_finite and otoc_longtime share;
+    the list collects the depth of every column-kernel application that
+    follows."""
+    _TRAJECTORY_MEMO.clear()
     depths = _Applies()
     apply = _PauliColumnKernel.apply
 

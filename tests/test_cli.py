@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from duotoc.cli import build_gate, main, operator_from_coeffs, resolve_config
-from duotoc.transfer import _TRAJECTORIES, otoc_finite
+from duotoc.transfer import _TRAJECTORY_MEMO, otoc_finite
 
 TOL = 1e-10
 
@@ -116,11 +116,13 @@ def test_longtime_metadata_and_strict(tmp_path):
 
 def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
                                                             monkeypatch):
-    """fig5: the t = tmax row runs one trajectory per diagonal (80 column
-    applications, 12 of them at n = 5, where every cell on its own takes
-    340 and 26); the other rows are served from memory, with the values of
-    cells computed one by one.  The calls' ``meta["applications"]`` add up
-    to the applications made."""
+    """fig5: the t = tmax row, x falling, extends each depth's trajectory
+    once, at its even cell (45 column applications: 10/9/8/7/6 at n = 1..5
+    plus one gate-dressed odd boundary each, where one trajectory per
+    diagonal took 80 and every cell on its own 340 and 26 at n = 5); the
+    other cells are served from memory, each bit for bit the value of a
+    call on an empty memory.  The calls' ``meta["applications"]`` add up to
+    the applications made."""
     results = []
 
     def recorded(*args):
@@ -130,10 +132,11 @@ def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
     monkeypatch.setattr("duotoc.cli.otoc_finite", recorded)
     out = tmp_path / "fig5.csv"
     assert main(["otoc", "--preset", "fig5", "--method", "all", "--out", str(out)]) == 0
-    assert len(applies) == 80
-    assert applies.count(5) == 12
-    assert sum(res.meta["applications"] for res in results) == 80
-    assert sum(res.meta["applications"] > 0 for res in results) == 10
+    assert len(applies) == 45
+    assert [applies.count(n) for n in range(1, 6)] == [11, 10, 9, 8, 7]
+    assert applies.dressed == [1, 2, 3, 4, 5]
+    assert sum(res.meta["applications"] for res in results) == 45
+    assert sum(res.meta["applications"] > 0 for res in results) == 5
     assert_matches_golden(out, "otoc", "fig5")
     cfg = resolve_config(argparse.Namespace(preset="fig5"))
     gate = build_gate(cfg)
@@ -145,15 +148,16 @@ def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
         if (x, t) == (0, 10):  # depth 6, beyond N_MAX_APPLY
             assert row["transfer"] == ""
             continue
-        _TRAJECTORIES.clear()
+        _TRAJECTORY_MEMO.clear()
         assert float(row["transfer"]) == otoc_finite(gate, a_op, b_op, x, t).value, (x, t)
 
 
 def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
-    """fig4: the even pass iterates each depth's left vector until both
-    parities are settled or even stops, so a depth costs max(iterations)
+    """fig4: each depth's even row extends the depth's trajectory until even
+    parity stops, and its odd row reads the odd overlaps on the way or
+    extends the trajectory further, so a depth costs max(iterations)
     applications plus its gate-dressed odd boundaries: one, or two where the
-    odd row resumes the trajectory."""
+    odd row resumes the trajectory (279 applications in all)."""
     out = tmp_path / "fig4.csv"
     assert main(["longtime", "--preset", "fig4", "--method", "all", "--out", str(out)]) == 0
     assert_matches_golden(out, "longtime", "fig4")
@@ -166,6 +170,7 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
         even, odd = its[n, "even"], its[n, "odd"]
         assert applies.dressed.count(n) == (1 if odd <= even else 2), n
         assert applies.count(n) == max(even, odd) + applies.dressed.count(n), n
+    assert len(applies) == 279
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -293,22 +298,15 @@ def test_oracle_check_passes_strict(tmp_path):
         assert float(row["delta"]) < TOL
 
 
-def test_oracle_check_fig5_extends_the_chain_row_by_row(tmp_path, conjugations,
-                                                       monkeypatch):
+def test_oracle_check_fig5_extends_the_chain_row_by_row(tmp_path, conjugations):
     """oracle-check fig5 clamps tmax to 3 on the L = 8 chain and runs every
-    cell on chain 1.  With one worker the t = 3 row takes three steps and,
-    after the t = 0 row restarts the chain, the rows t = 1 and 2 one each.
-    The pool's threads may evict each other's chain state and step more
-    often, but give the same CSV."""
-    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
-    assert main(["oracle-check", "--preset", "fig5", "--out", str(pooled)]) == 0
-    # the unitarity check's one conjugation, by the even layer, and the steps
-    assert conjugations.count("even") - conjugations.count("odd") >= 5
-    conjugations.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert main(["oracle-check", "--preset", "fig5", "--out", str(serial)]) == 0
-    assert conjugations == ["even"] + ["even"] * 5
-    assert serial.read_bytes() == pooled.read_bytes()
+    cell on chain 1, one row after another: the unitarity check's one
+    conjugation by the even layer, then three steps for the t = 3 row and,
+    after the t = 0 row restarts the chain, one each for the rows t = 1
+    and 2."""
+    out = tmp_path / "oc.csv"
+    assert main(["oracle-check", "--preset", "fig5", "--out", str(out)]) == 0
+    assert conjugations == ["even"] * 6
 
 
 def test_spectrum_rows(capsys):

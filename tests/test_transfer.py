@@ -26,8 +26,7 @@ from duotoc.transfer import (
     ITERATION_CAP,
     N_MAX_APPLY,
     STOP_WINDOW,
-    _LEFT_TRAJECTORIES,
-    _TRAJECTORIES,
+    _TRAJECTORY_MEMO,
     _depths,
     _PauliColumnKernel,
     _stopped_limit,
@@ -620,6 +619,15 @@ def test_non_hermitian_rejected_before_any_apply(monkeypatch, bad):
         otoc_longtime(gate, ops["alpha"], ops["beta"], 2, "odd")
 
 
+@pytest.mark.parametrize("bad", ["alpha", "beta"])
+@pytest.mark.parametrize("x,t", [(5, 1), (0, 1), (-3, 2)])
+def test_non_hermitian_rejected_in_and_outside_the_cone(bad, x, t):
+    """Outside the light cone (x = 5 and -3) as inside it (x = 0)."""
+    ops = {"alpha": SX, "beta": SX, bad: SX + 1j * SZ}
+    with pytest.raises(ValueError, match="Hermitian"):
+        otoc_finite(random_kak(1), ops["alpha"], ops["beta"], x, t)
+
+
 def test_only_qubits_supported():
     gate = random_dual_unitary(0)
     with pytest.raises(ValueError, match="only q = 2"):
@@ -653,8 +661,8 @@ def test_boundary_right_odd_needs_gate():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
-    # otoc_finite/otoc_longtime dress the odd boundary with their own kernel,
-    # whose buffers already hold other data; the vector must not change
+    # a kernel whose buffers already hold other data may dress the odd
+    # boundary; the vector must not change
     gate = random_kak(2)
     fresh = boundary_right(BETA_I, n, "odd", gate=gate).vec
     kern = _PauliColumnKernel(gate, n)
@@ -668,7 +676,7 @@ def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
 
 
 def _fresh(gate, sigma_alpha, sigma_beta, x, t):
-    _TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     return otoc_finite(gate, sigma_alpha, sigma_beta, x, t).value
 
 
@@ -686,13 +694,15 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(applies, k):
 
 
 def test_finite_meta_counts_the_applications_made(applies):
-    """meta["applications"]: n_+ kernel applications, plus one for a
-    gate-dressed odd boundary, and 0 for a cell served from memory or
-    outside the light cone; a mirrored cell reports its mirror image's."""
+    """meta["applications"]: the applications past the depth's remembered
+    trajectory plus one for the gate-dressed odd boundary, and 0 for a cell
+    served from memory or outside the light cone; a mirrored cell reports
+    its mirror image's."""
     gate = random_kak(1)
     cells = {(1, 6): 4,    # n = 3, odd: 3 applications and the dressing
              (0, 5): 0,    # the same diagonal, served from memory
-             (2, 6): 4,    # n = 3, even
+             (2, 6): 2,    # n = 3, even: the trajectory extended from 3 to 4
+             (1, 5): 0,    # n = 3, even, within the trajectory
              (5, 3): 0,    # outside the light cone
              (-1, 4): 3}   # the mirrored gate's (1, 4): n = 2, odd
     for (x, t), made in cells.items():
@@ -731,7 +741,7 @@ def test_memo_misses_on_changed_operators_and_gates(applies):
     calls = {"changed sigma_beta": (base, BETA, (1, 5)),
              "mirrored gate": (base, BETA_I, (-1, 5))}
     for name, (gate, beta, (x, t)) in calls.items():
-        _TRAJECTORIES.clear()
+        _TRAJECTORY_MEMO.clear()
         otoc_finite(base, ALPHA_I, BETA_I, 2, 6)
         del applies[:]
         got = otoc_finite(gate, ALPHA_I, beta, x, t).value
@@ -740,7 +750,7 @@ def test_memo_misses_on_changed_operators_and_gates(applies):
         assert got != _fresh(base, ALPHA_I, BETA_I, 1, 5), name
     # a gate array changed in place after its trajectory was remembered
     gate = base.copy()
-    _TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     otoc_finite(gate, ALPHA_I, BETA_I, 2, 6)
     gate[...] = other
     del applies[:]
@@ -751,7 +761,9 @@ def test_memo_misses_on_changed_operators_and_gates(applies):
 
 
 def test_memo_holds_at_most_one_trajectory_per_slot():
-    _TRAJECTORIES.clear()
+    """One trajectory per depth, whatever the parities, gates and
+    insertions asked for; finite and long-time calls share it."""
+    _TRAJECTORY_MEMO.clear()
     gate = random_kak(1)
     for t in range(2 * N_MAX_APPLY):  # (0, t) covers every depth and parity
         otoc_finite(gate, ALPHA, BETA, 0, t)
@@ -759,9 +771,8 @@ def test_memo_holds_at_most_one_trajectory_per_slot():
         for t in range(1, 6):
             otoc_finite(gate, ALPHA, beta, 1, t)
             otoc_finite(SWAP @ gate_matrix(gate) @ SWAP, ALPHA, beta, 1, t)
-    assert len(_TRAJECTORIES) == 2 * N_MAX_APPLY
-    assert set(_TRAJECTORIES) == {(n, parity) for n in range(1, N_MAX_APPLY + 1)
-                                  for parity in ("even", "odd")}
+    otoc_longtime(gate, ALPHA, BETA, 1, "odd")
+    assert set(_TRAJECTORY_MEMO) == set(range(1, N_MAX_APPLY + 1))
 
 
 def test_memo_serves_threads_on_different_slots():
@@ -774,7 +785,7 @@ def test_memo_serves_threads_on_different_slots():
     cells = {(b, k): [(x, x + k) for x in range(6, -1, -1)] for b, k in jobs}
     want = {job: [_fresh(gate, ALPHA, betas[job[0]], x, t) for x, t in cells[job]]
             for job in jobs}
-    _TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
 
     def sweep(job):
         return [otoc_finite(gate, ALPHA, betas[job[0]], x, t).value
@@ -796,7 +807,7 @@ PARITIES = ("even", "odd")
 
 
 def _fresh_longtime(gate, sigma_alpha, sigma_beta, n, parity):
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     return otoc_longtime(gate, sigma_alpha, sigma_beta, n, parity)
 
 
@@ -817,7 +828,8 @@ SETTLE_ORDERS = {
 def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
     """Whichever parity is asked first and whichever settles first, the
     second call returns what a call on an empty memory returns, bit for bit,
-    and makes only the applications past the first call's stop."""
+    and makes only the applications past the first call's stop, plus the
+    dressing of the odd boundary when it extends the trajectory."""
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
     fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
@@ -826,7 +838,7 @@ def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
         # each fresh call also dresses the odd boundary, to read both parities
         assert fresh[p].meta["applications"] == its[p] + 1
     second = "odd" if first == "even" else "even"
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     del applies[:]
     got = {p: otoc_longtime(gate, ALPHA_I, BETA_I, n, p) for p in (first, second)}
     for p in PARITIES:
@@ -835,8 +847,7 @@ def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
     if its[second] <= its[first]:
         assert got[second].meta["applications"] == 0
     else:
-        assert got[second].meta["applications"] == (its[second] - its[first]
-                                                    + (second == "odd"))
+        assert got[second].meta["applications"] == its[second] - its[first] + 1
     assert len(applies) == sum(res.meta["applications"] for res in got.values())
     assert applies.count(n) == len(applies)
     # a third call of either parity is a hit
@@ -855,12 +866,61 @@ def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
     gate = random_dual_unitary(0)
     fresh = {p: _fresh_longtime(gate, ALPHA, BETA, 2, p) for p in PARITIES}
     assert all(res.meta["converged"] is False for res in fresh.values())
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     otoc_longtime(gate, ALPHA, BETA, 2, "even")
     del applies[:]
     odd = otoc_longtime(gate, ALPHA, BETA, 2, "odd")
     assert applies == []
     assert _without_applications(odd) == _without_applications(fresh["odd"])
+
+
+# SETTLE_ORDERS case and the m up to which a finite scan of its depth runs
+SCANS = {"one parity within the scan": ("odd first", 20),   # odd 8, even 35
+         "both within the scan": ("even first", 45)}        # even 38, odd 39
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, scan):
+    """A finite scan of depth n up to m = M, far cell first, then both
+    long-time parities on the same gate and insertions: each returns a fresh
+    call's value and iterations, bit for bit.  A parity that stops at some
+    m <= M is read from the stored overlaps, at its first settled m rather
+    than at M, with no application; one that stops later extends the
+    trajectory from M."""
+    order, top = SCANS[scan]
+    gate, n, iterations = SETTLE_ORDERS[order]
+    its = dict(zip(PARITIES, iterations))
+    fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
+    _TRAJECTORY_MEMO.clear()
+    # the even cells of depth n, t - x = 2n - 2, take m = x + n - 1
+    for x in range(top - n + 1, -1, -1):
+        otoc_finite(gate, ALPHA_I, BETA_I, x, x + 2 * n - 2)
+    assert _TRAJECTORY_MEMO[n][1] == top
+    del applies[:]
+    for p in PARITIES:
+        got = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
+        assert _without_applications(got) == _without_applications(fresh[p]), p
+        assert got.meta["iterations"] == its[p]
+        assert got.meta["applications"] == (0 if its[p] <= top else its[p] - top + 1), p
+    assert len(applies) == max(0, max(iterations) - top + 1)
+
+
+def test_finite_cells_after_longtime_make_no_applications(applies):
+    """After otoc_longtime left its depth's trajectory at m = M, every
+    finite cell of that depth with m <= M, both parities, is read from it
+    with no application, bit for bit the value of a call on an empty
+    memory."""
+    gate, n, (even, _) = SETTLE_ORDERS["odd first"]
+    otoc_longtime(gate, ALPHA_I, BETA_I, n, "even")
+    assert _TRAJECTORY_MEMO[n][1] == even
+    # t - x = 2n - 2 (even) and 2n - 1 (odd) both take m = x + n - 1
+    cells = [(x, x + k) for x in range(even - n + 2) for k in (2 * n - 2, 2 * n - 1)]
+    del applies[:]
+    got = {cell: otoc_finite(gate, ALPHA_I, BETA_I, *cell) for cell in cells}
+    assert applies == []
+    assert all(res.meta["applications"] == 0 for res in got.values())
+    for cell, res in got.items():
+        assert res.value == _fresh(gate, ALPHA_I, BETA_I, *cell), cell
 
 
 def test_longtime_memo_key_covers_gate_operators_and_depth(applies):
@@ -874,19 +934,19 @@ def test_longtime_memo_key_covers_gate_operators_and_depth(applies):
              "sigma_beta": (base, ALPHA_I, BETA, 2),
              "depth": (base, ALPHA_I, BETA_I, 1)}
     for name, (gate, alpha, beta, n) in calls.items():
-        _LEFT_TRAJECTORIES.clear()
+        _TRAJECTORY_MEMO.clear()
         otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
         got = otoc_longtime(gate, alpha, beta, n, "odd")
         assert got.meta["applications"] == got.meta["iterations"] + 1, name
         want = _fresh_longtime(gate, alpha, beta, n, "odd")
         assert _without_applications(got) == _without_applications(want), name
     # the base key itself resumes (odd settles after even here)
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
     assert otoc_longtime(base, ALPHA_I, BETA_I, 2, "odd").meta["applications"] == 2
     # a gate array changed in place after its trajectory was remembered
     gate = base.copy()
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
     otoc_longtime(gate, ALPHA_I, BETA_I, 2, "even")
     gate[...] = other
     got = otoc_longtime(gate, ALPHA_I, BETA_I, 2, "odd")
@@ -930,7 +990,7 @@ def test_longtime_memo_serves_threads_on_shared_depths():
     want = {job: _without_applications(_fresh_longtime(gate, ALPHA, betas[job[0]],
                                                        *job[1:]))
             for job in jobs}
-    _LEFT_TRAJECTORIES.clear()
+    _TRAJECTORY_MEMO.clear()
 
     def ask(job):
         return [_without_applications(otoc_longtime(gate, ALPHA, betas[job[0]], *job[1:]))
