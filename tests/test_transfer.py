@@ -777,8 +777,8 @@ def test_memo_holds_at_most_one_trajectory_per_slot():
 
 def test_memo_serves_threads_on_different_slots():
     """Eight threads, more than the cores, each sweep one diagonal far cell
-    first; two operators share every slot, so entries are replaced while
-    other threads read them."""
+    first; two operators and both parities share every depth, so entries
+    are replaced and extended while other threads read them."""
     gate = random_kak(1)
     betas = (BETA, BETA_I)
     jobs = [(b, k) for b in range(len(betas)) for k in range(4)]  # n <= 2
