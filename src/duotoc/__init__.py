@@ -22,8 +22,6 @@ from .opalg import (
 from .gates import (
     Gate,
     KakParams,
-    KimParams,
-    XyParams,
     gate_matrix,
     build_kak,
     build_kim,
@@ -37,14 +35,12 @@ from .channels import (
     SpectrumReport,
     channel_plus,
     channel_minus,
-    channel_apply,
     channel_spectrum,
     choi_matrix,
     lightcone_correlator,
     m_n,
 )
 from .transfer import (
-    TransferMatrix,
     OtocResult,
     build_transfer,
     boundary_left,
@@ -68,7 +64,6 @@ from .closed_forms import (
     kim_correlator,
     kim_integrable_otoc,
     kim_integrable_otoc_symmetrized,
-    kim_integrable_correlator,
     xy_longtime,
     xy_correlator,
     haar_projector,
@@ -86,19 +81,19 @@ __version__ = "0.1.0"
 __all__ = [
     "OperatorBasis", "pauli_basis", "op_to_vec", "vec_to_op",
     "normalize_coeffs", "dual", "swap_gate",
-    "Gate", "KakParams", "KimParams", "XyParams", "gate_matrix",
+    "Gate", "KakParams", "gate_matrix",
     "build_kak", "build_kim", "build_xy", "random_kak",
     "random_dual_unitary", "is_dual_unitary",
     "Channel", "SpectrumReport", "channel_plus", "channel_minus",
-    "channel_apply", "channel_spectrum", "choi_matrix",
+    "channel_spectrum", "choi_matrix",
     "lightcone_correlator", "m_n",
-    "TransferMatrix", "OtocResult", "build_transfer",
+    "OtocResult", "build_transfer",
     "boundary_left", "boundary_right", "fixed_left", "fixed_right",
     "parity_tag", "otoc_finite", "otoc_longtime",
     "e_basis", "kim_z_basis", "xy_overlap_matrix", "xy_dual_basis",
     "xy_longtime_projector",
     "mc_longtime", "kim_longtime", "kim_correlator", "kim_integrable_otoc",
-    "kim_integrable_otoc_symmetrized", "kim_integrable_correlator",
+    "kim_integrable_otoc_symmetrized",
     "xy_longtime", "xy_correlator", "haar_projector",
     "ChainSpec", "oracle_correlator", "oracle_otoc", "evolve_heisenberg",
     "haar_sample",

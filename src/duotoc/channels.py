@@ -22,7 +22,6 @@ __all__ = [
     "SpectrumReport",
     "channel_plus",
     "channel_minus",
-    "channel_apply",
     "channel_superop",
     "choi_matrix",
     "channel_spectrum",
@@ -39,7 +38,6 @@ class Channel:
 
     q: int
     mat: np.ndarray  # (q^2, q^2), element (a,b) = tr[ops[a]^dag M(ops[b])]/q
-    sign: int  # +1 for M_plus, -1 for M_minus
     basis: OperatorBasis
 
     def nontrivial_eigenvalues(self) -> np.ndarray:
@@ -68,20 +66,20 @@ def _to_basis(S: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     return P.conj() @ S @ P.T / q
 
 
-def channel_plus(gate, basis: OperatorBasis | None = None) -> Channel:
+def _channel(gate, superop) -> Channel:
     U = gate_matrix(gate)
     assert_unitary(U)
     q = int(round(np.sqrt(U.shape[0])))
-    basis = basis or pauli_basis(q)
-    return Channel(q=q, mat=_to_basis(_superop_plus(U, q), basis), sign=+1, basis=basis)
+    basis = pauli_basis(q)
+    return Channel(q=q, mat=_to_basis(superop(U, q), basis), basis=basis)
 
 
-def channel_minus(gate, basis: OperatorBasis | None = None) -> Channel:
-    U = gate_matrix(gate)
-    assert_unitary(U)
-    q = int(round(np.sqrt(U.shape[0])))
-    basis = basis or pauli_basis(q)
-    return Channel(q=q, mat=_to_basis(_superop_minus(U, q), basis), sign=-1, basis=basis)
+def channel_plus(gate) -> Channel:
+    return _channel(gate, _superop_plus)
+
+
+def channel_minus(gate) -> Channel:
+    return _channel(gate, _superop_minus)
 
 
 def channel_superop(channel: Channel) -> np.ndarray:
@@ -90,14 +88,6 @@ def channel_superop(channel: Channel) -> np.ndarray:
     P = channel.basis.ops.reshape(q * q, q * q)
     # mat = P* S P^T / q  with  P P^dag = q * identity (orthonormal basis)
     return P.T @ channel.mat @ P.conj() / q
-
-
-def channel_apply(channel: Channel, sigma: np.ndarray, t: int = 1) -> np.ndarray:
-    """Apply the channel t times to a one-site operator."""
-    q = channel.q
-    coeffs = op_to_vec(sigma, channel.basis)
-    coeffs = np.linalg.matrix_power(channel.mat, t) @ coeffs
-    return np.einsum("a,aij->ij", coeffs, channel.basis.ops)
 
 
 def choi_matrix(channel: Channel) -> np.ndarray:
@@ -169,8 +159,8 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, 
     b = op_to_vec(sigma_beta, basis)
     if t == 0:
         return (np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / q).real
-    plus = channel_plus(U, basis)
-    minus = channel_minus(U, basis)
+    plus = channel_plus(U)
+    minus = channel_minus(U)
     via_plus = np.vdot(a, np.linalg.matrix_power(plus.mat, t) @ b)
     via_minus = np.vdot(b, np.linalg.matrix_power(minus.mat, t) @ a)
     if abs(via_plus - np.conj(via_minus)) > _AGREE_TOL:
@@ -186,5 +176,5 @@ def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     U = gate_matrix(gate)
     q = int(round(np.sqrt(U.shape[0])))
     basis = pauli_basis(q)
-    w = np.linalg.matrix_power(channel_plus(U, basis).mat, n) @ op_to_vec(sigma_beta, basis)
+    w = np.linalg.matrix_power(channel_plus(U).mat, n) @ op_to_vec(sigma_beta, basis)
     return float(np.real(np.vdot(w, w)))

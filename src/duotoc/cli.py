@@ -15,8 +15,11 @@ A run is configured by (in increasing precedence) built-in defaults, a named
 flags.  Scans write CSV with a header line (floats at 17 significant digits)
 plus a ``<out>.json`` sidecar recording the fully resolved configuration;
 ``--format json`` bundles rows and configuration into a single JSON document.
-Identical configuration and seed give byte-identical output.  Rows a method
-cannot serve within its budget are left blank, never extrapolated.
+Identical configuration and seed give byte-identical output at a fixed BLAS
+thread count: with another count (``OPENBLAS_NUM_THREADS``, say), transfer
+values at depth n >= 4 can move by an ulp, up to 1.1e-16 in the figure
+presets.  Rows a method cannot serve within its budget are left blank, never
+extrapolated.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .closed_forms import (
     xy_longtime,
 )
 from .gates import build_kim, build_xy, is_dual_unitary, random_dual_unitary, random_kak
-from .opalg import normalize_coeffs, pauli_basis
+from .opalg import normalize_coeffs, pauli_basis, vec_to_op
 from .oracle import ChainSpec, oracle_correlator, oracle_otoc
 from .transfer import (
     N_MAX_APPLY,
@@ -135,24 +138,34 @@ def _bool(value) -> bool:
 
 
 def load_config_file(path: str) -> dict:
-    """JSON (dict at top level) or plain ``key=value`` lines, ``#`` comments."""
+    """JSON (dict at top level) or plain ``key=value`` lines, ``#`` comments.
+
+    Every key must name a run setting; ``preset`` is not one, since a preset
+    comes only through ``--preset``.
+    """
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object")
-        return data
-    out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"config line {raw!r} is not key=value")
-        out[key.strip()] = value.strip()
-    return out
+    else:
+        data = {}
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigError(f"config line {raw!r} is not key=value")
+            data[key.strip()] = value.strip()
+    for key in data:
+        if key == "preset":
+            raise ConfigError(f"config file {path}: key 'preset' is not allowed; "
+                              "a preset comes only through --preset")
+        if key not in _DEFAULTS:
+            raise ConfigError(f"config file {path}: unknown key {key!r}")
+    return data
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -169,8 +182,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged.update(load_config_file(config_path))
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
-        if flag is not None and key != "preset":
+        if flag is not None and key not in ("preset", "strict"):
             merged[key] = flag
+    # --strict can only switch strict mode on; it is False when not given
     if getattr(args, "strict", False):
         merged["strict"] = True
 
@@ -221,13 +235,12 @@ def build_gate(cfg: RunConfig):
 
 def operator_from_coeffs(coeffs) -> np.ndarray:
     """Unit-normalized operator from (ax, ay, az) or (a0, ax, ay, az)."""
-    basis = pauli_basis(2)
     c = np.asarray(coeffs, dtype=float)
     if c.shape == (3,):
-        c = normalize_coeffs(c)
-        return np.einsum("a,aij->ij", c, basis.ops[1:])
-    c = c / np.linalg.norm(c)
-    return np.einsum("a,aij->ij", c, basis.ops)
+        c = np.concatenate(([0.0], normalize_coeffs(c)))
+    else:
+        c = c / np.linalg.norm(c)
+    return vec_to_op(c, pauli_basis(2))
 
 
 def _is_integrable_kim(cfg: RunConfig) -> bool:
@@ -321,8 +334,7 @@ def cmd_classify(args) -> int:
     gate = build_gate(cfg)
     plus = channel_spectrum(channel_plus(gate))
     minus = channel_spectrum(channel_minus(gate))
-    tmat = build_transfer(gate, 1)
-    eigs = np.linalg.eigvals(tmat.mat)
+    eigs = np.linalg.eigvals(build_transfer(gate, 1))
     n_unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_EIG_TOL))
     report = {
         "gate": cfg.gate,
@@ -385,11 +397,11 @@ def cmd_corr(args) -> int:
     return _emit(cfg, names, rows)
 
 
-def _otoc_row(cfg, gate, spec, a_op, b_op, xt):
+def _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt):
+    """One OTOC cell (x, t) by each of ``methods``, with their delta."""
     x, t = xt
     n_depth, _, parity = _depths(x, t)
     row = {"x": x, "t": t, "parity": parity}
-    methods = _selected(cfg)
     if "transfer" in methods:
         row["transfer"] = (otoc_finite(gate, a_op, b_op, x, t).value
                            if n_depth <= N_MAX_APPLY else None)
@@ -409,9 +421,10 @@ def cmd_otoc(args) -> int:
     a_op = operator_from_coeffs(cfg.alpha)
     b_op = operator_from_coeffs(cfg.beta)
     spec = ChainSpec(gate=gate)
-    rows = _scan_rows(lambda xt: _otoc_row(cfg, gate, spec, a_op, b_op, xt), cfg.tmax)
-    names = ["x", "t", "parity"] + list(_selected(cfg)) + ["delta"]
-    return _emit(cfg, names, rows)
+    methods = _selected(cfg)
+    rows = _scan_rows(lambda xt: _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt),
+                      cfg.tmax)
+    return _emit(cfg, ["x", "t", "parity", *methods, "delta"], rows)
 
 
 def _longtime_closed(cfg, gate, a_op, b_op, n, parity):
@@ -499,16 +512,10 @@ def cmd_oracle_check(args) -> int:
         print(f"oracle-check: clamping tmax to {tmax} (chain budget 2t < L = {spec.L})",
               file=sys.stderr)
 
-    def row_fn(xt):
-        x, t = xt
-        tv = otoc_finite(gate, a_op, b_op, x, t).value
-        ov = float(oracle_otoc(spec, a_op, b_op, x, t))
-        return {"x": x, "t": t, "parity": parity_tag(x, t),
-                "transfer": tv, "oracle": ov, "delta": abs(tv - ov)}
-
-    rows = _scan_rows(row_fn, tmax)
+    methods = ("transfer", "oracle")
+    rows = _scan_rows(lambda xt: _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt), tmax)
     worst = max(row["delta"] for row in rows)
-    code = _emit(cfg, ["x", "t", "parity", "transfer", "oracle", "delta"], rows)
+    code = _emit(cfg, ["x", "t", "parity", *methods, "delta"], rows)
     print(f"oracle-check: max |transfer - oracle| = {worst:.3e} "
           f"over {len(rows)} points", file=sys.stderr)
     if cfg.strict and worst > STRICT_TOL:

@@ -30,7 +30,6 @@ __all__ = [
     "kim_correlator",
     "kim_integrable_otoc",
     "kim_integrable_otoc_symmetrized",
-    "kim_integrable_correlator",
     "xy_longtime",
     "xy_correlator",
     "haar_projector",
@@ -116,6 +115,24 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
     return float(np.cos(h1 + h2) ** (t - 1) * pref)
 
 
+def _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized: bool):
+    """The self-dual kicked Ising OTOC at h1 = h2 = 0; the odd-parity branch
+    carries (1 - ax^2) if ``symmetrized``, else the printed (1 - ax)^2."""
+    ax, ay, az = _components(sigma_alpha)
+    bx, by, bz = _components(sigma_beta)
+    s = abs(int(x))
+    if s > t:
+        return 1.0
+    if t == 0:
+        return _t0_otoc(sigma_alpha, sigma_beta)
+    if (t - s) % 2 == 0:
+        if s == t:
+            return 2.0 * ((ay * by + az * bz) ** 2 + ax**2 * bx**2) - 1.0
+        return 1.0
+    weight = 1.0 - ax**2 if symmetrized else (1.0 - ax) ** 2
+    return ax**2 + weight * (2.0 * bx**2 - 1.0)
+
+
 def kim_integrable_otoc(sigma_alpha, sigma_beta, x, t):
     """OTOC of the self-dual kicked Ising circuit at h1 = h2 = 0, as printed.
 
@@ -126,18 +143,7 @@ def kim_integrable_otoc(sigma_alpha, sigma_beta, x, t):
     form the brute-force oracle confirms.  At t = 0 the OTOC is the plain
     trace algebra tr[(sigma_alpha sigma_beta)^2]/q.
     """
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
-    s = abs(int(x))
-    if s > t:
-        return 1.0
-    if t == 0:
-        return _t0_otoc(sigma_alpha, sigma_beta)
-    if (t - s) % 2 == 0:
-        if s == t:
-            return 2.0 * ((ay * by + az * bz) ** 2 + ax**2 * bx**2) - 1.0
-        return 1.0
-    return ax**2 + (1.0 - ax) ** 2 * (2.0 * bx**2 - 1.0)
+    return _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized=False)
 
 
 def kim_integrable_otoc_symmetrized(sigma_alpha, sigma_beta, x, t):
@@ -146,28 +152,7 @@ def kim_integrable_otoc_symmetrized(sigma_alpha, sigma_beta, x, t):
     This is the variant the brute-force oracle and the transfer iteration
     agree with; kim_integrable_otoc keeps the printed factor unchanged.
     """
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
-    s = abs(int(x))
-    if s > t:
-        return 1.0
-    if t == 0:
-        return _t0_otoc(sigma_alpha, sigma_beta)
-    if (t - s) % 2 == 0:
-        if s == t:
-            return 2.0 * ((ay * by + az * bz) ** 2 + ax**2 * bx**2) - 1.0
-        return 1.0
-    return ax**2 + (1.0 - ax**2) * (2.0 * bx**2 - 1.0)
-
-
-def kim_integrable_correlator(sigma_alpha, sigma_beta, t):
-    """Correlator of the self-dual kicked Ising circuit: delta overlap at
-    t = 0, then the constant ax bx."""
-    if t == 0:
-        return _delta_overlap(sigma_alpha, sigma_beta)
-    ax, _, _ = _components(sigma_alpha)
-    bx, _, _ = _components(sigma_beta)
-    return ax * bx
+    return _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized=True)
 
 
 def xy_longtime(sigma_alpha, sigma_beta, t_minus_x):

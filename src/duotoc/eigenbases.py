@@ -54,7 +54,6 @@ class SlotState:
     prods: dict = field(default_factory=dict)
     pairs: tuple = ()
     q: int = 2
-    scale: complex = 1.0
     _vec: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ def _materialize(state: SlotState) -> np.ndarray:
         subs.append(_LETTERS[i - 1])
     out = _LETTERS[: 2 * state.n]
     full = np.einsum(",".join(subs) + "->" + out, *operands)
-    return state.scale * full.reshape(d ** (2 * state.n))
+    return full.reshape(d ** (2 * state.n))
 
 
 @dataclass

@@ -8,7 +8,6 @@ output pair (a,b) with the left site slower.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ from .opalg import TOL_UNITARY, assert_unitary, dual, is_unitary, pauli_basis
 __all__ = [
     "Gate",
     "KakParams",
-    "KimParams",
-    "XyParams",
     "gate_matrix",
     "one_qubit_gate",
     "build_kak",
@@ -70,21 +67,6 @@ class KakParams:
     u_minus: tuple
     v_plus: tuple
     v_minus: tuple
-
-
-@dataclass(frozen=True)
-class KimParams:
-    """Self-dual kicked Ising gate parameters; J = b = pi/4 is implied."""
-
-    h1: float
-    h2: float
-
-
-@dataclass(frozen=True)
-class XyParams:
-    """Kicked XY coupling (the J_z of the figures); dual-unitary iff |J| = pi/4."""
-
-    j: float
 
 
 def one_qubit_gate(n) -> np.ndarray:
@@ -158,16 +140,8 @@ def random_dual_unitary(seed) -> Gate:
     return Gate(u=g.u, family="dual", meta={**g.meta, "seed": seed})
 
 
-def _reject_number(p, keyword_form: str):
-    """A bare number passed as the params object would fail later on an
-    attribute lookup; say how to pass it instead."""
-    if isinstance(p, numbers.Number):
-        raise TypeError(f"gate parameters go by keyword: {keyword_form}, "
-                        f"not a positional {type(p).__name__}")
-
-
-def build_kim(p: KimParams | None = None, h1: float | None = None, h2: float | None = None) -> Gate:
-    """The self-dual kicked Ising gate.
+def build_kim(h1: float, h2: float) -> Gate:
+    """The self-dual kicked Ising gate; J = b = pi/4 is implied.
 
     Matrix elements, with spin labels a,b,c,d in {-1,+1} (+1 maps to index 0),
     row (a,b) = output, column (c,d) = input, left site first:
@@ -177,9 +151,7 @@ def build_kim(p: KimParams | None = None, h1: float | None = None, h2: float | N
 
     Dual-unitary for every (h1, h2); integrable (non-ergodic) when h1 = -h2.
     """
-    _reject_number(p, "build_kim(h1=..., h2=...)")
-    if p is None:
-        p = KimParams(h1=float(h1), h2=float(h2))
+    h1, h2 = float(h1), float(h2)
     u = np.zeros((4, 4), dtype=complex)
     spins = (1.0, -1.0)
     for ia, a in enumerate(spins):
@@ -189,9 +161,9 @@ def build_kim(p: KimParams | None = None, h1: float | None = None, h2: float | N
                     u[ia * 2 + ib, ic * 2 + id_] = (
                         -0.5j
                         * np.exp(1j * (np.pi / 4) * (a - d) * (c - b))
-                        * np.exp(-1j * (p.h1 / 2) * (a + c) - 1j * (p.h2 / 2) * (b + d))
+                        * np.exp(-1j * (h1 / 2) * (a + c) - 1j * (h2 / 2) * (b + d))
                     )
-    return Gate(u=u, family="kim", meta={"h1": p.h1, "h2": p.h2})
+    return Gate(u=u, family="kim", meta={"h1": h1, "h2": h2})
 
 
 # The kicked XY gate is defined diagrammatically; its algebraic content is the
@@ -222,19 +194,18 @@ def _xy_identities_hold(u: np.ndarray, tol: float = 1e-12) -> bool:
     return True
 
 
-def build_xy(p: XyParams | None = None, j: float | None = None) -> Gate:
-    """The kicked XY gate, with the kick placement fixed constructively.
+def build_xy(j: float) -> Gate:
+    """The kicked XY gate at coupling J (the J_z of the figures), with the
+    kick placement fixed constructively; dual-unitary iff |J| = pi/4.
 
     The candidate compositions of the two-qubit part with the one-qubit kick
     are tried in turn; the one satisfying all eight conjugation identities
     (to 1e-12) is selected and recorded in ``meta["placement"]``.  If none
     does, the conventions are broken and construction fails loudly.
     """
-    _reject_number(p, "build_xy(j=...)")
-    if p is None:
-        p = XyParams(j=float(j))
+    j = float(j)
     kick = np.cos(np.pi / 4) * np.eye(2) + 1j * np.sin(np.pi / 4) * _SX
-    jj = (np.cos(p.j) * np.eye(4) + 1j * np.sin(p.j) * np.kron(_SZ, _SZ)) @ (
+    jj = (np.cos(j) * np.eye(4) + 1j * np.sin(j) * np.kron(_SZ, _SZ)) @ (
         np.cos(np.pi / 4) * np.eye(4) + 1j * np.sin(np.pi / 4) * np.kron(_SY, _SY)
     )
     candidates = [
@@ -245,7 +216,7 @@ def build_xy(p: XyParams | None = None, j: float | None = None) -> Gate:
     ]
     for name, u in candidates:
         if _xy_identities_hold(u):
-            return Gate(u=u, family="xy", meta={"j": p.j, "placement": name})
+            return Gate(u=u, family="xy", meta={"j": j, "placement": name})
     raise ValueError("no kicked-XY composition satisfies the defining identities")
 
 

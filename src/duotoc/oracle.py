@@ -99,7 +99,6 @@ from .opalg import TOL_UNITARY
 
 __all__ = [
     "ChainSpec",
-    "EvolvedOperator",
     "site_operator",
     "evolve_heisenberg",
     "oracle_correlator",
@@ -134,13 +133,6 @@ class ChainSpec:
             raise ValueError("L must be an even integer >= 4")
         if self.L * np.log2(self.q) > 12:
             raise ValueError("chain exceeds the 12-qubit-equivalent budget")
-
-
-@dataclass(frozen=True)
-class EvolvedOperator:
-    matrix: np.ndarray
-    site: int
-    t: int
 
 
 def site_operator(sigma: np.ndarray, x: int, L: int, q: int = 2) -> np.ndarray:
@@ -231,13 +223,13 @@ def _chain_evolved(memo: _ChainMemo, U: np.ndarray, sigma: np.ndarray, start: in
     return mat
 
 
-def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> EvolvedOperator:
+def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> np.ndarray:
     """sigma(site, t) = U(t)^dag sigma(site) U(t), a fresh matrix the caller
     owns: the chain that starts at site - t % 2, run on a memo of its own."""
     U = _checked_gate(spec)
     mat = _chain_evolved(_ChainMemo(), U, sigma, site - t % 2, t, spec.L, spec.q)
     mat.flags.writeable = True  # its memo is gone: nothing else holds it
-    return EvolvedOperator(matrix=mat, site=site % spec.L, t=t)
+    return mat
 
 
 def _chain_operator(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):

@@ -27,15 +27,15 @@ One basis carries the column: the orthonormal Hermitian leg basis
 numbers are real.  The boundary vectors, ``otoc_finite``, ``otoc_longtime``
 and the dense ``build_transfer`` all work in it.  Let Q be the unitary whose
 columns are vec(sigma_mu)/sqrt(2), in the complex computational folded basis
-(slot index u*q + ubar).  ``BoundaryVector.vec`` holds a right boundary as
-the coefficients Q^T v of its complex vector v and a left boundary as
-Q^dagger l, slot by slot; their plain dot product equals the bilinear
-overlap of the complex vectors.  ``TransferMatrix.mat`` is the complex-basis
-matrix T in the same basis, Q^T T conj(Q) slot by slot, so it carries the
-right coefficients and its transpose the left ones.  The Hermitian basis
-exists for q = 2 only, so every entry point rejects a gate that is not 4 x 4
-or an insertion that is not 2 x 2, and it rejects non-Hermitian insertions,
-whose coefficients would not be real.
+(slot index u*q + ubar).  ``boundary_right`` returns a right boundary as
+the coefficients Q^T v of its complex vector v and ``boundary_left`` a left
+boundary as Q^dagger l, slot by slot; their plain dot product equals the
+bilinear overlap of the complex vectors.  ``build_transfer`` returns the
+complex-basis matrix T in the same basis, Q^T T conj(Q) slot by slot, so it
+carries the right coefficients and its transpose the left ones.  The
+Hermitian basis exists for q = 2 only, so every entry point rejects a gate
+that is not 4 x 4 or an insertion that is not 2 x 2, and it rejects
+non-Hermitian insertions, whose coefficients would not be real.
 
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
@@ -91,20 +91,6 @@ def _bundle_tensor(u: np.ndarray) -> np.ndarray:
     over folded legs (u, ubar) -> u*2 + ubar."""
     u4 = u.reshape(2, 2, 2, 2)
     return np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj()).reshape(4, 4, 4, 4)
-
-
-@dataclass
-class TransferMatrix:
-    n: int
-    mat: np.ndarray  # real, in the Hermitian leg basis (see the module docstring)
-    spectral_radius: float = None
-
-
-@dataclass
-class BoundaryVector:
-    n: int
-    parity: str  # "even" / "odd" for right boundaries, None for left
-    vec: np.ndarray  # real, in the Hermitian leg basis (see the module docstring)
 
 
 def _check_qubits(gate, *ops):
@@ -383,18 +369,19 @@ class _PauliColumnKernel:
 
 def fixed_right(n: int) -> np.ndarray:
     """|R_n) = 2^{-n/2} |1 ... 1): the even right boundary of the identity."""
-    return boundary_right(np.eye(2), n, "even").vec
+    return boundary_right(np.eye(2), n, "even")
 
 
 def fixed_left(n: int) -> np.ndarray:
     """(L_n| = 2^{-n/2} nested identity pairings tying slots j and 2n+1-j:
     the left boundary of the identity."""
-    return boundary_left(np.eye(2), n).vec
+    return boundary_left(np.eye(2), n)
 
 
-def boundary_left(sigma_alpha, n: int) -> BoundaryVector:
+def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
-    insertions except the innermost pairing, which carries sigma_alpha."""
+    insertions except the innermost pairing, which carries sigma_alpha; a
+    real vector in the Hermitian leg basis (see the module docstring)."""
     _check_qubits(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
     identity_pair = np.eye(4)
@@ -402,19 +389,18 @@ def boundary_left(sigma_alpha, n: int) -> BoundaryVector:
         # wrap the next pairing around the slots built so far
         vec = (identity_pair[:, None, :] * vec[None, :, None]).reshape(-1)
     vec *= 2.0 ** (-n / 2.0)
-    return BoundaryVector(n=n, parity=None, vec=vec)
+    return vec
 
 
-def boundary_right(sigma_beta, n: int, parity: str, gate=None,
-                   kernel=None) -> BoundaryVector:
-    """|R_n(sigma_beta)) for the requested parity of t - x.
+def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
+    """|R_n(sigma_beta)) for the requested parity of t - x, a real vector in
+    the Hermitian leg basis (see the module docstring).
 
     even: product form, sigma_beta on the outermost slots 1 and 2n;
     odd: gate-dressed form, one normalized column with sigma_beta bottom caps
     applied to the all-identity product and scaled by q^{-n/2}.  The dressed
-    form needs the circuit gate, or ``kernel``, a depth-n column kernel of it
-    to make that one application with; for sigma_beta = identity both forms
-    reduce to |R_n).
+    form needs the circuit gate; for sigma_beta = identity both forms reduce
+    to |R_n).
     """
     _check_qubits(gate, sigma_beta)
     beta = _slot_coeffs(sigma_beta)
@@ -423,14 +409,12 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None,
     if parity == "even":
         vec = scale * _product([beta] + [ident] * (2 * n - 2) + [beta])
     elif parity == "odd":
-        if kernel is None:
-            if gate is None:
-                raise ValueError("the odd-parity (dressed) right boundary needs the gate")
-            kernel = _PauliColumnKernel(gate, n)
-        vec = scale * kernel.apply(_product([ident] * (2 * n)), cap=beta)
+        if gate is None:
+            raise ValueError("the odd-parity (dressed) right boundary needs the gate")
+        vec = scale * _PauliColumnKernel(gate, n).apply(_product([ident] * (2 * n)), cap=beta)
     else:
         raise ValueError("parity must be 'even' or 'odd'")
-    return BoundaryVector(n=n, parity=parity, vec=vec)
+    return vec
 
 
 def _power_radius_estimate(kern, iters=200, seed=7):
@@ -462,9 +446,9 @@ def _power_radius_estimate(kern, iters=200, seed=7):
     return growth
 
 
-def build_transfer(gate, n: int) -> TransferMatrix:
-    """Dense depth-n transfer matrix in the Hermitian leg basis, with
-    fixed-point and spectral-radius checks at construction.
+def build_transfer(gate, n: int) -> np.ndarray:
+    """Dense depth-n transfer matrix ``mat``, real and in the Hermitian leg
+    basis, with fixed-point and spectral-radius checks at construction.
 
     Column j of ``mat`` is the column kernel applied to the j-th unit vector,
     written into row j of ``mat.T`` (so ``mat`` is Fortran-ordered).  The
@@ -521,7 +505,7 @@ def build_transfer(gate, n: int) -> TransferMatrix:
         radius = float(_power_radius_estimate(kern))
         if radius > 1.0 + 1e-6:
             raise AssertionError(f"transfer spectral radius estimate {radius} exceeds 1")
-    return TransferMatrix(n=n, mat=mat, spectral_radius=radius)
+    return mat
 
 
 @dataclass
@@ -582,12 +566,12 @@ def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     boundary counts as one application.
     """
     remembered = _remembered(n, key)
-    rights = {p: boundary_right(sigma_beta, n, p, gate=gate).vec for p in PARITIES}
+    rights = {p: boundary_right(sigma_beta, n, p, gate=gate) for p in PARITIES}
     if remembered is not None:
         _, m, overlaps, left = remembered
         overlaps = {p: list(overlaps[p]) for p in PARITIES}
     else:
-        m, left = 0, boundary_left(sigma_alpha, n).vec
+        m, left = 0, boundary_left(sigma_alpha, n)
         overlaps = {p: [float(np.dot(left, rights[p]))] for p in PARITIES}
     kern = _PauliColumnKernel(gate, n, transpose=True)
     applications = 1
@@ -721,10 +705,10 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
     application of the transposed column kernel to the left boundary.
 
-    The iterate l_m = (T^T)^m L starts as the left boundary's
-    ``BoundaryVector.vec`` and stays in the real Hermitian leg basis
-    (Q^dagger per slot); the overlap s_m = l_m . R is a plain dot product
-    with the right boundary's vec (Q^T per slot).  The parity stops at the
+    The iterate l_m = (T^T)^m L starts as the vector of ``boundary_left``
+    and stays in the real Hermitian leg basis (Q^dagger per slot); the
+    overlap s_m = l_m . R is a plain dot product with the vector of
+    ``boundary_right`` (Q^T per slot).  The parity stops at the
     first m allowed by the rule of ``_stopped_limit``: a window of
     STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
     the last extrapolate), else a window of overlaps that agree to TOL_STOP

@@ -15,7 +15,8 @@ Q_LEG = np.stack([op.reshape(4) / np.sqrt(2) for op in pauli_basis(2).ops], axis
 
 def hermitian_coeffs(vec, side):
     """A complex folded-basis column vector (the eigenbases module's) in the
-    Hermitian leg basis of ``TransferMatrix.mat`` and ``BoundaryVector.vec``:
+    Hermitian leg basis of ``build_transfer``, ``boundary_left`` and
+    ``boundary_right``:
     Q^T on every slot of a right vector, Q^dagger on every slot of a left
     one.  Q is unitary, so norms and eigen-equations carry over."""
     leg = {"right": Q_LEG.T, "left": Q_LEG.conj().T}[side]

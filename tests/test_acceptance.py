@@ -137,7 +137,7 @@ def test_criterion_05_integrable_projector(record_criterion, record_note):
 
     proj_res = 0.0
     for n in (1, 2, 3):
-        tmat = build_transfer(gate, n).mat
+        tmat = build_transfer(gate, n)
         proj_res = max(proj_res, np.abs(tmat @ tmat - tmat).max())
 
     # the same OTOC value regardless of how many transfer applications fit
@@ -151,7 +151,7 @@ def test_criterion_05_integrable_projector(record_criterion, record_note):
     # exhaustive eigenvalue rule at n=2: Pauli product states with an even
     # number of y/z factors are fixed, the others are annihilated
     ops4 = pauli_basis(2).ops
-    tmat2 = build_transfer(gate, 2).mat
+    tmat2 = build_transfer(gate, 2)
     rule_res = 0.0
     for combo in iproduct(range(4), repeat=4):
         v = hermitian_coeffs(product_state([ops4[k] for k in combo]).vec, "right")
@@ -267,7 +267,7 @@ def test_criterion_10_property_suite(record_criterion):
             chan_res = max(chan_res, max(0.0, -float(min_eig)))  # CP
 
         for n in (1, 2):
-            tmat = build_transfer(gate, n).mat
+            tmat = build_transfer(gate, n)
             r = fixed_right(n)
             l = fixed_left(n)
             fixed_res = max(fixed_res,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from duotoc.channels import (
-    channel_apply,
     channel_minus,
     channel_plus,
     channel_spectrum,
@@ -14,13 +13,20 @@ from duotoc.channels import (
     m_n,
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary, random_kak
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import op_to_vec, pauli_basis, vec_to_op
 from duotoc.oracle import ChainSpec, oracle_correlator
 
 TOL = 1e-12
 TOL_PSD = 1e-10
 
 I2, SX, SY, SZ = pauli_basis(2).ops
+
+
+def channel_apply(channel, sigma, t=1):
+    """The channel applied t times to a one-site operator, through the
+    power of its operator-basis matrix."""
+    coeffs = np.linalg.matrix_power(channel.mat, t) @ op_to_vec(sigma, channel.basis)
+    return vec_to_op(coeffs, channel.basis)
 
 GATES = [
     ("du0", random_dual_unitary(0)),

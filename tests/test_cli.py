@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from duotoc.cli import build_gate, main, operator_from_coeffs, resolve_config
+from duotoc.cli import ConfigError, build_gate, main, operator_from_coeffs, resolve_config
 from duotoc.transfer import _TRAJECTORY_MEMO, otoc_finite
 
 TOL = 1e-10
@@ -278,6 +278,33 @@ def test_json_config_file(tmp_path, capsys):
     assert code == 0
     assert doc["config"]["gate"] == "xy"
     assert len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["keyvalue", "json"])
+@pytest.mark.parametrize("key,message", [("tmx", "unknown key 'tmx'"),
+                                         ("preset", "key 'preset' is not allowed")])
+def test_config_file_rejects_keys_it_cannot_apply(tmp_path, fmt, key, message):
+    """A key that is no run setting, and a preset (which comes only through
+    --preset), stop the run with a message naming the key, rather than being
+    dropped or recorded without effect."""
+    settings = {"gate": "kim", "params": "0.4,0.6", key: "fig5" if key == "preset" else "3"}
+    cfg = tmp_path / "run.cfg"
+    if fmt == "json":
+        cfg.write_text(json.dumps(settings))
+    else:
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    ns = argparse.Namespace(config=str(cfg), strict=False)
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(ns)
+    with pytest.raises(SystemExit) as err:
+        main(["corr", "--config", str(cfg)])
+    assert err.value.code == 2
+
+
+def test_config_file_can_turn_strict_on(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gate=kim\nparams=0.4,0.6\nstrict=true\n")
+    assert resolve_config(argparse.Namespace(config=str(cfg), strict=False)).strict
 
 
 def test_preset_values_overridable(capsys):

@@ -7,7 +7,6 @@ from duotoc.channels import lightcone_correlator
 from duotoc.closed_forms import (
     haar_projector,
     kim_correlator,
-    kim_integrable_correlator,
     kim_integrable_otoc,
     kim_integrable_otoc_symmetrized,
     kim_longtime,
@@ -132,11 +131,12 @@ def test_integrable_odd_oracle_adjudication():
 
 
 def test_integrable_correlator():
-    assert kim_integrable_correlator(SX, SX, 5) == pytest.approx(1.0, abs=TOL_EXACT)
-    assert kim_integrable_correlator(SZ, SZ, 5) == pytest.approx(0.0, abs=TOL_EXACT)
-    assert kim_integrable_correlator(ALPHA, BETA, 3) == pytest.approx(
+    # the self-dual point h1 = h2 = 0: delta overlap at t = 0, then ax bx
+    assert kim_correlator(0.0, 0.0, SX, SX, 5) == pytest.approx(1.0, abs=TOL_EXACT)
+    assert kim_correlator(0.0, 0.0, SZ, SZ, 5) == pytest.approx(0.0, abs=TOL_EXACT)
+    assert kim_correlator(0.0, 0.0, ALPHA, BETA, 3) == pytest.approx(
         1 / 6, abs=TOL_EXACT)
-    assert kim_integrable_correlator(SY, SZ, 0) == pytest.approx(0.0, abs=TOL_EXACT)
+    assert kim_correlator(0.0, 0.0, SY, SZ, 0) == pytest.approx(0.0, abs=TOL_EXACT)
 
 
 # ----------------------------------------------------------------- kicked XY
@@ -186,7 +186,7 @@ def test_xy_correlator_explicit_decay():
 def test_xy_correlator_dual_unitary_point_is_integrable_kim():
     for t in (0, 1, 5):
         assert xy_correlator(np.pi / 4, ALPHA, BETA, t) == pytest.approx(
-            kim_integrable_correlator(ALPHA, BETA, t), abs=TOL_EXACT)
+            kim_correlator(0.0, 0.0, ALPHA, BETA, t), abs=TOL_EXACT)
 
 
 # ------------------------------------------------------------ Haar projector

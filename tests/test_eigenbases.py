@@ -35,7 +35,7 @@ def test_e_states_are_unit_eigenvectors(seed, n):
     raw, _ = e_basis(n)
     for state in raw:
         v = hermitian_coeffs(state.vec, "right")
-        assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
+        assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -54,7 +54,7 @@ def test_kim_z_states_are_unit_eigenvectors(n):
     zs, _ = kim_z_basis(n)
     for state in zs:
         v = hermitian_coeffs(state.vec, "right")
-        assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
+        assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -76,10 +76,10 @@ def test_xy_states_are_unit_eigenvectors(n, j):
     labels = xy_overlap_matrix(n).labels
     for r in labels:
         v = hermitian_coeffs(xy_right_state(r).vec, "right")
-        assert np.abs(tm.mat @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
+        assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
     for l in labels:
         v = hermitian_coeffs(xy_left_state(l).vec, "left")
-        assert np.abs(tm.mat.T @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
+        assert np.abs(tm.T @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from duotoc.gates import (
-    KimParams,
-    XyParams,
     build_kak,
     build_kim,
     build_xy,
@@ -60,18 +58,13 @@ def test_xy_dual_unitary_at_quarter_pi():
     assert is_dual_unitary(build_xy(j=np.pi / 4))
 
 
-def test_kim_rejects_positional_floats():
-    with pytest.raises(TypeError, match=r"build_kim\(h1=\.\.\., h2=\.\.\.\)"):
-        build_kim(0.4, 0.6)
-    assert np.array_equal(gate_matrix(build_kim(KimParams(0.4, 0.6))),
+def test_kim_accepts_positional_floats():
+    assert np.array_equal(gate_matrix(build_kim(0.4, 0.6)),
                           gate_matrix(build_kim(h1=0.4, h2=0.6)))
 
 
-def test_xy_rejects_positional_float():
-    with pytest.raises(TypeError, match=r"build_xy\(j=\.\.\.\)"):
-        build_xy(0.6)
-    assert np.array_equal(gate_matrix(build_xy(XyParams(0.6))),
-                          gate_matrix(build_xy(j=0.6)))
+def test_xy_accepts_positional_float():
+    assert np.array_equal(gate_matrix(build_xy(0.6)), gate_matrix(build_xy(j=0.6)))
 
 
 def test_xy_conjugation_identities():

@@ -29,6 +29,9 @@ from duotoc.transfer import (
     _TRAJECTORY_MEMO,
     _depths,
     _PauliColumnKernel,
+    _power_radius_estimate,
+    _product,
+    _slot_coeffs,
     _stopped_limit,
     boundary_left,
     boundary_right,
@@ -114,8 +117,8 @@ def test_fixed_points(name, gate, n):
     tm = build_transfer(gate, n)
     r = fixed_right(n)
     l = fixed_left(n)
-    assert np.abs(tm.mat @ r - r).max() < TOL_FIXED
-    assert np.abs(tm.mat.T @ l - l).max() < TOL_FIXED
+    assert np.abs(tm @ r - r).max() < TOL_FIXED
+    assert np.abs(tm.T @ l - l).max() < TOL_FIXED
     # bilinear pairing of the fixed points is unity
     assert np.dot(l, r) == pytest.approx(1.0, abs=TOL_FIXED)
     # the complex-basis fixed points, mapped slot by slot
@@ -132,7 +135,7 @@ def test_dense_matrix_matches_complex_reference(n):
     Q^T on the columns), is the complex-basis reference."""
     legs = _legs(n)
     for name, gate in GATES:
-        mat = build_transfer(gate, n).mat
+        mat = build_transfer(gate, n)
         assert np.abs(legs.conj() @ mat @ legs.T - _complex_transfer(gate, n)).max() < 1e-13, name
 
 
@@ -168,8 +171,7 @@ def test_build_transfer_checks_the_reversal_fill(monkeypatch):
 
 @pytest.mark.parametrize("name,gate", GATES)
 def test_spectral_radius_bounded(name, gate):
-    tm = build_transfer(gate, 2)
-    assert np.abs(np.linalg.eigvals(tm.mat)).max() < 1 + 1e-8
+    assert np.abs(np.linalg.eigvals(build_transfer(gate, 2))).max() < 1 + 1e-8
 
 
 def _dense_radius_estimate(mat, iters=200, seed=7):
@@ -194,7 +196,7 @@ def test_radius_estimate_on_kernel_matches_dense(name, gate):
     """build_transfer's n = 3 radius check runs on the column kernel; the
     Q^T change of the start vector is unitary, so it sees the norms of the
     dense iteration on the complex-basis reference."""
-    radius = build_transfer(gate, 3).spectral_radius
+    radius = _power_radius_estimate(_PauliColumnKernel(gate, 3))
     assert radius == pytest.approx(_dense_radius_estimate(_complex_transfer(gate, 3)),
                                    abs=TOL_AGREE)
 
@@ -455,9 +457,9 @@ def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
 @pytest.mark.parametrize("n,threads", [(5, 2), (4, 6)])
 def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatch):
     """Threads chain applies of their own kernels at the same time and get
-    the bits of serial one-worker chains: two at n = 5 (the finite_scan
-    pattern), and more threads than cores at n = 4 with a 1 us switch
-    interval; afterwards no apply counts as running."""
+    the bits of serial one-worker chains: two at n = 5, and more threads
+    than cores at n = 4 with a 1 us switch interval; afterwards no apply
+    counts as running."""
     gates = [random_kak(seed) for seed in range(threads)]
     starts = np.random.default_rng(52).standard_normal((threads, 4 ** (2 * n)))
     want = [_chain(_one_worker_kernel(monkeypatch, g, n), u, None)
@@ -646,15 +648,15 @@ def test_only_qubits_supported():
 
 def test_boundary_overlap_t0_identity():
     # (L(a)| paired with the even product state |R(b)) is tr(abab)/q
-    lv = boundary_left(ALPHA, 1).vec
-    rv = boundary_right(BETA, 1, "even").vec
+    lv = boundary_left(ALPHA, 1)
+    rv = boundary_right(BETA, 1, "even")
     want = np.trace(ALPHA @ BETA @ ALPHA @ BETA).real / 2
     assert np.dot(lv, rv).real == pytest.approx(want, abs=1e-12)
 
 
 def test_boundary_right_odd_needs_gate():
     gate = build_kim(h1=0.4, h2=0.6)
-    v = boundary_right(BETA, 1, "odd", gate=gate).vec
+    v = boundary_right(BETA, 1, "odd", gate=gate)
     assert v.shape == (16,)
     assert np.linalg.norm(v) > 0
 
@@ -662,14 +664,16 @@ def test_boundary_right_odd_needs_gate():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
     # a kernel whose buffers already hold other data may dress the odd
-    # boundary; the vector must not change
+    # boundary (sigma_beta caps on the all-identity product); the vector
+    # must not change
     gate = random_kak(2)
-    fresh = boundary_right(BETA_I, n, "odd", gate=gate).vec
+    fresh = boundary_right(BETA_I, n, "odd", gate=gate)
     kern = _PauliColumnKernel(gate, n)
     u = np.random.default_rng(n).standard_normal(kern.dim)
     plain = kern.apply(u).copy()
     kern.apply(u)
-    shared = boundary_right(BETA_I, n, "odd", kernel=kern).vec
+    identity = _product([_IDENTITY_COEFFS] * (2 * n))
+    shared = 2.0 ** (-n / 2.0) * kern.apply(identity, cap=_slot_coeffs(BETA_I))
     assert np.array_equal(shared, fresh)
     # the sigma_beta caps served one application only
     assert np.array_equal(kern.apply(u), plain)
