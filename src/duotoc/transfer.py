@@ -10,8 +10,8 @@ of gates runs from a bottom cap to a shared top cap:
   right-in leg, and the chain legs tying consecutive bundles (lower right-out
   into upper left-in);
 * bottom caps are intra-sheet vec(1) (or vec(sigma_beta) for the dressed
-  odd-parity right boundary); the top cap ties the two sheets with a crossed
-  delta;
+  odd-parity right boundary, see ``_right_factors``); the top cap ties the two
+  sheets with a crossed delta;
 * transfer slots 1..n are sheet one of bundles 1..n, slots 2n..n+1 are sheet
   two of the same bundles; bundle n is the innermost (sigma_alpha-adjacent).
 
@@ -40,10 +40,12 @@ non-Hermitian insertions, whose coefficients would not be real.
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
 the parity of the right boundary differ.  So one trajectory per depth
-serves them all: the transposed kernel iterates the left boundary,
-l_m = (T^T)^m L, and each step reads the overlaps l_m . R of both parities.
-The module remembers the latest trajectory of each depth (the overlaps of
-both parities for m = 0..M and a copy of l_M).  ``otoc_finite`` reads a
+serves them all: the transposed kernel iterates the left boundary in place,
+l_m = (T^T)^m L, and each step reads the overlaps l_m . R of both parities
+from the right boundaries' factors across the top cap, R = sum_t P_t (x) S_t
+(see ``_right_factors``), never from a dense right vector.  The module
+remembers the latest trajectory of each depth (the overlaps of both
+parities for m = 0..M and l_M itself).  ``otoc_finite`` reads a
 cell with m <= M from it, and ``otoc_longtime`` stops a parity at the first
 m whose window of Aitken extrapolates (else of overlaps) has settled, see
 ``_stopped_limit``; either extends the trajectory when the remembered
@@ -162,6 +164,17 @@ def _prefix_slots(n: int, d: int) -> int:
     return k
 
 
+def _hermitian_bundle(gate) -> np.ndarray:
+    """The bundle w[out_slot, chain_up, chain_dn, in_slot] of the gate in the
+    orthonormal Hermitian leg basis, where it is real."""
+    w = _bundle_tensor(gate_matrix(gate))
+    wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, _QMAT, _QMAT,
+                   _QMAT.conj(), _QMAT.conj())
+    if np.abs(wp.imag).max() > 1e-12:
+        raise AssertionError("bundle is not real in the Hermitian leg basis")
+    return wp.real
+
+
 class _PauliColumnKernel:
     """Column application in the orthonormal Hermitian leg basis.
 
@@ -187,7 +200,8 @@ class _PauliColumnKernel:
     into one of two block-sized scratch buffers, the middle steps ping-pong
     between them, so the working set stays in L2, and the last step writes
     the block into the d^(2n+1) middle array.  The tail is then one GEMM
-    from the middle array into the d^(2n) output.
+    from the middle array back into the input vector: ``apply`` works in
+    place, since every block has read its rows of u before the tail starts.
 
     K follows from the sizes alone: the smallest K <= 2n - 2 whose block is
     at most BLOCK_FLOATS floats, i.e. K = 0 at n <= 3, 1 at n = 4 and 3 at
@@ -202,21 +216,19 @@ class _PauliColumnKernel:
     order from one counter, and a tail piece starts once every block is
     written.  A helper claims a piece only while fewer applies are running,
     on any thread, than there are cores, so two applies that already fill
-    two cores run on their own threads alone.  The caller cancels the helper tasks that have not started and
-    waits for those that have, so an apply never waits for a busy pool.  A
-    piece runs the same matmul on the same data whichever worker claims it,
-    so the output is bit-identical to a one-worker apply; at n <= 3 (one
-    block) the caller runs the apply alone.  The workers compete with a
-    multi-threaded BLAS for the same cores: pin BLAS to one thread (as the
-    benchmark does) to gain from them.
+    two cores run on their own threads alone.  The caller cancels the
+    helper tasks that have not started and waits for those that have, so
+    an apply never waits for a busy pool.  A piece runs the same matmul on
+    the same data whichever worker claims it, so the output is
+    bit-identical to a one-worker apply.  A kernel with one worker (n <= 3,
+    or one core) runs its blocks and its one tail piece directly, without
+    the claim counter, and does not count as a running apply.  The workers
+    compete with a multi-threaded BLAS for the same cores: pin BLAS to one
+    thread (as the benchmark does) to gain from them.
 
-    The buffers are the middle array, the output and one pair of scratch
-    blocks per worker, one allocation of about 41 MB at n = 5 on one
-    core, plus 1 MB per helper.
-
-    ``apply``'s ``cap`` replaces the bottom caps' coefficients for one
-    application (default: the identity's), which rebuilds the head and tail
-    matrices; vec(sigma_beta) caps give the gate-dressed odd boundary.
+    The buffers are the middle array and one pair of scratch blocks per
+    worker, one allocation of about 35 MB at n = 5 on one core, plus 1 MB
+    per helper.
 
     With ``transpose`` the kernel applies T^T, which carries a left vector:
     the same network with each bundle's out and in slot legs swapped,
@@ -232,13 +244,8 @@ class _PauliColumnKernel:
         _check_depth(n)
         self.n = n
         self.d = d = 4
-        w = _bundle_tensor(gate_matrix(gate))
-        wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, _QMAT, _QMAT,
-                       _QMAT.conj(), _QMAT.conj())
-        if np.abs(wp.imag).max() > 1e-12:
-            raise AssertionError("bundle is not real in the Hermitian leg basis")
-        wp = wp.real.transpose(3, 1, 2, 0) if transpose else wp.real
-        self._wp = wp = np.ascontiguousarray(wp)
+        wp = _hermitian_bundle(gate)
+        self._wp = wp = np.ascontiguousarray(wp.transpose(3, 1, 2, 0) if transpose else wp)
         # sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
         # stored transposed for the batched matmul of one step
         self._m2t = np.ascontiguousarray(
@@ -247,16 +254,25 @@ class _PauliColumnKernel:
         self._m1t = np.ascontiguousarray(
             wp.transpose(3, 1, 2, 0).reshape(d * d, d * d).T)
         self.k = k = _prefix_slots(n, d)
-        self._head, self._tail = self._cap_matrices(_IDENTITY_COEFFS)
-        # middle array, output and every worker's scratch pair in one
-        # allocation, so the small blocks share the large one's huge pages
-        # (numpy asks for them from 4 MB on) instead of faulting in 4 kB
-        # pages per kernel
+        cap = _IDENTITY_COEFFS
+        # head: slot 2n's bottom cap of sheet two folds into the chain_dn leg
+        first = np.einsum("oudi,d->iuo", wp, cap)
+        step = self._step_matrix(2 * n - 1).reshape(d, d, d, d)
+        self._head = np.einsum("zoic,jcp->ijzop", step, first).reshape(d * d, d ** 3)
+        # tail: slots k..1 on the identity over (in_1..in_k, chain), then
+        # sheet one's bottom cap with the 1/q normalization
+        tail = np.eye(d ** (k + 1))
+        for s in range(k, 0, -1):
+            tail = np.matmul(self._step_matrix(s), tail.reshape(d ** (s - 1), d * d, -1))
+        self._tail = ((cap / 2.0) @ tail.reshape(d, -1)).reshape(d ** k, d ** (k + 1))
+        # middle array and every worker's scratch pair in one allocation, so
+        # the small blocks share the large one's huge pages (numpy asks for
+        # them from 4 MB on) instead of faulting in 4 kB pages per kernel
         workers = min(_CORES, d ** k)
-        m, o, b = d ** (2 * n + 1), d ** (2 * n), d ** (2 * n + 1 - k)
-        buf = np.empty(m + o + 2 * b * workers)
-        self._middle, self._out = buf[:m], buf[m:m + o]
-        self._scratch = buf[m + o:].reshape(workers, 2, b)
+        m, b = d ** (2 * n + 1), d ** (2 * n + 1 - k)
+        buf = np.empty(m + 2 * b * workers)
+        self._middle = buf[:m]
+        self._scratch = buf[m:].reshape(workers, 2, b)
         # per worker and block: the head's destination and the (matrix,
         # source, destination) of each middle step; the head writes the
         # worker's scratch[0], the steps alternate between its two blocks, and
@@ -276,11 +292,11 @@ class _PauliColumnKernel:
                     src = dst
                 blocks.append((head_dst.reshape(-1, d ** 3), steps))
             self._blocks.append(blocks)
-        # the tail GEMM, one piece per worker: (source, destination) column
-        # ranges of the middle array and the output
-        mid, out = self._middle.reshape(d ** (k + 1), -1), self._out.reshape(d ** k, -1)
-        edges = [out.shape[1] * j // workers for j in range(workers + 1)]
-        self._tail_cols = [(mid[:, a:z], out[:, a:z]) for a, z in zip(edges, edges[1:])]
+        # the tail GEMM, one piece per worker: a column range of the middle
+        # array and the same columns of the output
+        mid = self._middle.reshape(d ** (k + 1), -1)
+        edges = [mid.shape[1] * j // workers for j in range(workers + 1)]
+        self._tail_cols = [(mid[:, a:z], slice(a, z)) for a, z in zip(edges, edges[1:])]
 
     @property
     def dim(self) -> int:
@@ -289,31 +305,39 @@ class _PauliColumnKernel:
     def _step_matrix(self, s: int) -> np.ndarray:
         return self._m2t if s > self.n else self._m1t
 
-    def _cap_matrices(self, cap):
-        """(head, tail) matrices for bottom-cap coefficients ``cap``."""
-        d, n, k = self.d, self.n, self.k
-        cap = np.asarray(cap, dtype=float)
-        # slot 2n: bottom cap of sheet two folds into the chain_dn leg
-        first = np.einsum("oudi,d->iuo", self._wp, cap)
-        step = self._step_matrix(2 * n - 1).reshape(d, d, d, d)
-        head = np.einsum("zoic,jcp->ijzop", step, first).reshape(d * d, d ** 3)
-        # slots k..1 on the identity over (in_1..in_k, chain), then sheet one's
-        # bottom cap with the 1/q normalization
-        tail = np.eye(d ** (k + 1))
-        for s in range(k, 0, -1):
-            tail = np.matmul(self._step_matrix(s), tail.reshape(d ** (s - 1), d * d, -1))
-        tail = (cap / 2.0) @ tail.reshape(d, -1)
-        return head, tail.reshape(d ** k, d ** (k + 1))
+    def _run_block(self, worker: int, piece: int, rows: np.ndarray):
+        """Head and middle steps of one prefix block, in the worker's scratch."""
+        head_dst, steps = self._blocks[worker][piece]
+        np.matmul(rows[piece], self._head, out=head_dst)
+        for mat, src, dst in steps:
+            np.matmul(mat, src, out=dst)
 
-    def apply(self, u: np.ndarray, cap=None) -> np.ndarray:
-        """T u for a real Hermitian-basis vector u, with bottom-cap
-        coefficients ``cap`` if given.  The result is a view into the
-        kernel's buffers, valid until the next call; u may be that view."""
+    def _run_tail(self, piece: int, out: np.ndarray):
+        src, cols = self._tail_cols[piece]
+        np.matmul(self._tail, src, out=out[:, cols])
+
+    def apply(self, u: np.ndarray) -> None:
+        """Overwrite u, a real Hermitian-basis vector, with T u.
+
+        u must be a writable C-contiguous float64 vector of length ``dim``;
+        anything else raises ValueError, since reshaping it (a strided view
+        such as ``v.real``, say) could make a copy and lose the result."""
         global _running
+        if not (isinstance(u, np.ndarray) and u.dtype == np.float64
+                and u.shape == (self.dim,) and u.flags.c_contiguous
+                and u.flags.writeable):
+            raise ValueError(
+                f"apply overwrites its argument: need a writable C-contiguous "
+                f"float64 vector of length {self.dim}")
         d, k = self.d, self.k
-        head, tail = (self._head, self._tail) if cap is None else self._cap_matrices(cap)
-        rows = u.reshape(d ** k, -1, d * d)
-        blocks, pieces = d ** k, d ** k + len(self._tail_cols)
+        rows, out = u.reshape(d ** k, -1, d * d), u.reshape(d ** k, -1)
+        blocks = d ** k
+        if len(self._blocks) == 1:
+            for piece in range(blocks):
+                self._run_block(0, piece, rows)
+            self._run_tail(0, out)
+            return
+        pieces = blocks + len(self._tail_cols)
         lock, blocks_done = threading.Lock(), threading.Event()
         claimed = finished = 0
 
@@ -328,18 +352,14 @@ class _PauliColumnKernel:
                     if piece >= pieces:
                         return
                     if piece < blocks:
-                        head_dst, steps = self._blocks[worker][piece]
-                        np.matmul(rows[piece], head, out=head_dst)
-                        for mat, src, dst in steps:
-                            np.matmul(mat, src, out=dst)
+                        self._run_block(worker, piece, rows)
                         with lock:
                             finished += 1
                             if finished == blocks:
                                 blocks_done.set()
                     else:
                         blocks_done.wait()
-                        src, dst = self._tail_cols[piece - blocks]
-                        np.matmul(tail, src, out=dst)
+                        self._run_tail(piece - blocks, out)
             except BaseException:
                 # (a KeyboardInterrupt in the caller, say) stop the claims and
                 # release any worker waiting for a block this one held; the
@@ -364,7 +384,6 @@ class _PauliColumnKernel:
         finally:
             with _RUNNING_LOCK:
                 _running -= 1
-        return self._out
 
 
 def fixed_right(n: int) -> np.ndarray:
@@ -392,6 +411,42 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     return vec
 
 
+def _right_factors(sigma_beta, n: int, parity: str, gate=None):
+    """(P, S), rows P[t] over slots 1..n and S[t] over slots n+1..2n with
+    |R_n(sigma_beta)) = sum_t P[t] (x) S[t] for the requested parity of
+    t - x (see ``boundary_right``), in the Hermitian leg basis.
+
+    even: one term, sigma_beta on slot 1 (in P, with the scale q^{-n/2}) and
+    on slot 2n (in S).
+    odd: the dressed column on the all-identity product splits across its
+    top cap, the identity bond t = 0..3 between the sheets.  Each sheet is a
+    chain of n bundles with the identity's coefficients on the in-slots and
+    sigma_beta's on the bottom cap: S[t] is sheet two's, with chain_up t at
+    slot n + 1, and P[t] is the same chain read from slot n down to slot 1
+    (the slot reversal exchanges the sheets) times sheet one's 1/q and
+    q^{-n/2}.  That is O(4^n) work and needs no column kernel.
+    """
+    _check_qubits(gate, sigma_beta)
+    beta = _slot_coeffs(sigma_beta)
+    ident = _IDENTITY_COEFFS
+    scale = 2.0 ** (-n / 2.0)
+    if parity == "even":
+        p = scale * _product([beta] + [ident] * (n - 1))
+        return p[None], _product([ident] * (n - 1) + [beta])[None]
+    if parity != "odd":
+        raise ValueError("parity must be 'even' or 'odd'")
+    if gate is None:
+        raise ValueError("the odd-parity (dressed) right boundary needs the gate")
+    # the bundle with the identity on its in-slot: c[out, chain_up, chain_dn]
+    c = _hermitian_bundle(gate) @ ident
+    sheet = (c @ beta).T  # [chain_up, out] of the bundle on the bottom cap
+    for _ in range(n - 1):
+        # the next bundle up takes the chain in at chain_dn; its out slot leads
+        sheet = np.einsum("oud,dr->uor", c, sheet).reshape(4, -1)
+    p = sheet.reshape((4,) * (n + 1)).transpose(0, *range(n, 0, -1)).reshape(4, -1)
+    return (scale / 2.0) * p, sheet
+
+
 def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     """|R_n(sigma_beta)) for the requested parity of t - x, a real vector in
     the Hermitian leg basis (see the module docstring).
@@ -400,21 +455,11 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     odd: gate-dressed form, one normalized column with sigma_beta bottom caps
     applied to the all-identity product and scaled by q^{-n/2}.  The dressed
     form needs the circuit gate; for sigma_beta = identity both forms reduce
-    to |R_n).
+    to |R_n).  The vector is sum_t P[t] (x) S[t] of ``_right_factors``, which
+    the trajectories read without forming it.
     """
-    _check_qubits(gate, sigma_beta)
-    beta = _slot_coeffs(sigma_beta)
-    ident = _IDENTITY_COEFFS
-    scale = 2.0 ** (-n / 2.0)
-    if parity == "even":
-        vec = scale * _product([beta] + [ident] * (2 * n - 2) + [beta])
-    elif parity == "odd":
-        if gate is None:
-            raise ValueError("the odd-parity (dressed) right boundary needs the gate")
-        vec = scale * _PauliColumnKernel(gate, n).apply(_product([ident] * (2 * n)), cap=beta)
-    else:
-        raise ValueError("parity must be 'even' or 'odd'")
-    return vec
+    p, s = _right_factors(sigma_beta, n, parity, gate)
+    return (p.T @ s).reshape(-1)
 
 
 def _power_radius_estimate(kern, iters=200, seed=7):
@@ -435,9 +480,11 @@ def _power_radius_estimate(kern, iters=200, seed=7):
         v = (_QMAT.T @ v.reshape(4, -1)).T.reshape(-1)
     growth = 0.0
     for _ in range(iters):
-        # apply returns a view of the kernel's buffer: keep the real part
-        w = kern.apply(v.real).copy()
-        w = w + 1j * kern.apply(v.imag)
+        # apply overwrites its argument: give it owned copies of both parts
+        re, im = v.real.copy(), v.imag.copy()
+        kern.apply(re)
+        kern.apply(im)
+        w = re + 1j * im
         nrm = np.linalg.norm(w)
         if nrm < 1e-300:
             return 0.0
@@ -450,9 +497,9 @@ def build_transfer(gate, n: int) -> np.ndarray:
     """Dense depth-n transfer matrix ``mat``, real and in the Hermitian leg
     basis, with fixed-point and spectral-radius checks at construction.
 
-    Column j of ``mat`` is the column kernel applied to the j-th unit vector,
-    written into row j of ``mat.T`` (so ``mat`` is Fortran-ordered).  The
-    column commutes with the slot reversal R, j <-> 2n + 1 - j, which
+    Column j of ``mat`` is the column kernel applied in place to row j of
+    ``mat.T``, set to the j-th unit vector (so ``mat`` is Fortran-ordered).
+    The column commutes with the slot reversal R, j <-> 2n + 1 - j, which
     exchanges the two sheets: T e_j = R T e_(R j).  So only the
     (16^n + 4^n)/2 unit vectors with j <= R j are applied (2,080 of 4,096 at
     n = 3), and column j > R j is column R j permuted by R.  The checks:
@@ -476,15 +523,13 @@ def build_transfer(gate, n: int) -> np.ndarray:
     kern = _PauliColumnKernel(gate, n)
     # the slot reversal R as a permutation of the basis
     rev = np.arange(dim).reshape((4,) * (2 * n)).transpose(range(2 * n - 1, -1, -1)).reshape(-1)
-    mat_t = np.empty((dim, dim))
-    unit = np.zeros(dim)
+    mat_t = np.zeros((dim, dim))
     for j, row in enumerate(mat_t):
         if rev[j] < j:
             row[:] = mat_t[rev[j], rev]
             continue
-        unit[j] = 1.0
-        row[:] = kern.apply(unit)
-        unit[j] = 0.0
+        row[j] = 1.0
+        kern.apply(row)  # the unit vector, overwritten by its column
     mat = mat_t.T
 
     rvec = fixed_right(n)
@@ -494,7 +539,9 @@ def build_transfer(gate, n: int) -> np.ndarray:
     if np.linalg.norm(mat.T @ lvec - lvec) > TOL_FIXED:
         raise AssertionError("transfer construction lost the left fixed point")
     probe = np.random.default_rng(7).standard_normal(dim)
-    if np.linalg.norm(mat @ probe - kern.apply(probe)) > TOL_FIXED * np.linalg.norm(probe):
+    want, tol = mat @ probe, TOL_FIXED * np.linalg.norm(probe)
+    kern.apply(probe)
+    if np.linalg.norm(want - probe) > tol:
         raise AssertionError("transfer construction does not match the column kernel")
 
     if dim <= 256:
@@ -543,8 +590,9 @@ PARITIES = ("even", "odd")
 # The latest trajectory of each depth n: (key, m, overlaps, left), with key
 # the bytes of the gate, sigma_alpha and sigma_beta, m the number of
 # transposed applications made, overlaps a dict mapping each parity to the
-# tuple of floats (L|T^k|R_parity) for k = 0..m, and left an owned copy of
-# l_m = (T^T)^m L.  An entry is replaced whole.
+# tuple of floats (L|T^k|R_parity) for k = 0..m, and left l_m = (T^T)^m L,
+# owned by the entry.  An entry is replaced whole; _extend pops it before it
+# applies the kernel to its l_m in place.
 _TRAJECTORY_MEMO = {}
 
 
@@ -561,29 +609,41 @@ def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     ``done(overlaps)`` holds, with overlaps a dict of each parity's list
     s_0 .. s_m; remembers it and returns (overlaps, applications made).
 
-    Both right boundaries are built first, so the odd one's forward kernel
-    is freed before the transposed kernel is allocated; dressing the odd
-    boundary counts as one application.
+    The depth's entry leaves the memory before the first application, which
+    overwrites its l_m, so a failed extension leaves no entry whose m and
+    l_m disagree, and no other thread resumes the same vector; l_m goes back
+    into the memory uncopied.  Each step reads both parities' overlaps from
+    one GEMM of l_m, as a 4^n x 4^n matrix over slots (1..n, n+1..2n), with
+    the S factors of both right boundaries, then a contraction with their
+    P factors (see _right_factors).
     """
-    remembered = _remembered(n, key)
-    rights = {p: boundary_right(sigma_beta, n, p, gate=gate) for p in PARITIES}
-    if remembered is not None:
-        _, m, overlaps, left = remembered
+    entry = _TRAJECTORY_MEMO.pop(n, None)
+    factors = [_right_factors(sigma_beta, n, p, gate) for p in PARITIES]
+    p_all = np.concatenate([p for p, _ in factors])
+    s_all_t = np.concatenate([s for _, s in factors]).T
+    even_terms, half = len(factors[0][0]), 4 ** n
+
+    def read(left):
+        """The overlaps (L|T^m|R) of both parities at l_m = left."""
+        terms = np.einsum("at,ta->t", left.reshape(half, half) @ s_all_t, p_all)
+        return float(terms[:even_terms].sum()), float(terms[even_terms:].sum())
+
+    if entry is not None and entry[0] == key:
+        _, m, overlaps, left = entry
         overlaps = {p: list(overlaps[p]) for p in PARITIES}
     else:
         m, left = 0, boundary_left(sigma_alpha, n)
-        overlaps = {p: [float(np.dot(left, rights[p]))] for p in PARITIES}
+        overlaps = {p: [s] for p, s in zip(PARITIES, read(left))}
+    start = m
     kern = _PauliColumnKernel(gate, n, transpose=True)
-    applications = 1
     while not done(overlaps):
-        left = kern.apply(left)
+        kern.apply(left)
         m += 1
-        applications += 1
-        for p in PARITIES:
-            overlaps[p].append(float(np.dot(left, rights[p])))
+        for p, s in zip(PARITIES, read(left)):
+            overlaps[p].append(s)
     overlaps = {p: tuple(s) for p, s in overlaps.items()}
-    _TRAJECTORY_MEMO[n] = (key, m, overlaps, left.copy())
-    return overlaps, applications
+    _TRAJECTORY_MEMO[n] = (key, m, overlaps, left)
+    return overlaps, m - start
 
 
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
@@ -605,9 +665,8 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     rest of a scan from memory.
 
     ``meta["applications"]`` counts the kernel applications the call made:
-    the transposed applications past the remembered m plus one for the
-    gate-dressed odd boundary, 0 when the remembered trajectory served it or
-    the cell lies outside the light cone.
+    the transposed applications past the remembered m, 0 when the
+    remembered trajectory served it or the cell lies outside the light cone.
     """
     _check_qubits(gate, sigma_alpha, sigma_beta)
     key = _memo_key(gate, sigma_alpha, sigma_beta)
@@ -707,8 +766,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
 
     The iterate l_m = (T^T)^m L starts as the vector of ``boundary_left``
     and stays in the real Hermitian leg basis (Q^dagger per slot); the
-    overlap s_m = l_m . R is a plain dot product with the vector of
-    ``boundary_right`` (Q^T per slot).  The parity stops at the
+    overlap s_m = l_m . R pairs it with the vector of ``boundary_right``
+    (Q^T per slot), read from that vector's factors.  The parity stops at the
     first m allowed by the rule of ``_stopped_limit``: a window of
     STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
     the last extrapolate), else a window of overlaps that agree to TOL_STOP
@@ -726,8 +785,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     ``converged`` (True), ``lambda``, the last ratio of successive increments
     (None where an increment is zero), ``error_estimate``, the spread of the
     settled window, and ``applications``, the kernel applications this call
-    made: the transposed ones past the remembered m plus one for the
-    gate-dressed odd boundary, 0 when it was served from memory.
+    made: the transposed ones past the remembered m, 0 when it was served
+    from memory.
     The error estimate is not a bound, and it can be far too small where the
     decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
     n = 3 (lambda = 0.9942) the error against the exact limits is 16 times

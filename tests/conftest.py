@@ -55,30 +55,18 @@ def record_note():
     return _note
 
 
-class _Applies(list):
-    """Depth of every column-kernel application, in call order; ``dressed``
-    holds the depths of those given bottom caps (gate-dressed odd
-    boundaries)."""
-
-    def __init__(self):
-        super().__init__()
-        self.dressed = []
-
-
 @pytest.fixture
 def applies(monkeypatch):
     """Clears the trajectory memo that otoc_finite and otoc_longtime share;
     the list collects the depth of every column-kernel application that
     follows."""
     _TRAJECTORY_MEMO.clear()
-    depths = _Applies()
+    depths = []
     apply = _PauliColumnKernel.apply
 
-    def counted(self, u, cap=None):
+    def counted(self, u):
         depths.append(self.n)
-        if cap is not None:
-            depths.dressed.append(self.n)
-        return apply(self, u, cap)
+        apply(self, u)
 
     monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
     return depths

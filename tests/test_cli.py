@@ -117,9 +117,9 @@ def test_longtime_metadata_and_strict(tmp_path):
 def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
                                                             monkeypatch):
     """fig5: the t = tmax row, x falling, extends each depth's trajectory
-    once, at its even cell (45 column applications: 10/9/8/7/6 at n = 1..5
-    plus one gate-dressed odd boundary each, where one trajectory per
-    diagonal took 80 and every cell on its own 340 and 26 at n = 5); the
+    once, at its even cell (40 column applications: 10/9/8/7/6 at n = 1..5,
+    where one trajectory per diagonal took 80 and every cell on its own 340
+    and 26 at n = 5); the
     other cells are served from memory, each bit for bit the value of a
     call on an empty memory.  The calls' ``meta["applications"]`` add up to
     the applications made."""
@@ -132,10 +132,9 @@ def test_otoc_scan_runs_each_diagonal_once_from_its_far_cell(tmp_path, applies,
     monkeypatch.setattr("duotoc.cli.otoc_finite", recorded)
     out = tmp_path / "fig5.csv"
     assert main(["otoc", "--preset", "fig5", "--method", "all", "--out", str(out)]) == 0
-    assert len(applies) == 45
-    assert [applies.count(n) for n in range(1, 6)] == [11, 10, 9, 8, 7]
-    assert applies.dressed == [1, 2, 3, 4, 5]
-    assert sum(res.meta["applications"] for res in results) == 45
+    assert len(applies) == 40
+    assert [applies.count(n) for n in range(1, 6)] == [10, 9, 8, 7, 6]
+    assert sum(res.meta["applications"] for res in results) == 40
     assert sum(res.meta["applications"] > 0 for res in results) == 5
     assert_matches_golden(out, "otoc", "fig5")
     cfg = resolve_config(argparse.Namespace(preset="fig5"))
@@ -156,8 +155,7 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
     """fig4: each depth's even row extends the depth's trajectory until even
     parity stops, and its odd row reads the odd overlaps on the way or
     extends the trajectory further, so a depth costs max(iterations)
-    applications plus its gate-dressed odd boundaries: one, or two where the
-    odd row resumes the trajectory (279 applications in all)."""
+    applications (271 in all)."""
     out = tmp_path / "fig4.csv"
     assert main(["longtime", "--preset", "fig4", "--method", "all", "--out", str(out)]) == 0
     assert_matches_golden(out, "longtime", "fig4")
@@ -168,9 +166,8 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
     its = {(int(row["n"]), row["parity"]): int(row["iterations"]) for row in rows}
     for n in range(1, 6):
         even, odd = its[n, "even"], its[n, "odd"]
-        assert applies.dressed.count(n) == (1 if odd <= even else 2), n
-        assert applies.count(n) == max(even, odd) + applies.dressed.count(n), n
-    assert len(applies) == 279
+        assert applies.count(n) == max(even, odd), n
+    assert len(applies) == 271
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -5,6 +5,7 @@ finite-time and long-time trajectory memos, the long-time stop rule."""
 
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import reduce
@@ -31,6 +32,7 @@ from duotoc.transfer import (
     _PauliColumnKernel,
     _power_radius_estimate,
     _product,
+    _right_factors,
     _slot_coeffs,
     _stopped_limit,
     boundary_left,
@@ -146,8 +148,12 @@ def test_build_transfer_checks_at_construction(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         build_transfer(gate, 4)
     apply = _PauliColumnKernel.apply
-    monkeypatch.setattr(_PauliColumnKernel, "apply",
-                        lambda self, u, cap=None: 1.01 * apply(self, u, cap))
+
+    def inflated(self, u):
+        apply(self, u)
+        u *= 1.01
+
+    monkeypatch.setattr(_PauliColumnKernel, "apply", inflated)
     for n in (1, 2, 3):
         with pytest.raises(AssertionError, match="fixed point"):
             build_transfer(gate, n)
@@ -159,10 +165,10 @@ def test_build_transfer_checks_the_reversal_fill(monkeypatch):
     comparison with one more apply raises."""
     apply = _PauliColumnKernel.apply
 
-    def skewed(self, u, cap=None):
-        out = apply(self, u, cap).copy()
-        out[1] += 1e-3 * u[4]  # column 4 = R column 1 at n = 1 is never applied
-        return out
+    def skewed(self, u):
+        extra = 1e-3 * u[4]  # column 4 = R column 1 at n = 1 is never applied
+        apply(self, u)
+        u[1] += extra
 
     monkeypatch.setattr(_PauliColumnKernel, "apply", skewed)
     with pytest.raises(AssertionError, match="column kernel"):
@@ -201,15 +207,28 @@ def test_radius_estimate_on_kernel_matches_dense(name, gate):
                                    abs=TOL_AGREE)
 
 
+def _applied(kern, u):
+    """T u on a copy of u, which the kernel overwrites."""
+    v = np.array(u, dtype=float)
+    kern.apply(v)
+    return v
+
+
+def _kernel_matrix(kern):
+    """The kernel's columns T e_j, applied in place to the unit vectors."""
+    basis = np.eye(kern.dim)
+    for e in basis:
+        kern.apply(e)
+    return basis.T
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_operator_apply_matches_dense(n):
     """The Hermitian-basis kernel, mapped back through the per-leg basis
     change (v = conj(Q) u), is the dense complex-basis transfer matrix."""
     legs = _legs(n)
     for name, gate in GATES:
-        kern = _PauliColumnKernel(gate, n)
-        basis = np.eye(kern.dim)
-        k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
+        k = _kernel_matrix(_PauliColumnKernel(gate, n))
         mat = _complex_transfer(gate, n)
         assert np.abs(legs.conj() @ k @ legs.T - mat).max() < TOL_AGREE, name
 
@@ -221,9 +240,7 @@ def test_transposed_apply_matches_dense_transpose(n):
     transpose of the dense complex-basis transfer matrix."""
     legs = _legs(n)
     for name, gate in GATES:
-        kern = _PauliColumnKernel(gate, n, transpose=True)
-        basis = np.eye(kern.dim)
-        k = np.stack([kern.apply(e).copy() for e in basis], axis=1)
+        k = _kernel_matrix(_PauliColumnKernel(gate, n, transpose=True))
         mat = _complex_transfer(gate, n)
         assert np.abs(legs @ k @ legs.conj().T - mat.T).max() < TOL_AGREE, name
 
@@ -258,27 +275,22 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kernel_matches_stepwise_reference(name, gate, n):
     """The blocked kernel (prefix blocks from n = 4 on) against the
-    slot-by-slot reference, with identity caps and sigma_beta caps."""
+    slot-by-slot reference."""
     kern = _PauliColumnKernel(gate, n)
-    rng = np.random.default_rng(n)
-    u = rng.standard_normal(kern.dim)
-    beta = rng.standard_normal(4)  # coefficients of a random Hermitian sigma_beta
-    _assert_close(kern.apply(u), _stepwise_apply(kern, u, _IDENTITY_COEFFS))
-    _assert_close(kern.apply(u, cap=beta), _stepwise_apply(kern, u, beta))
+    u = np.random.default_rng(n).standard_normal(kern.dim)
+    _assert_close(_applied(kern, u), _stepwise_apply(kern, u, _IDENTITY_COEFFS))
 
 
 @pytest.mark.parametrize("name,gate", BLOCKED)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_transposed_kernel_pairs_with_the_forward_one(name, gate, n):
-    """(T^T l) . r = l . (T r), with identity caps and sigma_beta caps."""
+    """(T^T l) . r = l . (T r)."""
     fwd = _PauliColumnKernel(gate, n)
     bwd = _PauliColumnKernel(gate, n, transpose=True)
-    rng = np.random.default_rng(20 + n)
-    l, r = rng.standard_normal((2, fwd.dim))
-    for cap in (None, rng.standard_normal(4)):
-        want = np.dot(l, fwd.apply(r, cap=cap))
-        got = np.dot(bwd.apply(l, cap=cap), r)
-        assert abs(got - want) <= 1e-13 * abs(want)
+    l, r = np.random.default_rng(20 + n).standard_normal((2, fwd.dim))
+    want = np.dot(l, _applied(fwd, r))
+    got = np.dot(_applied(bwd, l), r)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _reverse_slots(u, n):
@@ -296,25 +308,27 @@ def test_kernel_commutes_with_slot_reversal(n, transpose):
                        ("du3", random_dual_unitary(3)), ("xy", build_xy(j=0.6))]:
         kern = _PauliColumnKernel(gate, n, transpose=transpose)
         u = rng.standard_normal(kern.dim)
-        want = _reverse_slots(kern.apply(u), n)
-        _assert_close(kern.apply(_reverse_slots(u, n)), want)
+        want = _reverse_slots(_applied(kern, u), n)
+        _assert_close(_applied(kern, _reverse_slots(u, n)), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
+    """Three applies in place on one vector, after the kernel's middle array
+    and scratch blocks were filled with NaN."""
     gate = random_kak(1)
     for transpose in (False, True):
         kern = _PauliColumnKernel(gate, n, transpose=transpose)
         # one scratch pair per worker: the caller and each helper
         assert len(kern._scratch) == min(transfer._CORES, 4 ** kern.k)
-        for buf in (kern._middle, kern._out, *kern._scratch):
+        for buf in (kern._middle, *kern._scratch):
             buf.fill(np.nan)
         u = np.random.default_rng(10 + n).standard_normal(kern.dim)
         want = u
         v = u.copy()
         for _ in range(3):
             want = _stepwise_apply(kern, want, _IDENTITY_COEFFS)
-            v = kern.apply(v)  # reads the buffer it is about to overwrite
+            kern.apply(v)  # the tail writes over the vector the head read
             _assert_close(v, want)
 
 
@@ -353,10 +367,10 @@ def _one_worker_kernel(monkeypatch, gate, n, transpose=False):
     return kern
 
 
-def _chain(kern, u, cap, times=3):
-    out, v = [], u
+def _chain(kern, u, times=3):
+    out, v = [], u.copy()
     for _ in range(times):
-        v = kern.apply(v, cap=cap)
+        kern.apply(v)
         out.append(v.copy())
     return out
 
@@ -365,30 +379,23 @@ def _chain(kern, u, cap, times=3):
 def test_shared_apply_is_bit_identical_to_one_worker(n, helpers, monkeypatch):
     """Caller and helpers in whatever interleaving the pool gives, and a
     helper that takes every piece, produce the one-worker apply bit for bit:
-    forward and transposed, identity and sigma_beta caps, chained on the
-    kernel's own output."""
+    forward and transposed, chained in place on one vector."""
     gate = random_kak(1)
-    rng = np.random.default_rng(40 + n)
-    u = rng.standard_normal(4 ** (2 * n))
-    caps = (None, rng.standard_normal(4))
+    u = np.random.default_rng(40 + n).standard_normal(4 ** (2 * n))
     for transpose in (False, True):
-        alone = _one_worker_kernel(monkeypatch, gate, n, transpose)
-        want = [_chain(alone, u, cap) for cap in caps]
-        del alone
+        want = _chain(_one_worker_kernel(monkeypatch, gate, n, transpose), u)
         kern = _PauliColumnKernel(gate, n, transpose=transpose)
         assert len(kern._scratch) >= 2
-        for cap, chain in zip(caps, want):  # the real pool: any split
-            assert all(np.array_equal(got, w) for got, w in
-                       zip(_chain(kern, u, cap), chain)), (transpose, cap)
+        # the real pool: any split
+        assert all(np.array_equal(got, w) for got, w in zip(_chain(kern, u), want)), transpose
         with monkeypatch.context() as m:
             m.setattr(transfer, "_HELPERS", _InlinePool())
-            for cap, chain in zip(caps, want):
-                kern._scratch.fill(np.nan)
-                got = _chain(kern, u, cap)
-                # the first helper ran every block in its own scratch pair
-                assert np.isnan(kern._scratch[0]).all()
-                assert not np.isnan(kern._scratch[1]).any()
-                assert all(np.array_equal(g, w) for g, w in zip(got, chain)), (transpose, cap)
+            kern._scratch.fill(np.nan)
+            got = _chain(kern, u)
+            # the first helper ran every block in its own scratch pair
+            assert np.isnan(kern._scratch[0]).all()
+            assert not np.isnan(kern._scratch[1]).any()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), transpose
 
 
 def test_helpers_take_no_piece_while_the_cores_are_busy(helpers, monkeypatch):
@@ -397,12 +404,12 @@ def test_helpers_take_no_piece_while_the_cores_are_busy(helpers, monkeypatch):
     caller's output is the one-worker apply's."""
     gate = random_kak(1)
     u = np.random.default_rng(50).standard_normal(4 ** 10)
-    want = _one_worker_kernel(monkeypatch, gate, 5).apply(u).copy()
+    want = _applied(_one_worker_kernel(monkeypatch, gate, 5), u)
     kern = _PauliColumnKernel(gate, 5)
     kern._scratch.fill(np.nan)
     monkeypatch.setattr(transfer, "_HELPERS", _InlinePool())
     monkeypatch.setattr(transfer, "_running", transfer._CORES - 1)
-    got = kern.apply(u)
+    got = _applied(kern, u)
     assert transfer._running == transfer._CORES - 1
     assert np.isnan(kern._scratch[1:]).all()
     assert np.array_equal(got, want)
@@ -434,7 +441,7 @@ def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
     one-worker apply's bits."""
     gate = build_kim(h1=0.4, h2=0.6)
     u = np.random.default_rng(51).standard_normal(4 ** 10)
-    want = _chain(_one_worker_kernel(monkeypatch, gate, 5, True), u, None, 2)
+    want = _chain(_one_worker_kernel(monkeypatch, gate, 5, True), u, 2)
     kern = _PauliColumnKernel(gate, 5, transpose=True)
     started, release = threading.Semaphore(0), threading.Event()
 
@@ -446,7 +453,7 @@ def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
     try:
         for _ in blockers:
             assert started.acquire(timeout=60)
-        [got] = _in_threads(lambda: _chain(kern, u, None, 2))
+        [got] = _in_threads(lambda: _chain(kern, u, 2))
     finally:
         release.set()
     for future in blockers:
@@ -462,13 +469,13 @@ def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatc
     counts as running."""
     gates = [random_kak(seed) for seed in range(threads)]
     starts = np.random.default_rng(52).standard_normal((threads, 4 ** (2 * n)))
-    want = [_chain(_one_worker_kernel(monkeypatch, g, n), u, None)
+    want = [_chain(_one_worker_kernel(monkeypatch, g, n), u)
             for g, u in zip(gates, starts)]
     kernels = [_PauliColumnKernel(g, n) for g in gates]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _in_threads(*(lambda k=k, u=u: _chain(k, u, None)
+        got = _in_threads(*(lambda k=k, u=u: _chain(k, u)
                             for k, u in zip(kernels, starts)))
     finally:
         sys.setswitchinterval(interval)
@@ -662,21 +669,39 @@ def test_boundary_right_odd_needs_gate():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_odd_boundary_on_the_call_kernel_is_bit_identical(n):
-    # a kernel whose buffers already hold other data may dress the odd
-    # boundary (sigma_beta caps on the all-identity product); the vector
-    # must not change
-    gate = random_kak(2)
-    fresh = boundary_right(BETA_I, n, "odd", gate=gate)
-    kern = _PauliColumnKernel(gate, n)
-    u = np.random.default_rng(n).standard_normal(kern.dim)
-    plain = kern.apply(u).copy()
-    kern.apply(u)
+def test_odd_boundary_matches_the_dressed_stepwise_column(n):
+    """The odd boundary, built from its factors across the top cap without a
+    kernel, is the slot-by-slot reference column with sigma_beta caps on the
+    all-identity product, scaled by 2^(-n/2); the even one's factors are the
+    product of its slot coefficients."""
     identity = _product([_IDENTITY_COEFFS] * (2 * n))
-    shared = 2.0 ** (-n / 2.0) * kern.apply(identity, cap=_slot_coeffs(BETA_I))
-    assert np.array_equal(shared, fresh)
-    # the sigma_beta caps served one application only
-    assert np.array_equal(kern.apply(u), plain)
+    beta = _slot_coeffs(BETA_I)
+    for gate in (build_kim(h1=0.4, h2=0.6), random_kak(2), random_dual_unitary(3)):
+        want = 2.0 ** (-n / 2.0) * _stepwise_apply(_PauliColumnKernel(gate, n), identity, beta)
+        got = boundary_right(BETA_I, n, "odd", gate=gate)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    p, s = _right_factors(BETA_I, n, "even")
+    assert p.shape == s.shape == (1, 4 ** n)
+    ident = [_IDENTITY_COEFFS] * (n - 1)
+    assert np.array_equal(p[0], 2.0 ** (-n / 2.0) * _product([beta] + ident))
+    assert np.array_equal(s[0], _product(ident + [beta]))
+
+
+def test_apply_rejects_a_vector_it_cannot_overwrite():
+    """apply writes T u over u, so a vector that reshape could copy, or
+    that cannot be written, raises instead of losing the result."""
+    kern = _PauliColumnKernel(random_kak(1), 2)
+    v = np.random.default_rng(3).standard_normal(kern.dim) * (1 + 1j)
+    frozen = v.real.copy()
+    frozen.flags.writeable = False
+    for bad in (v.real,                                  # strided view
+                frozen,                                  # read-only
+                v.real.copy()[:-1],                      # wrong length
+                v.real.copy().reshape(16, 16),           # not a vector
+                v.real.astype(np.float32),               # wrong dtype
+                list(v.real)):                           # not an array
+        with pytest.raises(ValueError, match="overwrites its argument"):
+            kern.apply(bad)
 
 
 def _fresh(gate, sigma_alpha, sigma_beta, x, t):
@@ -699,16 +724,15 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(applies, k):
 
 def test_finite_meta_counts_the_applications_made(applies):
     """meta["applications"]: the applications past the depth's remembered
-    trajectory plus one for the gate-dressed odd boundary, and 0 for a cell
-    served from memory or outside the light cone; a mirrored cell reports
-    its mirror image's."""
+    trajectory, and 0 for a cell served from memory or outside the light
+    cone; a mirrored cell reports its mirror image's."""
     gate = random_kak(1)
-    cells = {(1, 6): 4,    # n = 3, odd: 3 applications and the dressing
+    cells = {(1, 6): 3,    # n = 3, odd: 3 applications
              (0, 5): 0,    # the same diagonal, served from memory
-             (2, 6): 2,    # n = 3, even: the trajectory extended from 3 to 4
+             (2, 6): 1,    # n = 3, even: the trajectory extended from 3 to 4
              (1, 5): 0,    # n = 3, even, within the trajectory
              (5, 3): 0,    # outside the light cone
-             (-1, 4): 3}   # the mirrored gate's (1, 4): n = 2, odd
+             (-1, 4): 2}   # the mirrored gate's (1, 4): n = 2, odd
     for (x, t), made in cells.items():
         del applies[:]
         res = otoc_finite(gate, ALPHA, BETA, x, t)
@@ -736,6 +760,67 @@ def test_memo_does_not_bypass_argument_checks(monkeypatch, applies):
         with pytest.raises(ValueError, match="budget"):
             otoc_finite(gate, ALPHA, beta, 0, 5)
     assert applies == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_failed_resumed_extension_leaves_no_stale_entry(monkeypatch, k):
+    """A resumed extension applies the kernel in place to the remembered
+    l_m.  An apply that writes half the vector and raises on the k-th call
+    (of 4) leaves no entry for the depth whose l_m is not (T^T)^m L, and
+    the next calls return a fresh call's floats."""
+    gate = random_kak(1)
+    _TRAJECTORY_MEMO.clear()
+    otoc_finite(gate, ALPHA_I, BETA_I, 2, 4)  # n = 2, even: remembers m = 3
+    assert _TRAJECTORY_MEMO[2][1] == 3
+    apply, calls = _PauliColumnKernel.apply, []
+
+    def failing(self, u):
+        calls.append(self.n)
+        if len(calls) == k:
+            u[:u.size // 2] = np.nan
+            raise RuntimeError("apply failed")
+        apply(self, u)
+
+    with monkeypatch.context() as m:
+        m.setattr(_PauliColumnKernel, "apply", failing)
+        with pytest.raises(RuntimeError, match="apply failed"):
+            otoc_finite(gate, ALPHA_I, BETA_I, 6, 8)  # m = 7: resumes from 3
+    entry = _TRAJECTORY_MEMO.get(2)
+    if entry is not None:
+        _, m, _, left = entry
+        want = boundary_left(ALPHA_I, 2)
+        kern = _PauliColumnKernel(gate, 2, transpose=True)
+        for _ in range(m):
+            kern.apply(want)
+        assert np.array_equal(left, want)
+    for cell in [(6, 8), (1, 3), (5, 8)]:
+        assert otoc_finite(gate, ALPHA_I, BETA_I, *cell).value == \
+            _fresh(gate, ALPHA_I, BETA_I, *cell), cell
+
+
+def test_depth5_cells_stay_within_the_memory_guard():
+    """n = 5 cells (1, 9), then (0, 9) from memory, on an empty memory: the
+    transposed kernel's buffers (35.7 MB with two workers), l_m (8.4 MB)
+    and the boundary factors fit in 48 MB of tracemalloc peak, plus the
+    1 MB scratch pair of each worker past two; one more 8 MB vector beside
+    l_m, or a second kernel, does not."""
+    gate = build_kim(h1=0.4, h2=0.6)
+    budget = 48e6 + 8 * 2 * 4 ** 8 * max(0, min(transfer._CORES, 4 ** 3) - 2)
+    _TRAJECTORY_MEMO.clear()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        otoc_finite(gate, ALPHA, BETA, 1, 9)
+        otoc_finite(gate, ALPHA, BETA, 0, 9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert _TRAJECTORY_MEMO[5][1] == 5
+    assert peak <= budget, f"{peak / 1e6:.1f} MB"
 
 
 def test_memo_misses_on_changed_operators_and_gates(applies):
@@ -832,26 +917,21 @@ SETTLE_ORDERS = {
 def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
     """Whichever parity is asked first and whichever settles first, the
     second call returns what a call on an empty memory returns, bit for bit,
-    and makes only the applications past the first call's stop, plus the
-    dressing of the odd boundary when it extends the trajectory."""
+    and makes only the applications past the first call's stop."""
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
     fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
     for p in PARITIES:
         assert fresh[p].meta["iterations"] == its[p]
-        # each fresh call also dresses the odd boundary, to read both parities
-        assert fresh[p].meta["applications"] == its[p] + 1
+        assert fresh[p].meta["applications"] == its[p]
     second = "odd" if first == "even" else "even"
     _TRAJECTORY_MEMO.clear()
     del applies[:]
     got = {p: otoc_longtime(gate, ALPHA_I, BETA_I, n, p) for p in (first, second)}
     for p in PARITIES:
         assert _without_applications(got[p]) == _without_applications(fresh[p]), p
-    assert got[first].meta["applications"] == its[first] + 1
-    if its[second] <= its[first]:
-        assert got[second].meta["applications"] == 0
-    else:
-        assert got[second].meta["applications"] == its[second] - its[first] + 1
+    assert got[first].meta["applications"] == its[first]
+    assert got[second].meta["applications"] == max(0, its[second] - its[first])
     assert len(applies) == sum(res.meta["applications"] for res in got.values())
     assert applies.count(n) == len(applies)
     # a third call of either parity is a hit
@@ -905,8 +985,8 @@ def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, scan):
         got = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
         assert _without_applications(got) == _without_applications(fresh[p]), p
         assert got.meta["iterations"] == its[p]
-        assert got.meta["applications"] == (0 if its[p] <= top else its[p] - top + 1), p
-    assert len(applies) == max(0, max(iterations) - top + 1)
+        assert got.meta["applications"] == max(0, its[p] - top), p
+    assert len(applies) == max(0, max(iterations) - top)
 
 
 def test_finite_cells_after_longtime_make_no_applications(applies):
@@ -941,20 +1021,20 @@ def test_longtime_memo_key_covers_gate_operators_and_depth(applies):
         _TRAJECTORY_MEMO.clear()
         otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
         got = otoc_longtime(gate, alpha, beta, n, "odd")
-        assert got.meta["applications"] == got.meta["iterations"] + 1, name
+        assert got.meta["applications"] == got.meta["iterations"], name
         want = _fresh_longtime(gate, alpha, beta, n, "odd")
         assert _without_applications(got) == _without_applications(want), name
     # the base key itself resumes (odd settles after even here)
     _TRAJECTORY_MEMO.clear()
     otoc_longtime(base, ALPHA_I, BETA_I, 2, "even")
-    assert otoc_longtime(base, ALPHA_I, BETA_I, 2, "odd").meta["applications"] == 2
+    assert otoc_longtime(base, ALPHA_I, BETA_I, 2, "odd").meta["applications"] == 1
     # a gate array changed in place after its trajectory was remembered
     gate = base.copy()
     _TRAJECTORY_MEMO.clear()
     otoc_longtime(gate, ALPHA_I, BETA_I, 2, "even")
     gate[...] = other
     got = otoc_longtime(gate, ALPHA_I, BETA_I, 2, "odd")
-    assert got.meta["applications"] == got.meta["iterations"] + 1
+    assert got.meta["applications"] == got.meta["iterations"]
     want = _fresh_longtime(other, ALPHA_I, BETA_I, 2, "odd")
     assert _without_applications(got) == _without_applications(want)
 
