@@ -1,11 +1,12 @@
 """Quantum channels obtained by partially tracing gate conjugations.
 
-``M_plus(s) = tr_1[U (s kron 1) U^dag]/q`` propagates operators along the
-right light-cone edge; ``M_minus(s) = tr_2[U^dag (1 kron s) U]/q`` along the
-left edge.  Channels are stored as q^2 x q^2 matrices in the operator basis,
-element ``(a, b) = tr[ops[a]^dag M(ops[b])]/q``, so spectra stay q^2-sized.
-Both are unital, trace-preserving, completely positive, and Hermitian
-conjugates of each other.
+``M_plus(s) = tr_1[U (s kron 1) U^dag]/2`` propagates operators along the
+right light-cone edge; ``M_minus(s) = tr_2[U^dag (1 kron s) U]/2`` along the
+left edge.  Channels are stored as 4 x 4 matrices in the Pauli basis,
+element ``(a, b) = tr[ops[a]^dag M(ops[b])]/2``, so spectra have four
+values.  Both are unital, trace-preserving, completely positive, and
+Hermitian conjugates of each other.  Every entry point that takes a gate
+rejects one that is not 4 x 4 (see ``gates._check_qubits``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import gate_matrix
+from .gates import _check_qubits, gate_matrix
 from .opalg import TOL_EIG, OperatorBasis, assert_unitary, op_to_vec, pauli_basis
 
 __all__ = [
@@ -36,8 +37,7 @@ _AGREE_TOL = 1e-12  # cross-direction agreement for correlators
 class Channel:
     """One-site channel in operator-basis representation."""
 
-    q: int
-    mat: np.ndarray  # (q^2, q^2), element (a,b) = tr[ops[a]^dag M(ops[b])]/q
+    mat: np.ndarray  # (4, 4), element (a,b) = tr[ops[a]^dag M(ops[b])]/2
     basis: OperatorBasis
 
     def nontrivial_eigenvalues(self) -> np.ndarray:
@@ -46,32 +46,31 @@ class Channel:
         return np.linalg.eigvals(self.mat[1:, 1:])
 
 
-def _superop_plus(U: np.ndarray, q: int) -> np.ndarray:
+def _superop_plus(U: np.ndarray) -> np.ndarray:
     """S[(b,b'),(c,c')] with M_plus(s)[b,b'] = sum S[(b,b'),(c,c')] s[c,c']."""
-    U4 = U.reshape(q, q, q, q)
-    S = np.einsum("abcd,aefd->becf", U4, U4.conj()) / q
-    return S.reshape(q * q, q * q)
+    U4 = U.reshape(2, 2, 2, 2)
+    S = np.einsum("abcd,aefd->becf", U4, U4.conj()) / 2
+    return S.reshape(4, 4)
 
 
-def _superop_minus(U: np.ndarray, q: int) -> np.ndarray:
-    U4 = U.reshape(q, q, q, q)
-    S = np.einsum("cdab,cfeb->aedf", U4.conj(), U4) / q
-    return S.reshape(q * q, q * q)
+def _superop_minus(U: np.ndarray) -> np.ndarray:
+    U4 = U.reshape(2, 2, 2, 2)
+    S = np.einsum("cdab,cfeb->aedf", U4.conj(), U4) / 2
+    return S.reshape(4, 4)
 
 
 def _to_basis(S: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Convert a vec-convention superoperator to the operator-basis matrix."""
-    q = basis.q
-    P = basis.ops.reshape(q * q, q * q)  # row a = vec(ops[a])
-    return P.conj() @ S @ P.T / q
+    P = basis.ops.reshape(4, 4)  # row a = vec(ops[a])
+    return P.conj() @ S @ P.T / 2
 
 
 def _channel(gate, superop) -> Channel:
+    _check_qubits(gate)
     U = gate_matrix(gate)
     assert_unitary(U)
-    q = int(round(np.sqrt(U.shape[0])))
-    basis = pauli_basis(q)
-    return Channel(q=q, mat=_to_basis(superop(U, q), basis), basis=basis)
+    basis = pauli_basis()
+    return Channel(mat=_to_basis(superop(U), basis), basis=basis)
 
 
 def channel_plus(gate) -> Channel:
@@ -83,25 +82,23 @@ def channel_minus(gate) -> Channel:
 
 
 def channel_superop(channel: Channel) -> np.ndarray:
-    """The channel as a q^2 x q^2 matrix acting on row-major vec(s)."""
-    q = channel.q
-    P = channel.basis.ops.reshape(q * q, q * q)
-    # mat = P* S P^T / q  with  P P^dag = q * identity (orthonormal basis)
-    return P.T @ channel.mat @ P.conj() / q
+    """The channel as a 4 x 4 matrix acting on row-major vec(s)."""
+    P = channel.basis.ops.reshape(4, 4)
+    # mat = P* S P^T / 2  with  P P^dag = 2 * identity (orthonormal basis)
+    return P.T @ channel.mat @ P.conj() / 2
 
 
 def choi_matrix(channel: Channel) -> np.ndarray:
     """Choi matrix sum_ij E_ij kron M(E_ij); positive semidefinite iff CP."""
-    q = channel.q
-    S4 = channel_superop(channel).reshape(q, q, q, q)
-    return S4.transpose(2, 0, 3, 1).reshape(q * q, q * q)
+    S4 = channel_superop(channel).reshape(2, 2, 2, 2)
+    return S4.transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
     """Channel spectrum plus the ergodicity classification it implies."""
 
-    eigenvalues: np.ndarray  # q^2 values, sorted by descending modulus
+    eigenvalues: np.ndarray  # 4 values, sorted by descending modulus
     ergodicity_class: str
     decay_rate: float
 
@@ -116,7 +113,7 @@ class SpectrumReport:
 def channel_spectrum(channel: Channel, tol: float = TOL_EIG) -> SpectrumReport:
     """Classify the circuit by its channel spectrum.
 
-    The classification uses all 2(q^2 - 1) nontrivial eigenvalues of the two
+    The classification uses all 6 nontrivial eigenvalues of the two
     edge channels; since the channels are mutual adjoints the second set is
     the complex conjugate of the first, so one channel determines the verdict:
     every nontrivial eigenvalue equal to 1 -> non_interacting; at least one
@@ -146,19 +143,19 @@ def channel_spectrum(channel: Channel, tol: float = TOL_EIG) -> SpectrumReport:
 def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, t: int):
     """Infinite-temperature correlator on the right light-cone edge x = t.
 
-    Evaluates ``tr[sigma_alpha M_plus^t(sigma_beta)]/q`` and cross-checks the
-    equivalent ``tr[sigma_beta M_minus^t(sigma_alpha)]/q``; at t = 0 this is
-    the plain overlap ``tr(sigma_alpha sigma_beta)/q``.
+    Evaluates ``tr[sigma_alpha M_plus^t(sigma_beta)]/2`` and cross-checks the
+    equivalent ``tr[sigma_beta M_minus^t(sigma_alpha)]/2``; at t = 0 this is
+    the plain overlap ``tr(sigma_alpha sigma_beta)/2``.
     """
     if t < 0:
         raise ValueError("t must be a non-negative integer")
+    _check_qubits(gate, sigma_alpha, sigma_beta)
     U = gate_matrix(gate)
-    q = int(round(np.sqrt(U.shape[0])))
-    basis = pauli_basis(q)
+    basis = pauli_basis()
     a = op_to_vec(sigma_alpha, basis)
     b = op_to_vec(sigma_beta, basis)
     if t == 0:
-        return (np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / q).real
+        return (np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real
     plus = channel_plus(U)
     minus = channel_minus(U)
     via_plus = np.vdot(a, np.linalg.matrix_power(plus.mat, t) @ b)
@@ -170,11 +167,10 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, 
 
 
 def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
-    """OTOC kernel ``M_n = tr[(M_plus^n s)^dag (M_plus^n s)]/q``; M_0 = 1."""
+    """OTOC kernel ``M_n = tr[(M_plus^n s)^dag (M_plus^n s)]/2``; M_0 = 1."""
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    U = gate_matrix(gate)
-    q = int(round(np.sqrt(U.shape[0])))
-    basis = pauli_basis(q)
-    w = np.linalg.matrix_power(channel_plus(U).mat, n) @ op_to_vec(sigma_beta, basis)
+    _check_qubits(gate, sigma_beta)
+    b = op_to_vec(sigma_beta, pauli_basis())
+    w = np.linalg.matrix_power(channel_plus(gate).mat, n) @ b
     return float(np.real(np.vdot(w, w)))

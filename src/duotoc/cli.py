@@ -216,9 +216,13 @@ def _validate(cfg: RunConfig):
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     for name in ("alpha", "beta"):
-        if len(getattr(cfg, name)) not in (3, 4):
+        coeffs = getattr(cfg, name)
+        if len(coeffs) not in (3, 4):
             raise ConfigError(f"{name} needs 3 (traceless) or 4 (with identity) "
                               "Pauli coefficients")
+        if not any(coeffs) or not np.all(np.isfinite(coeffs)):
+            raise ConfigError(f"{name} needs finite Pauli coefficients, not all "
+                              "zero, to normalize")
     if cfg.tmax < 0 or cfg.nmax < 1:
         raise ConfigError("need tmax >= 0 and nmax >= 1")
 
@@ -240,7 +244,7 @@ def operator_from_coeffs(coeffs) -> np.ndarray:
         c = np.concatenate(([0.0], normalize_coeffs(c)))
     else:
         c = c / np.linalg.norm(c)
-    return vec_to_op(c, pauli_basis(2))
+    return vec_to_op(c, pauli_basis())
 
 
 def _is_integrable_kim(cfg: RunConfig) -> bool:
@@ -430,7 +434,7 @@ def cmd_otoc(args) -> int:
 def _longtime_closed(cfg, gate, a_op, b_op, n, parity):
     t_minus_x = _separation(n, parity)
     if cfg.gate == "du":
-        return float(mc_longtime(2, a_op, b_op, -t_minus_x, gate=gate))
+        return float(mc_longtime(a_op, b_op, -t_minus_x, gate=gate))
     if _is_integrable_kim(cfg):
         # any (x, t) >= 1 inside the cone with this separation
         return float(kim_integrable_otoc_symmetrized(a_op, b_op, 2, 2 + t_minus_x))

@@ -5,7 +5,7 @@ algebraic simplification, so that any disagreement with the transfer-matrix
 or brute-force routes points at the formula (or at a typo in it) rather than
 at the evaluator.  All operator arguments are single-site Hermitian matrices;
 the expressions are written for the unit-normalized traceless case
-tr sigma = 0, tr sigma^2 = q, with components a_i = tr(sigma_i sigma)/q.
+tr sigma = 0, tr sigma^2 = 2, with components a_i = tr(sigma_i sigma)/2.
 
 Conventions shared with the transfer module: x - t even is called even
 parity (supports of the two operators collide), odd parity otherwise; the
@@ -36,44 +36,47 @@ __all__ = [
 ]
 
 
-def _components(op, q: int = 2):
-    """(a_x, a_y, a_z) with a_i = tr(sigma_i op)/q."""
-    basis = pauli_basis(q)
+_PAULI = pauli_basis().ops
+
+
+def _components(op):
+    """(a_x, a_y, a_z) with a_i = tr(sigma_i op)/2."""
     mat = np.asarray(op, dtype=complex)
-    comps = [np.trace(p @ mat) / q for p in basis.ops[1:]]
+    comps = [np.trace(p @ mat) / 2 for p in _PAULI[1:]]
     return tuple(float(c.real) for c in comps)
 
 
-def _delta_overlap(sigma_alpha, sigma_beta, q: int = 2) -> float:
-    """tr(sigma_alpha sigma_beta)/q: the t = 0 value of any correlator."""
-    val = np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / q
+def _delta_overlap(sigma_alpha, sigma_beta) -> float:
+    """tr(sigma_alpha sigma_beta)/2: the t = 0 value of any correlator."""
+    val = np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2
     return float(val.real)
 
 
-def _t0_otoc(sigma_alpha, sigma_beta, q: int = 2) -> float:
-    """tr[(sigma_alpha sigma_beta)^2]/q: the t = 0 value of any OTOC."""
+def _t0_otoc(sigma_alpha, sigma_beta) -> float:
+    """tr[(sigma_alpha sigma_beta)^2]/2: the t = 0 value of any OTOC."""
     prod = np.asarray(sigma_alpha, dtype=complex) @ np.asarray(sigma_beta)
-    return float((np.trace(prod @ prod) / q).real)
+    return float((np.trace(prod @ prod) / 2).real)
 
 
-def mc_longtime(q, sigma_alpha, sigma_beta, x_minus_t, gate=None):
+def mc_longtime(sigma_alpha, sigma_beta, x_minus_t, gate=None):
     """Long-time OTOC of a maximally chaotic dual-unitary circuit.
 
-    Even parity: -1/(q^2-1) on the light cone (x = t), zero elsewhere.  Odd
-    parity: [q^2 M_{(t-x+1)/2} - M_{(t-x-1)/2}]/(q^2-1), with M_n the channel
+    Even parity: -1/3 on the light cone (x = t), zero elsewhere.  Odd
+    parity: [4 M_{(t-x+1)/2} - M_{(t-x-1)/2}]/3, with M_n the channel
     moment of sigma_beta; this branch needs the gate, passed as a keyword
-    because the even branch is gate-free.
+    because the even branch is gate-free.  (For local dimension q these
+    are -1/(q^2-1) and [q^2 M - M']/(q^2-1).)
     """
     if x_minus_t > 0:
         return 1.0
     tmx = -int(x_minus_t)
     if tmx % 2 == 0:
-        return -1.0 / (q * q - 1.0) if tmx == 0 else 0.0
+        return -1.0 / 3.0 if tmx == 0 else 0.0
     if gate is None:
         raise ValueError("the odd-parity branch needs the gate for M_n")
     m_hi = m_n(gate, sigma_beta, (tmx + 1) // 2)
     m_lo = m_n(gate, sigma_beta, (tmx - 1) // 2)
-    return (q * q * m_hi - m_lo) / (q * q - 1.0)
+    return (4 * m_hi - m_lo) / 3.0
 
 
 def kim_longtime(h1, h2, sigma_alpha, sigma_beta, x, t):
@@ -104,7 +107,7 @@ def kim_longtime(h1, h2, sigma_alpha, sigma_beta, x, t):
 def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
     """Light-cone correlator of the kicked Ising circuit.
 
-    t = 0 gives the plain overlap tr(sigma_alpha sigma_beta)/q; for t > 0 the
+    t = 0 gives the plain overlap tr(sigma_alpha sigma_beta)/2; for t > 0 the
     value is cos(h1+h2)^(t-1) (ax cos h2 + ay sin h2)(bx cos h1 - by sin h1).
     """
     if t == 0:
@@ -141,7 +144,7 @@ def kim_integrable_otoc(sigma_alpha, sigma_beta, x, t):
     inside the cone 1, odd parity ax^2 + (1 - ax)^2 (2 bx^2 - 1).  The odd
     branch keeps the printed (1 - ax)^2; see the symmetrized variant for the
     form the brute-force oracle confirms.  At t = 0 the OTOC is the plain
-    trace algebra tr[(sigma_alpha sigma_beta)^2]/q.
+    trace algebra tr[(sigma_alpha sigma_beta)^2]/2.
     """
     return _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized=False)
 
@@ -188,19 +191,19 @@ def xy_correlator(j, sigma_alpha, sigma_beta, t):
     return float(ax * bx * np.sin(2.0 * j) ** t)
 
 
-def haar_projector(q: int = 2) -> np.ndarray:
-    """Average of u (x) u* (x) u (x) u* over Haar single-site unitaries.
+def haar_projector() -> np.ndarray:
+    """Average of u (x) u* (x) u (x) u* over Haar single-qubit unitaries.
 
     In the slot-pair notation this is
-    (1/(q^2-1)) [ |e_{1,0})(e_{1,0}| + |e_{1,1})(e_{1,1}|
-                  - (1/q)(|e_{1,0})(e_{1,1}| + |e_{1,1})(e_{1,0}|) ],
+    (1/3) [ |e_{1,0})(e_{1,0}| + |e_{1,1})(e_{1,1}|
+            - (1/2)(|e_{1,0})(e_{1,1}| + |e_{1,1})(e_{1,0}|) ],
     built here from the raw (delta-pattern) basis states with plain outer
     products; it equals the orthonormal-pair projector
     sum_k |e~_{1,k})(e~_{1,k}| and replaces T_1 in the long-time limit of the
     maximally chaotic class.
     """
-    raw, _ = e_basis(1, q)
+    raw, _ = e_basis(1)
     e0 = np.real_if_close(raw[0].vec)
     e1 = np.real_if_close(raw[1].vec)
     cross = np.outer(e0, e1) + np.outer(e1, e0)
-    return (np.outer(e0, e0) + np.outer(e1, e1) - cross / q) / (q * q - 1.0)
+    return (np.outer(e0, e0) + np.outer(e1, e1) - cross / 2) / 3.0

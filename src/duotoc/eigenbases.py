@@ -1,7 +1,7 @@
 """Labeled operator states on the 2n-slot column space.
 
-A column state lives on 2n slots, each of dimension q**2 (one folded site
-carrying a ket copy u and a bra copy ubar, flattened row-major as u*q + ubar).
+A column state lives on 2n slots, each of dimension 4 (one folded qubit site
+carrying a ket copy u and a bra copy ubar, flattened row-major as u*2 + ubar).
 States are described symbolically by
 
 * ``prods``  -- slot -> one-site operator placed on that slot, and
@@ -35,8 +35,7 @@ from .opalg import pauli_basis
 
 TOL_BASIS = 1e-12
 
-_P = pauli_basis(2)
-_EYE, _SX, _SY, _SZ = (np.asarray(op) for op in _P.ops)
+_EYE, _SX, _SY, _SZ = pauli_basis().ops
 
 # slot-operator map for the XY bitstring states; the same symbols label the
 # pairing insertions of the left states through sigma(b, a)
@@ -47,13 +46,12 @@ _LETTERS = "abcdefghijklmnopqrst"
 
 @dataclass
 class SlotState:
-    """Symbolic product/pairing state on 2n slots of dimension q**2."""
+    """Symbolic product/pairing state on 2n slots of dimension 4."""
 
     n: int
     side: str  # "right" (ket) or "left" (bra)
     prods: dict = field(default_factory=dict)
     pairs: tuple = ()
-    q: int = 2
     _vec: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -70,8 +68,6 @@ class SlotState:
 
 
 def _materialize(state: SlotState) -> np.ndarray:
-    q = state.q
-    d = q * q
     subs, operands = [], []
     for i, j, x in state.pairs:
         x = np.asarray(x, dtype=complex)
@@ -81,27 +77,24 @@ def _materialize(state: SlotState) -> np.ndarray:
         else:
             # A[(u,ubar),(v,vbar)] = X[vbar,u] X[ubar,v]
             block = np.einsum("da,bc->abcd", x, x)
-        operands.append(block.reshape(d, d))
+        operands.append(block.reshape(4, 4))
         subs.append(_LETTERS[i - 1] + _LETTERS[j - 1])
     for i in sorted(state.prods):
         x = np.asarray(state.prods[i], dtype=complex)
-        vec = x.reshape(d) if state.side == "right" else x.T.reshape(d)
+        vec = x.reshape(4) if state.side == "right" else x.T.reshape(4)
         operands.append(vec)
         subs.append(_LETTERS[i - 1])
     out = _LETTERS[: 2 * state.n]
     full = np.einsum(",".join(subs) + "->" + out, *operands)
-    return full.reshape(d ** (2 * state.n))
+    return full.reshape(4 ** (2 * state.n))
 
 
 @dataclass
 class LabeledState:
-    """A named column state: symbolic slot description or a dense combination."""
+    """A column state: symbolic slot description or a dense combination."""
 
     n: int
-    kind: str  # e_k | z_k | xy_right | xy_left | boundary
-    label: object
     state: object  # SlotState or ndarray
-    orthonormal: bool = False
 
     @property
     def vec(self) -> np.ndarray:
@@ -123,46 +116,46 @@ def _as_vec(obj) -> np.ndarray:
     return np.asarray(obj)
 
 
-def all_identity_state(n: int, q: int = 2, side: str = "right") -> SlotState:
+def all_identity_state(n: int, side: str = "right") -> SlotState:
     """The bare product of vectorized identities on all 2n slots."""
-    eye = np.eye(q)
-    return SlotState(n=n, side=side, prods={s: eye for s in range(1, 2 * n + 1)}, q=q)
+    eye = np.eye(2)
+    return SlotState(n=n, side=side, prods={s: eye for s in range(1, 2 * n + 1)})
 
 
 # ---------------------------------------------------------------------------
 # nested-pairing family e_{n,k}
 
-def e_state(n: int, k: int, q: int = 2) -> LabeledState:
+def e_state(n: int, k: int) -> LabeledState:
     """Raw e_{n,k}: k nested identity pairings tying slots n-k+1 .. n+k from
     the outside in, identity products elsewhere.  e_{n,0} is the all-identity
     product state."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    eye = np.eye(q)
+    eye = np.eye(2)
     pairs = tuple((n - j, n + 1 + j, eye) for j in range(k))
     prods = {s: eye for s in range(1, n - k + 1)}
     prods.update({s: eye for s in range(n + k + 1, 2 * n + 1)})
-    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs, q=q)
-    return LabeledState(n=n, kind="e_k", label=k, state=slot)
+    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs)
+    return LabeledState(n=n, state=slot)
 
 
-def e_basis(n: int, q: int = 2):
+def e_basis(n: int):
     """Return (raw, orthonormal) lists for k = 0..n.
 
     The orthonormal combinations are
-        e~_{n,0}    = q^{-n} e_{n,0}
-        e~_{n,k>0}  = q^{-n} (q e_{n,k} - e_{n,k-1}) / sqrt(q^2 - 1)
+        e~_{n,0}    = 2^{-n} e_{n,0}
+        e~_{n,k>0}  = 2^{-n} (2 e_{n,k} - e_{n,k-1}) / sqrt(3)
     """
-    raw = [e_state(n, k, q) for k in range(n + 1)]
-    tilde = [LabeledState(n, "e_k", 0, float(q) ** (-n) * raw[0].vec, orthonormal=True)]
+    raw = [e_state(n, k) for k in range(n + 1)]
+    tilde = [LabeledState(n, 2.0 ** (-n) * raw[0].vec)]
     for k in range(1, n + 1):
-        vec = (q * raw[k].vec - raw[k - 1].vec) / (float(q) ** n * np.sqrt(q * q - 1.0))
-        tilde.append(LabeledState(n, "e_k", k, vec, orthonormal=True))
+        vec = (2 * raw[k].vec - raw[k - 1].vec) / (2.0 ** n * np.sqrt(3.0))
+        tilde.append(LabeledState(n, vec))
     return raw, tilde
 
 
 # ---------------------------------------------------------------------------
-# kicked-Ising z_{n,k} extension (q = 2)
+# kicked-Ising z_{n,k} extension
 
 def kim_z_state(n: int, k: int) -> LabeledState:
     """Raw z_{n,k}: sigma_z products on slots n-k+1 and n+k around a nested
@@ -174,8 +167,8 @@ def kim_z_state(n: int, k: int) -> LabeledState:
     prods = {n - k + 1: _SZ, n + k: _SZ}
     prods.update({s: eye for s in range(1, n - k + 1)})
     prods.update({s: eye for s in range(n + k + 1, 2 * n + 1)})
-    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs, q=2)
-    return LabeledState(n=n, kind="z_k", label=k, state=slot)
+    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs)
+    return LabeledState(n=n, state=slot)
 
 
 def kim_z_basis(n: int):
@@ -193,12 +186,12 @@ def kim_z_basis(n: int):
             - np.sqrt(2.0 / 3.0) * raw_e[k].vec
             + np.sqrt(1.0 / 6.0) * raw_e[k - 1].vec
         )
-        tilde.append(LabeledState(n, "z_k", n + k, vec, orthonormal=True))
+        tilde.append(LabeledState(n, vec))
     return zs, tilde
 
 
 # ---------------------------------------------------------------------------
-# kicked-XY bitstring bases (q = 2)
+# kicked-XY bitstring bases
 
 def _bits(label) -> tuple:
     bits = tuple(int(b) for b in label)
@@ -219,8 +212,8 @@ def xy_right_state(r) -> LabeledState:
         op = _XY_SLOT_OP[(rr[i - 1], rr[i])]
         prods[i] = op
         prods[2 * n + 1 - i] = op
-    slot = SlotState(n=n, side="right", prods=prods, q=2)
-    return LabeledState(n=n, kind="xy_right", label=r, state=slot)
+    slot = SlotState(n=n, side="right", prods=prods)
+    return LabeledState(n=n, state=slot)
 
 
 def xy_left_state(l) -> LabeledState:
@@ -233,8 +226,8 @@ def xy_left_state(l) -> LabeledState:
     pairs = tuple(
         (n + 1 - i, n + i, _XY_SLOT_OP[(ll[i], ll[i - 1])]) for i in range(1, n + 1)
     )
-    slot = SlotState(n=n, side="left", pairs=pairs, q=2)
-    return LabeledState(n=n, kind="xy_left", label=l, state=slot)
+    slot = SlotState(n=n, side="left", pairs=pairs)
+    return LabeledState(n=n, state=slot)
 
 
 def xy_overlap(l, r) -> int:
@@ -284,8 +277,8 @@ def xy_dual_basis(n: int):
         rvec = 2.0 ** (-2 * n) * sum(
             overlap.entries[i, j] * rights_raw[j] for j in range(len(overlap.labels))
         )
-        lefts.append(LabeledState(n, "xy_left", l, lvec, orthonormal=True))
-        rights.append(LabeledState(n, "xy_right", l, rvec, orthonormal=True))
+        lefts.append(LabeledState(n, lvec))
+        rights.append(LabeledState(n, rvec))
     return lefts, rights
 
 
@@ -338,5 +331,5 @@ def product_state(ops) -> LabeledState:
     if len(ops) % 2:
         raise ValueError("need an even number of slot operators")
     n = len(ops) // 2
-    slot = SlotState(n=n, side="right", prods={i + 1: ops[i] for i in range(2 * n)}, q=2)
-    return LabeledState(n=n, kind="boundary", label=None, state=slot)
+    slot = SlotState(n=n, side="right", prods={i + 1: ops[i] for i in range(2 * n)})
+    return LabeledState(n=n, state=slot)

@@ -1,9 +1,12 @@
 """Two-site gate families: KAK-parametrized gates, dual-unitary sampling,
 the self-dual kicked Ising gate, and the kicked XY gate.
 
-All gates are q=2 (two-qubit) 4x4 unitaries in the index convention of
+All gates are two-qubit 4x4 unitaries in the index convention of
 :mod:`duotoc.opalg`: element ``U[(a,b),(c,d)]`` maps input pair (c,d) to
-output pair (a,b) with the left site slower.
+output pair (a,b) with the left site slower.  ``_check_qubits`` is the one
+place that decides q = 2: the transfer entry points and every function of
+this module, ``opalg`` and ``channels`` that takes a gate call it before
+they reshape anything.  Only the brute-force oracle takes other q.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
     "is_dual_unitary",
 ]
 
-_PAULI = pauli_basis(2).ops  # (1, sx, sy, sz)
+_PAULI = pauli_basis().ops  # (1, sx, sy, sz)
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,11 @@ class Gate:
     """A two-site unitary with provenance metadata."""
 
     u: np.ndarray
-    q: int = 2
     family: str = ""
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_qubits(self.u)
         assert_unitary(self.u, name=f"{self.family or 'gate'}")
 
 
@@ -49,6 +52,20 @@ def gate_matrix(gate) -> np.ndarray:
     if isinstance(gate, Gate):
         return gate.u
     return np.asarray(gate, dtype=complex)
+
+
+def _check_qubits(gate, *ops):
+    """Raise unless ``gate`` (if not None) is 4 x 4 and every insertion in
+    ``ops`` is 2 x 2: every model here is a qubit chain, and only the
+    brute-force oracle takes another local dimension."""
+    shapes = [np.shape(op) for op in ops]
+    want = [(2, 2)] * len(ops)
+    if gate is not None:
+        shapes.append(gate_matrix(gate).shape)
+        want.append((4, 4))
+    if shapes != want:
+        raise ValueError(f"only q = 2 is supported (got shapes {shapes}, need "
+                         f"{want}); the oracle takes other q")
 
 
 @dataclass(frozen=True)

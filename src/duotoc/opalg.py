@@ -1,14 +1,16 @@
-"""Operator algebra substrate: bases, vectorization, dual gates.
+"""Operator algebra substrate: the Pauli basis, vectorization, dual gates.
 
 Conventions used throughout the package
 ---------------------------------------
+* Every site is a qubit (q = 2); only the brute-force oracle takes another
+  local dimension, and ``gates._check_qubits`` rejects anything else.
 * Vectorization is row-major: operator element ``(i, j)`` maps to flat index
-  ``i*q + j``.  ``vec(U X V) = (U kron V^T) vec(X)``.
-* Two-site indices pair as ``(a, b) -> a*q + b`` with the LEFT site slower.
+  ``i*2 + j``.  ``vec(U X V) = (U kron V^T) vec(X)``.
+* Two-site indices pair as ``(a, b) -> a*2 + b`` with the LEFT site slower.
   A gate element ``U[(a, b), (c, d)]`` is the amplitude from input pair
   ``(c, d)`` to output pair ``(a, b)``.
-* Operator bases are orthonormal under ``tr(A^dag B)/q``; element 0 is the
-  identity and all others are traceless.
+* The operator basis is orthonormal under ``tr(A^dag B)/2``; element 0 is
+  the identity and the others are traceless.
 
 Tolerances are module constants so that every caller agrees on what counts
 as "unitary" or "an eigenvalue equal to one".
@@ -46,73 +48,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Ordered one-site operator basis, orthonormal under ``tr(A^dag B)/q``."""
+    """Ordered one-site operator basis, orthonormal under ``tr(A^dag B)/2``."""
 
-    q: int
-    ops: np.ndarray  # shape (q*q, q, q)
+    ops: np.ndarray  # shape (4, 2, 2)
 
     def __post_init__(self):
-        q = self.q
-        ops = self.ops
-        if ops.shape != (q * q, q, q):
-            raise ValueError(f"basis shape {ops.shape} does not match q={q}")
-        gram = np.einsum("aij,bij->ab", ops.conj(), ops) / q
-        if np.max(np.abs(gram - np.eye(q * q))) > TOL_BASIS:
+        if self.ops.shape != (4, 2, 2):
+            raise ValueError(f"basis shape {self.ops.shape} is not (4, 2, 2)")
+        gram = np.einsum("aij,bij->ab", self.ops.conj(), self.ops) / 2
+        if np.max(np.abs(gram - np.eye(4))) > TOL_BASIS:
             raise ValueError("operator basis is not orthonormal")
 
 
-def pauli_basis(q: int = 2) -> OperatorBasis:
-    """Orthonormal one-site basis: ``(1, sx, sy, sz)`` for q=2.
-
-    For q > 2 a generalized Gell-Mann basis is returned, rescaled so that
-    ``tr(s^dag s)/q = 1``.  Only q = 2 is exercised by the test suite.
-    """
-    if q < 2:
-        raise ValueError(f"unsupported local dimension q={q}")
-    if q == 2:
-        ops = np.array(
-            [
-                [[1, 0], [0, 1]],
-                [[0, 1], [1, 0]],
-                [[0, -1j], [1j, 0]],
-                [[1, 0], [0, -1]],
-            ],
-            dtype=complex,
-        )
-        return OperatorBasis(q=2, ops=ops)
-    # Generalized Gell-Mann construction, normalized to tr(s^dag s) = q.
-    mats = [np.eye(q, dtype=complex)]
-    scale = np.sqrt(q / 2.0)
-    for j in range(q):
-        for k in range(j + 1, q):
-            sym = np.zeros((q, q), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            mats.append(scale * sym)
-            asym = np.zeros((q, q), dtype=complex)
-            asym[j, k] = -1j
-            asym[k, j] = 1j
-            mats.append(scale * asym)
-    for d in range(1, q):
-        diag = np.zeros((q, q), dtype=complex)
-        diag[np.arange(d), np.arange(d)] = 1.0
-        diag[d, d] = -d
-        diag *= scale * np.sqrt(2.0 / (d * (d + 1)))
-        mats.append(diag)
-    return OperatorBasis(q=q, ops=np.array(mats))
+def pauli_basis() -> OperatorBasis:
+    """The orthonormal one-site basis ``(1, sx, sy, sz)``."""
+    ops = np.array(
+        [
+            [[1, 0], [0, 1]],
+            [[0, 1], [1, 0]],
+            [[0, -1j], [1j, 0]],
+            [[1, 0], [0, -1]],
+        ],
+        dtype=complex,
+    )
+    return OperatorBasis(ops=ops)
 
 
 def op_to_vec(sigma: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Coefficients of ``sigma`` in ``basis``: ``c[a] = tr(ops[a]^dag sigma)/q``."""
+    """Coefficients of ``sigma`` in ``basis``: ``c[a] = tr(ops[a]^dag sigma)/2``."""
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != (basis.q, basis.q):
-        raise ValueError(f"operator shape {sigma.shape} does not match q={basis.q}")
-    return np.einsum("aij,ij->a", basis.ops.conj(), sigma) / basis.q
+    if sigma.shape != (2, 2):
+        raise ValueError(f"operator shape {sigma.shape} is not 2 x 2")
+    return np.einsum("aij,ij->a", basis.ops.conj(), sigma) / 2
 
 
 def vec_to_op(coeffs: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Inverse of :func:`op_to_vec`."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (basis.q * basis.q,):
+    if coeffs.shape != (4,):
         raise ValueError("coefficient vector has wrong length")
     return np.einsum("a,aij->ij", coeffs, basis.ops)
 
@@ -139,21 +112,19 @@ def assert_unitary(U: np.ndarray, tol: float = TOL_UNITARY, name: str = "gate"):
         raise ValueError(f"{name} is not unitary within {tol}")
 
 
-def dual(U: np.ndarray, q: int = 2) -> np.ndarray:
+def dual(U: np.ndarray) -> np.ndarray:
     """Space-time dual of a two-site gate: ``Ud[(a,b),(c,d)] = U[(d,b),(c,a)]``.
 
     An involution on the index permutation; the result carries no unitarity
     guarantee (the gate is dual-unitary exactly when it does come out unitary).
     """
-    U4 = np.asarray(U, dtype=complex).reshape(q, q, q, q)
-    return U4.transpose(3, 1, 2, 0).reshape(q * q, q * q)
+    from .gates import _check_qubits  # gates imports this module
+
+    _check_qubits(U)
+    U4 = np.asarray(U, dtype=complex).reshape(2, 2, 2, 2)
+    return U4.transpose(3, 1, 2, 0).reshape(4, 4)
 
 
-def swap_gate(q: int = 2) -> np.ndarray:
-    """The two-site SWAP gate."""
-    d = q * q
-    S = np.zeros((d, d), dtype=complex)
-    for a in range(q):
-        for b in range(q):
-            S[a * q + b, b * q + a] = 1.0
-    return S
+def swap_gate() -> np.ndarray:
+    """The two-site SWAP gate, ``(a, b) -> (b, a)``."""
+    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]

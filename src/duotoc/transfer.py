@@ -32,10 +32,10 @@ the coefficients Q^T v of its complex vector v and ``boundary_left`` a left
 boundary as Q^dagger l, slot by slot; their plain dot product equals the
 bilinear overlap of the complex vectors.  ``build_transfer`` returns the
 complex-basis matrix T in the same basis, Q^T T conj(Q) slot by slot, so it
-carries the right coefficients and its transpose the left ones.  The
-Hermitian basis exists for q = 2 only, so every entry point rejects a gate
-that is not 4 x 4 or an insertion that is not 2 x 2, and it rejects
-non-Hermitian insertions, whose coefficients would not be real.
+carries the right coefficients and its transpose the left ones.  Every
+entry point rejects a gate that is not 4 x 4 or an insertion that is not
+2 x 2 (``gates._check_qubits``), and it rejects non-Hermitian insertions,
+whose coefficients would not be real.
 
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
@@ -62,7 +62,7 @@ from functools import reduce
 
 import numpy as np
 
-from .gates import gate_matrix
+from .gates import _check_qubits, gate_matrix
 from .opalg import pauli_basis, swap_gate
 
 TOL_FIXED = 1e-10
@@ -95,19 +95,6 @@ def _bundle_tensor(u: np.ndarray) -> np.ndarray:
     return np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj()).reshape(4, 4, 4, 4)
 
 
-def _check_qubits(gate, *ops):
-    """Raise unless ``gate`` (if not None) is 4 x 4 and every insertion in
-    ``ops`` is 2 x 2: the column kernel works in the qubit Pauli basis."""
-    shapes = [np.shape(op) for op in ops]
-    want = [(2, 2)] * len(ops)
-    if gate is not None:
-        shapes.append(gate_matrix(gate).shape)
-        want.append((4, 4))
-    if shapes != want:
-        raise ValueError(f"only q = 2 is supported (got shapes {shapes}, need "
-                         f"{want}): the column kernel works in the Pauli basis")
-
-
 def _check_depth(n: int):
     if n < 1:
         raise ValueError("need n >= 1")
@@ -120,7 +107,7 @@ def _check_depth(n: int):
 
 # Q: columns are vec(sigma_mu)/sqrt(2), the unitary change from the
 # orthonormal Hermitian leg basis to the computational folded basis
-_QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in pauli_basis(2).ops], axis=1)
+_QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in pauli_basis().ops], axis=1)
 
 
 def _hermitian(op) -> np.ndarray:
@@ -557,8 +544,6 @@ def build_transfer(gate, n: int) -> np.ndarray:
 
 @dataclass
 class OtocResult:
-    x: object
-    t: object
     parity: str
     value: float
     method: str
@@ -673,14 +658,12 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
-        return OtocResult(x, t, parity_tag(x, t), 1.0, "finite_transfer",
+        return OtocResult(parity_tag(x, t), 1.0, "finite_transfer",
                           meta={"applications": 0})
     if x < 0:
-        swap = swap_gate(2)
-        mirrored = otoc_finite(swap @ gate_matrix(gate) @ swap,
-                               sigma_alpha, sigma_beta, -x, t)
-        return OtocResult(x, t, mirrored.parity, mirrored.value,
-                          mirrored.method, n=mirrored.n, meta=mirrored.meta)
+        swap = swap_gate()
+        return otoc_finite(swap @ gate_matrix(gate) @ swap,
+                           sigma_alpha, sigma_beta, -x, t)
     n, m, parity = _depths(x, t)
     _check_depth(n)
     remembered = _remembered(n, key)
@@ -689,7 +672,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     else:
         overlaps, made = _extend(gate, sigma_alpha, sigma_beta, n, key,
                                  lambda ov: len(ov[parity]) > m)
-    return OtocResult(x, t, parity, overlaps[parity][m], "finite_transfer", n=n,
+    return OtocResult(parity, overlaps[parity][m], "finite_transfer", n=n,
                       meta={"applications": made})
 
 
@@ -737,7 +720,7 @@ def _settled(overlaps, m: int, n: int, parity: str):
     stop = _stopped_limit(overlaps[max(0, m - STOP_WINDOW - 2):m + 1])
     if stop is not None:
         value, lam, span = stop
-        return OtocResult(None, None, parity, value, "longtime_iterate", n=n,
+        return OtocResult(parity, value, "longtime_iterate", n=n,
                           meta={"iterations": m, "converged": True,
                                 "lambda": lam, "error_estimate": span})
     if m < ITERATION_CAP:
@@ -745,7 +728,7 @@ def _settled(overlaps, m: int, n: int, parity: str):
     tail = np.asarray(overlaps[max(0, m + 1 - CESARO_WINDOW):m + 1])
     mean = float(tail.mean())
     amplitude = float(np.max(np.abs(tail - mean)))
-    return OtocResult(None, None, parity, mean, "longtime_iterate", n=n,
+    return OtocResult(parity, mean, "longtime_iterate", n=n,
                       meta={"iterations": ITERATION_CAP, "converged": False,
                             "amplitude": amplitude})
 
@@ -809,5 +792,5 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
             gate, sigma_alpha, sigma_beta, n, key,
             lambda ov: _settled(ov[parity], len(ov[parity]) - 1, n, parity) is not None)
         result = _settled(overlaps[parity], len(overlaps[parity]) - 1, n, parity)
-    return OtocResult(None, None, parity, result.value, result.method, n=n,
+    return OtocResult(parity, result.value, result.method, n=n,
                       meta={**result.meta, "applications": applications})

@@ -41,7 +41,7 @@ from duotoc.opalg import pauli_basis
 from duotoc.oracle import ChainSpec, haar_sample, oracle_otoc
 from duotoc.transfer import build_transfer, fixed_left, fixed_right, otoc_finite, otoc_longtime
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 # operators used throughout the kicked-XY / integrable scans
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
@@ -150,7 +150,7 @@ def test_criterion_05_integrable_projector(record_criterion, record_note):
 
     # exhaustive eigenvalue rule at n=2: Pauli product states with an even
     # number of y/z factors are fixed, the others are annihilated
-    ops4 = pauli_basis(2).ops
+    ops4 = pauli_basis().ops
     tmat2 = build_transfer(gate, 2)
     rule_res = 0.0
     for combo in iproduct(range(4), repeat=4):
@@ -217,7 +217,7 @@ def test_criterion_07_xy_overlap_orthogonality(record_criterion):
 
 
 def test_criterion_08_haar_equivalence(record_criterion):
-    proj = haar_projector(2)
+    proj = haar_projector()
     _, tilde = e_basis(1)
     p_tilde = sum(np.outer(s.vec.real, s.vec.real) for s in tilde)
     basis_dev = np.abs(proj - p_tilde).max()

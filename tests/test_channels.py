@@ -19,7 +19,7 @@ from duotoc.oracle import ChainSpec, oracle_correlator
 TOL = 1e-12
 TOL_PSD = 1e-10
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 
 
 def channel_apply(channel, sigma, t=1):

@@ -349,6 +349,10 @@ def test_spectrum_rows(capsys):
     ["corr", "--gate", "kim", "--params", "0.4"],  # kim needs two parameters
     ["corr", "--gate", "nope"],                    # unknown family
     ["longtime", "--preset", "fig4", "--nmax", "9"],
+    ["corr", "--preset", "fig5", "--alpha", "0,0,0"],  # zero operators
+    ["otoc", "--gate", "kim", "--params", "0.4,0.6", "--beta", "0,0,0,0",
+     "--method", "all", "--strict", "--tmax", "1"],
+    ["corr", "--preset", "fig5", "--alpha", "nan,0,1"],  # non-finite
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as err:

@@ -23,7 +23,7 @@ from duotoc.transfer import otoc_longtime
 TOL_EXACT = 1e-12
 TOL_ITER = 1e-8
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 A45 = (SX + SZ) / np.sqrt(2)
@@ -32,15 +32,15 @@ A45 = (SX + SZ) / np.sqrt(2)
 # ------------------------------------------------------------ maximal chaos
 
 def test_mc_longtime_branch_table():
-    assert mc_longtime(2, A45, SY, 1) == 1.0          # outside the cone
-    assert mc_longtime(2, A45, SY, 0) == pytest.approx(-1 / 3, abs=TOL_EXACT)
-    assert mc_longtime(2, A45, SY, -2) == 0.0
-    assert mc_longtime(2, A45, SY, -4) == 0.0
+    assert mc_longtime(A45, SY, 1) == 1.0          # outside the cone
+    assert mc_longtime(A45, SY, 0) == pytest.approx(-1 / 3, abs=TOL_EXACT)
+    assert mc_longtime(A45, SY, -2) == 0.0
+    assert mc_longtime(A45, SY, -4) == 0.0
 
 
 def test_mc_longtime_odd_needs_gate():
     with pytest.raises(ValueError):
-        mc_longtime(2, A45, SY, -1)
+        mc_longtime(A45, SY, -1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -48,7 +48,7 @@ def test_mc_longtime_odd_needs_gate():
 def test_mc_longtime_odd_matches_iteration(seed, t_minus_x):
     gate = random_dual_unitary(seed)
     n = (t_minus_x + 1) // 2
-    got = mc_longtime(2, A45, SY, -t_minus_x, gate=gate)
+    got = mc_longtime(A45, SY, -t_minus_x, gate=gate)
     ref = otoc_longtime(gate, A45, SY, n, "odd").value
     assert got == pytest.approx(ref, abs=TOL_ITER)
 
@@ -192,7 +192,7 @@ def test_xy_correlator_dual_unitary_point_is_integrable_kim():
 # ------------------------------------------------------------ Haar projector
 
 def test_haar_projector_structure():
-    p = haar_projector(2)
+    p = haar_projector()
     assert np.abs(p @ p - p).max() < TOL_EXACT
     assert np.trace(p) == pytest.approx(2.0, abs=TOL_EXACT)
     assert np.linalg.matrix_rank(p, tol=1e-10) == 2
@@ -201,4 +201,4 @@ def test_haar_projector_structure():
 def test_haar_projector_equals_eigenbasis_projector():
     _, tilde = e_basis(1)
     p_tilde = sum(np.outer(s.vec.real, s.vec.real) for s in tilde)
-    assert np.abs(haar_projector(2) - p_tilde).max() < TOL_EXACT
+    assert np.abs(haar_projector() - p_tilde).max() < TOL_EXACT

@@ -23,7 +23,7 @@ from duotoc.transfer import build_transfer, otoc_longtime
 TOL_RESIDUAL = 1e-10
 TOL_BASIS = 1e-12
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 

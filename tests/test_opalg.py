@@ -18,7 +18,7 @@ TOL = 1e-14
 
 
 def test_pauli_basis_orthonormal():
-    basis = pauli_basis(2)
+    basis = pauli_basis()
     ops = basis.ops
     assert ops.shape == (4, 2, 2)
     gram = np.einsum("aij,bij->ab", ops.conj(), ops) / 2
@@ -26,7 +26,7 @@ def test_pauli_basis_orthonormal():
 
 
 def test_pauli_basis_hermitian_identity_first():
-    basis = pauli_basis(2)
+    basis = pauli_basis()
     for op in basis.ops:
         assert np.abs(op - op.conj().T).max() < TOL
     assert np.abs(basis.ops[0] - np.eye(2)).max() < TOL
@@ -35,7 +35,7 @@ def test_pauli_basis_hermitian_identity_first():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_vec_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    basis = pauli_basis(2)
+    basis = pauli_basis()
     sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     coeffs = op_to_vec(sigma, basis)
     assert np.abs(vec_to_op(coeffs, basis) - sigma).max() < TOL
@@ -70,7 +70,7 @@ def test_dual_of_generic_gate_is_not_unitary():
 
 
 def test_swap_gate():
-    s = swap_gate(2)
+    s = swap_gate()
     assert np.abs(s @ s - np.eye(4)).max() < TOL
     v = np.arange(4.0)
     a, b = v[:2], v[2:]

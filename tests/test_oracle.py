@@ -24,7 +24,7 @@ from duotoc.oracle import (
 TOL = 1e-12
 REF_TOL = 1e-13
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 
 REF_GATES = {
     "du": random_dual_unitary(3),

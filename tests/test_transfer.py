@@ -15,10 +15,18 @@ import pytest
 from conftest import Q_LEG, hermitian_coeffs
 
 from duotoc import transfer
+from duotoc.channels import channel_minus, channel_plus, lightcone_correlator, m_n
 from duotoc.cli import operator_from_coeffs
 from duotoc.closed_forms import kim_longtime
 from duotoc.eigenbases import SlotState, all_identity_state
-from duotoc.gates import build_kim, build_xy, gate_matrix, random_dual_unitary, random_kak
+from duotoc.gates import (
+    build_kim,
+    build_xy,
+    gate_matrix,
+    is_dual_unitary,
+    random_dual_unitary,
+    random_kak,
+)
 from duotoc.opalg import pauli_basis, swap_gate
 from duotoc.oracle import ChainSpec, oracle_otoc
 from duotoc.transfer import (
@@ -48,13 +56,13 @@ from duotoc.transfer import (
 TOL_FIXED = 1e-10
 TOL_AGREE = 1e-12
 
-I2, SX, SY, SZ = pauli_basis(2).ops
+I2, SX, SY, SZ = pauli_basis().ops
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 # insertions with an identity component: all four Pauli coefficients nonzero
 ALPHA_I = 0.3 * I2 + ALPHA
 BETA_I = -0.5 * I2 + BETA
-SWAP = swap_gate(2)
+SWAP = swap_gate()
 
 GATES = [
     ("du0", random_dual_unitary(0)),
@@ -643,12 +651,18 @@ def test_only_qubits_supported():
         otoc_finite(np.eye(9), SX, SX, 0, 2)
     with pytest.raises(ValueError, match="only q = 2"):
         otoc_longtime(gate, SX, np.eye(3), 1, "even")
-    # every entry point checks the shapes before it reshapes anything
+    # every entry point checks the shapes before it reshapes anything; the
+    # channels and the dual-unitarity test share the one check in gates
     for call in (lambda: build_transfer(np.eye(9), 1),
                  lambda: boundary_left(np.eye(3), 1),
                  lambda: boundary_right(np.eye(3), 1, "even"),
                  lambda: boundary_right(SX, 1, "odd", gate=np.eye(9)),
-                 lambda: otoc_finite(np.eye(9), SX, SX, 3, 1)):  # outside the cone
+                 lambda: otoc_finite(np.eye(9), SX, SX, 3, 1),  # outside the cone
+                 lambda: channel_plus(np.eye(9)),
+                 lambda: channel_minus(np.eye(9)),
+                 lambda: lightcone_correlator(np.eye(9), SX, SX, 1),
+                 lambda: m_n(np.eye(9), SX, 1),
+                 lambda: is_dual_unitary(np.eye(9))):
         with pytest.raises(ValueError, match="only q = 2"):
             call()
 
