@@ -11,8 +11,7 @@ three independent routes that are cross-checked against each other:
 """
 
 from .opalg import (
-    OperatorBasis,
-    pauli_basis,
+    PAULI,
     op_to_vec,
     vec_to_op,
     normalize_coeffs,
@@ -79,7 +78,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "OperatorBasis", "pauli_basis", "op_to_vec", "vec_to_op",
+    "PAULI", "op_to_vec", "vec_to_op",
     "normalize_coeffs", "dual", "swap_gate",
     "Gate", "KakParams", "gate_matrix",
     "build_kak", "build_kim", "build_xy", "random_kak",

@@ -3,7 +3,7 @@
 ``M_plus(s) = tr_1[U (s kron 1) U^dag]/2`` propagates operators along the
 right light-cone edge; ``M_minus(s) = tr_2[U^dag (1 kron s) U]/2`` along the
 left edge.  Channels are stored as 4 x 4 matrices in the Pauli basis,
-element ``(a, b) = tr[ops[a]^dag M(ops[b])]/2``, so spectra have four
+element ``(a, b) = tr[PAULI[a]^dag M(PAULI[b])]/2``, so spectra have four
 values.  Both are unital, trace-preserving, completely positive, and
 Hermitian conjugates of each other.  Every entry point that takes a gate
 rejects one that is not 4 x 4 (see ``gates._check_qubits``).
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import TOL_EIG, OperatorBasis, assert_unitary, op_to_vec, pauli_basis
+from .opalg import PAULI, TOL_EIG, assert_unitary, op_to_vec
 
 __all__ = [
     "Channel",
@@ -35,10 +35,9 @@ _AGREE_TOL = 1e-12  # cross-direction agreement for correlators
 
 @dataclass(frozen=True)
 class Channel:
-    """One-site channel in operator-basis representation."""
+    """One-site channel in the Pauli basis."""
 
-    mat: np.ndarray  # (4, 4), element (a,b) = tr[ops[a]^dag M(ops[b])]/2
-    basis: OperatorBasis
+    mat: np.ndarray  # (4, 4), element (a,b) = tr[PAULI[a]^dag M(PAULI[b])]/2
 
     def nontrivial_eigenvalues(self) -> np.ndarray:
         """Eigenvalues on the traceless sector (the identity row/column of the
@@ -59,18 +58,16 @@ def _superop_minus(U: np.ndarray) -> np.ndarray:
     return S.reshape(4, 4)
 
 
-def _to_basis(S: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Convert a vec-convention superoperator to the operator-basis matrix."""
-    P = basis.ops.reshape(4, 4)  # row a = vec(ops[a])
-    return P.conj() @ S @ P.T / 2
+# row a = vec(PAULI[a]); P P^dag = 2 * identity (orthonormal basis)
+_P = PAULI.reshape(4, 4)
 
 
 def _channel(gate, superop) -> Channel:
     _check_qubits(gate)
     U = gate_matrix(gate)
     assert_unitary(U)
-    basis = pauli_basis()
-    return Channel(mat=_to_basis(superop(U), basis), basis=basis)
+    # the vec-convention superoperator as the Pauli-basis matrix
+    return Channel(mat=_P.conj() @ superop(U) @ _P.T / 2)
 
 
 def channel_plus(gate) -> Channel:
@@ -83,9 +80,8 @@ def channel_minus(gate) -> Channel:
 
 def channel_superop(channel: Channel) -> np.ndarray:
     """The channel as a 4 x 4 matrix acting on row-major vec(s)."""
-    P = channel.basis.ops.reshape(4, 4)
-    # mat = P* S P^T / 2  with  P P^dag = 2 * identity (orthonormal basis)
-    return P.T @ channel.mat @ P.conj() / 2
+    # the inverse of _channel's mat = P* S P^T / 2
+    return _P.T @ channel.mat @ _P.conj() / 2
 
 
 def choi_matrix(channel: Channel) -> np.ndarray:
@@ -151,9 +147,8 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, 
         raise ValueError("t must be a non-negative integer")
     _check_qubits(gate, sigma_alpha, sigma_beta)
     U = gate_matrix(gate)
-    basis = pauli_basis()
-    a = op_to_vec(sigma_alpha, basis)
-    b = op_to_vec(sigma_beta, basis)
+    a = op_to_vec(sigma_alpha)
+    b = op_to_vec(sigma_beta)
     if t == 0:
         return (np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real
     plus = channel_plus(U)
@@ -171,6 +166,6 @@ def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     _check_qubits(gate, sigma_beta)
-    b = op_to_vec(sigma_beta, pauli_basis())
+    b = op_to_vec(sigma_beta)
     w = np.linalg.matrix_power(channel_plus(gate).mat, n) @ b
     return float(np.real(np.vdot(w, w)))

@@ -41,7 +41,7 @@ from .closed_forms import (
     xy_longtime,
 )
 from .gates import build_kim, build_xy, is_dual_unitary, random_dual_unitary, random_kak
-from .opalg import normalize_coeffs, pauli_basis, vec_to_op
+from .opalg import normalize_coeffs, vec_to_op
 from .oracle import ChainSpec, oracle_correlator, oracle_otoc
 from .transfer import (
     N_MAX_APPLY,
@@ -244,7 +244,7 @@ def operator_from_coeffs(coeffs) -> np.ndarray:
         c = np.concatenate(([0.0], normalize_coeffs(c)))
     else:
         c = c / np.linalg.norm(c)
-    return vec_to_op(c, pauli_basis())
+    return vec_to_op(c)
 
 
 def _is_integrable_kim(cfg: RunConfig) -> bool:

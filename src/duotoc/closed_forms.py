@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import m_n
 from .eigenbases import e_basis
-from .opalg import pauli_basis
+from .opalg import PAULI
 
 __all__ = [
     "mc_longtime",
@@ -36,13 +36,10 @@ __all__ = [
 ]
 
 
-_PAULI = pauli_basis().ops
-
-
 def _components(op):
     """(a_x, a_y, a_z) with a_i = tr(sigma_i op)/2."""
     mat = np.asarray(op, dtype=complex)
-    comps = [np.trace(p @ mat) / 2 for p in _PAULI[1:]]
+    comps = [np.trace(p @ mat) / 2 for p in PAULI[1:]]
     return tuple(float(c.real) for c in comps)
 
 

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import pauli_basis
+from .opalg import PAULI
 
 TOL_BASIS = 1e-12
 
-_EYE, _SX, _SY, _SZ = pauli_basis().ops
+_EYE, _SX, _SY, _SZ = PAULI
 
 # slot-operator map for the XY bitstring states; the same symbols label the
 # pairing insertions of the left states through sigma(b, a)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import TOL_UNITARY, assert_unitary, dual, is_unitary, pauli_basis
+from .opalg import PAULI, TOL_UNITARY, assert_unitary, dual, is_unitary
 
 __all__ = [
     "Gate",
@@ -30,8 +30,6 @@ __all__ = [
     "build_xy",
     "is_dual_unitary",
 ]
-
-_PAULI = pauli_basis().ops  # (1, sx, sy, sz)
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,14 @@ def one_qubit_gate(n) -> np.ndarray:
     if theta == 0:
         return np.eye(2, dtype=complex)
     nhat = n / theta
-    ns = nhat[0] * _PAULI[1] + nhat[1] * _PAULI[2] + nhat[2] * _PAULI[3]
+    ns = nhat[0] * PAULI[1] + nhat[1] * PAULI[2] + nhat[2] * PAULI[3]
     return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * ns
 
 
 def _heisenberg_v(jx: float, jy: float, jz: float) -> np.ndarray:
     """``exp[-i (jx XX + jy YY + jz ZZ)]`` via the three commuting factors."""
     out = np.eye(4, dtype=complex)
-    for j, s in ((jx, _PAULI[1]), (jy, _PAULI[2]), (jz, _PAULI[3])):
+    for j, s in ((jx, PAULI[1]), (jy, PAULI[2]), (jz, PAULI[3])):
         ss = np.kron(s, s)
         out = out @ (np.cos(j) * np.eye(4) - 1j * np.sin(j) * ss)
     return out
@@ -186,7 +184,7 @@ def build_kim(h1: float, h2: float) -> Gate:
 # The kicked XY gate is defined diagrammatically; its algebraic content is the
 # set of conjugation identities below, which single out one composition of
 # J[J] = exp[iJ ZZ] exp[i(pi/4) YY] with the kick K = exp[i(pi/4) X].
-_ID, _SX, _SY, _SZ = (np.eye(2, dtype=complex), _PAULI[1], _PAULI[2], _PAULI[3])
+_ID, _SX, _SY, _SZ = (np.eye(2, dtype=complex), PAULI[1], PAULI[2], PAULI[3])
 _XY_RIGHT_IDENTITIES = [
     (np.kron(_ID, _ID), np.kron(_ID, _ID)),
     (np.kron(_SX, _SX), np.kron(_SX, _SX)),

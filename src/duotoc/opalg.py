@@ -9,16 +9,15 @@ Conventions used throughout the package
 * Two-site indices pair as ``(a, b) -> a*2 + b`` with the LEFT site slower.
   A gate element ``U[(a, b), (c, d)]`` is the amplitude from input pair
   ``(c, d)`` to output pair ``(a, b)``.
-* The operator basis is orthonormal under ``tr(A^dag B)/2``; element 0 is
-  the identity and the others are traceless.
+* The operator basis ``PAULI`` = (1, sx, sy, sz) is orthonormal under
+  ``tr(A^dag B)/2``; element 0 is the identity and the others are
+  traceless.  It is one read-only array, checked once at import.
 
 Tolerances are module constants so that every caller agrees on what counts
 as "unitary" or "an eigenvalue equal to one".
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +33,7 @@ __all__ = [
     "TOL_UNITARY",
     "TOL_EIG",
     "TOL_BASIS",
-    "OperatorBasis",
-    "pauli_basis",
+    "PAULI",
     "op_to_vec",
     "vec_to_op",
     "normalize_coeffs",
@@ -46,48 +44,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Ordered one-site operator basis, orthonormal under ``tr(A^dag B)/2``."""
-
-    ops: np.ndarray  # shape (4, 2, 2)
-
-    def __post_init__(self):
-        if self.ops.shape != (4, 2, 2):
-            raise ValueError(f"basis shape {self.ops.shape} is not (4, 2, 2)")
-        gram = np.einsum("aij,bij->ab", self.ops.conj(), self.ops) / 2
-        if np.max(np.abs(gram - np.eye(4))) > TOL_BASIS:
-            raise ValueError("operator basis is not orthonormal")
+def _checked_basis(ops: np.ndarray) -> np.ndarray:
+    """``ops``, read-only, if it is a (4, 2, 2) basis orthonormal under
+    ``tr(A^dag B)/2``; raises ValueError otherwise."""
+    if ops.shape != (4, 2, 2):
+        raise ValueError(f"basis shape {ops.shape} is not (4, 2, 2)")
+    gram = np.einsum("aij,bij->ab", ops.conj(), ops) / 2
+    if np.max(np.abs(gram - np.eye(4))) > TOL_BASIS:
+        raise ValueError("operator basis is not orthonormal")
+    ops.flags.writeable = False
+    return ops
 
 
-def pauli_basis() -> OperatorBasis:
-    """The orthonormal one-site basis ``(1, sx, sy, sz)``."""
-    ops = np.array(
-        [
-            [[1, 0], [0, 1]],
-            [[0, 1], [1, 0]],
-            [[0, -1j], [1j, 0]],
-            [[1, 0], [0, -1]],
-        ],
-        dtype=complex,
-    )
-    return OperatorBasis(ops=ops)
+# The orthonormal one-site basis (1, sx, sy, sz).
+PAULI = _checked_basis(np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+))
 
 
-def op_to_vec(sigma: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Coefficients of ``sigma`` in ``basis``: ``c[a] = tr(ops[a]^dag sigma)/2``."""
+def op_to_vec(sigma: np.ndarray) -> np.ndarray:
+    """Coefficients of ``sigma`` in ``PAULI``: ``c[a] = tr(PAULI[a]^dag sigma)/2``."""
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != (2, 2):
         raise ValueError(f"operator shape {sigma.shape} is not 2 x 2")
-    return np.einsum("aij,ij->a", basis.ops.conj(), sigma) / 2
+    return np.einsum("aij,ij->a", PAULI.conj(), sigma) / 2
 
 
-def vec_to_op(coeffs: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+def vec_to_op(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`op_to_vec`."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (4,):
         raise ValueError("coefficient vector has wrong length")
-    return np.einsum("a,aij->ij", coeffs, basis.ops)
+    return np.einsum("a,aij->ij", coeffs, PAULI)
 
 
 def normalize_coeffs(coeffs) -> np.ndarray:

@@ -44,12 +44,13 @@ serves them all: the transposed kernel iterates the left boundary in place,
 l_m = (T^T)^m L, and each step reads the overlaps l_m . R of both parities
 from the right boundaries' factors across the top cap, R = sum_t P_t (x) S_t
 (see ``_right_factors``), never from a dense right vector.  The module
-remembers the latest trajectory of each depth (the overlaps of both
-parities for m = 0..M and l_M itself).  ``otoc_finite`` reads a
-cell with m <= M from it, and ``otoc_longtime`` stops a parity at the first
-m whose window of Aitken extrapolates (else of overlaps) has settled, see
-``_stopped_limit``; either extends the trajectory when the remembered
-overlaps do not reach far enough.
+remembers the latest trajectory of each depth: the overlaps of both
+parities for m = 0..M, a 125-float sketch of each step, and l_M itself.
+``otoc_finite`` reads a cell with m <= M from it, and ``otoc_longtime``
+stops a parity at the first m at which a window of Aitken extrapolates
+(else of overlaps) has settled or a matrix-pencil fit of the trailing
+sketches is accepted (see ``_stopped_limit`` and ``_sketch_fit``); either
+extends the trajectory when the remembered steps do not reach far enough.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import pauli_basis, swap_gate
+from .opalg import PAULI, TOL_EIG, swap_gate
 
 TOL_FIXED = 1e-10
 TOL_REAL = 1e-10
@@ -75,6 +77,16 @@ CESARO_WINDOW = 64
 STOP_WINDOW = 6
 TOL_STOP = 1e-10
 BLOCK_FLOATS = 2 ** 16
+# the sketched stop (see _sketch_fit): Gaussian rows per right-boundary term,
+# the two fit windows, the held-out snapshots, the relative SVD truncation,
+# the held-out residual and the decay every non-unit Ritz value must show
+# across a window
+SKETCH_ROWS = 25
+SKETCH_WINDOWS = (20, 30)
+SKETCH_HOLD = 2
+TOL_RANK = 1e-13
+TOL_HELD_OUT = 3e-11
+SKETCH_GAP = 0.1
 
 # the column kernel's helper threads and its count of running applies, which
 # are shared by every kernel in the process (see _PauliColumnKernel)
@@ -107,7 +119,7 @@ def _check_depth(n: int):
 
 # Q: columns are vec(sigma_mu)/sqrt(2), the unitary change from the
 # orthonormal Hermitian leg basis to the computational folded basis
-_QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in pauli_basis().ops], axis=1)
+_QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in PAULI], axis=1)
 
 
 def _hermitian(op) -> np.ndarray:
@@ -572,63 +584,105 @@ def _memo_key(gate, sigma_alpha, sigma_beta) -> tuple:
 
 PARITIES = ("even", "odd")
 
-# The latest trajectory of each depth n: (key, m, overlaps, left), with key
-# the bytes of the gate, sigma_alpha and sigma_beta, m the number of
-# transposed applications made, overlaps a dict mapping each parity to the
-# tuple of floats (L|T^k|R_parity) for k = 0..m, and left l_m = (T^T)^m L,
-# owned by the entry.  An entry is replaced whole; _extend pops it before it
-# applies the kernel to its l_m in place.
+
+class _Trajectory(NamedTuple):
+    """Depth n's trajectory for ``key`` (the bytes of the gate, sigma_alpha
+    and sigma_beta) after m transposed applications.
+
+    ``overlaps`` maps each parity to the floats (L|T^k|R_parity), k = 0..m;
+    ``sketches`` holds the Gaussian sketch of each step's product with the
+    right factors (see _extend); ``left`` is l_m = (T^T)^m L; ``fits`` maps
+    each m at which _sketch_fit ran to its accepted fit or None.  The memo
+    keeps tuples in ``overlaps`` and ``sketches``; _extend passes its
+    ``done`` one trajectory whose lists and ``left`` grow in place.
+    """
+
+    key: tuple
+    overlaps: dict
+    sketches: tuple
+    left: np.ndarray
+    fits: dict
+
+    @property
+    def m(self) -> int:
+        return len(self.sketches) - 1
+
+
+# The latest _Trajectory of each depth n, whose left vector the entry owns.
+# An entry is replaced whole; _extend pops it before it applies the kernel
+# to its l_m in place.  Only ``fits`` grows in place: a fit is a function of
+# the overlaps and sketches alone, so every thread that adds one adds the
+# same.
 _TRAJECTORY_MEMO = {}
 
 
 def _remembered(n: int, key: tuple):
-    """Depth n's remembered (key, m, overlaps, left) if it is for ``key``,
-    else None."""
+    """Depth n's remembered _Trajectory if it is for ``key``, else None."""
     entry = _TRAJECTORY_MEMO.get(n)
-    return entry if entry is not None and entry[0] == key else None
+    return entry if entry is not None and entry.key == key else None
+
+
+@lru_cache(maxsize=None)
+def _sketch_rows(n: int) -> np.ndarray:
+    """The fixed-seed Gaussian rows, min(SKETCH_ROWS, 4^n) x 4^n, that
+    compress each column of a step's product with the right factors."""
+    rows = min(SKETCH_ROWS, 4 ** n)
+    omega = np.random.default_rng(0).standard_normal((rows, 4 ** n)) / np.sqrt(rows)
+    omega.flags.writeable = False
+    return omega
 
 
 def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     """Depth n's trajectory for ``key``, resumed from memory or started at
     the left boundary, extended by transposed applications until
-    ``done(overlaps)`` holds, with overlaps a dict of each parity's list
-    s_0 .. s_m; remembers it and returns (overlaps, applications made).
+    ``done(trajectory)`` holds; remembers it and returns (the _Trajectory,
+    applications made).
 
     The depth's entry leaves the memory before the first application, which
     overwrites its l_m, so a failed extension leaves no entry whose m and
     l_m disagree, and no other thread resumes the same vector; l_m goes back
-    into the memory uncopied.  Each step reads both parities' overlaps from
-    one GEMM of l_m, as a 4^n x 4^n matrix over slots (1..n, n+1..2n), with
-    the S factors of both right boundaries, then a contraction with their
-    P factors (see _right_factors).
+    into the memory uncopied.  Each step forms one GEMM of l_m, as a
+    4^n x 4^n matrix over slots (1..n, n+1..2n), with the S factors of both
+    right boundaries: G, 4^n x 5 (one column per factor term).  Its
+    contraction with the P factors gives both parities' overlaps (see
+    _right_factors), and the fixed Gaussian rows of ``_sketch_rows`` times
+    G the step's sketch, 125 floats at n >= 3: with the overlaps, the input
+    of the sketched stop.
     """
     entry = _TRAJECTORY_MEMO.pop(n, None)
     factors = [_right_factors(sigma_beta, n, p, gate) for p in PARITIES]
     p_all = np.concatenate([p for p, _ in factors])
     s_all_t = np.concatenate([s for _, s in factors]).T
     even_terms, half = len(factors[0][0]), 4 ** n
+    omega = _sketch_rows(n)
 
     def read(left):
-        """The overlaps (L|T^m|R) of both parities at l_m = left."""
-        terms = np.einsum("at,ta->t", left.reshape(half, half) @ s_all_t, p_all)
-        return float(terms[:even_terms].sum()), float(terms[even_terms:].sum())
+        """Both parities' overlaps (L|T^m|R) at l_m = left, and the step's
+        sketch."""
+        g = left.reshape(half, half) @ s_all_t
+        terms = np.einsum("at,ta->t", g, p_all)
+        return (float(terms[:even_terms].sum()), float(terms[even_terms:].sum())), omega @ g
 
-    if entry is not None and entry[0] == key:
-        _, m, overlaps, left = entry
-        overlaps = {p: list(overlaps[p]) for p in PARITIES}
+    if entry is not None and entry.key == key:
+        growing = _Trajectory(key, {p: list(entry.overlaps[p]) for p in PARITIES},
+                              list(entry.sketches), entry.left, entry.fits)
     else:
-        m, left = 0, boundary_left(sigma_alpha, n)
-        overlaps = {p: [s] for p, s in zip(PARITIES, read(left))}
-    start = m
+        left = boundary_left(sigma_alpha, n)
+        pair, sketch = read(left)
+        growing = _Trajectory(key, {p: [s] for p, s in zip(PARITIES, pair)},
+                              [sketch], left, {})
+    start = growing.m
     kern = _PauliColumnKernel(gate, n, transpose=True)
-    while not done(overlaps):
-        kern.apply(left)
-        m += 1
-        for p, s in zip(PARITIES, read(left)):
-            overlaps[p].append(s)
-    overlaps = {p: tuple(s) for p, s in overlaps.items()}
-    _TRAJECTORY_MEMO[n] = (key, m, overlaps, left)
-    return overlaps, m - start
+    while not done(growing):
+        kern.apply(growing.left)
+        pair, sketch = read(growing.left)
+        for p, s in zip(PARITIES, pair):
+            growing.overlaps[p].append(s)
+        growing.sketches.append(sketch)
+    entry = growing._replace(overlaps={p: tuple(s) for p, s in growing.overlaps.items()},
+                             sketches=tuple(growing.sketches))
+    _TRAJECTORY_MEMO[n] = entry
+    return entry, entry.m - start
 
 
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
@@ -666,13 +720,12 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
                            sigma_alpha, sigma_beta, -x, t)
     n, m, parity = _depths(x, t)
     _check_depth(n)
-    remembered = _remembered(n, key)
-    if remembered is not None and m <= remembered[1]:
-        overlaps, made = remembered[2], 0
-    else:
-        overlaps, made = _extend(gate, sigma_alpha, sigma_beta, n, key,
-                                 lambda ov: len(ov[parity]) > m)
-    return OtocResult(parity, overlaps[parity][m], "finite_transfer", n=n,
+    trajectory = _remembered(n, key)
+    made = 0
+    if trajectory is None or m > trajectory.m:
+        trajectory, made = _extend(gate, sigma_alpha, sigma_beta, n, key,
+                                   lambda tr: tr.m >= m)
+    return OtocResult(parity, trajectory.overlaps[parity][m], "finite_transfer", n=n,
                       meta={"applications": made})
 
 
@@ -714,15 +767,137 @@ def _stopped_limit(overlaps):
     return None
 
 
-def _settled(overlaps, m: int, n: int, parity: str):
-    """The OtocResult of a parity whose overlaps s_0 .. s_m begin
-    ``overlaps`` if it may stop at m (see otoc_longtime), else None."""
+def _window_fit(snapshots: np.ndarray):
+    """Matrix-pencil (DMD) fit of the snapshots z_0 .. z_(w-1) (rows: a
+    step's two overlaps, then its sketch) that lead ``snapshots``, checked
+    on the SKETCH_HOLD that follow them: (held-out residual, Ritz values by
+    descending modulus, the two overlap rows of the unit mode or None,
+    |lambda_2|), or None for an all-zero window or a held-out residual of
+    TOL_HELD_OUT or more.
+
+    The fit works in the coordinates of the leading left singular vectors U
+    of [z_0 .. z_(w-2)], truncated at TOL_RANK of the largest singular
+    value: A = U^T [z_1 .. z_(w-1)] V S^-1 carries U^T z_k to U^T z_(k+1).
+    Its eigenvalues are the Ritz values.  The residual is the largest
+    relative miss of U A^k U^T z_(w-1) against the held-out z_(w-1+k).  The
+    unit mode is the one Ritz value within TOL_EIG of 1 (None unless there
+    is exactly one); its overlap rows are the first two entries of its
+    eigenvector's component of z_(w-1).  |lambda_2| is the largest modulus
+    of the other Ritz values (0 if there is none).
+    """
+    fit, held = snapshots[:-SKETCH_HOLD], snapshots[-SKETCH_HOLD:]
+    u, sv, vt = np.linalg.svd(fit[:-1].T, full_matrices=False)
+    rank = int(np.count_nonzero(sv > TOL_RANK * sv[0]))
+    if rank == 0:
+        return None
+    u, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
+    pencil = (u.T @ fit[1:].T @ vt.T) / sv
+    coords = u.T @ fit[-1]
+    residual, c = 0.0, coords
+    for z in held:
+        c = pencil @ c
+        scale = np.linalg.norm(z)
+        residual = max(residual, np.linalg.norm(u @ c - z) / scale if scale else np.inf)
+    if not residual < TOL_HELD_OUT:
+        return None
+    ritz, vecs = np.linalg.eig(pencil)
+    order = np.argsort(-np.abs(ritz), kind="stable")
+    ritz, vecs = ritz[order], vecs[:, order]
+    unit = np.abs(ritz - 1.0) < TOL_EIG
+    others = np.abs(ritz[~unit])
+    lambda2 = float(others.max()) if others.size else 0.0
+    if np.count_nonzero(unit) != 1:
+        return residual, ritz, None, lambda2
+    j = int(np.argmax(unit))
+    amplitude = np.linalg.solve(vecs, coords)[j]
+    rows = ((u[:2] @ vecs[:, j]) * amplitude).real
+    return residual, ritz, rows, lambda2
+
+
+def _fit_due(n: int, m: int) -> bool:
+    """Whether the sketched stop is tried at step m of depth n: from the
+    first m with SKETCH_HOLD steps past the longest window, once every
+    16^(N_MAX_APPLY - n) steps.  An apply costs about 16 times less per
+    depth step down, so the applies between two fits cost about one apply
+    at the deepest depth (some 30 fits' worth), whatever n."""
+    return (m >= max(SKETCH_WINDOWS) + SKETCH_HOLD
+            and m % 16 ** (N_MAX_APPLY - n) == 0)
+
+
+def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
+    """The sketched stop at step m of the trajectory, both parities at
+    once: a dict of the values and window spreads of both parities (in
+    PARITIES order) and the fit's ``ritz``, ``residual`` and ``lambda2``,
+    or None when the fit is not due at m (see _fit_due) or rejected.
+
+    The snapshot z_k of step k is its two overlaps followed by its sketch.
+    Each window w of SKETCH_WINDOWS fits z_(m-1-w) .. z_(m-2) and holds
+    out z_(m-1), z_m (see _window_fit).  The fit is accepted only if in
+    every window the held-out residual is below TOL_HELD_OUT, exactly one
+    Ritz value lies within TOL_EIG of 1, and every other Ritz value decays
+    below SKETCH_GAP across the window (|lambda_2|^w <= SKETCH_GAP, so that
+    the window tells the unit mode from the slowest other one), and if the
+    windows' unit-mode overlaps agree to TOL_STOP in both parities.  The values are the longest
+    window's, the spreads the windows' disagreements; ``ritz`` and
+    ``lambda2`` are the longest window's, ``residual`` the largest of all.
+    The trajectory's ``fits`` remembers each outcome, so a fit runs once
+    per trajectory and step.
+    """
+    if not _fit_due(n, m):
+        return None
+    if m in trajectory.fits:
+        return trajectory.fits[m]
+    steps = slice(m - max(SKETCH_WINDOWS) - SKETCH_HOLD + 1, m + 1)
+    sketches = np.array(trajectory.sketches[steps])
+    snapshots = np.hstack((np.array([trajectory.overlaps[p][steps] for p in PARITIES]).T,
+                           sketches.reshape(len(sketches), -1)))
+    trajectory.fits[m] = accepted = _accepted_fit(snapshots)
+    return accepted
+
+
+def _accepted_fit(snapshots: np.ndarray):
+    """_sketch_fit's verdict on the trailing snapshots: the fit's dict if
+    every window passes and the windows agree, else None.  The longest
+    window is fitted first, and a window that fails ends the fit."""
+    windows = []
+    for w in sorted(SKETCH_WINDOWS, reverse=True):
+        fit = _window_fit(snapshots[-(w + SKETCH_HOLD):])
+        if fit is None or fit[2] is None or fit[3] ** w > SKETCH_GAP:
+            return None
+        windows.append(fit)
+    rows = [fit[2] for fit in windows]
+    spread = np.max(rows, axis=0) - np.min(rows, axis=0)
+    if not spread.max() < TOL_STOP:
+        return None
+    _, ritz, _, lambda2 = windows[0]
+    return {"values": tuple(float(v) for v in rows[0]),
+            "spreads": tuple(float(v) for v in spread),
+            "ritz": tuple(complex(z) for z in ritz),
+            "residual": float(max(fit[0] for fit in windows)),
+            "lambda2": lambda2}
+
+
+def _settled(trajectory: _Trajectory, m: int, n: int, parity: str):
+    """The OtocResult of a parity whose trajectory has reached m if it may
+    stop at m (see otoc_longtime), else None: the Aitken window first, then
+    the sketched fit, then at ITERATION_CAP the Cesaro mean."""
+    overlaps = trajectory.overlaps[parity]
     stop = _stopped_limit(overlaps[max(0, m - STOP_WINDOW - 2):m + 1])
     if stop is not None:
         value, lam, span = stop
         return OtocResult(parity, value, "longtime_iterate", n=n,
-                          meta={"iterations": m, "converged": True,
-                                "lambda": lam, "error_estimate": span})
+                          meta={"iterations": m, "converged": True, "route": "aitken",
+                                "lambda": lam, "error_estimate": span,
+                                "ritz": None, "residual": None, "lambda2": None})
+    fit = _sketch_fit(trajectory, n, m)
+    if fit is not None:
+        k = PARITIES.index(parity)
+        return OtocResult(parity, fit["values"][k], "longtime_iterate", n=n,
+                          meta={"iterations": m, "converged": True, "route": "sketch",
+                                "lambda": _aitken(*overlaps[m - 2:m + 1])[0],
+                                "error_estimate": fit["spreads"][k],
+                                "ritz": fit["ritz"], "residual": fit["residual"],
+                                "lambda2": fit["lambda2"]})
     if m < ITERATION_CAP:
         return None
     tail = np.asarray(overlaps[max(0, m + 1 - CESARO_WINDOW):m + 1])
@@ -730,14 +905,14 @@ def _settled(overlaps, m: int, n: int, parity: str):
     amplitude = float(np.max(np.abs(tail - mean)))
     return OtocResult(parity, mean, "longtime_iterate", n=n,
                       meta={"iterations": ITERATION_CAP, "converged": False,
-                            "amplitude": amplitude})
+                            "route": "cesaro", "amplitude": amplitude})
 
 
-def _first_settled(overlaps, n: int, parity: str):
-    """_settled at the first m at which a parity with overlaps s_0 .. s_M
-    may stop, or None if it may stop at no m <= M."""
-    for m in range(len(overlaps)):
-        result = _settled(overlaps, m, n, parity)
+def _first_settled(trajectory: _Trajectory, n: int, parity: str):
+    """_settled at the first m at which a parity may stop within the
+    trajectory, or None if it may stop at no m <= M."""
+    for m in range(trajectory.m + 1):
+        result = _settled(trajectory, m, n, parity)
         if result is not None:
             return result
     return None
@@ -750,34 +925,58 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     The iterate l_m = (T^T)^m L starts as the vector of ``boundary_left``
     and stays in the real Hermitian leg basis (Q^dagger per slot); the
     overlap s_m = l_m . R pairs it with the vector of ``boundary_right``
-    (Q^T per slot), read from that vector's factors.  The parity stops at the
-    first m allowed by the rule of ``_stopped_limit``: a window of
-    STOP_WINDOW + 1 Aitken extrapolates that agree to TOL_STOP (the value is
-    the last extrapolate), else a window of overlaps that agree to TOL_STOP
-    (the value is the last overlap).
+    (Q^T per slot), read from that vector's factors.  The limit is the
+    amplitude of T's unit eigenvalue in s_m.  The parity stops at the first
+    m at which either of two rules settles (the Aitken rule where both do):
 
-    The overlaps come from the depth's trajectory, which every OTOC cell at
-    depth n shares (see the module docstring).  A parity that stops within
-    the remembered trajectory of the same gate and insertions is read from
-    its overlaps without an application; otherwise the call extends the
-    trajectory until the parity stops.  Either way the result is the float a
-    call on an empty memory computes, from the same applications on the same
-    vectors.  All argument checks run before the lookup.
+    * Aitken (``route`` "aitken"): a window of STOP_WINDOW + 1 Aitken
+      extrapolates of the parity's overlaps that agree to TOL_STOP (the
+      value is the last extrapolate), else a window of overlaps that agree
+      to TOL_STOP (the value is the last overlap); see ``_stopped_limit``.
+    * sketch (``route`` "sketch"): a matrix-pencil (DMD) fit of the
+      trajectory's trailing steps, each step's two overlaps plus a fixed
+      Gaussian sketch of its product with the right factors.  Two
+      windows must each predict the held-out snapshots, see exactly one
+      Ritz value at 1, and see every other one decay; their unit-mode
+      amplitudes, read through the overlap rows, must agree to TOL_STOP.
+      One fit settles both parities; it runs only at the steps of
+      ``_fit_due`` (every step at n = 5, rarely at n <= 3).  See
+      ``_sketch_fit``.
+
+    For the kicked Ising gate (0.4, 0.6) of fig4 the sketch settles both
+    parities at n = 4 and 5 before either Aitken window; on slowly mixing
+    rows (the kicked XY gates; the dual-unitary rows of fig3 and of the
+    long-time acceptance check at n >= 3) every fit is rejected and the
+    Aitken window stops as before.
+
+    The overlaps and sketches come from the depth's trajectory, which
+    every OTOC cell at depth n shares (see the module docstring).  A parity
+    that stops within the remembered trajectory of the same gate and
+    insertions is read from it without an application; otherwise the call
+    extends the trajectory until the parity stops.  The trajectory
+    remembers each fit's outcome, so a call served from memory runs no fit.
+    Either way the result is the float a call on an empty memory computes,
+    from the same applications on the same vectors.  All argument checks
+    run before the lookup.
 
     ``meta`` holds ``iterations`` (the m at which the parity stopped),
-    ``converged`` (True), ``lambda``, the last ratio of successive increments
-    (None where an increment is zero), ``error_estimate``, the spread of the
-    settled window, and ``applications``, the kernel applications this call
-    made: the transposed ones past the remembered m, 0 when it was served
-    from memory.
+    ``converged`` (True), ``route``, ``lambda``, the last ratio of
+    successive increments (None where an increment is zero),
+    ``error_estimate`` (the spread of the settled Aitken window, or the two
+    fit windows' disagreement), ``ritz`` (the Ritz values of the longer
+    window, by descending modulus), ``residual`` (the largest held-out
+    residual) and ``lambda2`` (the largest non-unit |Ritz value|), the last
+    three None on the Aitken route, and ``applications``, the kernel
+    applications this call made: the transposed ones past the remembered m,
+    0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the
     decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
-    n = 3 (lambda = 0.9942) the error against the exact limits is 16 times
-    the estimate for even parity and 34 times for odd (about 1.6e-9 and
-    3.3e-9).  If the iteration cap is hit (unit-modulus eigenvalues keep the
-    overlap oscillating), the result is the Cesaro mean over a trailing
-    window of 64 overlaps, flagged with ``converged`` False and the
-    oscillation amplitude.
+    n = 3, whose sector's |lambda_2| is 0.9951, the Aitken stop's error
+    against the exact limits is 16 times the estimate for even parity and
+    34 times for odd (about 1.6e-9 and 3.3e-9).  If the iteration cap is hit
+    (unit-modulus eigenvalues keep the overlap oscillating), the result is
+    the Cesaro mean over a trailing window of 64 overlaps, flagged with
+    ``converged`` False, ``route`` "cesaro" and the oscillation amplitude.
     """
     _check_qubits(gate, sigma_alpha, sigma_beta)
     _check_depth(n)
@@ -785,12 +984,12 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
         raise ValueError("parity must be 'even' or 'odd'")
     key = _memo_key(gate, sigma_alpha, sigma_beta)
     remembered = _remembered(n, key)
-    result = None if remembered is None else _first_settled(remembered[2][parity], n, parity)
+    result = None if remembered is None else _first_settled(remembered, n, parity)
     applications = 0
     if result is None:
-        overlaps, applications = _extend(
+        trajectory, applications = _extend(
             gate, sigma_alpha, sigma_beta, n, key,
-            lambda ov: _settled(ov[parity], len(ov[parity]) - 1, n, parity) is not None)
-        result = _settled(overlaps[parity], len(overlaps[parity]) - 1, n, parity)
+            lambda tr: _settled(tr, tr.m, n, parity) is not None)
+        result = _settled(trajectory, trajectory.m, n, parity)
     return OtocResult(parity, result.value, result.method, n=n,
                       meta={**result.meta, "applications": applications})

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from duotoc import oracle
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import PAULI
 from duotoc.transfer import _TRAJECTORY_MEMO, _PauliColumnKernel
 
 # Q: columns vec(sigma_mu)/sqrt(2), from the Hermitian leg basis of the
 # transfer module to the complex computational folded basis of one slot
-Q_LEG = np.stack([op.reshape(4) / np.sqrt(2) for op in pauli_basis().ops], axis=1)
+Q_LEG = np.stack([op.reshape(4) / np.sqrt(2) for op in PAULI], axis=1)
 
 
 def hermitian_coeffs(vec, side):

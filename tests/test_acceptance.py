@@ -37,11 +37,11 @@ from duotoc.gates import (
     random_dual_unitary,
     random_kak,
 )
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import PAULI
 from duotoc.oracle import ChainSpec, haar_sample, oracle_otoc
 from duotoc.transfer import build_transfer, fixed_left, fixed_right, otoc_finite, otoc_longtime
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 # operators used throughout the kicked-XY / integrable scans
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
@@ -150,7 +150,7 @@ def test_criterion_05_integrable_projector(record_criterion, record_note):
 
     # exhaustive eigenvalue rule at n=2: Pauli product states with an even
     # number of y/z factors are fixed, the others are annihilated
-    ops4 = pauli_basis().ops
+    ops4 = PAULI
     tmat2 = build_transfer(gate, 2)
     rule_res = 0.0
     for combo in iproduct(range(4), repeat=4):

@@ -13,20 +13,19 @@ from duotoc.channels import (
     m_n,
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary, random_kak
-from duotoc.opalg import op_to_vec, pauli_basis, vec_to_op
+from duotoc.opalg import PAULI, op_to_vec, vec_to_op
 from duotoc.oracle import ChainSpec, oracle_correlator
 
 TOL = 1e-12
 TOL_PSD = 1e-10
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 
 
 def channel_apply(channel, sigma, t=1):
     """The channel applied t times to a one-site operator, through the
     power of its operator-basis matrix."""
-    coeffs = np.linalg.matrix_power(channel.mat, t) @ op_to_vec(sigma, channel.basis)
-    return vec_to_op(coeffs, channel.basis)
+    return vec_to_op(np.linalg.matrix_power(channel.mat, t) @ op_to_vec(sigma))
 
 GATES = [
     ("du0", random_dual_unitary(0)),

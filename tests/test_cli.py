@@ -155,7 +155,8 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
     """fig4: each depth's even row extends the depth's trajectory until even
     parity stops, and its odd row reads the odd overlaps on the way or
     extends the trajectory further, so a depth costs max(iterations)
-    applications (271 in all)."""
+    applications: 9, 40, 73, 64 and 56 at n = 1..5, 242 in all.  At n = 4
+    and 5 the sketched fit stops both parities at once."""
     out = tmp_path / "fig4.csv"
     assert main(["longtime", "--preset", "fig4", "--method", "all", "--out", str(out)]) == 0
     assert_matches_golden(out, "longtime", "fig4")
@@ -167,7 +168,10 @@ def test_longtime_fig4_runs_each_depth_once(tmp_path, applies):
     for n in range(1, 6):
         even, odd = its[n, "even"], its[n, "odd"]
         assert applies.count(n) == max(even, odd), n
-    assert len(applies) == 271
+    assert [applies.count(n) for n in range(1, 6)] == [9, 40, 73, 64, 56]
+    assert its[4, "even"] == its[4, "odd"] == 64
+    assert its[5, "even"] == its[5, "odd"] == 56
+    assert len(applies) == 242
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -16,14 +16,14 @@ from duotoc.closed_forms import (
 )
 from duotoc.eigenbases import e_basis
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import PAULI
 from duotoc.oracle import ChainSpec, oracle_otoc
 from duotoc.transfer import otoc_longtime
 
 TOL_EXACT = 1e-12
 TOL_ITER = 1e-8
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 A45 = (SX + SZ) / np.sqrt(2)

@@ -17,13 +17,13 @@ from duotoc.eigenbases import (
     xy_right_state,
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import PAULI
 from duotoc.transfer import build_transfer, otoc_longtime
 
 TOL_RESIDUAL = 1e-10
 TOL_BASIS = 1e-12
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from duotoc.opalg import (
+    PAULI,
+    _checked_basis,
     dual,
     is_unitary,
     normalize_coeffs,
     op_to_vec,
-    pauli_basis,
     swap_gate,
     vec_to_op,
 )
@@ -18,27 +19,31 @@ TOL = 1e-14
 
 
 def test_pauli_basis_orthonormal():
-    basis = pauli_basis()
-    ops = basis.ops
-    assert ops.shape == (4, 2, 2)
-    gram = np.einsum("aij,bij->ab", ops.conj(), ops) / 2
+    assert PAULI.shape == (4, 2, 2)
+    gram = np.einsum("aij,bij->ab", PAULI.conj(), PAULI) / 2
     assert np.abs(gram - np.eye(4)).max() < TOL
+    # the import-time check rejects a basis that is not orthonormal
+    with pytest.raises(ValueError, match="orthonormal"):
+        _checked_basis(PAULI * 1.001)
+    with pytest.raises(ValueError, match="shape"):
+        _checked_basis(PAULI[:3])
 
 
 def test_pauli_basis_hermitian_identity_first():
-    basis = pauli_basis()
-    for op in basis.ops:
+    for op in PAULI:
         assert np.abs(op - op.conj().T).max() < TOL
-    assert np.abs(basis.ops[0] - np.eye(2)).max() < TOL
+    assert np.abs(PAULI[0] - np.eye(2)).max() < TOL
+    # one shared constant: no caller can change it
+    with pytest.raises(ValueError, match="read-only"):
+        PAULI[0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_vec_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    basis = pauli_basis()
     sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    coeffs = op_to_vec(sigma, basis)
-    assert np.abs(vec_to_op(coeffs, basis) - sigma).max() < TOL
+    coeffs = op_to_vec(sigma)
+    assert np.abs(vec_to_op(coeffs) - sigma).max() < TOL
 
 
 def test_normalize_coeffs():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
-from duotoc.opalg import pauli_basis
+from duotoc.opalg import PAULI
 from duotoc.oracle import (
     ChainSpec,
     _apply_layer_t,
@@ -24,7 +24,7 @@ from duotoc.oracle import (
 TOL = 1e-12
 REF_TOL = 1e-13
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 
 REF_GATES = {
     "du": random_dual_unitary(3),

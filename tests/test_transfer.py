@@ -27,7 +27,7 @@ from duotoc.gates import (
     random_dual_unitary,
     random_kak,
 )
-from duotoc.opalg import pauli_basis, swap_gate
+from duotoc.opalg import PAULI, swap_gate
 from duotoc.oracle import ChainSpec, oracle_otoc
 from duotoc.transfer import (
     _IDENTITY_COEFFS,
@@ -56,7 +56,7 @@ from duotoc.transfer import (
 TOL_FIXED = 1e-10
 TOL_AGREE = 1e-12
 
-I2, SX, SY, SZ = pauli_basis().ops
+I2, SX, SY, SZ = PAULI
 ALPHA = SX / np.sqrt(6) + SY / np.sqrt(2) + SZ / np.sqrt(3)
 BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 # insertions with an identity component: all four Pauli coefficients nonzero
@@ -785,7 +785,7 @@ def test_failed_resumed_extension_leaves_no_stale_entry(monkeypatch, k):
     gate = random_kak(1)
     _TRAJECTORY_MEMO.clear()
     otoc_finite(gate, ALPHA_I, BETA_I, 2, 4)  # n = 2, even: remembers m = 3
-    assert _TRAJECTORY_MEMO[2][1] == 3
+    assert _TRAJECTORY_MEMO[2].m == 3
     apply, calls = _PauliColumnKernel.apply, []
 
     def failing(self, u):
@@ -833,7 +833,7 @@ def test_depth5_cells_stay_within_the_memory_guard():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert _TRAJECTORY_MEMO[5][1] == 5
+    assert _TRAJECTORY_MEMO[5].m == 5
     assert peak <= budget, f"{peak / 1e6:.1f} MB"
 
 
@@ -918,26 +918,47 @@ def _without_applications(res):
     return res.value, {k: v for k, v in res.meta.items() if k != "applications"}
 
 
-# (gate, n) with the iterations (even, odd) each parity stops at
+# (gate, n) with the iterations (even, odd) each parity stops at; the last
+# row stops both parities at once on the sketched fit (n = 4 fits at
+# m = 32, 48 and 64), the others on their Aitken windows
 SETTLE_ORDERS = {
     "odd first": (build_kim(h1=0.4, h2=0.6), 1, (35, 8)),
     "even first": (build_kim(h1=0.4, h2=0.6), 2, (38, 39)),
     "together": (random_kak(1), 1, (20, 20)),
+    "sketch": (build_kim(h1=0.4, h2=0.6), 4, (64, 64)),
 }
+ROUTES = {"sketch": "sketch"}  # the route of every other order is "aitken"
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The sketched fits that run from here on, as (n, m) pairs."""
+    ran = []
+    sketch_fit = transfer._sketch_fit
+
+    def counted(trajectory, n, m):
+        if transfer._fit_due(n, m) and m not in trajectory.fits:
+            ran.append((n, m))
+        return sketch_fit(trajectory, n, m)
+
+    monkeypatch.setattr(transfer, "_sketch_fit", counted)
+    return ran
 
 
 @pytest.mark.parametrize("first", PARITIES)
 @pytest.mark.parametrize("order", SETTLE_ORDERS)
-def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
-    """Whichever parity is asked first and whichever settles first, the
-    second call returns what a call on an empty memory returns, bit for bit,
-    and makes only the applications past the first call's stop."""
+def test_longtime_memo_hit_and_resume_are_bit_identical(applies, fits, order, first):
+    """Whichever parity is asked first and whichever settles first, on
+    either route, the second call returns what a call on an empty memory
+    returns, bit for bit (value and meta), and makes only the applications
+    past the first call's stop; a call served from memory runs no fit."""
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
     fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
     for p in PARITIES:
         assert fresh[p].meta["iterations"] == its[p]
         assert fresh[p].meta["applications"] == its[p]
+        assert fresh[p].meta["route"] == ROUTES.get(order, "aitken")
     second = "odd" if first == "even" else "even"
     _TRAJECTORY_MEMO.clear()
     del applies[:]
@@ -949,12 +970,13 @@ def test_longtime_memo_hit_and_resume_are_bit_identical(applies, order, first):
     assert len(applies) == sum(res.meta["applications"] for res in got.values())
     assert applies.count(n) == len(applies)
     # a third call of either parity is a hit
-    del applies[:]
+    del applies[:], fits[:]
     for p in PARITIES:
         again = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
         assert _without_applications(again) == _without_applications(fresh[p])
         assert again.meta["applications"] == 0
     assert applies == []
+    assert fits == []
 
 
 def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
@@ -974,33 +996,48 @@ def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
 
 # SETTLE_ORDERS case and the m up to which a finite scan of its depth runs
 SCANS = {"one parity within the scan": ("odd first", 20),   # odd 8, even 35
-         "both within the scan": ("even first", 45)}        # even 38, odd 39
+         "both within the scan": ("even first", 45),        # even 38, odd 39
+         "sketch stop within the scan": ("sketch", 70),     # both 64
+         "sketch stop past the scan": ("sketch", 40)}
 
 
 @pytest.mark.parametrize("scan", SCANS)
-def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, scan):
+def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, fits, scan):
     """A finite scan of depth n up to m = M, far cell first, then both
     long-time parities on the same gate and insertions: each returns a fresh
-    call's value and iterations, bit for bit.  A parity that stops at some
-    m <= M is read from the stored overlaps, at its first settled m rather
-    than at M, with no application; one that stops later extends the
-    trajectory from M."""
+    call's value and meta, bit for bit.  The scan stores the sketches but
+    runs no fit.  A parity that stops at some m <= M is read from the
+    stored overlaps and sketches, at its first settled m rather than at M,
+    with no application; one that stops later extends the trajectory from
+    M.  Each due fit runs once, and a third call runs none."""
     order, top = SCANS[scan]
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
     fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
     _TRAJECTORY_MEMO.clear()
+    del fits[:]
     # the even cells of depth n, t - x = 2n - 2, take m = x + n - 1
     for x in range(top - n + 1, -1, -1):
         otoc_finite(gate, ALPHA_I, BETA_I, x, x + 2 * n - 2)
-    assert _TRAJECTORY_MEMO[n][1] == top
+    assert _TRAJECTORY_MEMO[n].m == top
+    assert len(_TRAJECTORY_MEMO[n].sketches) == top + 1
+    assert fits == []
     del applies[:]
+    reached = top
     for p in PARITIES:
         got = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
         assert _without_applications(got) == _without_applications(fresh[p]), p
         assert got.meta["iterations"] == its[p]
-        assert got.meta["applications"] == max(0, its[p] - top), p
+        assert got.meta["applications"] == max(0, its[p] - reached), p
+        reached = max(reached, its[p])
     assert len(applies) == max(0, max(iterations) - top)
+    stop = max(iterations)
+    assert sorted(fits) == [(n, m) for m in range(stop + 1) if transfer._fit_due(n, m)]
+    del fits[:]
+    for p in PARITIES:
+        again = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
+        assert _without_applications(again) == _without_applications(fresh[p]), p
+    assert fits == []
 
 
 def test_finite_cells_after_longtime_make_no_applications(applies):
@@ -1010,7 +1047,7 @@ def test_finite_cells_after_longtime_make_no_applications(applies):
     memory."""
     gate, n, (even, _) = SETTLE_ORDERS["odd first"]
     otoc_longtime(gate, ALPHA_I, BETA_I, n, "even")
-    assert _TRAJECTORY_MEMO[n][1] == even
+    assert _TRAJECTORY_MEMO[n].m == even
     # t - x = 2n - 2 (even) and 2n - 1 (odd) both take m = x + n - 1
     cells = [(x, x + k) for x in range(even - n + 2) for k in (2 * n - 2, 2 * n - 1)]
     del applies[:]
@@ -1114,6 +1151,29 @@ def test_longtime_iteration_metadata():
     lam = res.meta["lambda"]
     assert lam is None or isinstance(lam, float)
     assert res.method == "longtime_iterate"
+    assert res.meta["route"] == "aitken"
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_longtime_sketch_route_metadata(parity):
+    """Kicked Ising (0.4, 0.6) at n = 4 with the fig4 operators stops on
+    the sketched fit at m = 64, within 1e-10 of the closed form; the Ritz
+    values hold exactly one value at 1, and |lambda_2| matches the dense
+    n = 3 sector's 0.8430."""
+    a, b = (SX + SZ) / np.sqrt(2), SY
+    res = _fresh_longtime(build_kim(h1=0.4, h2=0.6), a, b, 4, parity)
+    meta = res.meta
+    assert (meta["route"], meta["iterations"], meta["converged"]) == ("sketch", 64, True)
+    exact = kim_longtime(0.4, 0.6, a, b, 2, 8 if parity == "even" else 9)
+    assert abs(res.value - exact) < 1e-10
+    assert 0.0 <= meta["error_estimate"] < transfer.TOL_STOP
+    assert 0.0 <= meta["residual"] < transfer.TOL_HELD_OUT
+    ritz = np.array(meta["ritz"])
+    assert np.all(np.diff(np.abs(ritz)) <= 0)
+    assert np.count_nonzero(np.abs(ritz - 1.0) < transfer.TOL_EIG) == 1
+    assert abs(ritz[0] - 1.0) < transfer.TOL_EIG
+    assert meta["lambda2"] == abs(ritz[1])
+    assert abs(meta["lambda2"] - 0.8430) < 1e-3
 
 
 def _first_stop(sequence):
@@ -1202,3 +1262,56 @@ def test_longtime_single_increment_false_stop_regression():
     res = otoc_longtime(build_kim(h1=0.4, h2=0.6), a, b, 4, "even")
     assert res.meta["converged"] is True
     assert abs(res.value - kim_longtime(0.4, 0.6, a, b, 2, 8)) <= 5e-10
+
+
+# even rows whose every due sketched fit is rejected, with the iterations at
+# which their Aitken window stops and, for the kicked XY row, the m at which
+# a fit at every step from m = 32 would stop it with neither the decay nor
+# the held-out check (None: not refitted, 1,750 fits at n = 3)
+REJECTED_ROWS = {
+    "xy pi/5, n = 4": (build_xy(j=np.pi / 5), ALPHA, BETA, 4, 233, 175),
+    "du seed 7, n = 3": (random_dual_unitary(7), SX, SX, 3, 1789, None),
+}
+
+
+@pytest.mark.parametrize("row", REJECTED_ROWS)
+def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch, row):
+    """Slowly mixing rows (|lambda_2| = 0.95 for the kicked XY gate, 0.995
+    for the dual-unitary one): every due fit is rejected, and the row
+    returns the float, bit for bit, that the Aitken rule alone gives on the
+    same overlaps, at the same m, with route "aitken".
+
+    The kicked XY row is then refitted from memory with a fit at every step
+    from m = 32 and the decay check off: the held-out check alone still
+    rejects every fit before the Aitken stop, so the row keeps its float;
+    without the held-out check as well, a fit would stop it early."""
+    gate, alpha, beta, n, iterations, unchecked_stop = REJECTED_ROWS[row]
+    res = otoc_longtime(gate, alpha, beta, n, "even")
+    trajectory = _TRAJECTORY_MEMO[n]
+    assert (res.meta["route"], res.meta["iterations"]) == ("aitken", iterations)
+    assert res.meta["ritz"] is res.meta["residual"] is res.meta["lambda2"] is None
+    assert _first_stop(trajectory.overlaps["even"]) == (iterations, res.value)
+    due = [(n, m) for m in range(iterations) if transfer._fit_due(n, m)]
+    assert due and fits == due
+    assert all(trajectory.fits[m] is None for _, m in due)
+    if unchecked_stop is None:
+        return
+    monkeypatch.setattr(transfer, "_fit_due", lambda n, m: m >= 32)
+    monkeypatch.setattr(transfer, "SKETCH_GAP", 1.0)
+
+    def refit():
+        """The even row, served from the remembered trajectory with its
+        fits forgotten."""
+        _TRAJECTORY_MEMO[n] = _TRAJECTORY_MEMO[n]._replace(fits={})
+        return otoc_longtime(gate, alpha, beta, n, "even")
+
+    del applies[:]
+    assert _without_applications(refit()) == _without_applications(res)
+    # at m = iterations the Aitken window stops first, and no fit runs
+    rejected = _TRAJECTORY_MEMO[n].fits
+    assert sorted(rejected) == list(range(32, iterations))
+    assert all(fit is None for fit in rejected.values())
+    monkeypatch.setattr(transfer, "TOL_HELD_OUT", np.inf)
+    unchecked = refit()
+    assert (unchecked.meta["route"], unchecked.meta["iterations"]) == ("sketch", unchecked_stop)
+    assert applies == []
