@@ -75,14 +75,14 @@ def applies(monkeypatch):
 @pytest.fixture
 def conjugations(monkeypatch):
     """The layer parity of every oracle layer conjugation that follows, in
-    call order: the unitarity check makes one even per chain and gate, every
-    evolution step one even."""
+    call order: the oracle conjugates by the even layer alone, once in the
+    unitarity check per chain and gate and once per evolution step."""
     parities = []
     conjugate = oracle._conjugate_layer
 
-    def counted(mat, gate, parity, L, q):
-        parities.append(parity)
-        return conjugate(mat, gate, parity, L, q)
+    def counted(mat, scratch, gate, L):
+        parities.append("even")
+        return conjugate(mat, scratch, gate, L)
 
     monkeypatch.setattr(oracle, "_conjugate_layer", counted)
     return parities

@@ -13,6 +13,7 @@ from duotoc.opalg import PAULI
 from duotoc.oracle import (
     ChainSpec,
     _apply_layer_t,
+    _conjugate_layer,
     _translate,
     evolve_heisenberg,
     haar_sample,
@@ -36,7 +37,7 @@ REF_GATES = {
 # ---------------------------------------------------------------------------
 # Dense reference: every bond embedded as a full q^L x q^L matrix with np.kron
 # and a transpose, layers and U(t) multiplied out.  The library applies the
-# layers gate by gate and never forms these products.
+# even layer two bonds at a time and never forms these products.
 
 def _embed_two_site(U, i, j, L, q=2):
     """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
@@ -66,23 +67,35 @@ def _dense_evolution(U, L, t, q=2):
     return out
 
 
-# The library's layer application, gate by gate, multiplied out into the same
-# dense matrices for comparison with the references above.
+# The library's layer application multiplied out into the same dense matrices
+# for comparison with the references above.
+
+def _site_shift(L, q=2):
+    """The permutation matrix S that moves every site one step to the right,
+    site L-1 wrapping to site 0: S|d_0 ... d_(L-1)> = |d_(L-1) d_0 ...>."""
+    rows = np.moveaxis(np.arange(q**L).reshape([q] * L), 0, -1).reshape(-1)
+    S = np.zeros((q**L, q**L))
+    S[rows, np.arange(q**L)] = 1.0
+    return S
+
 
 def layer_unitaries(spec):
-    """The even-bond and odd-bond layers of the chain, from the oracle's
-    layer application on the identity."""
-    U, eye = gate_matrix(spec.gate), np.eye(spec.q**spec.L, dtype=complex)
-    return tuple(_apply_layer_t(eye, U, parity, spec.L, spec.q).T
-                 for parity in ("even", "odd"))
+    """The even-bond and odd-bond layers of the chain: the oracle's layer
+    application on the identity, and that layer moved by one site."""
+    U, n = gate_matrix(spec.gate), spec.q**spec.L
+    layer_t, _ = _apply_layer_t(np.eye(n, dtype=complex), np.empty((n, n), complex),
+                                U.T, spec.L)
+    even = layer_t.T.copy()
+    S = _site_shift(spec.L, spec.q)
+    return even, S @ even @ S.T
 
 
 def evolution_operator(spec, t):
     """U(t) = L_t ... L_1 with the even layer first, from the oracle's layer
     application."""
-    U, out = gate_matrix(spec.gate), np.eye(spec.q**spec.L, dtype=complex)
+    layers, out = layer_unitaries(spec), np.eye(spec.q**spec.L, dtype=complex)
     for k in range(1, t + 1):
-        out = _apply_layer_t(out, U, "even" if k % 2 else "odd", spec.L, spec.q).T
+        out = layers[(k + 1) % 2] @ out
     return out
 
 
@@ -197,6 +210,21 @@ def test_layers_match_dense_embedding(L, name):
     assert np.abs(odd - want_odd).max() < REF_TOL
 
 
+@pytest.mark.parametrize("q,L", [(2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6)])
+def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
+    # L/2 = 2, 3, 4, 5 bonds: pairs only, and pairs followed by one bond
+    U = haar_sample(q * q, 31 + L)
+    even = U
+    for _ in range(L // 2 - 1):
+        even = np.kron(even, U)  # bonds (0, 1), (2, 3), ... with site 0 slowest
+    rng = np.random.default_rng(L)
+    Z = rng.normal(size=(q**L, q**L)) + 1j * rng.normal(size=(q**L, q**L))
+    H = (Z + Z.conj().T) / 2
+    mat = H.copy()
+    _conjugate_layer(mat, np.empty_like(mat), U, L)
+    assert np.abs(mat - even.conj().T @ H @ even).max() < REF_TOL
+
+
 @pytest.mark.parametrize("name", sorted(REF_GATES))
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_evolution_matches_dense_embedding(L, name):
@@ -275,9 +303,9 @@ def test_non_unitary_gate_rejected(call):
 
 # ---------------------------------------------------------------------------
 # Per-chain memo: one shared spec gives exactly the values of a fresh spec per
-# call, re-checks a gate changed in place, holds one matrix at most, and hands
-# out no array that a caller can change.  test_non_unitary_gate_rejected
-# checks that a failure is never remembered.
+# call, re-checks a gate changed in place, holds its two buffers and nothing
+# else of matrix size, and hands out no array that a caller can change.
+# test_non_unitary_gate_rejected checks that a failure is never remembered.
 
 def _memo_grid(L):
     """(kind, x, t) cells for 2t < L, t outer so one evolution serves several x."""
@@ -345,11 +373,61 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
         finally:
             tracemalloc.stop()
 
-    # the warm-up leaves sigma_alpha(1, 2) in the memo, or only the checked gate
+    # the warm-up leaves sigma_alpha(1, 2) in the memo, or the same state
+    # evolved by evolve_heisenberg, whose copy it handed out and is freed
     held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
     none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
     matrix = 16 * 4**8
     assert held < none + matrix // 4
+    # the spec's two buffers are all that is of matrix size, even mid-step
+    assert max(held, none) < 2 * matrix + matrix // 4
+
+
+def test_memo_memory_stays_flat_on_a_warm_spec():
+    # a step, the first check of a new gate and a trace each run in the
+    # spec's two buffers
+    U = gate_matrix(random_kak(5)).copy()
+    a, b = _random_operator(2, 28), _random_operator(2, 29)
+    matrix = 16 * 4**8
+    tracemalloc.start()
+    try:
+        spec = ChainSpec(gate=U, L=8)
+        oracle_otoc(spec, a, b, 0, 1)
+
+        def rise(call):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
+
+        step = rise(lambda: oracle_otoc(spec, a, b, 0, 2))
+        trace = rise(lambda: oracle_otoc(spec, a, b, 1, 2))
+        U[:] = gate_matrix(random_kak(6))
+        check = rise(lambda: oracle_otoc(spec, a, b, 0, 0))
+    finally:
+        tracemalloc.stop()
+    assert max(step, trace, check) < matrix // 4, (step, trace, check)
+
+
+def test_memo_check_never_serves_a_clobbered_state():
+    # the check of another gate overwrites the buffers that hold sigma(t) of
+    # the first; a failing check must drop the state as well as a passing one
+    U = gate_matrix(random_kak(5)).copy()
+    saved = U.copy()
+    a, b = _random_operator(2, 30), _random_operator(2, 31)
+    want = oracle_otoc(ChainSpec(gate=saved.copy(), L=8), a, b, 1, 3)
+    spec = ChainSpec(gate=U, L=8)
+    assert oracle_otoc(spec, a, b, 1, 3) == want
+    U[:] = gate_matrix(random_kak(6))
+    oracle_otoc(spec, a, b, 1, 3)
+    U[:] = saved
+    assert oracle_otoc(spec, a, b, 1, 3) == want
+    oracle_otoc(spec, a, b, 1, 3)  # sigma(3) of U is remembered again
+    U *= 1.001
+    with pytest.raises(ValueError, match="not unitary"):
+        oracle_otoc(spec, a, b, 1, 3)
+    U[:] = saved
+    assert oracle_otoc(spec, a, b, 1, 3) == want
 
 
 def test_memo_rechecks_gate_changed_in_place():
@@ -431,13 +509,13 @@ def test_memo_evolve_heisenberg_returns_an_owned_copy():
 def test_translate_moves_every_site_one_step(L):
     sigma = _random_operator(2, L)
     for x in range(L):
-        op = site_operator(sigma, x, L)
-        assert np.array_equal(_translate(op, 1, L, 2), site_operator(sigma, x + 1, L))
-        assert np.array_equal(_translate(op, -1, L, 2), site_operator(sigma, x - 1, L))
+        op, out = site_operator(sigma, x, L), np.empty((2**L, 2**L), complex)
+        assert np.array_equal(_translate(op, out, 1, L, 2), site_operator(sigma, x + 1, L))
+        assert np.array_equal(_translate(op, out, -1, L, 2), site_operator(sigma, x - 1, L))
     # the odd layer is the even one moved by a site, either way round
     even, odd = layer_unitaries(ChainSpec(gate=REF_GATES["kak"], L=L))
     for shift in (1, -1):
-        assert np.abs(_translate(even, shift, L, 2) - odd).max() < REF_TOL
+        assert np.abs(_translate(even, out, shift, L, 2) - odd).max() < REF_TOL
 
 
 def test_chain_values_match_dense_traces_at_every_cell():
