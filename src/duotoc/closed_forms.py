@@ -189,7 +189,8 @@ def xy_correlator(j, sigma_alpha, sigma_beta, t):
 
 
 def haar_projector() -> np.ndarray:
-    """Average of u (x) u* (x) u (x) u* over Haar single-qubit unitaries.
+    """Average of u (x) u* (x) u (x) u* over Haar single-qubit unitaries, in
+    the real Hermitian leg basis of ``build_transfer(gate, 1)``.
 
     In the slot-pair notation this is
     (1/3) [ |e_{1,0})(e_{1,0}| + |e_{1,1})(e_{1,1}|
@@ -199,8 +200,6 @@ def haar_projector() -> np.ndarray:
     sum_k |e~_{1,k})(e~_{1,k}| and replaces T_1 in the long-time limit of the
     maximally chaotic class.
     """
-    raw, _ = e_basis(1)
-    e0 = np.real_if_close(raw[0].vec)
-    e1 = np.real_if_close(raw[1].vec)
+    (e0, e1), _ = e_basis(1)
     cross = np.outer(e0, e1) + np.outer(e1, e0)
     return (np.outer(e0, e0) + np.outer(e1, e1) - cross / 2) / 3.0

@@ -1,21 +1,17 @@
-"""Labeled operator states on the 2n-slot column space.
+"""Operator states on the 2n-slot column space, in the transfer's basis.
 
-A column state lives on 2n slots, each of dimension 4 (one folded qubit site
-carrying a ket copy u and a bra copy ubar, flattened row-major as u*2 + ubar).
-States are described symbolically by
+A column state lives on 2n slots, each of dimension 4, and is described
+symbolically by
 
 * ``prods``  -- slot -> one-site operator placed on that slot, and
 * ``pairs``  -- (i, j, X) entries tying slots i and j through an insertion X.
 
-Kets ("right" side) and bras ("left" side) materialize differently, and
-overlaps are *bilinear* contractions of the materialized vectors -- no complex
-conjugation -- so that an identity pairing against two product slots yields a
-plain trace: (I1 I1 | a b) = tr(ab).  Concretely, with slot indices (u, ubar)
-and (v, vbar):
-
-    right product slot:  X[u, ubar]          left product slot:  X[ubar, u]
-    right pair (i, j):   X[u, vbar] X[v, ubar]
-    left  pair (i, j):   X[vbar, u] X[ubar, v]
+Its vector is real, in the orthonormal Hermitian leg basis of
+``build_transfer``, ``boundary_left`` and ``boundary_right``: a product slot
+carries the transfer's slot coefficients of X and a pairing its pair block of
+X.  There a bra and a ket with the same description are the same vector, so
+every overlap is a plain dot product and an identity pairing against two
+product slots yields a trace: (I1 I1 | a b) = tr(ab).
 
 Families provided: the nested identity-pairing states e_{n,k} and their
 orthonormal combinations (unit-eigenvalue eigenoperators of every dual-unitary
@@ -32,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opalg import PAULI
-
-TOL_BASIS = 1e-12
+from .transfer import _pair_block, _slot_coeffs
 
 _EYE, _SX, _SY, _SZ = PAULI
 
@@ -46,86 +41,35 @@ _LETTERS = "abcdefghijklmnopqrst"
 
 @dataclass
 class SlotState:
-    """Symbolic product/pairing state on 2n slots of dimension 4."""
+    """Symbolic product/pairing state on 2n slots of dimension 4; every slot
+    operator and pairing insertion must be Hermitian."""
 
     n: int
-    side: str  # "right" (ket) or "left" (bra)
     prods: dict = field(default_factory=dict)
     pairs: tuple = ()
-    _vec: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
         covered = sorted(self.prods) + sorted(s for p in self.pairs for s in p[:2])
         if sorted(covered) != list(range(1, 2 * self.n + 1)):
             raise ValueError("slots must cover 1..2n exactly once")
 
     def vector(self) -> np.ndarray:
-        if self._vec is None:
-            self._vec = _materialize(self)
-        return self._vec
-
-
-def _materialize(state: SlotState) -> np.ndarray:
-    subs, operands = [], []
-    for i, j, x in state.pairs:
-        x = np.asarray(x, dtype=complex)
-        if state.side == "right":
-            # A[(u,ubar),(v,vbar)] = X[u,vbar] X[v,ubar]
-            block = np.einsum("ad,cb->abcd", x, x)
-        else:
-            # A[(u,ubar),(v,vbar)] = X[vbar,u] X[ubar,v]
-            block = np.einsum("da,bc->abcd", x, x)
-        operands.append(block.reshape(4, 4))
-        subs.append(_LETTERS[i - 1] + _LETTERS[j - 1])
-    for i in sorted(state.prods):
-        x = np.asarray(state.prods[i], dtype=complex)
-        vec = x.reshape(4) if state.side == "right" else x.T.reshape(4)
-        operands.append(vec)
-        subs.append(_LETTERS[i - 1])
-    out = _LETTERS[: 2 * state.n]
-    full = np.einsum(",".join(subs) + "->" + out, *operands)
-    return full.reshape(4 ** (2 * state.n))
-
-
-@dataclass
-class LabeledState:
-    """A column state: symbolic slot description or a dense combination."""
-
-    n: int
-    state: object  # SlotState or ndarray
-
-    @property
-    def vec(self) -> np.ndarray:
-        if isinstance(self.state, SlotState):
-            return self.state.vector()
-        return np.asarray(self.state)
-
-
-def bilinear(bra, ket) -> complex:
-    """Plain (conjugation-free) contraction of a bra-side and a ket-side state."""
-    return complex(np.dot(_as_vec(bra), _as_vec(ket)))
-
-
-def _as_vec(obj) -> np.ndarray:
-    if isinstance(obj, LabeledState):
-        return obj.vec
-    if isinstance(obj, SlotState):
-        return obj.vector()
-    return np.asarray(obj)
-
-
-def all_identity_state(n: int, side: str = "right") -> SlotState:
-    """The bare product of vectorized identities on all 2n slots."""
-    eye = np.eye(2)
-    return SlotState(n=n, side=side, prods={s: eye for s in range(1, 2 * n + 1)})
+        """The real 4^(2n) vector, slot 1 slowest."""
+        subs, operands = [], []
+        for i, j, x in self.pairs:
+            operands.append(_pair_block(x))
+            subs.append(_LETTERS[i - 1] + _LETTERS[j - 1])
+        for i in sorted(self.prods):
+            operands.append(_slot_coeffs(self.prods[i]))
+            subs.append(_LETTERS[i - 1])
+        out = _LETTERS[: 2 * self.n]
+        return np.einsum(",".join(subs) + "->" + out, *operands).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # nested-pairing family e_{n,k}
 
-def e_state(n: int, k: int) -> LabeledState:
+def e_state(n: int, k: int) -> SlotState:
     """Raw e_{n,k}: k nested identity pairings tying slots n-k+1 .. n+k from
     the outside in, identity products elsewhere.  e_{n,0} is the all-identity
     product state."""
@@ -135,29 +79,25 @@ def e_state(n: int, k: int) -> LabeledState:
     pairs = tuple((n - j, n + 1 + j, eye) for j in range(k))
     prods = {s: eye for s in range(1, n - k + 1)}
     prods.update({s: eye for s in range(n + k + 1, 2 * n + 1)})
-    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs)
-    return LabeledState(n=n, state=slot)
+    return SlotState(n=n, prods=prods, pairs=pairs)
 
 
 def e_basis(n: int):
-    """Return (raw, orthonormal) lists for k = 0..n.
+    """Return (raw, orthonormal), one state per row for k = 0..n.
 
     The orthonormal combinations are
         e~_{n,0}    = 2^{-n} e_{n,0}
         e~_{n,k>0}  = 2^{-n} (2 e_{n,k} - e_{n,k-1}) / sqrt(3)
     """
-    raw = [e_state(n, k) for k in range(n + 1)]
-    tilde = [LabeledState(n, 2.0 ** (-n) * raw[0].vec)]
-    for k in range(1, n + 1):
-        vec = (2 * raw[k].vec - raw[k - 1].vec) / (2.0 ** n * np.sqrt(3.0))
-        tilde.append(LabeledState(n, vec))
-    return raw, tilde
+    raw = np.stack([e_state(n, k).vector() for k in range(n + 1)])
+    tilde = np.vstack([raw[:1], (2 * raw[1:] - raw[:-1]) / np.sqrt(3.0)])
+    return raw, 2.0 ** (-n) * tilde
 
 
 # ---------------------------------------------------------------------------
 # kicked-Ising z_{n,k} extension
 
-def kim_z_state(n: int, k: int) -> LabeledState:
+def kim_z_state(n: int, k: int) -> SlotState:
     """Raw z_{n,k}: sigma_z products on slots n-k+1 and n+k around a nested
     identity-pairing core, identity products outside."""
     if not 1 <= k <= n:
@@ -167,26 +107,23 @@ def kim_z_state(n: int, k: int) -> LabeledState:
     prods = {n - k + 1: _SZ, n + k: _SZ}
     prods.update({s: eye for s in range(1, n - k + 1)})
     prods.update({s: eye for s in range(n + k + 1, 2 * n + 1)})
-    slot = SlotState(n=n, side="right", prods=prods, pairs=pairs)
-    return LabeledState(n=n, state=slot)
+    return SlotState(n=n, prods=prods, pairs=pairs)
 
 
 def kim_z_basis(n: int):
-    """Return (raw z_{n,k} for k = 1..n, orthonormal e~_{n,n+k} extensions).
+    """Return (raw z_{n,k} for k = 1..n, orthonormal e~_{n,n+k} extensions),
+    one state per row.
 
     e~_{n,n+k} = 2^{-n} (sqrt(3/2) z_{n,k} - sqrt(2/3) e_{n,k} + sqrt(1/6) e_{n,k-1})
     completes the e~_{n,0..n} set to an orthonormal family of 2n+1 states.
     """
-    zs = [kim_z_state(n, k) for k in range(1, n + 1)]
+    zs = np.stack([kim_z_state(n, k).vector() for k in range(1, n + 1)])
     raw_e, _ = e_basis(n)
-    tilde = []
-    for k in range(1, n + 1):
-        vec = 2.0 ** (-n) * (
-            np.sqrt(1.5) * zs[k - 1].vec
-            - np.sqrt(2.0 / 3.0) * raw_e[k].vec
-            + np.sqrt(1.0 / 6.0) * raw_e[k - 1].vec
-        )
-        tilde.append(LabeledState(n, vec))
+    tilde = 2.0 ** (-n) * (
+        np.sqrt(1.5) * zs
+        - np.sqrt(2.0 / 3.0) * raw_e[1:]
+        + np.sqrt(1.0 / 6.0) * raw_e[:-1]
+    )
     return zs, tilde
 
 
@@ -200,7 +137,7 @@ def _bits(label) -> tuple:
     return bits
 
 
-def xy_right_state(r) -> LabeledState:
+def xy_right_state(r) -> SlotState:
     """Product state |{r}): slots i and 2n+1-i carry sigma(r_{i-1}, r_i) with
     the implicit r_0 = 0, under sigma(0,0)=1, sigma(0,1)=sy, sigma(1,0)=sz,
     sigma(1,1)=sx."""
@@ -212,11 +149,10 @@ def xy_right_state(r) -> LabeledState:
         op = _XY_SLOT_OP[(rr[i - 1], rr[i])]
         prods[i] = op
         prods[2 * n + 1 - i] = op
-    slot = SlotState(n=n, side="right", prods=prods)
-    return LabeledState(n=n, state=slot)
+    return SlotState(n=n, prods=prods)
 
 
-def xy_left_state(l) -> LabeledState:
+def xy_left_state(l) -> SlotState:
     """Pairing state ({l}|: pairing i ties slots (n+1-i, n+i) through the
     insertion sigma(l_i, l_{i-1}) with the implicit l_0 = 0 (innermost pairing
     i=1, outermost i=n)."""
@@ -226,8 +162,7 @@ def xy_left_state(l) -> LabeledState:
     pairs = tuple(
         (n + 1 - i, n + i, _XY_SLOT_OP[(ll[i], ll[i - 1])]) for i in range(1, n + 1)
     )
-    slot = SlotState(n=n, side="left", pairs=pairs)
-    return LabeledState(n=n, state=slot)
+    return SlotState(n=n, pairs=pairs)
 
 
 def xy_overlap(l, r) -> int:
@@ -267,19 +202,13 @@ def xy_dual_basis(n: int):
         (L({l})| = 2^{-n} ({l}|
         |R({l})) = 2^{-2n} sum_r ({l}|{r}) |{r})
 
-    so that (L({l})|R({l'})) = delta exactly.  Returns (lefts, rights).
+    so that (L({l})|R({l'})) = delta exactly.  Returns (lefts, rights), one
+    state per row in the order of the overlap matrix's labels.
     """
     overlap = xy_overlap_matrix(n)
-    rights_raw = [xy_right_state(r).vec for r in overlap.labels]
-    lefts, rights = [], []
-    for i, l in enumerate(overlap.labels):
-        lvec = 2.0 ** (-n) * xy_left_state(l).vec
-        rvec = 2.0 ** (-2 * n) * sum(
-            overlap.entries[i, j] * rights_raw[j] for j in range(len(overlap.labels))
-        )
-        lefts.append(LabeledState(n, lvec))
-        rights.append(LabeledState(n, rvec))
-    return lefts, rights
+    lefts = np.stack([xy_left_state(l).vector() for l in overlap.labels])
+    rights = np.stack([xy_right_state(r).vector() for r in overlap.labels])
+    return 2.0 ** (-n) * lefts, 2.0 ** (-2 * n) * overlap.entries @ rights
 
 
 def xy_left_boundary_overlap(sigma_alpha, r) -> float:
@@ -325,11 +254,10 @@ def xy_longtime_projector(sigma_alpha, sigma_beta, n: int, parity: str) -> float
     return float(2.0 ** (-n) * np.dot(left_dual, right_bnd))
 
 
-def product_state(ops) -> LabeledState:
+def product_state(ops) -> SlotState:
     """Bare product state with explicit one-site operators on all 2n slots."""
     ops = tuple(np.asarray(op) for op in ops)
     if len(ops) % 2:
         raise ValueError("need an even number of slot operators")
     n = len(ops) // 2
-    slot = SlotState(n=n, side="right", prods={i + 1: ops[i] for i in range(2 * n)})
-    return LabeledState(n=n, state=slot)
+    return SlotState(n=n, prods={i + 1: ops[i] for i in range(2 * n)})

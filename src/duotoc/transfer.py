@@ -132,8 +132,9 @@ def _hermitian(op) -> np.ndarray:
 
 
 def _slot_coeffs(op) -> np.ndarray:
-    """Right-slot coefficients Q^T vec(X) = tr(sigma_mu^T X)/sqrt(2), real for
-    Hermitian X; the identity maps to sqrt(2) e_0."""
+    """Product-slot coefficients Q^T vec(X) = tr(sigma_mu^T X)/sqrt(2), real for
+    Hermitian X; the identity maps to sqrt(2) e_0.  A bra slot, Q^dagger
+    vec(X^T), has the same coefficients."""
     return np.ascontiguousarray((_QMAT.T @ _hermitian(op).reshape(4)).real)
 
 
@@ -141,9 +142,11 @@ _IDENTITY_COEFFS = _slot_coeffs(np.eye(2))
 
 
 def _pair_block(op) -> np.ndarray:
-    """Left pairing block tying two slots through X, in the dual basis:
+    """Pairing block tying two slots through X, on either side:
     B[mu, nu] = tr(sigma_mu^T X sigma_nu^T X)/2, real for Hermitian X; the
-    identity pairing is the 4x4 identity."""
+    identity pairing is the 4x4 identity.  It is the bra block below under
+    Q^dagger per slot and equally the ket block X[u,vbar] X[v,ubar] under
+    Q^T per slot."""
     x = _hermitian(op)
     # complex-basis block A[(u,ubar),(v,vbar)] = X[vbar,u] X[ubar,v]
     block = np.einsum("da,bc->abcd", x, x).reshape(4, 4)
@@ -592,7 +595,7 @@ class _Trajectory(NamedTuple):
     ``overlaps`` maps each parity to the floats (L|T^k|R_parity), k = 0..m;
     ``sketches`` holds the Gaussian sketch of each step's product with the
     right factors (see _extend); ``left`` is l_m = (T^T)^m L; ``fits`` maps
-    each m at which _sketch_fit ran to its accepted fit or None.  The memo
+    each m at which _sketch_fit ran to its outcome (see _accepted_fit).  The memo
     keeps tuples in ``overlaps`` and ``sketches``; _extend passes its
     ``done`` one trajectory whose lists and ``left`` grow in place.
     """
@@ -826,9 +829,10 @@ def _fit_due(n: int, m: int) -> bool:
 
 def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
     """The sketched stop at step m of the trajectory, both parities at
-    once: a dict of the values and window spreads of both parities (in
-    PARITIES order) and the fit's ``ritz``, ``residual`` and ``lambda2``,
-    or None when the fit is not due at m (see _fit_due) or rejected.
+    once: the outcome of _accepted_fit, whose ``values`` and window
+    ``spreads`` of both parities (in PARITIES order) are None unless the fit
+    is accepted, or None when the fit is not due at m (see _fit_due) or its
+    longest window fails the held-out check.
 
     The snapshot z_k of step k is its two overlaps followed by its sketch.
     Each window w of SKETCH_WINDOWS fits z_(m-1-w) .. z_(m-2) and holds
@@ -856,25 +860,34 @@ def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
 
 
 def _accepted_fit(snapshots: np.ndarray):
-    """_sketch_fit's verdict on the trailing snapshots: the fit's dict if
-    every window passes and the windows agree, else None.  The longest
-    window is fitted first, and a window that fails ends the fit."""
+    """_sketch_fit's outcome on the trailing snapshots: None if the longest
+    window fails its held-out check, else a dict whose ``lambda2`` is that
+    window's |lambda_2| and whose ``values``, ``spreads``, ``ritz`` and
+    ``residual`` are the fit's if every window passes and the windows agree,
+    else None.  The longest window is fitted first, and a window that fails
+    ends the fit."""
     windows = []
     for w in sorted(SKETCH_WINDOWS, reverse=True):
         fit = _window_fit(snapshots[-(w + SKETCH_HOLD):])
-        if fit is None or fit[2] is None or fit[3] ** w > SKETCH_GAP:
-            return None
+        if fit is None:
+            break
         windows.append(fit)
-    rows = [fit[2] for fit in windows]
-    spread = np.max(rows, axis=0) - np.min(rows, axis=0)
-    if not spread.max() < TOL_STOP:
+        if fit[2] is None or fit[3] ** w > SKETCH_GAP:
+            break
+    else:
+        rows = [fit[2] for fit in windows]
+        spread = np.max(rows, axis=0) - np.min(rows, axis=0)
+        if spread.max() < TOL_STOP:
+            _, ritz, _, lambda2 = windows[0]
+            return {"values": tuple(float(v) for v in rows[0]),
+                    "spreads": tuple(float(v) for v in spread),
+                    "ritz": tuple(complex(z) for z in ritz),
+                    "residual": float(max(fit[0] for fit in windows)),
+                    "lambda2": lambda2}
+    if not windows:
         return None
-    _, ritz, _, lambda2 = windows[0]
-    return {"values": tuple(float(v) for v in rows[0]),
-            "spreads": tuple(float(v) for v in spread),
-            "ritz": tuple(complex(z) for z in ritz),
-            "residual": float(max(fit[0] for fit in windows)),
-            "lambda2": lambda2}
+    return {"values": None, "spreads": None, "ritz": None, "residual": None,
+            "lambda2": windows[0][3]}
 
 
 def _settled(trajectory: _Trajectory, m: int, n: int, parity: str):
@@ -885,12 +898,17 @@ def _settled(trajectory: _Trajectory, m: int, n: int, parity: str):
     stop = _stopped_limit(overlaps[max(0, m - STOP_WINDOW - 2):m + 1])
     if stop is not None:
         value, lam, span = stop
+        # lambda2 of the latest fit before m that measured it; a copy, since
+        # other threads may add fits meanwhile
+        fits = trajectory.fits.copy()
+        measured = [k for k, fit in fits.items() if k < m and fit is not None]
+        lambda2 = fits[max(measured)]["lambda2"] if measured else None
         return OtocResult(parity, value, "longtime_iterate", n=n,
                           meta={"iterations": m, "converged": True, "route": "aitken",
                                 "lambda": lam, "error_estimate": span,
-                                "ritz": None, "residual": None, "lambda2": None})
+                                "ritz": None, "residual": None, "lambda2": lambda2})
     fit = _sketch_fit(trajectory, n, m)
-    if fit is not None:
+    if fit is not None and fit["values"] is not None:
         k = PARITIES.index(parity)
         return OtocResult(parity, fit["values"][k], "longtime_iterate", n=n,
                           meta={"iterations": m, "converged": True, "route": "sketch",
@@ -965,8 +983,10 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     ``error_estimate`` (the spread of the settled Aitken window, or the two
     fit windows' disagreement), ``ritz`` (the Ritz values of the longer
     window, by descending modulus), ``residual`` (the largest held-out
-    residual) and ``lambda2`` (the largest non-unit |Ritz value|), the last
-    three None on the Aitken route, and ``applications``, the kernel
+    residual), both None on the Aitken route, ``lambda2`` (the largest
+    non-unit |Ritz value| of the longer window; on the Aitken route that of
+    the latest fit before the stop whose longer window passed its held-out
+    check, None if no fit did), and ``applications``, the kernel
     applications this call made: the transposed ones past the remembered m,
     0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the

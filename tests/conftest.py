@@ -1,5 +1,5 @@
-"""Shared fixtures and the change of basis for column vectors; collects one
-summary line per acceptance criterion."""
+"""Shared fixtures and the leg basis change of the complex-basis reference
+tests; collects one summary line per acceptance criterion."""
 
 import numpy as np
 import pytest
@@ -9,22 +9,8 @@ from duotoc.opalg import PAULI
 from duotoc.transfer import _TRAJECTORY_MEMO, _PauliColumnKernel
 
 # Q: columns vec(sigma_mu)/sqrt(2), from the Hermitian leg basis of the
-# transfer module to the complex computational folded basis of one slot
+# library to the complex computational folded basis of one slot
 Q_LEG = np.stack([op.reshape(4) / np.sqrt(2) for op in PAULI], axis=1)
-
-
-def hermitian_coeffs(vec, side):
-    """A complex folded-basis column vector (the eigenbases module's) in the
-    Hermitian leg basis of ``build_transfer``, ``boundary_left`` and
-    ``boundary_right``:
-    Q^T on every slot of a right vector, Q^dagger on every slot of a left
-    one.  Q is unitary, so norms and eigen-equations carry over."""
-    leg = {"right": Q_LEG.T, "left": Q_LEG.conj().T}[side]
-    v = np.asarray(vec, dtype=complex)
-    for _ in range(round(np.log2(v.size) / 2)):  # 4^(2n) entries, 2n slots
-        # map the leading slot, which then moves behind the others
-        v = (leg @ v.reshape(4, -1)).T.reshape(-1)
-    return v
 
 _ACCEPTANCE_LINES = {}
 _NOTES = []

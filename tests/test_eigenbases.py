@@ -1,11 +1,13 @@
 """Unit-eigenvalue eigenoperator families and their duals."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from conftest import hermitian_coeffs
+from conftest import Q_LEG
 
 from duotoc.eigenbases import (
-    bilinear,
+    SlotState,
     e_basis,
     kim_z_basis,
     product_state,
@@ -18,7 +20,7 @@ from duotoc.eigenbases import (
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
 from duotoc.opalg import PAULI
-from duotoc.transfer import build_transfer, otoc_longtime
+from duotoc.transfer import _pair_block, _slot_coeffs, build_transfer, otoc_longtime
 
 TOL_RESIDUAL = 1e-10
 TOL_BASIS = 1e-12
@@ -33,8 +35,7 @@ BETA = SX / np.sqrt(6) - SY / np.sqrt(2) + SZ / np.sqrt(3)
 def test_e_states_are_unit_eigenvectors(seed, n):
     tm = build_transfer(random_dual_unitary(seed), n)
     raw, _ = e_basis(n)
-    for state in raw:
-        v = hermitian_coeffs(state.vec, "right")
+    for v in raw:
         assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
@@ -42,18 +43,14 @@ def test_e_states_are_unit_eigenvectors(seed, n):
 def test_e_tilde_orthonormal(n):
     _, tilde = e_basis(n)
     assert len(tilde) == n + 1
-    for i, a in enumerate(tilde):
-        for j, b in enumerate(tilde):
-            want = 1.0 if i == j else 0.0
-            assert abs(bilinear(a.vec, b.vec) - want) < TOL_BASIS
+    assert np.abs(tilde @ tilde.T - np.eye(n + 1)).max() < TOL_BASIS
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_kim_z_states_are_unit_eigenvectors(n):
     tm = build_transfer(build_kim(h1=0.4, h2=0.6), n)
     zs, _ = kim_z_basis(n)
-    for state in zs:
-        v = hermitian_coeffs(state.vec, "right")
+    for v in zs:
         assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
@@ -61,12 +58,9 @@ def test_kim_z_states_are_unit_eigenvectors(n):
 def test_kim_extended_family_orthonormal(n):
     _, e_tilde = e_basis(n)
     _, z_tilde = kim_z_basis(n)
-    family = e_tilde + z_tilde
+    family = np.vstack([e_tilde, z_tilde])
     assert len(family) == 2 * n + 1
-    for i, a in enumerate(family):
-        for j, b in enumerate(family):
-            want = 1.0 if i == j else 0.0
-            assert abs(bilinear(a.vec, b.vec) - want) < TOL_BASIS
+    assert np.abs(family @ family.T - np.eye(2 * n + 1)).max() < TOL_BASIS
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -75,10 +69,10 @@ def test_xy_states_are_unit_eigenvectors(n, j):
     tm = build_transfer(build_xy(j=j), n)
     labels = xy_overlap_matrix(n).labels
     for r in labels:
-        v = hermitian_coeffs(xy_right_state(r).vec, "right")
+        v = xy_right_state(r).vector()
         assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
     for l in labels:
-        v = hermitian_coeffs(xy_left_state(l).vec, "left")
+        v = xy_left_state(l).vector()
         assert np.abs(tm.T @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
 
 
@@ -86,11 +80,10 @@ def test_xy_states_are_unit_eigenvectors(n, j):
 def test_xy_overlap_closed_form_matches_vectors(n):
     labels = xy_overlap_matrix(n).labels
     for l in labels:
-        lv = xy_left_state(l).vec
+        lv = xy_left_state(l).vector()
         for r in labels:
-            num = bilinear(lv, xy_right_state(r).vec)
-            assert num.imag == pytest.approx(0.0, abs=TOL_BASIS)
-            assert num.real == pytest.approx(xy_overlap(l, r), abs=1e-9)
+            num = np.dot(lv, xy_right_state(r).vector())
+            assert num == pytest.approx(xy_overlap(l, r), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -101,10 +94,7 @@ def test_xy_gram_identity(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_xy_dual_basis_biorthonormal(n):
     lefts, rights = xy_dual_basis(n)
-    for i, l in enumerate(lefts):
-        for j, r in enumerate(rights):
-            want = 1.0 if i == j else 0.0
-            assert abs(bilinear(l.vec, r.vec) - want) < 1e-9
+    assert np.abs(lefts @ rights.T - np.eye(2 ** n)).max() < 1e-9
 
 
 @pytest.mark.parametrize("n,parity", [(1, "even"), (1, "odd"), (2, "even"), (2, "odd")])
@@ -116,8 +106,36 @@ def test_xy_projector_matches_iteration(n, parity):
 
 
 def test_product_state_is_kron():
+    """A product state is the Kronecker product of its slots' coefficients
+    tr(sigma_mu^T X)/sqrt(2), slot 1 slowest."""
     ops = (SX, SY, SZ, I2)
-    vec = product_state(ops).vec
-    want = np.kron(np.kron(SX.reshape(4), SY.reshape(4)),
-                   np.kron(SZ.reshape(4), I2.reshape(4)))
-    assert np.abs(vec - want).max() < TOL_BASIS
+    coeffs = [np.array([np.trace(s.T @ op).real for s in PAULI]) / np.sqrt(2) for op in ops]
+    want = reduce(np.kron, coeffs)
+    assert np.abs(product_state(ops).vector() - want).max() < TOL_BASIS
+
+
+def test_slot_builders_are_the_folded_definitions_on_either_side():
+    """In the Hermitian leg basis a bra and a ket with the same slot
+    description are the same vector: the folded-basis ket product vec(X), bra
+    product vec(X^T), ket pair X[u,vbar] X[v,ubar] and bra pair
+    X[vbar,u] X[ubar,v], mapped slot by slot (Q^T for kets, Q^dagger for
+    bras), are the transfer's slot coefficients and pair block of X."""
+    g = np.random.default_rng(23).standard_normal((2, 2, 2))
+    x = (g[0] + 1j * g[1]) / 2
+    x = x + x.conj().T
+    ket_pair = np.einsum("ad,cb->abcd", x, x).reshape(4, 4)
+    bra_pair = np.einsum("da,bc->abcd", x, x).reshape(4, 4)
+    q, qd = Q_LEG.T, Q_LEG.conj().T  # per slot: kets, bras
+    assert np.abs(q @ x.reshape(4) - _slot_coeffs(x)).max() < 1e-15
+    assert np.abs(qd @ x.T.reshape(4) - _slot_coeffs(x)).max() < 1e-15
+    assert np.abs(q @ ket_pair @ q.T - _pair_block(x)).max() < 1e-15
+    assert np.abs(qd @ bra_pair @ qd.T - _pair_block(x)).max() < 1e-15
+
+
+@pytest.mark.parametrize("where", ["prods", "pairs"])
+def test_slot_state_rejects_non_hermitian_operators(where):
+    x = SX + 1j * SY
+    state = (SlotState(n=1, prods={1: x, 2: I2}) if where == "prods"
+             else SlotState(n=1, pairs=((1, 2, x),)))
+    with pytest.raises(ValueError, match=r"operators Hermitian\?"):
+        state.vector()

@@ -12,13 +12,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import Q_LEG, hermitian_coeffs
+from conftest import Q_LEG
 
 from duotoc import transfer
 from duotoc.channels import channel_minus, channel_plus, lightcone_correlator, m_n
 from duotoc.cli import operator_from_coeffs
 from duotoc.closed_forms import kim_longtime
-from duotoc.eigenbases import SlotState, all_identity_state
 from duotoc.gates import (
     build_kim,
     build_xy,
@@ -131,12 +130,11 @@ def test_fixed_points(name, gate, n):
     assert np.abs(tm.T @ l - l).max() < TOL_FIXED
     # bilinear pairing of the fixed points is unity
     assert np.dot(l, r) == pytest.approx(1.0, abs=TOL_FIXED)
-    # the complex-basis fixed points, mapped slot by slot
-    complex_r = 2.0 ** (-n / 2) * all_identity_state(n).vector()
-    pairs = tuple((j, 2 * n + 1 - j, I2) for j in range(1, n + 1))
-    complex_l = 2.0 ** (-n / 2) * SlotState(n=n, side="left", pairs=pairs).vector()
-    assert np.abs(hermitian_coeffs(complex_r, "right") - r).max() < TOL_AGREE
-    assert np.abs(hermitian_coeffs(complex_l, "left") - l).max() < TOL_AGREE
+    # the complex-basis fixed points, mapped slot by slot (Q^T for the
+    # right one, Q^dagger for the left one)
+    legs = _legs(n)
+    assert np.abs(legs.T @ _complex_right(gate, I2, n, "even") - r).max() < TOL_AGREE
+    assert np.abs(legs.conj().T @ _complex_left(I2, n) - l).max() < TOL_AGREE
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -492,21 +490,30 @@ def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatc
     assert transfer._running == 0
 
 
+def _complex_pair(x):
+    """The folded bra pairing of two slots through x:
+    A[(u,ubar),(v,vbar)] = x[vbar,u] x[ubar,v]."""
+    return np.einsum("da,bc->abcd", x, x).reshape(4, 4)
+
+
 def _complex_left(sigma_alpha, n):
-    pairs = tuple((j, 2 * n + 1 - j, I2) for j in range(1, n)) + ((n, n + 1, sigma_alpha),)
-    return 2.0 ** (-n / 2) * SlotState(n=n, side="left", pairs=pairs).vector()
+    """Nested bra pairings tying slots j and 2n+1-j, sigma_alpha on the
+    innermost one, identity on the others."""
+    vec = _complex_pair(sigma_alpha).reshape(-1)
+    for _ in range(n - 1):
+        vec = (_complex_pair(I2)[:, None, :] * vec[None, :, None]).reshape(-1)
+    return 2.0 ** (-n / 2) * vec
 
 
 def _complex_right(gate, sigma_beta, n, parity):
     if parity == "even":
-        prods = {s: I2 for s in range(2, 2 * n)}
-        prods[1] = prods[2 * n] = sigma_beta
-        return 2.0 ** (-n / 2) * SlotState(n=n, side="right", prods=prods).vector()
+        slots = [sigma_beta] + [I2] * (2 * n - 2) + [sigma_beta]
+        return 2.0 ** (-n / 2) * reduce(np.kron, [x.reshape(4) for x in slots])
     # odd: the reference column with vec(sigma_beta) bottom caps, applied to
     # the all-identity product
     top, s1, s2 = _complex_sheets(gate, n, sigma_beta)
     half = 4 ** n
-    v0 = all_identity_state(n).vector().reshape(half, half)
+    v0 = reduce(np.kron, [I2.reshape(4)] * (2 * n)).reshape(half, half)
     raw = np.einsum("kl,kab,lcd,bd->ac", top, s1, s2, v0, optimize=True)
     return 2.0 ** (-n / 2 - 1) * raw.reshape(-1)
 
@@ -1265,12 +1272,14 @@ def test_longtime_single_increment_false_stop_regression():
 
 
 # even rows whose every due sketched fit is rejected, with the iterations at
-# which their Aitken window stops and, for the kicked XY row, the m at which
-# a fit at every step from m = 32 would stop it with neither the decay nor
-# the held-out check (None: not refitted, 1,750 fits at n = 3)
+# which their Aitken window stops, the |lambda_2| of the dense sector that
+# the row's lambda2 is within 1e-3 of (None: not checked) and, for the
+# kicked XY row, the m at which a fit at every step from m = 32 would stop
+# it with neither the decay nor the held-out check (None: not refitted,
+# 1,750 fits at n = 3)
 REJECTED_ROWS = {
-    "xy pi/5, n = 4": (build_xy(j=np.pi / 5), ALPHA, BETA, 4, 233, 175),
-    "du seed 7, n = 3": (random_dual_unitary(7), SX, SX, 3, 1789, None),
+    "xy pi/5, n = 4": (build_xy(j=np.pi / 5), ALPHA, BETA, 4, 233, None, 175),
+    "du seed 7, n = 3": (random_dual_unitary(7), SX, SX, 3, 1789, 0.9951, None),
 }
 
 
@@ -1279,21 +1288,28 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     """Slowly mixing rows (|lambda_2| = 0.95 for the kicked XY gate, 0.995
     for the dual-unitary one): every due fit is rejected, and the row
     returns the float, bit for bit, that the Aitken rule alone gives on the
-    same overlaps, at the same m, with route "aitken".
+    same overlaps, at the same m, with route "aitken".  Its lambda2 is the
+    |lambda_2| of the latest due fit whose longer window passed the
+    held-out check.
 
     The kicked XY row is then refitted from memory with a fit at every step
     from m = 32 and the decay check off: the held-out check alone still
     rejects every fit before the Aitken stop, so the row keeps its float;
     without the held-out check as well, a fit would stop it early."""
-    gate, alpha, beta, n, iterations, unchecked_stop = REJECTED_ROWS[row]
+    gate, alpha, beta, n, iterations, lambda2, unchecked_stop = REJECTED_ROWS[row]
     res = otoc_longtime(gate, alpha, beta, n, "even")
     trajectory = _TRAJECTORY_MEMO[n]
     assert (res.meta["route"], res.meta["iterations"]) == ("aitken", iterations)
-    assert res.meta["ritz"] is res.meta["residual"] is res.meta["lambda2"] is None
+    assert res.meta["ritz"] is res.meta["residual"] is None
     assert _first_stop(trajectory.overlaps["even"]) == (iterations, res.value)
     due = [(n, m) for m in range(iterations) if transfer._fit_due(n, m)]
     assert due and fits == due
-    assert all(trajectory.fits[m] is None for _, m in due)
+    outcomes = [trajectory.fits[m] for _, m in due]
+    assert all(fit is None or fit["values"] is None for fit in outcomes)
+    measured = [fit["lambda2"] for fit in outcomes if fit is not None]
+    assert res.meta["lambda2"] == measured[-1]
+    if lambda2 is not None:
+        assert abs(res.meta["lambda2"] - lambda2) < 1e-3
     if unchecked_stop is None:
         return
     monkeypatch.setattr(transfer, "_fit_due", lambda n, m: m >= 32)
@@ -1305,12 +1321,17 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
         _TRAJECTORY_MEMO[n] = _TRAJECTORY_MEMO[n]._replace(fits={})
         return otoc_longtime(gate, alpha, beta, n, "even")
 
+    def stop(result):
+        """The float and its stop; lambda2 follows the fit schedule."""
+        value, meta = _without_applications(result)
+        return value, {k: v for k, v in meta.items() if k != "lambda2"}
+
     del applies[:]
-    assert _without_applications(refit()) == _without_applications(res)
+    assert stop(refit()) == stop(res)
     # at m = iterations the Aitken window stops first, and no fit runs
     rejected = _TRAJECTORY_MEMO[n].fits
     assert sorted(rejected) == list(range(32, iterations))
-    assert all(fit is None for fit in rejected.values())
+    assert all(fit is None or fit["values"] is None for fit in rejected.values())
     monkeypatch.setattr(transfer, "TOL_HELD_OUT", np.inf)
     unchecked = refit()
     assert (unchecked.meta["route"], unchecked.meta["iterations"]) == ("sketch", unchecked_stop)
