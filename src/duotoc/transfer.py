@@ -832,7 +832,7 @@ def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
     once: the outcome of _accepted_fit, whose ``values`` and window
     ``spreads`` of both parities (in PARITIES order) are None unless the fit
     is accepted, or None when the fit is not due at m (see _fit_due) or its
-    longest window fails the held-out check.
+    longest window fails the held-out check or reads |lambda_2| >= 1.
 
     The snapshot z_k of step k is its two overlaps followed by its sketch.
     Each window w of SKETCH_WINDOWS fits z_(m-1-w) .. z_(m-2) and holds
@@ -861,11 +861,13 @@ def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
 
 def _accepted_fit(snapshots: np.ndarray):
     """_sketch_fit's outcome on the trailing snapshots: None if the longest
-    window fails its held-out check, else a dict whose ``lambda2`` is that
-    window's |lambda_2| and whose ``values``, ``spreads``, ``ritz`` and
-    ``residual`` are the fit's if every window passes and the windows agree,
-    else None.  The longest window is fitted first, and a window that fails
-    ends the fit."""
+    window fails its held-out check or sees a non-unit Ritz value of modulus
+    1 or more (a Ritz value just outside TOL_EIG of 1 is no measurement of
+    |lambda_2|), else a dict whose ``lambda2`` is that window's |lambda_2|
+    and whose ``values``, ``spreads``, ``ritz`` and ``residual`` are the
+    fit's if every window passes and the windows agree, else None.  The
+    longest window is fitted first, and a window that fails ends the fit;
+    an accepted fit's |lambda_2|^w is at most SKETCH_GAP, so below 1."""
     windows = []
     for w in sorted(SKETCH_WINDOWS, reverse=True):
         fit = _window_fit(snapshots[-(w + SKETCH_HOLD):])
@@ -884,7 +886,7 @@ def _accepted_fit(snapshots: np.ndarray):
                     "ritz": tuple(complex(z) for z in ritz),
                     "residual": float(max(fit[0] for fit in windows)),
                     "lambda2": lambda2}
-    if not windows:
+    if not windows or windows[0][3] >= 1.0:
         return None
     return {"values": None, "spreads": None, "ritz": None, "residual": None,
             "lambda2": windows[0][3]}
@@ -986,7 +988,7 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     residual), both None on the Aitken route, ``lambda2`` (the largest
     non-unit |Ritz value| of the longer window; on the Aitken route that of
     the latest fit before the stop whose longer window passed its held-out
-    check, None if no fit did), and ``applications``, the kernel
+    check with a |lambda_2| below 1, None if no fit did), and ``applications``, the kernel
     applications this call made: the transposed ones past the remembered m,
     0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the

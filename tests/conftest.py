@@ -61,14 +61,15 @@ def applies(monkeypatch):
 @pytest.fixture
 def conjugations(monkeypatch):
     """The layer parity of every oracle layer conjugation that follows, in
-    call order: the oracle conjugates by the even layer alone, once in the
-    unitarity check per chain and gate and once per evolution step."""
+    call order: the oracle conjugates coordinates by the even layer alone,
+    once in the unitarity check per chain and gate and once per evolution
+    step."""
     parities = []
     conjugate = oracle._conjugate_layer
 
-    def counted(mat, scratch, gate, L):
+    def counted(coords, scratch, superoperator, L):
         parities.append("even")
-        return conjugate(mat, scratch, gate, L)
+        return conjugate(coords, scratch, superoperator, L)
 
     monkeypatch.setattr(oracle, "_conjugate_layer", counted)
     return parities

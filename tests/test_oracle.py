@@ -12,8 +12,10 @@ from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import PAULI
 from duotoc.oracle import (
     ChainSpec,
-    _apply_layer_t,
     _conjugate_layer,
+    _planes,
+    _site_basis,
+    _superoperator,
     _translate,
     evolve_heisenberg,
     haar_sample,
@@ -36,8 +38,8 @@ REF_GATES = {
 
 # ---------------------------------------------------------------------------
 # Dense reference: every bond embedded as a full q^L x q^L matrix with np.kron
-# and a transpose, layers and U(t) multiplied out.  The library applies the
-# even layer two bonds at a time and never forms these products.
+# and a transpose, layers and U(t) multiplied out.  The library conjugates by
+# the even layer on real coordinates and never forms these products.
 
 def _embed_two_site(U, i, j, L, q=2):
     """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
@@ -67,8 +69,34 @@ def _dense_evolution(U, L, t, q=2):
     return out
 
 
-# The library's layer application multiplied out into the same dense matrices
-# for comparison with the references above.
+# The library's layer conjugation on real coordinates, taken to and from
+# dense matrices for comparison with the references above.
+
+def _coords(op, L, q=2):
+    """The planes of a dense operator's coordinates tr(h_(a_0) (x) ... op) in
+    the oracle's site basis: one for a Hermitian op, else two."""
+    h = _site_basis(q)
+    # cut[(i, j), a] = h_a[j, i]: each site's digit pair (row, column) to a
+    cut = h.transpose(2, 1, 0).reshape(q * q, q * q)
+    c = np.asarray(op, dtype=complex).reshape((q,) * (2 * L))
+    c = c.transpose([k for s in range(L) for k in (s, L + s)])
+    for _ in range(L):
+        c = np.tensordot(c.reshape(q * q, -1), cut, axes=(0, 0))
+    c = c.reshape(-1)
+    if np.array_equal(op, np.conj(op).T):
+        return np.ascontiguousarray(c.real[None])
+    return np.stack([c.real, c.imag])
+
+
+def _from_coords(planes, L, q=2):
+    """The dense operator sum_a C[a] h_(a_0) (x) ... of the planes C."""
+    h = _site_basis(q)
+    c = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0]
+    for _ in range(L):
+        c = np.tensordot(c.reshape(q * q, -1), h.reshape(q * q, q * q), axes=(0, 0))
+    c = c.reshape((q,) * (2 * L))
+    return c.transpose(list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))).reshape(q**L, -1)
+
 
 def _site_shift(L, q=2):
     """The permutation matrix S that moves every site one step to the right,
@@ -79,30 +107,48 @@ def _site_shift(L, q=2):
     return S
 
 
-def layer_unitaries(spec):
-    """The even-bond and odd-bond layers of the chain: the oracle's layer
-    application on the identity, and that layer moved by one site."""
-    U, n = gate_matrix(spec.gate), spec.q**spec.L
-    layer_t, _ = _apply_layer_t(np.eye(n, dtype=complex), np.empty((n, n), complex),
-                                U.T, spec.L)
-    even = layer_t.T.copy()
-    S = _site_shift(spec.L, spec.q)
-    return even, S @ even @ S.T
+def layer_conjugations(spec):
+    """The even-bond and odd-bond layer conjugations H -> Lambda^dag H
+    Lambda of the chain, each a function of a dense H: the oracle's layer
+    on H's coordinates, and for the odd layer that conjugation moved by one
+    site, S even(S^dag H S) S^dag."""
+    L, q = spec.L, spec.q
+    R = _superoperator(gate_matrix(spec.gate), q)
+
+    def even(H):
+        C = _coords(H, L, q)
+        result, _ = _conjugate_layer(C, np.empty_like(C), R, L)
+        return _from_coords(result, L, q)
+
+    S = _site_shift(L, q)
+    return even, lambda H: S @ even(S.T @ H @ S) @ S.T
 
 
-def evolution_operator(spec, t):
-    """U(t) = L_t ... L_1 with the even layer first, from the oracle's layer
-    application."""
-    layers, out = layer_unitaries(spec), np.eye(spec.q**spec.L, dtype=complex)
-    for k in range(1, t + 1):
-        out = layers[(k + 1) % 2] @ out
-    return out
+def evolution_conjugation(spec, H, t):
+    """U(t)^dag H U(t) with the even layer first, from the oracle's layer
+    conjugations: the last layer applied innermost."""
+    layers = layer_conjugations(spec)
+    for k in range(t, 0, -1):
+        H = layers[(k + 1) % 2](H)
+    return H
 
 
 def _random_operator(q, seed):
-    """A generic, non-Hermitian one-site operator."""
+    """A generic, non-Hermitian one-site operator: two coordinate planes."""
     rng = np.random.default_rng(seed)
     return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+
+
+def _random_hermitian(q, seed):
+    """A generic Hermitian one-site operator: one coordinate plane."""
+    z = _random_operator(q, seed)
+    return z + z.conj().T
+
+
+def _random_dense(n, seed, hermitian):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (Z + Z.conj().T) / 2 if hermitian else Z
 
 
 def test_chain_spec_validation():
@@ -121,11 +167,18 @@ def test_budget_guard():
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_evolution_operator_unitary(L):
+    # conjugation by U(2), from the oracle's layers, is that of a unitary: it
+    # keeps the identity and every product
     spec = ChainSpec(gate=random_dual_unitary(0), L=L)
-    u = evolution_operator(spec, 2)
     d = 2 ** L
-    assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-10
-    assert np.abs(evolution_operator(spec, 0) - np.eye(d)).max() < TOL
+    assert np.abs(evolution_conjugation(spec, np.eye(d), 2) - np.eye(d)).max() < 1e-10
+    a, b = _random_dense(d, 1, False), _random_dense(d, 2, True)
+
+    def u2(H):
+        return evolution_conjugation(spec, H, 2)
+
+    assert np.abs(u2(a) @ u2(b) - u2(a @ b)).max() < 1e-10
+    assert np.abs(evolution_conjugation(spec, a, 0) - a).max() < TOL
 
 
 def test_site_operator_embedding():
@@ -199,15 +252,37 @@ def test_embedding_reference_places_the_wrap_bond():
     assert np.abs(got - want).max() == 0.0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_site_basis_is_orthonormal_and_hermitian(q):
+    h = _site_basis(q)
+    assert h.shape == (q * q, q, q)
+    assert np.abs(h - h.conj().transpose(0, 2, 1)).max() == 0.0
+    gram = np.einsum("aij,bji->ab", h, h)
+    assert np.abs(gram - np.eye(q * q)).max() < 1e-15
+    # the diagonal units come first, so the identity's coordinates are q ones
+    assert np.array_equal(_planes(np.eye(q), q), np.r_[np.ones(q), np.zeros(q * q - q)][None])
+
+
+def test_planes_are_read_from_the_operator():
+    # a Hermitian sigma is one real plane, any other sigma two
+    for q in (2, 3):
+        assert len(_planes(_random_hermitian(q, 40), q)) == 1
+        assert len(_planes(_random_operator(q, 40), q)) == 2
+    assert len(_planes(SY, 2)) == 1
+    assert len(_planes(SX + 1e-12j * SZ, 2)) == 2
+
+
 @pytest.mark.parametrize("name", sorted(REF_GATES))
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_layers_match_dense_embedding(L, name):
     spec = ChainSpec(gate=REF_GATES[name], L=L)
     want_even, want_odd = _dense_layers(gate_matrix(spec.gate), L)
-    even, odd = layer_unitaries(spec)
-    assert np.abs(even - want_even).max() < REF_TOL
-    # the odd layer holds the wrap bond (L-1, 0)
-    assert np.abs(odd - want_odd).max() < REF_TOL
+    even, odd = layer_conjugations(spec)
+    for hermitian in (False, True):  # two coordinate planes, then one
+        H = _random_dense(2**L, L, hermitian)
+        assert np.abs(even(H) - want_even.conj().T @ H @ want_even).max() < REF_TOL
+        # the odd layer holds the wrap bond (L-1, 0)
+        assert np.abs(odd(H) - want_odd.conj().T @ H @ want_odd).max() < REF_TOL
 
 
 @pytest.mark.parametrize("q,L", [(2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6)])
@@ -217,12 +292,12 @@ def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
     even = U
     for _ in range(L // 2 - 1):
         even = np.kron(even, U)  # bonds (0, 1), (2, 3), ... with site 0 slowest
-    rng = np.random.default_rng(L)
-    Z = rng.normal(size=(q**L, q**L)) + 1j * rng.normal(size=(q**L, q**L))
-    H = (Z + Z.conj().T) / 2
-    mat = H.copy()
-    _conjugate_layer(mat, np.empty_like(mat), U, L)
-    assert np.abs(mat - even.conj().T @ H @ even).max() < REF_TOL
+    R = _superoperator(U, q)
+    for hermitian in (True, False):  # one coordinate plane, then two
+        H = _random_dense(q**L, L, hermitian)
+        C = _coords(H, L, q)
+        got, _ = _conjugate_layer(C, np.empty_like(C), R, L)
+        assert np.abs(_from_coords(got, L, q) - even.conj().T @ H @ even).max() < REF_TOL
 
 
 @pytest.mark.parametrize("name", sorted(REF_GATES))
@@ -230,27 +305,29 @@ def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
 def test_evolution_matches_dense_embedding(L, name):
     spec = ChainSpec(gate=REF_GATES[name], L=L)
     U = gate_matrix(spec.gate)
-    sigma = _random_operator(2, L)
-    for t in range(4):
-        circ = _dense_evolution(U, L, t)
-        assert np.abs(evolution_operator(spec, t) - circ).max() < REF_TOL
-        for site in (0, 1, L - 1):
-            want = circ.conj().T @ site_operator(sigma, site, L) @ circ
-            got = evolve_heisenberg(spec, sigma, site, t)
-            assert np.abs(got - want).max() < REF_TOL
+    for sigma in (_random_operator(2, L), _random_hermitian(2, L)):
+        for t in range(4):
+            circ = _dense_evolution(U, L, t)
+            for site in (0, 1, L - 1):
+                op = site_operator(sigma, site, L)
+                want = circ.conj().T @ op @ circ
+                assert np.abs(evolution_conjugation(spec, op, t) - want).max() < REF_TOL
+                got = evolve_heisenberg(spec, sigma, site, t)
+                assert np.abs(got - want).max() < REF_TOL
 
 
 def test_qutrit_chain_matches_dense_embedding():
     L, q = 4, 3
     U = haar_sample(q * q, 11)
     spec = ChainSpec(gate=U, L=L, q=q)
-    sigma = _random_operator(q, 0)
-    for t in range(4):
-        circ = _dense_evolution(U, L, t, q)
-        assert np.abs(evolution_operator(spec, t) - circ).max() < REF_TOL
-        want = circ.conj().T @ site_operator(sigma, L - 1, L, q) @ circ
-        got = evolve_heisenberg(spec, sigma, L - 1, t)
-        assert np.abs(got - want).max() < REF_TOL
+    for sigma in (_random_operator(q, 0), _random_hermitian(q, 0)):
+        for t in range(4):
+            circ = _dense_evolution(U, L, t, q)
+            op = site_operator(sigma, L - 1, L, q)
+            want = circ.conj().T @ op @ circ
+            assert np.abs(evolution_conjugation(spec, op, t) - want).max() < REF_TOL
+            got = evolve_heisenberg(spec, sigma, L - 1, t)
+            assert np.abs(got - want).max() < REF_TOL
 
 
 @pytest.mark.parametrize("x,t", [(0, 0), (1, 1), (-1, 1), (2, 2), (-2, 3), (3, 3)])
@@ -258,15 +335,16 @@ def test_oracle_values_match_dense_traces(x, t):
     L = 8
     spec = ChainSpec(gate=REF_GATES["kak"], L=L)
     circ = _dense_evolution(gate_matrix(spec.gate), L, t)
-    a, b = _random_operator(2, 1), _random_operator(2, 2)
+    b = _random_operator(2, 2)
     anchor = (t + 1) % 2 if x >= 0 else t % 2
-    A = circ.conj().T @ site_operator(a, anchor, L) @ circ
-    AB = A @ site_operator(b, anchor + x, L)
-    assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
-        np.trace(AB @ AB) / 2**L, abs=REF_TOL)
-    A = circ.conj().T @ site_operator(a, x, L) @ circ
-    assert complex(oracle_correlator(spec, a, x, b, t)) == pytest.approx(
-        np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
+    for a in (_random_operator(2, 1), _random_hermitian(2, 1)):
+        A = circ.conj().T @ site_operator(a, anchor, L) @ circ
+        AB = A @ site_operator(b, anchor + x, L)
+        assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
+            np.trace(AB @ AB) / 2**L, abs=REF_TOL)
+        A = circ.conj().T @ site_operator(a, x, L) @ circ
+        assert complex(oracle_correlator(spec, a, x, b, t)) == pytest.approx(
+            np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
 
 
 @pytest.mark.parametrize("L,q", [(4, 2), (6, 2), (8, 2), (4, 3)])
@@ -275,16 +353,17 @@ def test_otoc_trace_matches_dense_at_every_beta_site(L, q):
     # the qutrit chain's 81 rows are divided by no power of 2
     U = gate_matrix(REF_GATES["kak"]) if q == 2 else haar_sample(q * q, 23)
     spec = ChainSpec(gate=U, L=L, q=q)
-    a, b = _random_operator(q, 24), _random_operator(q, 25)
+    b = _random_operator(q, 25)
     sites = set()
     for t in range(L // 2):
         circ = _dense_evolution(U, L, t, q)
         for x in range(-t, t + 1):
             anchor = (t + 1) % 2 if x >= 0 else t % 2
-            A = circ.conj().T @ site_operator(a, anchor, L, q) @ circ
-            AB = A @ site_operator(b, anchor + x, L, q)
-            assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
-                np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
+            for a in (_random_operator(q, 24), _random_hermitian(q, 24)):
+                A = circ.conj().T @ site_operator(a, anchor, L, q) @ circ
+                AB = A @ site_operator(b, anchor + x, L, q)
+                assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
+                    np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
             # the chain c = (anchor - t) mod 2 holds the operator at c + t % 2
             sites.add(((anchor - t) % 2 + t % 2 + x) % L)
     assert sites == set(range(L))
@@ -358,9 +437,15 @@ def test_memo_key_covers_gate_operator_site_and_t():
         assert oracle_otoc(spec, sigma, b, x, t) == want, (reseed, x, t)
 
 
+# The chain's buffers are the size of one operator's coordinates: two
+# planes (16 * 4^8 bytes at L = 8) for a non-Hermitian sigma_alpha, the size
+# of the complex 2^8 x 2^8 matrix, and one plane (8 * 4^8) for a Hermitian one.
+PLANE_CASES = [(_random_operator(2, 12), 16 * 4**8), (_random_hermitian(2, 12), 8 * 4**8)]
+
+
 def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
     gate = REF_GATES["kak"]
-    a, b = _random_operator(2, 12), _random_operator(2, 13)
+    b = _random_operator(2, 13)
 
     def peak(warm):
         tracemalloc.start()
@@ -375,38 +460,50 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
 
     # the warm-up leaves sigma_alpha(1, 2) in the memo, or the same state
     # evolved by evolve_heisenberg, whose copy it handed out and is freed
-    held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
-    none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
-    matrix = 16 * 4**8
-    assert held < none + matrix // 4
-    # the spec's two buffers are all that is of matrix size, even mid-step
-    assert max(held, none) < 2 * matrix + matrix // 4
+    for a, matrix in PLANE_CASES:
+        held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
+        none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
+        assert held < none + matrix // 4, matrix
+        # the spec's two buffers are all that is of matrix size, even mid-step
+        assert max(held, none) < 2 * matrix + matrix // 4, matrix
 
 
 def test_memo_memory_stays_flat_on_a_warm_spec():
     # a step, the first check of a new gate and a trace each run in the
     # spec's two buffers
-    U = gate_matrix(random_kak(5)).copy()
-    a, b = _random_operator(2, 28), _random_operator(2, 29)
-    matrix = 16 * 4**8
-    tracemalloc.start()
-    try:
-        spec = ChainSpec(gate=U, L=8)
-        oracle_otoc(spec, a, b, 0, 1)
+    b = _random_operator(2, 29)
+    for a, matrix in PLANE_CASES:
+        U = gate_matrix(random_kak(5)).copy()
+        tracemalloc.start()
+        try:
+            spec = ChainSpec(gate=U, L=8)
+            oracle_otoc(spec, a, b, 0, 1)
 
-        def rise(call):
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - held
+            def rise(call):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - held
 
-        step = rise(lambda: oracle_otoc(spec, a, b, 0, 2))
-        trace = rise(lambda: oracle_otoc(spec, a, b, 1, 2))
-        U[:] = gate_matrix(random_kak(6))
-        check = rise(lambda: oracle_otoc(spec, a, b, 0, 0))
-    finally:
-        tracemalloc.stop()
-    assert max(step, trace, check) < matrix // 4, (step, trace, check)
+            step = rise(lambda: oracle_otoc(spec, a, b, 0, 2))
+            trace = rise(lambda: oracle_otoc(spec, a, b, 1, 2))
+            U[:] = gate_matrix(random_kak(6))
+            check = rise(lambda: oracle_otoc(spec, a, b, 0, 0))
+        finally:
+            tracemalloc.stop()
+        assert max(step, trace, check) < matrix // 4, (matrix, step, trace, check)
+
+
+def test_memo_grows_its_buffers_for_a_second_plane():
+    # one plane for a Hermitian sigma_alpha, two once a non-Hermitian one
+    # comes, and the two-plane buffers then serve the Hermitian one again
+    gate = REF_GATES["kak"]
+    herm, other, b = _random_hermitian(2, 41), _random_operator(2, 42), _random_operator(2, 43)
+    spec = ChainSpec(gate=gate, L=8)
+    for a, planes in ((herm, 1), (other, 2), (herm, 2)):
+        want = oracle_otoc(ChainSpec(gate=gate, L=8), a, b, 1, 3)
+        assert oracle_otoc(spec, a, b, 1, 3) == want
+        assert [len(buffer) for buffer in spec._memo.buffers] == [planes, planes]
 
 
 def test_memo_check_never_serves_a_clobbered_state():
@@ -507,15 +604,23 @@ def test_memo_evolve_heisenberg_returns_an_owned_copy():
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_translate_moves_every_site_one_step(L):
-    sigma = _random_operator(2, L)
-    for x in range(L):
-        op, out = site_operator(sigma, x, L), np.empty((2**L, 2**L), complex)
-        assert np.array_equal(_translate(op, out, 1, L, 2), site_operator(sigma, x + 1, L))
-        assert np.array_equal(_translate(op, out, -1, L, 2), site_operator(sigma, x - 1, L))
+    for sigma in (_random_operator(2, L), _random_hermitian(2, L)):
+        for x in range(L):
+            C = _coords(site_operator(sigma, x, L), L)
+            out = np.empty_like(C)
+            assert np.array_equal(_translate(C, out, 1, L, 2),
+                                  _coords(site_operator(sigma, x + 1, L), L))
+            assert np.array_equal(_translate(C, out, -1, L, 2),
+                                  _coords(site_operator(sigma, x - 1, L), L))
     # the odd layer is the even one moved by a site, either way round
-    even, odd = layer_unitaries(ChainSpec(gate=REF_GATES["kak"], L=L))
+    spec = ChainSpec(gate=REF_GATES["kak"], L=L)
+    R = _superoperator(gate_matrix(spec.gate), 2)
+    H = _random_dense(2**L, L, True)
+    want = _coords(layer_conjugations(spec)[1](H), L)
     for shift in (1, -1):
-        assert np.abs(_translate(even, out, shift, L, 2) - odd).max() < REF_TOL
+        C = _translate(_coords(H, L), np.empty_like(want), -shift, L, 2)
+        moved, free = _conjugate_layer(C, np.empty_like(C), R, L)
+        assert np.abs(_translate(moved, free, shift, L, 2) - want).max() < REF_TOL
 
 
 def test_chain_values_match_dense_traces_at_every_cell():
@@ -524,8 +629,10 @@ def test_chain_values_match_dense_traces_at_every_cell():
     L = 8
     spec = ChainSpec(gate=REF_GATES["du"], L=L)
     circs = [_dense_evolution(gate_matrix(spec.gate), L, t) for t in range(L // 2)]
-    a, b = _random_operator(2, 14), _random_operator(2, 15)
-    for kind, x, t in _memo_grid(L):
+    b = _random_operator(2, 15)
+    cells = [(a, cell) for a in (_random_operator(2, 14), _random_hermitian(2, 14))
+             for cell in _memo_grid(L)]
+    for a, (kind, x, t) in cells:
         circ = circs[t]
         if kind == "otoc":
             anchor = (t + 1) % 2 if x >= 0 else t % 2

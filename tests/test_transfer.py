@@ -186,14 +186,21 @@ def test_spectral_radius_bounded(name, gate):
     assert np.abs(np.linalg.eigvals(build_transfer(gate, 2))).max() < 1 + 1e-8
 
 
-def _dense_radius_estimate(mat, iters=200, seed=7):
-    """Reference: the same power iteration on the dense complex matrix."""
+def _column_radius_estimate(gate, n, iters=200, seed=7):
+    """Reference: the same power iteration on the complex-basis column,
+    never formed as a matrix.  With the iterate read as the 4^n x 4^n matrix
+    V[b, d] (sheet one's input slots, then sheet two's), one application of
+    _complex_transfer is sum_kl top_kl s1_k V s2_l^T / 2."""
+    top, s1, s2 = _complex_sheets(gate, n, np.eye(2))
+    terms = list(zip(*np.nonzero(top)))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
+    dim = 16**n
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(iters):
-        w = mat @ v
+        V = v.reshape(4**n, 4**n)
+        w = sum(top[k, l] * (s1[k] @ V @ s2[l].T) for k, l in terms).reshape(-1) / 2
         growth = np.linalg.norm(w)
         v = w / growth
     return growth
@@ -207,10 +214,9 @@ def _dense_radius_estimate(mat, iters=200, seed=7):
 def test_radius_estimate_on_kernel_matches_dense(name, gate):
     """build_transfer's n = 3 radius check runs on the column kernel; the
     Q^T change of the start vector is unitary, so it sees the norms of the
-    dense iteration on the complex-basis reference."""
+    same iteration on the complex-basis reference."""
     radius = _power_radius_estimate(_PauliColumnKernel(gate, 3))
-    assert radius == pytest.approx(_dense_radius_estimate(_complex_transfer(gate, 3)),
-                                   abs=TOL_AGREE)
+    assert radius == pytest.approx(_column_radius_estimate(gate, 3), abs=TOL_AGREE)
 
 
 def _applied(kern, u):
@@ -1336,3 +1342,23 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     unchecked = refit()
     assert (unchecked.meta["route"], unchecked.meta["iterations"]) == ("sketch", unchecked_stop)
     assert applies == []
+
+
+def test_longtime_lambda2_never_reads_one_or_more(applies, monkeypatch):
+    """The due fit of random_dual_unitary(7), sigma = X, n = 3 even at
+    m = 256 passes its held-out check with a second Ritz value of modulus
+    1.0000001, just outside TOL_EIG of 1; the fits from m = 512 on read
+    0.99507.  A Ritz value at 1 or above measures no |lambda_2|, so an
+    Aitken stop anywhere from m = 257 to 511 (forced here on the row's own
+    trajectory) reports none, and no fit outcome holds such a lambda2."""
+    gate, alpha, beta, n, iterations, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
+    otoc_longtime(gate, alpha, beta, n, "even")
+    trajectory = _TRAJECTORY_MEMO[n]
+    assert transfer._fit_due(n, 256) and not transfer._fit_due(n, 257)
+    assert all(fit is None or fit["lambda2"] < 1.0 for fit in trajectory.fits.values())
+    monkeypatch.setattr(transfer, "_stopped_limit",
+                        lambda overlaps: (overlaps[-1], None, 0.0))
+    for m in (257, 384, 511):
+        res = transfer._settled(trajectory, m, n, "even")
+        assert res.meta["route"] == "aitken"
+        assert res.meta["lambda2"] is None or res.meta["lambda2"] < 1.0, m
