@@ -100,7 +100,8 @@ buffer holds the chain state, the other is scratch: a step translates the
 state into the scratch buffer and conjugates it, the layer's products
 alternating between the two, and the buffer that holds the result becomes
 the state.  A restart writes the coordinates of 1 (x) sigma (x) 1 straight
-into the state buffer, and ``oracle_otoc`` rolls C into the free one.
+into the state buffer, and ``oracle_otoc`` may roll C into the free one
+(see Traces).
 
 The even layer is checked for unitarity once per chain and gate: the
 identity's coordinates are conjugated through it in the two buffers, the

@@ -988,9 +988,9 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     residual), both None on the Aitken route, ``lambda2`` (the largest
     non-unit |Ritz value| of the longer window; on the Aitken route that of
     the latest fit before the stop whose longer window passed its held-out
-    check with a |lambda_2| below 1, None if no fit did), and ``applications``, the kernel
-    applications this call made: the transposed ones past the remembered m,
-    0 when it was served from memory.
+    check with a |lambda_2| below 1, None if no fit did), and
+    ``applications``, the kernel applications this call made: the
+    transposed ones past the remembered m, 0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the
     decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
     n = 3, whose sector's |lambda_2| is 0.9951, the Aitken stop's error

@@ -459,7 +459,8 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
             tracemalloc.stop()
 
     # the warm-up leaves sigma_alpha(1, 2) in the memo, or the same state
-    # evolved by evolve_heisenberg, whose copy it handed out and is freed
+    # evolved by evolve_heisenberg, whose dense matrix it handed out and is
+    # freed
     for a, matrix in PLANE_CASES:
         held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
         none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))

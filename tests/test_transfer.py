@@ -1351,7 +1351,7 @@ def test_longtime_lambda2_never_reads_one_or_more(applies, monkeypatch):
     0.99507.  A Ritz value at 1 or above measures no |lambda_2|, so an
     Aitken stop anywhere from m = 257 to 511 (forced here on the row's own
     trajectory) reports none, and no fit outcome holds such a lambda2."""
-    gate, alpha, beta, n, iterations, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
+    gate, alpha, beta, n, _, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
     otoc_longtime(gate, alpha, beta, n, "even")
     trajectory = _TRAJECTORY_MEMO[n]
     assert transfer._fit_due(n, 256) and not transfer._fit_due(n, 257)
