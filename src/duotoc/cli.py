@@ -131,10 +131,26 @@ def _floats(text) -> tuple:
         raise ConfigError(f"cannot parse float list from {text!r}") from exc
 
 
+def _int(name: str, value) -> int:
+    """An integer setting: an int, or the decimal digits of one (a float,
+    3.7 or 3.0, is refused rather than truncated)."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} needs an integer, not {value!r}")
+
+
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+    spelling = str(value).strip().lower()
+    if spelling in ("1", "true", "yes", "on"):
+        return True
+    if spelling in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"strict needs true or false, not {value!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -191,11 +207,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged["params"] = _floats(merged["params"]) if merged["params"] else ()
     merged["alpha"] = _floats(merged["alpha"])
     merged["beta"] = _floats(merged["beta"])
-    merged["tmax"] = int(merged["tmax"])
-    merged["nmax"] = int(merged["nmax"])
+    merged["tmax"] = _int("tmax", merged["tmax"])
+    merged["nmax"] = _int("nmax", merged["nmax"])
     merged["strict"] = _bool(merged["strict"])
     if merged["seed"] is not None:
-        merged["seed"] = int(merged["seed"])
+        merged["seed"] = _int("seed", merged["seed"])
     cfg = RunConfig(**{f.name: merged[f.name] for f in fields(RunConfig)})
     _validate(cfg)
     return cfg
@@ -211,6 +227,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("kim needs --params h1,h2")
     if cfg.gate == "xy" and len(cfg.params) != 1:
         raise ConfigError("xy needs --params j")
+    if not np.all(np.isfinite(cfg.params)):
+        raise ConfigError("params needs finite values")
     if cfg.method not in _METHODS + ("all",):
         raise ConfigError("method must be transfer, oracle, closed_form, or all")
     if cfg.format not in ("csv", "json"):

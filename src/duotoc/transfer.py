@@ -40,17 +40,18 @@ whose coefficients would not be real.
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
 the parity of the right boundary differ.  So one trajectory per depth
-serves them all: the transposed kernel iterates the left boundary in place,
-l_m = (T^T)^m L, and each step reads the overlaps l_m . R of both parities
-from the right boundaries' factors across the top cap, R = sum_t P_t (x) S_t
-(see ``_right_factors``), never from a dense right vector.  The module
-remembers the latest trajectory of each depth: the overlaps of both
-parities for m = 0..M, a 125-float sketch of each step, and l_M itself.
-``otoc_finite`` reads a cell with m <= M from it, and ``otoc_longtime``
-stops a parity at the first m at which a window of Aitken extrapolates
-(else of overlaps) has settled or a matrix-pencil fit of the trailing
-sketches is accepted (see ``_stopped_limit`` and ``_sketch_fit``); either
-extends the trajectory when the remembered steps do not reach far enough.
+serves them all: the column kernel, which applies T^T, iterates the left
+boundary in place, l_m = (T^T)^m L, and each step reads the overlaps
+l_m . R of both parities from the right boundaries' factors across the top
+cap, R = sum_t P_t (x) S_t (see ``_right_factors``), never from a dense
+right vector.  The module remembers the latest trajectory of each depth:
+the overlaps of both parities for m = 0..M, a 125-float sketch of each
+step, and l_M itself.  ``otoc_finite`` reads a cell with m <= M from it,
+and ``otoc_longtime`` stops a parity at the first m at which a window of
+Aitken extrapolates (else of overlaps) has settled or a matrix-pencil fit
+of the trailing sketches is accepted (see ``_stopped_limit`` and
+``_sketch_fit``); either extends the trajectory when the remembered steps
+do not reach far enough.
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ TOL_RANK = 1e-13
 TOL_HELD_OUT = 3e-11
 SKETCH_GAP = 0.1
 
-# the column kernel's helper threads and its count of running applies, which
-# are shared by every kernel in the process (see _PauliColumnKernel)
+# the column kernel's helper threads, shared by every kernel in the process
+# (see _PauliColumnKernel)
 _CORES = os.cpu_count() or 1
 _HELPERS = ThreadPoolExecutor(_CORES - 1, "duotoc-column") if _CORES > 1 else None
-_RUNNING_LOCK = threading.Lock()
-_running = 0  # applies in progress, on any thread
 
 
 def parity_tag(x: int, t: int) -> str:
@@ -178,17 +177,20 @@ def _hermitian_bundle(gate) -> np.ndarray:
 
 
 class _PauliColumnKernel:
-    """Column application in the orthonormal Hermitian leg basis.
+    """Application of the transposed column T^T in the orthonormal Hermitian
+    leg basis, which carries a left vector: (T^T l) . r = l . (T r).
 
     Expanding every leg in {sigma_mu/sqrt(2)} is an exact similarity transform
     of the column: all bundle coefficients become real (the folded action of a
     unitary on a Hermitian basis has real matrix elements), the vec(1) caps
-    become sqrt(2) e_0, and the crossed top cap becomes the identity bond.  One
-    application contracts slots 2n down to 1, with the chain axis always
-    adjacent to the slot being consumed: sheet two climbs from its bottom cap,
-    the top cap passes the chain straight through, and sheet one descends to
-    its bottom cap, leaving the output slots already in canonical order.  The
-    slot steps run in three stages:
+    become sqrt(2) e_0, and the crossed top cap becomes the identity bond.
+    T^T is the same network with each bundle's out and in slot legs swapped,
+    wp[o,u,d,i] -> wp[i,u,d,o]; the caps and the 1/q sit on chain legs, so
+    they stay where they are.  One application contracts slots 2n down to 1,
+    with the chain axis always adjacent to the slot being consumed: sheet
+    two climbs from its bottom cap, the top cap passes the chain straight
+    through, and sheet one descends to its bottom cap, leaving the output
+    slots already in canonical order.  The slot steps run in three stages:
 
     * head: slots 2n and 2n-1 with sheet two's bottom cap, one dense
       d^2 x d^3 matrix;
@@ -215,39 +217,28 @@ class _PauliColumnKernel:
     split by columns of the middle array into one range per worker (each
     range reads its own columns of the middle array, where a split by rows
     would read all of it in every piece); the workers claim them in that
-    order from one counter, and a tail piece starts once every block is
-    written.  A helper claims a piece only while fewer applies are running,
-    on any thread, than there are cores, so two applies that already fill
-    two cores run on their own threads alone.  The caller cancels the
-    helper tasks that have not started and waits for those that have, so
-    an apply never waits for a busy pool.  A piece runs the same matmul on
-    the same data whichever worker claims it, so the output is
-    bit-identical to a one-worker apply.  A kernel with one worker (n <= 3,
-    or one core) runs its blocks and its one tail piece directly, without
-    the claim counter, and does not count as a running apply.  The workers
+    order from one counter until none is left, and a tail piece starts once
+    every block is written.  The caller cancels the helper tasks that have
+    not started and waits for those that have, so an apply never waits for
+    a busy pool.  A piece runs the same matmul on the same data whichever
+    worker claims it, so the output is bit-identical to a one-worker apply.
+    A kernel with one worker (n <= 3, or one core) runs its blocks and its
+    one tail piece directly, without the claim counter.  The workers
     compete with a multi-threaded BLAS for the same cores: pin BLAS to one
     thread (as the benchmark does) to gain from them.
 
     The buffers are the middle array and one pair of scratch blocks per
     worker, one allocation of about 35 MB at n = 5 on one core, plus 1 MB
-    per helper.
-
-    With ``transpose`` the kernel applies T^T, which carries a left vector:
-    the same network with each bundle's out and in slot legs swapped,
-    wp[o,u,d,i] -> wp[i,u,d,o].  The caps and the 1/q sit on chain legs, so
-    they stay where they are, and (T^T l) . r = l . (T r).
-
-    The buffers make a kernel serve one calling thread at a time (the
+    per helper.  They make a kernel serve one calling thread at a time (the
     helpers work inside that thread's apply); each extension of a depth's
-    trajectory builds its own transposed kernel (see _extend).
+    trajectory builds its own kernel (see _extend).
     """
 
-    def __init__(self, gate, n: int, transpose: bool = False):
+    def __init__(self, gate, n: int):
         _check_depth(n)
         self.n = n
         self.d = d = 4
-        wp = _hermitian_bundle(gate)
-        self._wp = wp = np.ascontiguousarray(wp.transpose(3, 1, 2, 0) if transpose else wp)
+        wp = np.ascontiguousarray(_hermitian_bundle(gate).transpose(3, 1, 2, 0))
         # sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
         # stored transposed for the batched matmul of one step
         self._m2t = np.ascontiguousarray(
@@ -319,12 +310,11 @@ class _PauliColumnKernel:
         np.matmul(self._tail, src, out=out[:, cols])
 
     def apply(self, u: np.ndarray) -> None:
-        """Overwrite u, a real Hermitian-basis vector, with T u.
+        """Overwrite u, a real Hermitian-basis vector, with T^T u.
 
         u must be a writable C-contiguous float64 vector of length ``dim``;
         anything else raises ValueError, since reshaping it (a strided view
         such as ``v.real``, say) could make a copy and lose the result."""
-        global _running
         if not (isinstance(u, np.ndarray) and u.dtype == np.float64
                 and u.shape == (self.dim,) and u.flags.c_contiguous
                 and u.flags.writeable):
@@ -343,12 +333,12 @@ class _PauliColumnKernel:
         lock, blocks_done = threading.Lock(), threading.Event()
         claimed = finished = 0
 
-        def work(worker: int, helper: bool):
+        def work(worker: int):
             """Claim and run pieces until none is left: the blocks first, then
             the tail's column ranges once every block has been written."""
             nonlocal claimed, finished
             try:
-                while not helper or _running < _CORES:
+                while True:
                     with lock:
                         piece, claimed = claimed, claimed + 1
                     if piece >= pieces:
@@ -371,21 +361,14 @@ class _PauliColumnKernel:
                 blocks_done.set()
                 raise
 
-        with _RUNNING_LOCK:
-            _running += 1
+        helpers = [_HELPERS.submit(work, worker) for worker in range(1, len(self._blocks))]
         try:
-            helpers = [_HELPERS.submit(work, worker, True)
-                       for worker in range(1, len(self._blocks))]
-            try:
-                work(0, False)
-            finally:
-                # a helper that has started finishes the piece it holds
-                for future in helpers:
-                    if not future.cancel():
-                        future.result()
+            work(0)
         finally:
-            with _RUNNING_LOCK:
-                _running -= 1
+            # a helper that has started finishes the piece it holds
+            for future in helpers:
+                if not future.cancel():
+                    future.result()
 
 
 def fixed_right(n: int) -> np.ndarray:
@@ -465,21 +448,22 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
 
 
 def _power_radius_estimate(kern, iters=200, seed=7):
-    """Power-iteration estimate of the spectral radius of the column that the
-    kernel ``kern`` applies.
+    """Power-iteration estimate of the spectral radius of the column, on
+    the kernel ``kern``, which applies T^T.
 
     The seed's complex start vector is drawn in the complex computational
-    folded basis and carried into the Hermitian leg basis by Q^T per slot.
-    That map is unitary, so the norms are those of the same iteration on the
-    complex-basis transfer matrix.  The kernel is real, so it applies to the
-    real and imaginary parts separately.
+    folded basis and carried into the Hermitian leg basis by Q^dagger per
+    slot, as a left vector.  That map is unitary, so the norms are those of
+    the same iteration on the transpose of the complex-basis transfer
+    matrix.  The kernel is real, so it applies to the real and imaginary
+    parts separately.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(kern.dim) + 1j * rng.standard_normal(kern.dim)
     v /= np.linalg.norm(v)
     for _ in range(2 * kern.n):
-        # Q^T on the leading slot, which then moves behind the others
-        v = (_QMAT.T @ v.reshape(4, -1)).T.reshape(-1)
+        # Q^dagger on the leading slot, which then moves behind the others
+        v = (_QMAT.conj().T @ v.reshape(4, -1)).T.reshape(-1)
     growth = 0.0
     for _ in range(iters):
         # apply overwrites its argument: give it owned copies of both parts
@@ -499,15 +483,15 @@ def build_transfer(gate, n: int) -> np.ndarray:
     """Dense depth-n transfer matrix ``mat``, real and in the Hermitian leg
     basis, with fixed-point and spectral-radius checks at construction.
 
-    Column j of ``mat`` is the column kernel applied in place to row j of
-    ``mat.T``, set to the j-th unit vector (so ``mat`` is Fortran-ordered).
+    Row j of ``mat`` is the column kernel, which applies T^T, applied in
+    place to that row set to the j-th unit vector: T^T e_j is row j of T.
     The column commutes with the slot reversal R, j <-> 2n + 1 - j, which
-    exchanges the two sheets: T e_j = R T e_(R j).  So only the
+    exchanges the two sheets: T^T e_j = R T^T e_(R j).  So only the
     (16^n + 4^n)/2 unit vectors with j <= R j are applied (2,080 of 4,096 at
-    n = 3), and column j > R j is column R j permuted by R.  The checks:
+    n = 3), and row j > R j is row R j permuted by R.  The checks:
     ``mat`` fixes ``fixed_right(n)``, ``mat.T`` fixes ``fixed_left(n)``,
-    ``mat`` times a random vector is the kernel's apply of it (which covers
-    the columns filled through R), and the spectral radius is at most 1,
+    ``mat.T`` times a random vector is the kernel's apply of it (which
+    covers the rows filled through R), and the spectral radius is at most 1,
     from the eigenvalues at n <= 2 and from a power iteration on the kernel
     at n = 3.  Materialization is restricted
     to 16^n <= 4096 (n <= 3); the matrix-free kernel behind
@@ -525,14 +509,13 @@ def build_transfer(gate, n: int) -> np.ndarray:
     kern = _PauliColumnKernel(gate, n)
     # the slot reversal R as a permutation of the basis
     rev = np.arange(dim).reshape((4,) * (2 * n)).transpose(range(2 * n - 1, -1, -1)).reshape(-1)
-    mat_t = np.zeros((dim, dim))
-    for j, row in enumerate(mat_t):
+    mat = np.zeros((dim, dim))
+    for j, row in enumerate(mat):
         if rev[j] < j:
-            row[:] = mat_t[rev[j], rev]
+            row[:] = mat[rev[j], rev]
             continue
         row[j] = 1.0
-        kern.apply(row)  # the unit vector, overwritten by its column
-    mat = mat_t.T
+        kern.apply(row)  # the unit vector, overwritten by its row of T
 
     rvec = fixed_right(n)
     lvec = fixed_left(n)
@@ -541,7 +524,7 @@ def build_transfer(gate, n: int) -> np.ndarray:
     if np.linalg.norm(mat.T @ lvec - lvec) > TOL_FIXED:
         raise AssertionError("transfer construction lost the left fixed point")
     probe = np.random.default_rng(7).standard_normal(dim)
-    want, tol = mat @ probe, TOL_FIXED * np.linalg.norm(probe)
+    want, tol = mat.T @ probe, TOL_FIXED * np.linalg.norm(probe)
     kern.apply(probe)
     if np.linalg.norm(want - probe) > tol:
         raise AssertionError("transfer construction does not match the column kernel")
@@ -590,7 +573,7 @@ PARITIES = ("even", "odd")
 
 class _Trajectory(NamedTuple):
     """Depth n's trajectory for ``key`` (the bytes of the gate, sigma_alpha
-    and sigma_beta) after m transposed applications.
+    and sigma_beta) after m applications of T^T.
 
     ``overlaps`` maps each parity to the floats (L|T^k|R_parity), k = 0..m;
     ``sketches`` holds the Gaussian sketch of each step's product with the
@@ -637,9 +620,9 @@ def _sketch_rows(n: int) -> np.ndarray:
 
 def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     """Depth n's trajectory for ``key``, resumed from memory or started at
-    the left boundary, extended by transposed applications until
-    ``done(trajectory)`` holds; remembers it and returns (the _Trajectory,
-    applications made).
+    the left boundary, extended by applications of the column kernel (T^T)
+    until ``done(trajectory)`` holds; remembers it and returns (the
+    _Trajectory, applications made).
 
     The depth's entry leaves the memory before the first application, which
     overwrites its l_m, so a failed extension leaves no entry whose m and
@@ -675,7 +658,7 @@ def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
         growing = _Trajectory(key, {p: [s] for p, s in zip(PARITIES, pair)},
                               [sketch], left, {})
     start = growing.m
-    kern = _PauliColumnKernel(gate, n, transpose=True)
+    kern = _PauliColumnKernel(gate, n)
     while not done(growing):
         kern.apply(growing.left)
         pair, sketch = read(growing.left)
@@ -707,7 +690,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     rest of a scan from memory.
 
     ``meta["applications"]`` counts the kernel applications the call made:
-    the transposed applications past the remembered m, 0 when the
+    the applications past the remembered m, 0 when the
     remembered trajectory served it or the cell lies outside the light cone.
     """
     _check_qubits(gate, sigma_alpha, sigma_beta)
@@ -832,7 +815,8 @@ def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
     once: the outcome of _accepted_fit, whose ``values`` and window
     ``spreads`` of both parities (in PARITIES order) are None unless the fit
     is accepted, or None when the fit is not due at m (see _fit_due) or its
-    longest window fails the held-out check or reads |lambda_2| >= 1.
+    longest window fails the held-out check, sees no single unit Ritz value
+    or reads |lambda_2| >= 1.
 
     The snapshot z_k of step k is its two overlaps followed by its sketch.
     Each window w of SKETCH_WINDOWS fits z_(m-1-w) .. z_(m-2) and holds
@@ -861,13 +845,15 @@ def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
 
 def _accepted_fit(snapshots: np.ndarray):
     """_sketch_fit's outcome on the trailing snapshots: None if the longest
-    window fails its held-out check or sees a non-unit Ritz value of modulus
-    1 or more (a Ritz value just outside TOL_EIG of 1 is no measurement of
-    |lambda_2|), else a dict whose ``lambda2`` is that window's |lambda_2|
-    and whose ``values``, ``spreads``, ``ritz`` and ``residual`` are the
-    fit's if every window passes and the windows agree, else None.  The
-    longest window is fitted first, and a window that fails ends the fit;
-    an accepted fit's |lambda_2|^w is at most SKETCH_GAP, so below 1."""
+    window fails its held-out check, sees no single Ritz value within
+    TOL_EIG of 1, or sees a non-unit Ritz value of modulus 1 or more (a
+    window that places the unit mode just outside TOL_EIG of 1 reads that
+    mode as |lambda_2|, which is no measurement of it), else a dict whose
+    ``lambda2`` is that window's |lambda_2| and whose ``values``,
+    ``spreads``, ``ritz`` and ``residual`` are the fit's if every window
+    passes and the windows agree, else None.  The longest window is fitted
+    first, and a window that fails ends the fit; an accepted fit's
+    |lambda_2|^w is at most SKETCH_GAP, so below 1."""
     windows = []
     for w in sorted(SKETCH_WINDOWS, reverse=True):
         fit = _window_fit(snapshots[-(w + SKETCH_HOLD):])
@@ -886,7 +872,7 @@ def _accepted_fit(snapshots: np.ndarray):
                     "ritz": tuple(complex(z) for z in ritz),
                     "residual": float(max(fit[0] for fit in windows)),
                     "lambda2": lambda2}
-    if not windows or windows[0][3] >= 1.0:
+    if not windows or windows[0][2] is None or windows[0][3] >= 1.0:
         return None
     return {"values": None, "spreads": None, "ritz": None, "residual": None,
             "lambda2": windows[0][3]}
@@ -940,7 +926,7 @@ def _first_settled(trajectory: _Trajectory, n: int, parity: str):
 
 def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocResult:
     """lim_{m -> inf} (L(sigma_alpha)| T^m |R(sigma_beta)) by iterated
-    application of the transposed column kernel to the left boundary.
+    application of the column kernel (T^T) to the left boundary.
 
     The iterate l_m = (T^T)^m L starts as the vector of ``boundary_left``
     and stays in the real Hermitian leg basis (Q^dagger per slot); the
@@ -988,9 +974,10 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     residual), both None on the Aitken route, ``lambda2`` (the largest
     non-unit |Ritz value| of the longer window; on the Aitken route that of
     the latest fit before the stop whose longer window passed its held-out
-    check with a |lambda_2| below 1, None if no fit did), and
+    check with one unit Ritz value and a |lambda_2| below 1, None if no fit
+    did), and
     ``applications``, the kernel applications this call made: the
-    transposed ones past the remembered m, 0 when it was served from memory.
+    ones past the remembered m, 0 when it was served from memory.
     The error estimate is not a bound, and it can be far too small where the
     decay is slow.  For ``random_dual_unitary(7)``, sigma = sigma_x, at
     n = 3, whose sector's |lambda_2| is 0.9951, the Aitken stop's error

@@ -302,6 +302,28 @@ def test_config_file_rejects_keys_it_cannot_apply(tmp_path, fmt, key, message):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["keyvalue", "json"])
+@pytest.mark.parametrize("key,value", [("tmax", "abc"), ("tmax", 3.7), ("nmax", ""),
+                                       ("seed", 1.5), ("strict", "ture"),
+                                       ("params", "nan,0")])
+def test_config_file_rejects_values_it_cannot_apply(tmp_path, fmt, key, value):
+    """A value that does not parse as its setting stops the run with a
+    message naming the setting, rather than a traceback, a truncation or a
+    silent default."""
+    settings = {"gate": "kim", "params": "0.4,0.6", key: value}
+    cfg = tmp_path / "run.cfg"
+    if fmt == "json":
+        cfg.write_text(json.dumps(settings))
+    else:
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    ns = argparse.Namespace(config=str(cfg), strict=False)
+    with pytest.raises(ConfigError, match=f"{key} needs"):
+        resolve_config(ns)
+    with pytest.raises(SystemExit) as err:
+        main(["corr", "--config", str(cfg)])
+    assert err.value.code == 2
+
+
 def test_config_file_can_turn_strict_on(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("gate=kim\nparams=0.4,0.6\nstrict=true\n")

@@ -1,14 +1,15 @@
 """Column transfer matrix: fixed points, parity dispatch, the Hermitian-basis
-kernel, its transpose and the dense matrix built from it against the dense
-complex-basis reference, the slot-reversal symmetry, mirrors, the
-finite-time and long-time trajectory memos, the long-time stop rule."""
+kernel (which applies the transposed column) and the dense matrix built from
+it against the dense complex-basis reference, the slot-reversal symmetry,
+mirrors, the finite-time and long-time trajectory memos, the long-time stop
+rule."""
 
 import sys
 import threading
 import tracemalloc
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from duotoc.transfer import (
     STOP_WINDOW,
     _TRAJECTORY_MEMO,
     _depths,
+    _hermitian_bundle,
     _PauliColumnKernel,
     _power_radius_estimate,
     _product,
@@ -187,10 +189,11 @@ def test_spectral_radius_bounded(name, gate):
 
 
 def _column_radius_estimate(gate, n, iters=200, seed=7):
-    """Reference: the same power iteration on the complex-basis column,
-    never formed as a matrix.  With the iterate read as the 4^n x 4^n matrix
-    V[b, d] (sheet one's input slots, then sheet two's), one application of
-    _complex_transfer is sum_kl top_kl s1_k V s2_l^T / 2."""
+    """Reference: the same power iteration on the transposed complex-basis
+    column, never formed as a matrix.  With the iterate read as the
+    4^n x 4^n matrix V[a, c] (sheet one's slots, then sheet two's), one
+    application of _complex_transfer's transpose is
+    sum_kl top_kl s1_k^T V s2_l / 2."""
     top, s1, s2 = _complex_sheets(gate, n, np.eye(2))
     terms = list(zip(*np.nonzero(top)))
     rng = np.random.default_rng(seed)
@@ -200,7 +203,7 @@ def _column_radius_estimate(gate, n, iters=200, seed=7):
     growth = 0.0
     for _ in range(iters):
         V = v.reshape(4**n, 4**n)
-        w = sum(top[k, l] * (s1[k] @ V @ s2[l].T) for k, l in terms).reshape(-1) / 2
+        w = sum(top[k, l] * (s1[k].T @ V @ s2[l]) for k, l in terms).reshape(-1) / 2
         growth = np.linalg.norm(w)
         v = w / growth
     return growth
@@ -213,8 +216,8 @@ def _column_radius_estimate(gate, n, iters=200, seed=7):
 ])
 def test_radius_estimate_on_kernel_matches_dense(name, gate):
     """build_transfer's n = 3 radius check runs on the column kernel; the
-    Q^T change of the start vector is unitary, so it sees the norms of the
-    same iteration on the complex-basis reference."""
+    Q^dagger change of the start vector is unitary, so it sees the norms of
+    the same iteration on the transposed complex-basis reference."""
     radius = _power_radius_estimate(_PauliColumnKernel(gate, 3))
     assert radius == pytest.approx(_column_radius_estimate(gate, 3), abs=TOL_AGREE)
 
@@ -235,32 +238,24 @@ def _kernel_matrix(kern):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_operator_apply_matches_dense(n):
-    """The Hermitian-basis kernel, mapped back through the per-leg basis
-    change (v = conj(Q) u), is the dense complex-basis transfer matrix."""
+def test_transposed_apply_matches_dense_transpose(n):
+    """The kernel carries left vectors, whose Hermitian-basis coefficients
+    are Q^dagger l per slot: mapped back (l = Q u), it is the transpose of
+    the dense complex-basis transfer matrix."""
     legs = _legs(n)
     for name, gate in GATES:
         k = _kernel_matrix(_PauliColumnKernel(gate, n))
         mat = _complex_transfer(gate, n)
-        assert np.abs(legs.conj() @ k @ legs.T - mat).max() < TOL_AGREE, name
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_transposed_apply_matches_dense_transpose(n):
-    """The transposed kernel carries left vectors, whose Hermitian-basis
-    coefficients are Q^dagger l per slot: mapped back (l = Q u), it is the
-    transpose of the dense complex-basis transfer matrix."""
-    legs = _legs(n)
-    for name, gate in GATES:
-        k = _kernel_matrix(_PauliColumnKernel(gate, n, transpose=True))
-        mat = _complex_transfer(gate, n)
         assert np.abs(legs @ k @ legs.conj().T - mat.T).max() < TOL_AGREE, name
 
 
-def _stepwise_apply(kern, u, cap):
-    """Reference column application: one full pass per slot, 2n down to 1,
-    each a batched 16 x 16 product, then sheet one's cap with the 1/q."""
-    d, n, wp = 4, kern.n, kern._wp
+def _stepwise_apply(wp, n, u, cap):
+    """Reference application of the depth-n column built from the bundle wp
+    (out_slot, chain_up, chain_dn, in_slot): one full pass per slot, 2n down
+    to 1, each a batched 16 x 16 product, then sheet one's cap with the
+    1/q.  _hermitian_bundle(gate) gives the column T, _left_bundle(gate)
+    its transpose."""
+    d = 4
     cap = np.asarray(cap, dtype=float)
     first = np.einsum("oudi,d->iuo", wp, cap).reshape(d, d * d)
     sheet_two = wp.transpose(3, 2, 1, 0).reshape(d * d, d * d).T
@@ -270,6 +265,12 @@ def _stepwise_apply(kern, u, cap):
         mat = sheet_two if s > n else sheet_one
         p = np.matmul(mat, p.reshape(d ** (s - 1), d * d, -1))
     return cap / 2 @ p.reshape(d, -1)
+
+
+def _left_bundle(gate):
+    """The Hermitian-basis bundle with its out and in slot legs swapped,
+    whose column is T^T."""
+    return _hermitian_bundle(gate).transpose(3, 1, 2, 0)
 
 
 BLOCKED = [
@@ -290,18 +291,19 @@ def test_kernel_matches_stepwise_reference(name, gate, n):
     slot-by-slot reference."""
     kern = _PauliColumnKernel(gate, n)
     u = np.random.default_rng(n).standard_normal(kern.dim)
-    _assert_close(_applied(kern, u), _stepwise_apply(kern, u, _IDENTITY_COEFFS))
+    want = _stepwise_apply(_left_bundle(gate), n, u, _IDENTITY_COEFFS)
+    _assert_close(_applied(kern, u), want)
 
 
 @pytest.mark.parametrize("name,gate", BLOCKED)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_transposed_kernel_pairs_with_the_forward_one(name, gate, n):
-    """(T^T l) . r = l . (T r)."""
-    fwd = _PauliColumnKernel(gate, n)
-    bwd = _PauliColumnKernel(gate, n, transpose=True)
-    l, r = np.random.default_rng(20 + n).standard_normal((2, fwd.dim))
-    want = np.dot(l, _applied(fwd, r))
-    got = np.dot(_applied(bwd, l), r)
+    """(T^T l) . r = l . (T r), with T r the stepwise reference column of
+    the gate's bundle."""
+    kern = _PauliColumnKernel(gate, n)
+    l, r = np.random.default_rng(20 + n).standard_normal((2, kern.dim))
+    want = np.dot(l, _stepwise_apply(_hermitian_bundle(gate), n, r, _IDENTITY_COEFFS))
+    got = np.dot(_applied(kern, l), r)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -314,14 +316,20 @@ def _reverse_slots(u, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kernel_commutes_with_slot_reversal(n, transpose):
     """T R = R T in both directions: an invariant of the column that any
-    rewrite of the kernel must keep."""
+    rewrite of the kernel must keep, and that the odd right boundary's
+    factors rely on.  T^T is the kernel, T the stepwise reference column of
+    the gate's bundle."""
     rng = np.random.default_rng(30 + n)
     for name, gate in [("kim", build_kim(h1=0.4, h2=0.6)), ("kak", random_kak(1)),
                        ("du3", random_dual_unitary(3)), ("xy", build_xy(j=0.6))]:
-        kern = _PauliColumnKernel(gate, n, transpose=transpose)
-        u = rng.standard_normal(kern.dim)
-        want = _reverse_slots(_applied(kern, u), n)
-        _assert_close(_applied(kern, _reverse_slots(u, n)), want)
+        if transpose:
+            apply = partial(_applied, _PauliColumnKernel(gate, n))
+        else:
+            apply = partial(_stepwise_apply, _hermitian_bundle(gate), n,
+                            cap=_IDENTITY_COEFFS)
+        u = rng.standard_normal(16 ** n)
+        want = _reverse_slots(apply(u), n)
+        _assert_close(apply(_reverse_slots(u, n)), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -329,19 +337,18 @@ def test_kernel_chains_on_its_own_output_and_ignores_stale_buffers(n):
     """Three applies in place on one vector, after the kernel's middle array
     and scratch blocks were filled with NaN."""
     gate = random_kak(1)
-    for transpose in (False, True):
-        kern = _PauliColumnKernel(gate, n, transpose=transpose)
-        # one scratch pair per worker: the caller and each helper
-        assert len(kern._scratch) == min(transfer._CORES, 4 ** kern.k)
-        for buf in (kern._middle, *kern._scratch):
-            buf.fill(np.nan)
-        u = np.random.default_rng(10 + n).standard_normal(kern.dim)
-        want = u
-        v = u.copy()
-        for _ in range(3):
-            want = _stepwise_apply(kern, want, _IDENTITY_COEFFS)
-            kern.apply(v)  # the tail writes over the vector the head read
-            _assert_close(v, want)
+    kern = _PauliColumnKernel(gate, n)
+    # one scratch pair per worker: the caller and each helper
+    assert len(kern._scratch) == min(transfer._CORES, 4 ** kern.k)
+    for buf in (kern._middle, *kern._scratch):
+        buf.fill(np.nan)
+    u = np.random.default_rng(10 + n).standard_normal(kern.dim)
+    want = u
+    v = u.copy()
+    for _ in range(3):
+        want = _stepwise_apply(_left_bundle(gate), n, want, _IDENTITY_COEFFS)
+        kern.apply(v)  # the tail writes over the vector the head read
+        _assert_close(v, want)
 
 
 @pytest.fixture
@@ -369,12 +376,12 @@ class _InlinePool:
         return future
 
 
-def _one_worker_kernel(monkeypatch, gate, n, transpose=False):
+def _one_worker_kernel(monkeypatch, gate, n):
     """The kernel as built on a one-core machine: one scratch pair, one tail
     piece, no helpers."""
     with monkeypatch.context() as m:
         m.setattr(transfer, "_CORES", 1)
-        kern = _PauliColumnKernel(gate, n, transpose=transpose)
+        kern = _PauliColumnKernel(gate, n)
     assert len(kern._scratch) == 1
     return kern
 
@@ -390,41 +397,23 @@ def _chain(kern, u, times=3):
 @pytest.mark.parametrize("n", [4, 5])
 def test_shared_apply_is_bit_identical_to_one_worker(n, helpers, monkeypatch):
     """Caller and helpers in whatever interleaving the pool gives, and a
-    helper that takes every piece, produce the one-worker apply bit for bit:
-    forward and transposed, chained in place on one vector."""
+    helper that takes every piece, produce the one-worker apply bit for bit,
+    chained in place on one vector."""
     gate = random_kak(1)
     u = np.random.default_rng(40 + n).standard_normal(4 ** (2 * n))
-    for transpose in (False, True):
-        want = _chain(_one_worker_kernel(monkeypatch, gate, n, transpose), u)
-        kern = _PauliColumnKernel(gate, n, transpose=transpose)
-        assert len(kern._scratch) >= 2
-        # the real pool: any split
-        assert all(np.array_equal(got, w) for got, w in zip(_chain(kern, u), want)), transpose
-        with monkeypatch.context() as m:
-            m.setattr(transfer, "_HELPERS", _InlinePool())
-            kern._scratch.fill(np.nan)
-            got = _chain(kern, u)
-            # the first helper ran every block in its own scratch pair
-            assert np.isnan(kern._scratch[0]).all()
-            assert not np.isnan(kern._scratch[1]).any()
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), transpose
-
-
-def test_helpers_take_no_piece_while_the_cores_are_busy(helpers, monkeypatch):
-    """With as many applies running as there are cores, counting this one, a
-    helper returns without a piece: its scratch pair keeps its NaNs and the
-    caller's output is the one-worker apply's."""
-    gate = random_kak(1)
-    u = np.random.default_rng(50).standard_normal(4 ** 10)
-    want = _applied(_one_worker_kernel(monkeypatch, gate, 5), u)
-    kern = _PauliColumnKernel(gate, 5)
-    kern._scratch.fill(np.nan)
-    monkeypatch.setattr(transfer, "_HELPERS", _InlinePool())
-    monkeypatch.setattr(transfer, "_running", transfer._CORES - 1)
-    got = _applied(kern, u)
-    assert transfer._running == transfer._CORES - 1
-    assert np.isnan(kern._scratch[1:]).all()
-    assert np.array_equal(got, want)
+    want = _chain(_one_worker_kernel(monkeypatch, gate, n), u)
+    kern = _PauliColumnKernel(gate, n)
+    assert len(kern._scratch) >= 2
+    # the real pool: any split
+    assert all(np.array_equal(got, w) for got, w in zip(_chain(kern, u), want))
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_HELPERS", _InlinePool())
+        kern._scratch.fill(np.nan)
+        got = _chain(kern, u)
+        # the first helper ran every block in its own scratch pair
+        assert np.isnan(kern._scratch[0]).all()
+        assert not np.isnan(kern._scratch[1]).any()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _in_threads(*jobs, timeout=120):
@@ -453,8 +442,8 @@ def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
     one-worker apply's bits."""
     gate = build_kim(h1=0.4, h2=0.6)
     u = np.random.default_rng(51).standard_normal(4 ** 10)
-    want = _chain(_one_worker_kernel(monkeypatch, gate, 5, True), u, 2)
-    kern = _PauliColumnKernel(gate, 5, transpose=True)
+    want = _chain(_one_worker_kernel(monkeypatch, gate, 5), u, 2)
+    kern = _PauliColumnKernel(gate, 5)
     started, release = threading.Semaphore(0), threading.Event()
 
     def block():
@@ -477,8 +466,7 @@ def test_apply_does_not_wait_for_a_busy_pool(helpers, monkeypatch):
 def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatch):
     """Threads chain applies of their own kernels at the same time and get
     the bits of serial one-worker chains: two at n = 5, and more threads
-    than cores at n = 4 with a 1 us switch interval; afterwards no apply
-    counts as running."""
+    than cores at n = 4 with a 1 us switch interval."""
     gates = [random_kak(seed) for seed in range(threads)]
     starts = np.random.default_rng(52).standard_normal((threads, 4 ** (2 * n)))
     want = [_chain(_one_worker_kernel(monkeypatch, g, n), u)
@@ -493,7 +481,45 @@ def test_concurrent_applies_match_serial_applies(n, threads, helpers, monkeypatc
         sys.setswitchinterval(interval)
     for chains, wants in zip(got, want):
         assert all(np.array_equal(g, w) for g, w in zip(chains, wants))
-    assert transfer._running == 0
+
+
+@pytest.mark.parametrize("failing", [1, 0], ids=["helper", "caller"])
+def test_apply_reraises_a_failed_block_and_recovers(failing, helpers, monkeypatch):
+    """A block that raises in a helper, or in the caller, stops the claims
+    and releases the workers waiting for the blocks: the n = 5 apply
+    re-raises the error instead of waiting for a block that never ends, and
+    the kernel's next apply is the one-worker apply bit for bit.  The
+    caller's first block waits until the first helper has started one, so
+    that both workers hold pieces."""
+    gate = random_kak(1)
+    u = np.random.default_rng(53).standard_normal(4 ** 10)
+    want = _applied(_one_worker_kernel(monkeypatch, gate, 5), u)
+    kern = _PauliColumnKernel(gate, 5)
+    run_block, started, seen = _PauliColumnKernel._run_block, threading.Event(), set()
+
+    def failing_block(self, worker, piece, rows):
+        first = worker not in seen
+        seen.add(worker)
+        if worker == 1:
+            started.set()
+        elif first:
+            assert started.wait(60), "no helper started a block"
+        if first and worker == failing:
+            raise RuntimeError("block failed")
+        run_block(self, worker, piece, rows)
+
+    def attempt():
+        try:
+            _applied(kern, u)
+        except RuntimeError as exc:
+            return exc
+        return None
+
+    with monkeypatch.context() as m:
+        m.setattr(_PauliColumnKernel, "_run_block", failing_block)
+        [error] = _in_threads(attempt)
+    assert str(error) == "block failed"
+    assert np.array_equal(_applied(kern, u), want)
 
 
 def _complex_pair(x):
@@ -704,7 +730,7 @@ def test_odd_boundary_matches_the_dressed_stepwise_column(n):
     identity = _product([_IDENTITY_COEFFS] * (2 * n))
     beta = _slot_coeffs(BETA_I)
     for gate in (build_kim(h1=0.4, h2=0.6), random_kak(2), random_dual_unitary(3)):
-        want = 2.0 ** (-n / 2.0) * _stepwise_apply(_PauliColumnKernel(gate, n), identity, beta)
+        want = 2.0 ** (-n / 2.0) * _stepwise_apply(_hermitian_bundle(gate), n, identity, beta)
         got = boundary_right(BETA_I, n, "odd", gate=gate)
         assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
     p, s = _right_factors(BETA_I, n, "even")
@@ -816,7 +842,7 @@ def test_failed_resumed_extension_leaves_no_stale_entry(monkeypatch, k):
     if entry is not None:
         _, m, _, left = entry
         want = boundary_left(ALPHA_I, 2)
-        kern = _PauliColumnKernel(gate, 2, transpose=True)
+        kern = _PauliColumnKernel(gate, 2)
         for _ in range(m):
             kern.apply(want)
         assert np.array_equal(left, want)
@@ -827,7 +853,7 @@ def test_failed_resumed_extension_leaves_no_stale_entry(monkeypatch, k):
 
 def test_depth5_cells_stay_within_the_memory_guard():
     """n = 5 cells (1, 9), then (0, 9) from memory, on an empty memory: the
-    transposed kernel's buffers (35.7 MB with two workers), l_m (8.4 MB)
+    kernel's buffers (35.7 MB with two workers), l_m (8.4 MB)
     and the boundary factors fit in 48 MB of tracemalloc peak, plus the
     1 MB scratch pair of each worker past two; one more 8 MB vector beside
     l_m, or a second kernel, does not."""
@@ -1287,6 +1313,10 @@ REJECTED_ROWS = {
     "xy pi/5, n = 4": (build_xy(j=np.pi / 5), ALPHA, BETA, 4, 233, None, 175),
     "du seed 7, n = 3": (random_dual_unitary(7), SX, SX, 3, 1789, 0.9951, None),
 }
+# the due fit of each row whose longer window places the unit mode just
+# outside TOL_EIG of 1: 0.99999992 for the kicked XY row, 1.00000012 for
+# the dual-unitary one
+OFF_UNIT_FITS = {"xy pi/5, n = 4": 48, "du seed 7, n = 3": 256}
 
 
 @pytest.mark.parametrize("row", REJECTED_ROWS)
@@ -1296,7 +1326,8 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     returns the float, bit for bit, that the Aitken rule alone gives on the
     same overlaps, at the same m, with route "aitken".  Its lambda2 is the
     |lambda_2| of the latest due fit whose longer window passed the
-    held-out check.
+    held-out check and saw one unit Ritz value; a fit whose longer window
+    sees the unit mode just outside TOL_EIG of 1 measures none.
 
     The kicked XY row is then refitted from memory with a fit at every step
     from m = 32 and the decay check off: the held-out check alone still
@@ -1311,6 +1342,7 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     due = [(n, m) for m in range(iterations) if transfer._fit_due(n, m)]
     assert due and fits == due
     outcomes = [trajectory.fits[m] for _, m in due]
+    assert trajectory.fits[OFF_UNIT_FITS[row]] is None
     assert all(fit is None or fit["values"] is None for fit in outcomes)
     measured = [fit["lambda2"] for fit in outcomes if fit is not None]
     assert res.meta["lambda2"] == measured[-1]
@@ -1346,11 +1378,12 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
 
 def test_longtime_lambda2_never_reads_one_or_more(applies, monkeypatch):
     """The due fit of random_dual_unitary(7), sigma = X, n = 3 even at
-    m = 256 passes its held-out check with a second Ritz value of modulus
-    1.0000001, just outside TOL_EIG of 1; the fits from m = 512 on read
-    0.99507.  A Ritz value at 1 or above measures no |lambda_2|, so an
-    Aitken stop anywhere from m = 257 to 511 (forced here on the row's own
-    trajectory) reports none, and no fit outcome holds such a lambda2."""
+    m = 256 passes its held-out check with its unit mode at 1.0000001,
+    just outside TOL_EIG of 1, so that no Ritz value counts as the unit
+    one; the fits from m = 512 on read 0.99507.  Such a fit measures no
+    |lambda_2|, nor does a Ritz value at 1 or above, so an Aitken stop
+    anywhere from m = 257 to 511 (forced here on the row's own trajectory)
+    reports none, and no fit outcome holds such a lambda2."""
     gate, alpha, beta, n, _, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
     otoc_longtime(gate, alpha, beta, n, "even")
     trajectory = _TRAJECTORY_MEMO[n]
