@@ -157,12 +157,19 @@ def load_config_file(path: str) -> dict:
     """JSON (dict at top level) or plain ``key=value`` lines, ``#`` comments.
 
     Every key must name a run setting; ``preset`` is not one, since a preset
-    comes only through ``--preset``.
+    comes only through ``--preset``.  A file that cannot be read, or that
+    starts like JSON and does not parse, is a ConfigError too.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from exc
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object")
     else:

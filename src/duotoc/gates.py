@@ -6,7 +6,7 @@ All gates are two-qubit 4x4 unitaries in the index convention of
 output pair (a,b) with the left site slower.  ``_check_qubits`` is the one
 place that decides q = 2: the transfer entry points and every function of
 this module, ``opalg`` and ``channels`` that takes a gate call it before
-they reshape anything.  Only the brute-force oracle takes other q.
+they reshape anything, and so do the brute-force oracle's entry points.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def gate_matrix(gate) -> np.ndarray:
 
 def _check_qubits(gate, *ops):
     """Raise unless ``gate`` (if not None) is 4 x 4 and every insertion in
-    ``ops`` is 2 x 2: every model here is a qubit chain, and only the
-    brute-force oracle takes another local dimension."""
+    ``ops`` is 2 x 2: every model here, the brute-force oracle's chain
+    included, is a qubit chain."""
     shapes = [np.shape(op) for op in ops]
     want = [(2, 2)] * len(ops)
     if gate is not None:
@@ -63,7 +63,7 @@ def _check_qubits(gate, *ops):
         want.append((4, 4))
     if shapes != want:
         raise ValueError(f"only q = 2 is supported (got shapes {shapes}, need "
-                         f"{want}); the oracle takes other q")
+                         f"{want})")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Conventions used throughout the package
 ---------------------------------------
-* Every site is a qubit (q = 2); only the brute-force oracle takes another
-  local dimension, and ``gates._check_qubits`` rejects anything else.
+* Every site is a qubit (q = 2), and ``gates._check_qubits`` rejects
+  anything else.
+* Insertions are Hermitian: ``_hermitian`` is the one rule, shared by the
+  transfer side and the brute-force oracle.
 * Vectorization is row-major: operator element ``(i, j)`` maps to flat index
   ``i*2 + j``.  ``vec(U X V) = (U kron V^T) vec(X)``.
 * Two-site indices pair as ``(a, b) -> a*2 + b`` with the LEFT site slower.
@@ -28,11 +30,15 @@ TOL_UNITARY = 1e-10
 TOL_EIG = 1e-8
 # Operator-basis orthonormality.
 TOL_BASIS = 1e-14
+# Insertion admission: the largest entry of op - op^dag that still counts as
+# Hermitian.
+TOL_REAL = 1e-10
 
 __all__ = [
     "TOL_UNITARY",
     "TOL_EIG",
     "TOL_BASIS",
+    "TOL_REAL",
     "PAULI",
     "op_to_vec",
     "vec_to_op",
@@ -104,6 +110,17 @@ def is_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> bool:
 def assert_unitary(U: np.ndarray, tol: float = TOL_UNITARY, name: str = "gate"):
     if not is_unitary(U, tol):
         raise ValueError(f"{name} is not unitary within {tol}")
+
+
+def _hermitian(op) -> np.ndarray:
+    """``op`` as a complex array, if no entry of op - op^dag exceeds
+    TOL_REAL; raises ValueError otherwise."""
+    op = np.asarray(op, dtype=complex)
+    residue = float(np.abs(op - op.conj().T).max())
+    if residue > TOL_REAL:
+        raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
+                         "operators Hermitian?")
+    return op
 
 
 def dual(U: np.ndarray) -> np.ndarray:

@@ -34,8 +34,8 @@ bilinear overlap of the complex vectors.  ``build_transfer`` returns the
 complex-basis matrix T in the same basis, Q^T T conj(Q) slot by slot, so it
 carries the right coefficients and its transpose the left ones.  Every
 entry point rejects a gate that is not 4 x 4 or an insertion that is not
-2 x 2 (``gates._check_qubits``), and it rejects non-Hermitian insertions,
-whose coefficients would not be real.
+2 x 2 (``gates._check_qubits``), and it rejects non-Hermitian insertions
+(``opalg._hermitian``), whose coefficients would not be real.
 
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
@@ -66,10 +66,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, swap_gate
+from .opalg import PAULI, TOL_EIG, _hermitian, swap_gate
 
 TOL_FIXED = 1e-10
-TOL_REAL = 1e-10
 TOL_RADIUS = 1e-8
 N_MAX_DENSE = 3
 N_MAX_APPLY = 5
@@ -119,15 +118,6 @@ def _check_depth(n: int):
 # Q: columns are vec(sigma_mu)/sqrt(2), the unitary change from the
 # orthonormal Hermitian leg basis to the computational folded basis
 _QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in PAULI], axis=1)
-
-
-def _hermitian(op) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    residue = float(np.abs(op - op.conj().T).max())
-    if residue > TOL_REAL:
-        raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
-                         "operators Hermitian?")
-    return op
 
 
 def _slot_coeffs(op) -> np.ndarray:

@@ -302,6 +302,23 @@ def test_config_file_rejects_keys_it_cannot_apply(tmp_path, fmt, key, message):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("text,message", [('{"gate": "kim",', "is not valid JSON"),
+                                          (None, "No such file")],
+                         ids=["broken-json", "missing-file"])
+def test_config_file_that_cannot_be_read_exits_2(tmp_path, text, message):
+    """A config file that is not valid JSON, or does not exist, stops the run
+    with a usage error and exit 2, not a traceback."""
+    cfg = tmp_path / ("broken.json" if text is not None else "nope.cfg")
+    if text is not None:
+        cfg.write_text(text)
+    ns = argparse.Namespace(config=str(cfg), strict=False)
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(ns)
+    with pytest.raises(SystemExit) as err:
+        main(["corr", "--config", str(cfg)])
+    assert err.value.code == 2
+
+
 @pytest.mark.parametrize("fmt", ["keyvalue", "json"])
 @pytest.mark.parametrize("key,value", [("tmax", "abc"), ("tmax", 3.7), ("nmax", ""),
                                        ("seed", 1.5), ("strict", "ture"),

@@ -11,10 +11,10 @@ import pytest
 from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import PAULI
 from duotoc.oracle import (
+    _SITE_BASIS,
     ChainSpec,
     _conjugate_layer,
-    _planes,
-    _site_basis,
+    _site_coords,
     _superoperator,
     _translate,
     evolve_heisenberg,
@@ -23,6 +23,7 @@ from duotoc.oracle import (
     oracle_otoc,
     site_operator,
 )
+from duotoc.transfer import otoc_finite
 
 TOL = 1e-12
 REF_TOL = 1e-13
@@ -37,33 +38,33 @@ REF_GATES = {
 
 
 # ---------------------------------------------------------------------------
-# Dense reference: every bond embedded as a full q^L x q^L matrix with np.kron
+# Dense reference: every bond embedded as a full 2^L x 2^L matrix with np.kron
 # and a transpose, layers and U(t) multiplied out.  The library conjugates by
 # the even layer on real coordinates and never forms these products.
 
-def _embed_two_site(U, i, j, L, q=2):
+def _embed_two_site(U, i, j, L):
     """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
     rest = [s for s in range(L) if s not in (i, j)]
     order = [i, j] + rest
     perm = [order.index(s) for s in range(L)]
-    A = np.kron(U, np.eye(q ** (L - 2), dtype=complex)).reshape([q] * (2 * L))
+    A = np.kron(U, np.eye(2 ** (L - 2), dtype=complex)).reshape([2] * (2 * L))
     A = A.transpose(perm + [L + p for p in perm])
-    return A.reshape(q**L, q**L)
+    return A.reshape(2**L, 2**L)
 
 
-def _dense_layers(U, L, q=2):
-    even = np.eye(q**L, dtype=complex)
-    odd = np.eye(q**L, dtype=complex)
+def _dense_layers(U, L):
+    even = np.eye(2**L, dtype=complex)
+    odd = np.eye(2**L, dtype=complex)
     for j in range(0, L, 2):
-        even = _embed_two_site(U, j, j + 1, L, q) @ even
+        even = _embed_two_site(U, j, j + 1, L) @ even
     for j in range(1, L, 2):
-        odd = _embed_two_site(U, j, (j + 1) % L, L, q) @ odd
+        odd = _embed_two_site(U, j, (j + 1) % L, L) @ odd
     return even, odd
 
 
-def _dense_evolution(U, L, t, q=2):
-    even, odd = _dense_layers(U, L, q)
-    out = np.eye(q**L, dtype=complex)
+def _dense_evolution(U, L, t):
+    even, odd = _dense_layers(U, L)
+    out = np.eye(2**L, dtype=complex)
     for k in range(1, t + 1):
         out = (even if k % 2 else odd) @ out
     return out
@@ -72,55 +73,60 @@ def _dense_evolution(U, L, t, q=2):
 # The library's layer conjugation on real coordinates, taken to and from
 # dense matrices for comparison with the references above.
 
-def _coords(op, L, q=2):
-    """The planes of a dense operator's coordinates tr(h_(a_0) (x) ... op) in
-    the oracle's site basis: one for a Hermitian op, else two."""
-    h = _site_basis(q)
+def _coords(op, L):
+    """The real coordinates tr(h_(a_0) (x) ... op) of a dense Hermitian op in
+    the oracle's site basis."""
     # cut[(i, j), a] = h_a[j, i]: each site's digit pair (row, column) to a
-    cut = h.transpose(2, 1, 0).reshape(q * q, q * q)
-    c = np.asarray(op, dtype=complex).reshape((q,) * (2 * L))
+    cut = _SITE_BASIS.transpose(2, 1, 0).reshape(4, 4)
+    c = np.asarray(op, dtype=complex).reshape((2,) * (2 * L))
     c = c.transpose([k for s in range(L) for k in (s, L + s)])
     for _ in range(L):
-        c = np.tensordot(c.reshape(q * q, -1), cut, axes=(0, 0))
-    c = c.reshape(-1)
-    if np.array_equal(op, np.conj(op).T):
-        return np.ascontiguousarray(c.real[None])
-    return np.stack([c.real, c.imag])
+        c = np.tensordot(c.reshape(4, -1), cut, axes=(0, 0))
+    return np.ascontiguousarray(c.reshape(-1).real)
 
 
-def _from_coords(planes, L, q=2):
-    """The dense operator sum_a C[a] h_(a_0) (x) ... of the planes C."""
-    h = _site_basis(q)
-    c = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0]
+def _from_coords(C, L):
+    """The dense operator sum_a C[a] h_(a_0) (x) ... of the coordinates C."""
+    c = C
     for _ in range(L):
-        c = np.tensordot(c.reshape(q * q, -1), h.reshape(q * q, q * q), axes=(0, 0))
-    c = c.reshape((q,) * (2 * L))
-    return c.transpose(list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))).reshape(q**L, -1)
+        c = np.tensordot(c.reshape(4, -1), _SITE_BASIS.reshape(4, 4), axes=(0, 0))
+    c = c.reshape((2,) * (2 * L))
+    return c.transpose(list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))).reshape(2**L, -1)
 
 
-def _site_shift(L, q=2):
+def _by_hermitian_parts(conjugate, H):
+    """conjugate(H) for any dense H = H_1 + i H_2, H_1 and H_2 Hermitian: the
+    oracle carries Hermitian operators only, and conjugation is linear."""
+    H1, H2 = (H + H.conj().T) / 2, (H - H.conj().T) / 2j
+    return conjugate(H1) + 1j * conjugate(H2)
+
+
+def _site_shift(L):
     """The permutation matrix S that moves every site one step to the right,
     site L-1 wrapping to site 0: S|d_0 ... d_(L-1)> = |d_(L-1) d_0 ...>."""
-    rows = np.moveaxis(np.arange(q**L).reshape([q] * L), 0, -1).reshape(-1)
-    S = np.zeros((q**L, q**L))
-    S[rows, np.arange(q**L)] = 1.0
+    rows = np.moveaxis(np.arange(2**L).reshape([2] * L), 0, -1).reshape(-1)
+    S = np.zeros((2**L, 2**L))
+    S[rows, np.arange(2**L)] = 1.0
     return S
 
 
 def layer_conjugations(spec):
     """The even-bond and odd-bond layer conjugations H -> Lambda^dag H
     Lambda of the chain, each a function of a dense H: the oracle's layer
-    on H's coordinates, and for the odd layer that conjugation moved by one
-    site, S even(S^dag H S) S^dag."""
-    L, q = spec.L, spec.q
-    R = _superoperator(gate_matrix(spec.gate), q)
+    on the coordinates of H's Hermitian parts, and for the odd layer that
+    conjugation moved by one site, S even(S^dag H S) S^dag."""
+    L = spec.L
+    R = _superoperator(gate_matrix(spec.gate))
+
+    def hermitian_even(H):
+        C = _coords(H, L)
+        result, _ = _conjugate_layer(C, np.empty_like(C), R, L)
+        return _from_coords(result, L)
 
     def even(H):
-        C = _coords(H, L, q)
-        result, _ = _conjugate_layer(C, np.empty_like(C), R, L)
-        return _from_coords(result, L, q)
+        return _by_hermitian_parts(hermitian_even, H)
 
-    S = _site_shift(L, q)
+    S = _site_shift(L)
     return even, lambda H: S @ even(S.T @ H @ S) @ S.T
 
 
@@ -133,16 +139,18 @@ def evolution_conjugation(spec, H, t):
     return H
 
 
-def _random_operator(q, seed):
-    """A generic, non-Hermitian one-site operator: two coordinate planes."""
+def _random_operator(seed):
+    """A generic, non-Hermitian one-site operator, which the oracle rejects."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 
 
-def _random_hermitian(q, seed):
-    """A generic Hermitian one-site operator: one coordinate plane."""
-    z = _random_operator(q, seed)
-    return z + z.conj().T
+def _random_hermitian(seed):
+    """A generic Hermitian one-site operator, normalized to tr(h^2)/2 = 1 so
+    that the OTOCs and correlators of two of them are of order 1."""
+    z = _random_operator(seed)
+    h = z + z.conj().T
+    return h / np.sqrt(np.trace(h @ h).real / 2)
 
 
 def _random_dense(n, seed, hermitian):
@@ -157,6 +165,8 @@ def test_chain_spec_validation():
         ChainSpec(gate=gate, L=7)  # odd chains break the brickwork
     with pytest.raises(ValueError):
         ChainSpec(gate=gate, L=2)
+    with pytest.raises(ValueError, match="12-qubit"):
+        ChainSpec(gate=gate, L=14)
 
 
 def test_budget_guard():
@@ -252,24 +262,18 @@ def test_embedding_reference_places_the_wrap_bond():
     assert np.abs(got - want).max() == 0.0
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2])
 def test_site_basis_is_orthonormal_and_hermitian(q):
-    h = _site_basis(q)
+    h = _SITE_BASIS
     assert h.shape == (q * q, q, q)
+    assert not h.flags.writeable
     assert np.abs(h - h.conj().transpose(0, 2, 1)).max() == 0.0
     gram = np.einsum("aij,bji->ab", h, h)
     assert np.abs(gram - np.eye(q * q)).max() < 1e-15
-    # the diagonal units come first, so the identity's coordinates are q ones
-    assert np.array_equal(_planes(np.eye(q), q), np.r_[np.ones(q), np.zeros(q * q - q)][None])
-
-
-def test_planes_are_read_from_the_operator():
-    # a Hermitian sigma is one real plane, any other sigma two
-    for q in (2, 3):
-        assert len(_planes(_random_hermitian(q, 40), q)) == 1
-        assert len(_planes(_random_operator(q, 40), q)) == 2
-    assert len(_planes(SY, 2)) == 1
-    assert len(_planes(SX + 1e-12j * SZ, 2)) == 2
+    # E_00, E_11, X/sqrt2, Y/sqrt2: the diagonal units come first, so the
+    # identity's coordinates are q ones
+    assert np.array_equal(h[2:], PAULI[1:3] / np.sqrt(2))
+    assert np.array_equal(_site_coords(np.eye(q)), np.r_[np.ones(q), np.zeros(q * q - q)])
 
 
 @pytest.mark.parametrize("name", sorted(REF_GATES))
@@ -278,26 +282,31 @@ def test_layers_match_dense_embedding(L, name):
     spec = ChainSpec(gate=REF_GATES[name], L=L)
     want_even, want_odd = _dense_layers(gate_matrix(spec.gate), L)
     even, odd = layer_conjugations(spec)
-    for hermitian in (False, True):  # two coordinate planes, then one
+    for hermitian in (False, True):  # a non-Hermitian H by its Hermitian parts
         H = _random_dense(2**L, L, hermitian)
         assert np.abs(even(H) - want_even.conj().T @ H @ want_even).max() < REF_TOL
         # the odd layer holds the wrap bond (L-1, 0)
         assert np.abs(odd(H) - want_odd.conj().T @ H @ want_odd).max() < REF_TOL
 
 
-@pytest.mark.parametrize("q,L", [(2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6)])
+@pytest.mark.parametrize("q,L", [(2, 4), (2, 6), (2, 8), (2, 10)])
 def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
     # L/2 = 2, 3, 4, 5 bonds: pairs only, and pairs followed by one bond
     U = haar_sample(q * q, 31 + L)
     even = U
     for _ in range(L // 2 - 1):
         even = np.kron(even, U)  # bonds (0, 1), (2, 3), ... with site 0 slowest
-    R = _superoperator(U, q)
-    for hermitian in (True, False):  # one coordinate plane, then two
-        H = _random_dense(q**L, L, hermitian)
-        C = _coords(H, L, q)
+    R = _superoperator(U)
+
+    def conjugate(H):
+        C = _coords(H, L)
         got, _ = _conjugate_layer(C, np.empty_like(C), R, L)
-        assert np.abs(_from_coords(got, L, q) - even.conj().T @ H @ even).max() < REF_TOL
+        return _from_coords(got, L)
+
+    for hermitian in (True, False):  # a non-Hermitian H by its Hermitian parts
+        H = _random_dense(q**L, L, hermitian)
+        got = _by_hermitian_parts(conjugate, H)
+        assert np.abs(got - even.conj().T @ H @ even).max() < REF_TOL
 
 
 @pytest.mark.parametrize("name", sorted(REF_GATES))
@@ -305,28 +314,14 @@ def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
 def test_evolution_matches_dense_embedding(L, name):
     spec = ChainSpec(gate=REF_GATES[name], L=L)
     U = gate_matrix(spec.gate)
-    for sigma in (_random_operator(2, L), _random_hermitian(2, L)):
-        for t in range(4):
-            circ = _dense_evolution(U, L, t)
-            for site in (0, 1, L - 1):
-                op = site_operator(sigma, site, L)
-                want = circ.conj().T @ op @ circ
-                assert np.abs(evolution_conjugation(spec, op, t) - want).max() < REF_TOL
-                got = evolve_heisenberg(spec, sigma, site, t)
-                assert np.abs(got - want).max() < REF_TOL
-
-
-def test_qutrit_chain_matches_dense_embedding():
-    L, q = 4, 3
-    U = haar_sample(q * q, 11)
-    spec = ChainSpec(gate=U, L=L, q=q)
-    for sigma in (_random_operator(q, 0), _random_hermitian(q, 0)):
-        for t in range(4):
-            circ = _dense_evolution(U, L, t, q)
-            op = site_operator(sigma, L - 1, L, q)
+    sigma = _random_hermitian(L)
+    for t in range(4):
+        circ = _dense_evolution(U, L, t)
+        for site in (0, 1, L - 1):
+            op = site_operator(sigma, site, L)
             want = circ.conj().T @ op @ circ
             assert np.abs(evolution_conjugation(spec, op, t) - want).max() < REF_TOL
-            got = evolve_heisenberg(spec, sigma, L - 1, t)
+            got = evolve_heisenberg(spec, sigma, site, t)
             assert np.abs(got - want).max() < REF_TOL
 
 
@@ -335,35 +330,32 @@ def test_oracle_values_match_dense_traces(x, t):
     L = 8
     spec = ChainSpec(gate=REF_GATES["kak"], L=L)
     circ = _dense_evolution(gate_matrix(spec.gate), L, t)
-    b = _random_operator(2, 2)
+    a, b = _random_hermitian(1), _random_hermitian(2)
     anchor = (t + 1) % 2 if x >= 0 else t % 2
-    for a in (_random_operator(2, 1), _random_hermitian(2, 1)):
-        A = circ.conj().T @ site_operator(a, anchor, L) @ circ
-        AB = A @ site_operator(b, anchor + x, L)
-        assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
-            np.trace(AB @ AB) / 2**L, abs=REF_TOL)
-        A = circ.conj().T @ site_operator(a, x, L) @ circ
-        assert complex(oracle_correlator(spec, a, x, b, t)) == pytest.approx(
-            np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
+    A = circ.conj().T @ site_operator(a, anchor, L) @ circ
+    AB = A @ site_operator(b, anchor + x, L)
+    assert oracle_otoc(spec, a, b, x, t) == pytest.approx(
+        np.trace(AB @ AB) / 2**L, abs=REF_TOL)
+    A = circ.conj().T @ site_operator(a, x, L) @ circ
+    assert oracle_correlator(spec, a, x, b, t) == pytest.approx(
+        np.trace(A @ site_operator(b, 0, L)) / 2**L, abs=REF_TOL)
 
 
-@pytest.mark.parametrize("L,q", [(4, 2), (6, 2), (8, 2), (4, 3)])
+@pytest.mark.parametrize("L,q", [(4, 2), (6, 2), (8, 2)])
 def test_otoc_trace_matches_dense_at_every_beta_site(L, q):
-    # sigma_beta at every site y = s + x of the chain, x < 0 wrapping round;
-    # the qutrit chain's 81 rows are divided by no power of 2
-    U = gate_matrix(REF_GATES["kak"]) if q == 2 else haar_sample(q * q, 23)
-    spec = ChainSpec(gate=U, L=L, q=q)
-    b = _random_operator(q, 25)
+    # sigma_beta at every site y = s + x of the chain, x < 0 wrapping round
+    U = gate_matrix(REF_GATES["kak"])
+    spec = ChainSpec(gate=U, L=L)
+    a, b = _random_hermitian(24), _random_hermitian(25)
     sites = set()
     for t in range(L // 2):
-        circ = _dense_evolution(U, L, t, q)
+        circ = _dense_evolution(U, L, t)
         for x in range(-t, t + 1):
             anchor = (t + 1) % 2 if x >= 0 else t % 2
-            for a in (_random_operator(q, 24), _random_hermitian(q, 24)):
-                A = circ.conj().T @ site_operator(a, anchor, L, q) @ circ
-                AB = A @ site_operator(b, anchor + x, L, q)
-                assert complex(oracle_otoc(spec, a, b, x, t)) == pytest.approx(
-                    np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
+            A = circ.conj().T @ site_operator(a, anchor, L) @ circ
+            AB = A @ site_operator(b, anchor + x, L)
+            assert oracle_otoc(spec, a, b, x, t) == pytest.approx(
+                np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
             # the chain c = (anchor - t) mod 2 holds the operator at c + t % 2
             sites.add(((anchor - t) % 2 + t % 2 + x) % L)
     assert sites == set(range(L))
@@ -378,6 +370,68 @@ def test_non_unitary_gate_rejected(call):
                 oracle_otoc(spec, SX, SZ, 1, 2)
             else:
                 oracle_correlator(spec, SX, 1, SZ, 2)
+
+
+def _calls_with(spec, op):
+    """Every oracle entry point called with ``op`` as sigma_alpha, then as
+    sigma_beta."""
+    return [lambda: oracle_otoc(spec, op, SZ, 1, 2),
+            lambda: oracle_otoc(spec, SX, op, 1, 2),
+            lambda: oracle_correlator(spec, op, 1, SZ, 2),
+            lambda: oracle_correlator(spec, SX, 1, op, 2),
+            lambda: evolve_heisenberg(spec, op, 1, 2)]
+
+
+def test_other_local_dimensions_rejected():
+    # gates._check_qubits decides q = 2 for the oracle as for the transfer side
+    for spec, op in ((ChainSpec(gate=haar_sample(9, 11), L=4), SY),
+                     (ChainSpec(gate=REF_GATES["kak"], L=6), np.eye(3))):
+        for call in _calls_with(spec, op):
+            with pytest.raises(ValueError, match="only q = 2"):
+                call()
+    with pytest.raises(ValueError, match="only q = 2"):
+        site_operator(np.eye(3), 0, 4)
+
+
+def test_non_hermitian_operators_rejected(monkeypatch):
+    spec = ChainSpec(gate=REF_GATES["kak"], L=6)
+    for call in _calls_with(spec, _random_operator(42)):
+        with pytest.raises(ValueError, match="operators Hermitian"):
+            call()
+    # the one rule of opalg: a residue within TOL_REAL passes, and tightening
+    # TOL_REAL rejects it on both routes
+    beta = SZ + 1e-11j * I2
+    want = oracle_otoc(ChainSpec(gate=REF_GATES["kak"], L=6), SX, SZ, 1, 2)
+    assert oracle_otoc(spec, SX, beta, 1, 2) == pytest.approx(want, abs=TOL)
+    monkeypatch.setattr("duotoc.opalg.TOL_REAL", 1e-12)
+    for call in _calls_with(spec, beta):
+        with pytest.raises(ValueError, match="operators Hermitian"):
+            call()
+    with pytest.raises(ValueError, match="operators Hermitian"):
+        otoc_finite(REF_GATES["kak"], SX, beta, 1, 2)
+
+
+def test_wrapped_beta_site_rejected_and_the_rest_match_a_longer_ring():
+    # once |x| + t >= L, sigma_beta's site wraps round into sigma_alpha(t)'s
+    # support: those cells raise, and every other cell is the infinite
+    # chain's, which a ring of L = 10 gives as well
+    L = 6
+    gate = REF_GATES["kak"]
+    spec, ring = ChainSpec(gate=gate, L=L), ChainSpec(gate=gate, L=10)
+    a, b = _random_hermitian(44), _random_hermitian(45)
+    checked = 0
+    for t in range(L // 2):
+        for x in range(-L - 1, L + 2):
+            for kind in ("otoc", "corr"):
+                if abs(x) + t >= L:
+                    with pytest.raises(ValueError, match=r"\|x\| \+ t < L"):
+                        _memo_value(spec, a, b, (kind, x, t))
+                else:
+                    want = _memo_value(ring, a, b, (kind, x, t))
+                    got = _memo_value(spec, a, b, (kind, x, t))
+                    assert got == pytest.approx(want, abs=REF_TOL), (kind, x, t)
+                    checked += 1
+    assert checked == 2 * (11 + 9 + 7)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +456,7 @@ def _memo_value(spec, a, b, cell):
 @pytest.mark.parametrize("L", [8, 10])
 def test_memo_matches_fresh_spec_exactly(L):
     gate = REF_GATES["kak"]
-    a, b = _random_operator(2, 3), _random_operator(2, 4)
+    a, b = _random_hermitian(3), _random_hermitian(4)
     # L = 10 adds t = 4, on both edges and both anchors: fresh specs are slow
     cells = _memo_grid(L) if L == 8 else [
         ("otoc", -4, 4), ("otoc", -1, 4), ("otoc", 0, 4), ("otoc", 4, 4),
@@ -426,7 +480,7 @@ def test_memo_key_covers_gate_operator_site_and_t():
     # each call changes one part of the key of the call before it
     U = gate_matrix(random_kak(5)).copy()
     spec = ChainSpec(gate=U, L=8)
-    a, b, c = (_random_operator(2, seed) for seed in (9, 10, 11))
+    a, b, c = (_random_hermitian(seed) for seed in (9, 10, 11))
     # (reseed the gate in place with another unitary?, sigma_alpha, x, t)
     steps = [(None, a, 1, 3), (None, a, 1, 1), (None, a, -1, 1),
              (None, c, -1, 1), (6, c, -1, 1)]
@@ -437,15 +491,15 @@ def test_memo_key_covers_gate_operator_site_and_t():
         assert oracle_otoc(spec, sigma, b, x, t) == want, (reseed, x, t)
 
 
-# The chain's buffers are the size of one operator's coordinates: two
-# planes (16 * 4^8 bytes at L = 8) for a non-Hermitian sigma_alpha, the size
-# of the complex 2^8 x 2^8 matrix, and one plane (8 * 4^8) for a Hermitian one.
-PLANE_CASES = [(_random_operator(2, 12), 16 * 4**8), (_random_hermitian(2, 12), 8 * 4**8)]
+# The chain's buffers are the size of one operator's real coordinates,
+# 8 * 4^8 bytes at L = 8, half the size of the complex 2^8 x 2^8 matrix.
+PLANE_CASE = (_random_hermitian(12), 8 * 4**8)
 
 
 def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
     gate = REF_GATES["kak"]
-    b = _random_operator(2, 13)
+    a, matrix = PLANE_CASE
+    b = _random_hermitian(13)
 
     def peak(warm):
         tracemalloc.start()
@@ -461,50 +515,37 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
     # the warm-up leaves sigma_alpha(1, 2) in the memo, or the same state
     # evolved by evolve_heisenberg, whose dense matrix it handed out and is
     # freed
-    for a, matrix in PLANE_CASES:
-        held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
-        none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
-        assert held < none + matrix // 4, matrix
-        # the spec's two buffers are all that is of matrix size, even mid-step
-        assert max(held, none) < 2 * matrix + matrix // 4, matrix
+    held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
+    none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
+    assert held < none + matrix // 4, matrix
+    # the spec's two buffers are all that is of matrix size, even mid-step
+    assert max(held, none) < 2 * matrix + matrix // 4, matrix
 
 
 def test_memo_memory_stays_flat_on_a_warm_spec():
     # a step, the first check of a new gate and a trace each run in the
     # spec's two buffers
-    b = _random_operator(2, 29)
-    for a, matrix in PLANE_CASES:
-        U = gate_matrix(random_kak(5)).copy()
-        tracemalloc.start()
-        try:
-            spec = ChainSpec(gate=U, L=8)
-            oracle_otoc(spec, a, b, 0, 1)
+    a, matrix = PLANE_CASE
+    b = _random_hermitian(29)
+    U = gate_matrix(random_kak(5)).copy()
+    tracemalloc.start()
+    try:
+        spec = ChainSpec(gate=U, L=8)
+        oracle_otoc(spec, a, b, 0, 1)
 
-            def rise(call):
-                tracemalloc.reset_peak()
-                held = tracemalloc.get_traced_memory()[0]
-                call()
-                return tracemalloc.get_traced_memory()[1] - held
+        def rise(call):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
 
-            step = rise(lambda: oracle_otoc(spec, a, b, 0, 2))
-            trace = rise(lambda: oracle_otoc(spec, a, b, 1, 2))
-            U[:] = gate_matrix(random_kak(6))
-            check = rise(lambda: oracle_otoc(spec, a, b, 0, 0))
-        finally:
-            tracemalloc.stop()
-        assert max(step, trace, check) < matrix // 4, (matrix, step, trace, check)
-
-
-def test_memo_grows_its_buffers_for_a_second_plane():
-    # one plane for a Hermitian sigma_alpha, two once a non-Hermitian one
-    # comes, and the two-plane buffers then serve the Hermitian one again
-    gate = REF_GATES["kak"]
-    herm, other, b = _random_hermitian(2, 41), _random_operator(2, 42), _random_operator(2, 43)
-    spec = ChainSpec(gate=gate, L=8)
-    for a, planes in ((herm, 1), (other, 2), (herm, 2)):
-        want = oracle_otoc(ChainSpec(gate=gate, L=8), a, b, 1, 3)
-        assert oracle_otoc(spec, a, b, 1, 3) == want
-        assert [len(buffer) for buffer in spec._memo.buffers] == [planes, planes]
+        step = rise(lambda: oracle_otoc(spec, a, b, 0, 2))
+        trace = rise(lambda: oracle_otoc(spec, a, b, 1, 2))
+        U[:] = gate_matrix(random_kak(6))
+        check = rise(lambda: oracle_otoc(spec, a, b, 0, 0))
+    finally:
+        tracemalloc.stop()
+    assert max(step, trace, check) < matrix // 4, (matrix, step, trace, check)
 
 
 def test_memo_check_never_serves_a_clobbered_state():
@@ -512,7 +553,7 @@ def test_memo_check_never_serves_a_clobbered_state():
     # the first; a failing check must drop the state as well as a passing one
     U = gate_matrix(random_kak(5)).copy()
     saved = U.copy()
-    a, b = _random_operator(2, 30), _random_operator(2, 31)
+    a, b = _random_hermitian(30), _random_hermitian(31)
     want = oracle_otoc(ChainSpec(gate=saved.copy(), L=8), a, b, 1, 3)
     spec = ChainSpec(gate=U, L=8)
     assert oracle_otoc(spec, a, b, 1, 3) == want
@@ -541,7 +582,7 @@ def test_memo_rechecks_gate_changed_in_place():
 
 def test_memo_threads_sharing_a_spec_give_serial_values():
     gate = REF_GATES["du"]
-    a, b = _random_operator(2, 5), _random_operator(2, 6)
+    a, b = _random_hermitian(5), _random_hermitian(6)
     cells = _memo_grid(8)
     serial_spec = ChainSpec(gate=gate, L=8)
     serial = [_memo_value(serial_spec, a, b, c) for c in cells]
@@ -564,7 +605,7 @@ def test_memo_threads_check_a_fresh_spec_once(conjugations):
     # at t = 0 no step runs, so the one conjugation is the unitarity check's;
     # four threads on the shared spec start together
     spec = ChainSpec(gate=REF_GATES["kak"], L=8)
-    a, b = _random_operator(2, 26), _random_operator(2, 27)
+    a, b = _random_hermitian(26), _random_hermitian(27)
     start = threading.Barrier(4, timeout=60)
 
     def call(_):
@@ -584,7 +625,7 @@ def test_memo_threads_check_a_fresh_spec_once(conjugations):
 
 def test_memo_evolve_heisenberg_returns_an_owned_copy():
     spec = ChainSpec(gate=REF_GATES["kak"], L=8)
-    a, b = _random_operator(2, 7), _random_operator(2, 8)
+    a, b = _random_hermitian(7), _random_hermitian(8)
     x, t = 1, 3
     anchor = (t + 1) % 2
     want = oracle_otoc(spec, a, b, x, t)
@@ -605,23 +646,23 @@ def test_memo_evolve_heisenberg_returns_an_owned_copy():
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_translate_moves_every_site_one_step(L):
-    for sigma in (_random_operator(2, L), _random_hermitian(2, L)):
-        for x in range(L):
-            C = _coords(site_operator(sigma, x, L), L)
-            out = np.empty_like(C)
-            assert np.array_equal(_translate(C, out, 1, L, 2),
-                                  _coords(site_operator(sigma, x + 1, L), L))
-            assert np.array_equal(_translate(C, out, -1, L, 2),
-                                  _coords(site_operator(sigma, x - 1, L), L))
+    sigma = _random_hermitian(L)
+    for x in range(L):
+        C = _coords(site_operator(sigma, x, L), L)
+        out = np.empty_like(C)
+        assert np.array_equal(_translate(C, out, 1, L),
+                              _coords(site_operator(sigma, x + 1, L), L))
+        assert np.array_equal(_translate(C, out, -1, L),
+                              _coords(site_operator(sigma, x - 1, L), L))
     # the odd layer is the even one moved by a site, either way round
     spec = ChainSpec(gate=REF_GATES["kak"], L=L)
-    R = _superoperator(gate_matrix(spec.gate), 2)
+    R = _superoperator(gate_matrix(spec.gate))
     H = _random_dense(2**L, L, True)
     want = _coords(layer_conjugations(spec)[1](H), L)
     for shift in (1, -1):
-        C = _translate(_coords(H, L), np.empty_like(want), -shift, L, 2)
+        C = _translate(_coords(H, L), np.empty_like(want), -shift, L)
         moved, free = _conjugate_layer(C, np.empty_like(C), R, L)
-        assert np.abs(_translate(moved, free, shift, L, 2) - want).max() < REF_TOL
+        assert np.abs(_translate(moved, free, shift, L) - want).max() < REF_TOL
 
 
 def test_chain_values_match_dense_traces_at_every_cell():
@@ -630,10 +671,8 @@ def test_chain_values_match_dense_traces_at_every_cell():
     L = 8
     spec = ChainSpec(gate=REF_GATES["du"], L=L)
     circs = [_dense_evolution(gate_matrix(spec.gate), L, t) for t in range(L // 2)]
-    b = _random_operator(2, 15)
-    cells = [(a, cell) for a in (_random_operator(2, 14), _random_hermitian(2, 14))
-             for cell in _memo_grid(L)]
-    for a, (kind, x, t) in cells:
+    a, b = _random_hermitian(14), _random_hermitian(15)
+    for kind, x, t in _memo_grid(L):
         circ = circs[t]
         if kind == "otoc":
             anchor = (t + 1) % 2 if x >= 0 else t % 2
@@ -643,13 +682,13 @@ def test_chain_values_match_dense_traces_at_every_cell():
         else:
             A = circ.conj().T @ site_operator(a, x, L) @ circ
             want = np.trace(A @ site_operator(b, 0, L)) / 2**L
-        got = complex(_memo_value(spec, a, b, (kind, x, t)))
+        got = _memo_value(spec, a, b, (kind, x, t))
         assert got == pytest.approx(want, abs=REF_TOL), (kind, x, t)
 
 
 def test_chain_requests_in_any_order_equal_a_fresh_spec():
     gate = REF_GATES["kak"]
-    a, b = _random_operator(2, 16), _random_operator(2, 17)
+    a, b = _random_hermitian(16), _random_hermitian(17)
     cells = _memo_grid(8)  # both chains at every t, x < 0 included
     want = {cell: _memo_value(ChainSpec(gate=gate, L=8), a, b, cell) for cell in cells}
     shuffled = [cells[i] for i in np.random.default_rng(18).permutation(len(cells))]
@@ -661,7 +700,7 @@ def test_chain_requests_in_any_order_equal_a_fresh_spec():
 
 def test_chain_request_below_the_remembered_t_restarts(conjugations):
     gate = REF_GATES["kak"]
-    a, b = _random_operator(2, 19), _random_operator(2, 20)
+    a, b = _random_hermitian(19), _random_hermitian(20)
     want = oracle_otoc(ChainSpec(gate=gate, L=8), a, b, 1, 2)
     spec = ChainSpec(gate=gate, L=8)
     oracle_otoc(spec, a, b, 1, 3)
@@ -678,7 +717,7 @@ def test_oracle_sweep_grid_steps_each_chain_once(conjugations):
     x = t runs chain 0 up to tmax, one step per t."""
     L, tmax = 8, 3
     spec = ChainSpec(gate=REF_GATES["kak"], L=L)
-    a, b = _random_operator(2, 21), _random_operator(2, 22)
+    a, b = _random_hermitian(21), _random_hermitian(22)
     for t in range(tmax + 1):
         for x in range(t + 1):
             oracle_otoc(spec, a, b, x, t)

@@ -805,7 +805,7 @@ def test_memo_does_not_bypass_argument_checks(monkeypatch, applies):
     with pytest.raises(ValueError, match="Hermitian"):
         otoc_finite(gate, SX + 1j * SZ, beta, 0, 5)
     with monkeypatch.context() as m:
-        m.setattr("duotoc.transfer.TOL_REAL", 1e-12)
+        m.setattr("duotoc.opalg.TOL_REAL", 1e-12)
         with pytest.raises(ValueError, match="Hermitian"):
             otoc_finite(gate, ALPHA, beta, 0, 5)
     with monkeypatch.context() as m:
@@ -1144,7 +1144,7 @@ def test_longtime_memo_does_not_bypass_argument_checks(monkeypatch, applies):
     with pytest.raises(ValueError, match="parity"):
         otoc_longtime(gate, ALPHA, beta, 2, "Odd")
     with monkeypatch.context() as m:
-        m.setattr("duotoc.transfer.TOL_REAL", 1e-12)
+        m.setattr("duotoc.opalg.TOL_REAL", 1e-12)
         with pytest.raises(ValueError, match="Hermitian"):
             otoc_longtime(gate, ALPHA, beta, 2, "odd")
     with monkeypatch.context() as m:
