@@ -60,19 +60,18 @@ def applies(monkeypatch):
 
 @pytest.fixture
 def conjugations(monkeypatch):
-    """The layer parity of every oracle layer conjugation that follows, in
-    call order: the oracle conjugates coordinates by the even layer alone,
-    once in the unitarity check per chain and gate and once per evolution
-    step."""
-    parities = []
+    """The window width of every oracle layer conjugation that follows, in
+    call order: one conjugation per evolution step, of the light-cone window
+    that the step reaches."""
+    widths = []
     conjugate = oracle._conjugate_layer
 
-    def counted(coords, scratch, superoperator, L):
-        parities.append("even")
-        return conjugate(coords, scratch, superoperator, L)
+    def counted(coords, superoperator, w):
+        widths.append(w)
+        return conjugate(coords, superoperator, w)
 
     monkeypatch.setattr(oracle, "_conjugate_layer", counted)
-    return parities
+    return widths
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -365,17 +365,6 @@ def test_oracle_check_passes_strict(tmp_path):
         assert float(row["delta"]) < TOL
 
 
-def test_oracle_check_fig5_extends_the_chain_row_by_row(tmp_path, conjugations):
-    """oracle-check fig5 clamps tmax to 3 on the L = 8 chain and runs every
-    cell on chain 1, one row after another: the unitarity check's one
-    conjugation by the even layer, then three steps for the t = 3 row and,
-    after the t = 0 row restarts the chain, one each for the rows t = 1
-    and 2."""
-    out = tmp_path / "oc.csv"
-    assert main(["oracle-check", "--preset", "fig5", "--out", str(out)]) == 0
-    assert conjugations == ["even"] * 6
-
-
 def test_spectrum_rows(capsys):
     code = main(["spectrum", "--gate", "xy", "--params", str(np.pi / 10)])
     lines = capsys.readouterr().out.strip().splitlines()

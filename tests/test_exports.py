@@ -57,3 +57,25 @@ def test_every_export_has_a_reader_or_is_paper_content():
 def test_paper_content_names_are_exported():
     stale = sorted(_paper_content() - set(duotoc.__all__))
     assert stale == [], f"README paper content names no export: {stale}"
+
+
+def test_oracle_imports_only_the_gate_and_the_input_rules():
+    """The oracle is the ground truth, so it shares no code with the
+    transfer side beyond the gate: of the package it imports ``gates`` and
+    ``opalg`` alone."""
+    with open(os.path.join(SRC, "oracle.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from .x import ..., or from . import x
+                imported |= ({node.module} if node.module
+                             else {alias.name for alias in node.names})
+            elif node.module.split(".")[0] == "duotoc":
+                imported.add(node.module.partition(".")[2] or "duotoc")
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.partition(".")[2] or "duotoc"
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "duotoc"}
+    assert imported <= {"gates", "opalg"}, sorted(imported)
+    assert imported, "oracle.py imports nothing of the package?"

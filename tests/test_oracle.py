@@ -1,7 +1,7 @@
 """Brute-force chain simulator: exactness at small sizes, budgets, sampling."""
 
+import functools
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
-from duotoc.opalg import PAULI
+from duotoc.opalg import PAULI, TOL_UNITARY
 from duotoc.oracle import (
     _SITE_BASIS,
     ChainSpec,
     _conjugate_layer,
     _site_coords,
     _superoperator,
-    _translate,
     evolve_heisenberg,
     haar_sample,
     oracle_correlator,
@@ -39,8 +38,9 @@ REF_GATES = {
 
 # ---------------------------------------------------------------------------
 # Dense reference: every bond embedded as a full 2^L x 2^L matrix with np.kron
-# and a transpose, layers and U(t) multiplied out.  The library conjugates by
-# the even layer on real coordinates and never forms these products.
+# and a transpose, layers and U(t) multiplied out.  The library conjugates a
+# light-cone window by its bonds on real coordinates and never forms these
+# products.
 
 def _embed_two_site(U, i, j, L):
     """Dense embedding of a two-site gate acting on sites (i, j) of L sites."""
@@ -119,9 +119,7 @@ def layer_conjugations(spec):
     R = _superoperator(gate_matrix(spec.gate))
 
     def hermitian_even(H):
-        C = _coords(H, L)
-        result, _ = _conjugate_layer(C, np.empty_like(C), R, L)
-        return _from_coords(result, L)
+        return _from_coords(_conjugate_layer(_coords(H, L), R, L), L)
 
     def even(H):
         return _by_hermitian_parts(hermitian_even, H)
@@ -299,9 +297,7 @@ def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
     R = _superoperator(U)
 
     def conjugate(H):
-        C = _coords(H, L)
-        got, _ = _conjugate_layer(C, np.empty_like(C), R, L)
-        return _from_coords(got, L)
+        return _from_coords(_conjugate_layer(_coords(H, L), R, L), L)
 
     for hermitian in (True, False):  # a non-Hermitian H by its Hermitian parts
         H = _random_dense(q**L, L, hermitian)
@@ -321,8 +317,14 @@ def test_evolution_matches_dense_embedding(L, name):
             op = site_operator(sigma, site, L)
             want = circ.conj().T @ op @ circ
             assert np.abs(evolution_conjugation(spec, op, t) - want).max() < REF_TOL
-            got = evolve_heisenberg(spec, sigma, site, t)
-            assert np.abs(got - want).max() < REF_TOL
+            if 2 * t < L:
+                got = evolve_heisenberg(spec, sigma, site, t)
+                assert np.abs(got - want).max() < REF_TOL
+            else:  # the operator would wrap round the ring onto itself
+                with pytest.raises(ValueError, match="2t < L"):
+                    evolve_heisenberg(spec, sigma, site, t)
+    with pytest.raises(ValueError, match="non-negative"):
+        evolve_heisenberg(spec, sigma, 1, -1)
 
 
 @pytest.mark.parametrize("x,t", [(0, 0), (1, 1), (-1, 1), (2, 2), (-2, 3), (3, 3)])
@@ -343,22 +345,25 @@ def test_oracle_values_match_dense_traces(x, t):
 
 @pytest.mark.parametrize("L,q", [(4, 2), (6, 2), (8, 2)])
 def test_otoc_trace_matches_dense_at_every_beta_site(L, q):
-    # sigma_beta at every site y = s + x of the chain, x < 0 wrapping round
+    # sigma_beta on every site of sigma_alpha(t)'s window and on the identity
+    # sites next to it, x < 0 wrapping round the ring
     U = gate_matrix(REF_GATES["kak"])
     spec = ChainSpec(gate=U, L=L)
     a, b = _random_hermitian(24), _random_hermitian(25)
-    sites = set()
+    places = set()
     for t in range(L // 2):
         circ = _dense_evolution(U, L, t)
-        for x in range(-t, t + 1):
+        for x in range(-t - 1, t + 2):
             anchor = (t + 1) % 2 if x >= 0 else t % 2
             A = circ.conj().T @ site_operator(a, anchor, L) @ circ
             AB = A @ site_operator(b, anchor + x, L)
             assert oracle_otoc(spec, a, b, x, t) == pytest.approx(
                 np.trace(AB @ AB) / q**L, abs=REF_TOL), (x, t)
-            # the chain c = (anchor - t) mod 2 holds the operator at c + t % 2
-            sites.add(((anchor - t) % 2 + t % 2 + x) % L)
-    assert sites == set(range(L))
+            # the window is [anchor - t + c, anchor + t + c), c = 1 for x >= 0
+            # and 0 for x < 0; at t = 0 it is the anchor's site alone
+            places.add((t, x + t - (x >= 0) if t else x))
+    top = L // 2 - 1
+    assert {y for s, y in places if s == top} == set(range(-1, 2 * top + 1))
 
 
 @pytest.mark.parametrize("call", ["otoc", "correlator"])
@@ -413,8 +418,8 @@ def test_non_hermitian_operators_rejected(monkeypatch):
 
 def test_wrapped_beta_site_rejected_and_the_rest_match_a_longer_ring():
     # once |x| + t >= L, sigma_beta's site wraps round into sigma_alpha(t)'s
-    # support: those cells raise, and every other cell is the infinite
-    # chain's, which a ring of L = 10 gives as well
+    # support on the ring: those cells raise, and every other cell is the
+    # infinite chain's, which a longer chain gives as well
     L = 6
     gate = REF_GATES["kak"]
     spec, ring = ChainSpec(gate=gate, L=L), ChainSpec(gate=gate, L=10)
@@ -425,28 +430,28 @@ def test_wrapped_beta_site_rejected_and_the_rest_match_a_longer_ring():
             for kind in ("otoc", "corr"):
                 if abs(x) + t >= L:
                     with pytest.raises(ValueError, match=r"\|x\| \+ t < L"):
-                        _memo_value(spec, a, b, (kind, x, t))
+                        _value(spec, a, b, (kind, x, t))
                 else:
-                    want = _memo_value(ring, a, b, (kind, x, t))
-                    got = _memo_value(spec, a, b, (kind, x, t))
+                    want = _value(ring, a, b, (kind, x, t))
+                    got = _value(spec, a, b, (kind, x, t))
                     assert got == pytest.approx(want, abs=REF_TOL), (kind, x, t)
                     checked += 1
     assert checked == 2 * (11 + 9 + 7)
 
 
 # ---------------------------------------------------------------------------
-# Per-chain memo: one shared spec gives exactly the values of a fresh spec per
-# call, re-checks a gate changed in place, holds its two buffers and nothing
-# else of matrix size, and hands out no array that a caller can change.
-# test_non_unitary_gate_rejected checks that a failure is never remembered.
+# A shared spec: every call evolves its own window from scratch, so one spec
+# gives exactly the values of a fresh spec per call, in any order and from
+# several threads, checks a gate changed in place again, holds nothing of
+# matrix size between calls, and hands out no array that a caller can change.
 
-def _memo_grid(L):
-    """(kind, x, t) cells for 2t < L, t outer so one evolution serves several x."""
+def _cells(L):
+    """(kind, x, t) cells for 2t < L: every x of the light cone at each t."""
     return [(kind, x, t) for t in range(L // 2) for kind in ("otoc", "corr")
             for x in range(-t, t + 1)]
 
 
-def _memo_value(spec, a, b, cell):
+def _value(spec, a, b, cell):
     kind, x, t = cell
     if kind == "otoc":
         return oracle_otoc(spec, a, b, x, t)
@@ -457,14 +462,14 @@ def _memo_value(spec, a, b, cell):
 def test_memo_matches_fresh_spec_exactly(L):
     gate = REF_GATES["kak"]
     a, b = _random_hermitian(3), _random_hermitian(4)
-    # L = 10 adds t = 4, on both edges and both anchors: fresh specs are slow
-    cells = _memo_grid(L) if L == 8 else [
+    # L = 10 adds t = 4, on both edges and both anchors
+    cells = _cells(L) if L == 8 else [
         ("otoc", -4, 4), ("otoc", -1, 4), ("otoc", 0, 4), ("otoc", 4, 4),
         ("corr", 4, 4)]
     shared = ChainSpec(gate=gate, L=L)
     for cell in cells:
-        got = _memo_value(shared, a, b, cell)
-        want = _memo_value(ChainSpec(gate=gate, L=L), a, b, cell)
+        got = _value(shared, a, b, cell)
+        want = _value(ChainSpec(gate=gate, L=L), a, b, cell)
         assert got == want, cell
 
 
@@ -477,7 +482,8 @@ def test_memo_leaves_spec_equality_and_repr_alone():
 
 
 def test_memo_key_covers_gate_operator_site_and_t():
-    # each call changes one part of the key of the call before it
+    # each call changes one input of the call before it, the gate in place
+    # among them
     U = gate_matrix(random_kak(5)).copy()
     spec = ChainSpec(gate=U, L=8)
     a, b, c = (_random_hermitian(seed) for seed in (9, 10, 11))
@@ -491,8 +497,8 @@ def test_memo_key_covers_gate_operator_site_and_t():
         assert oracle_otoc(spec, sigma, b, x, t) == want, (reseed, x, t)
 
 
-# The chain's buffers are the size of one operator's real coordinates,
-# 8 * 4^8 bytes at L = 8, half the size of the complex 2^8 x 2^8 matrix.
+# The real coordinates of an operator on the whole chain, 8 * 4^8 bytes at
+# L = 8, half the size of the complex 2^8 x 2^8 matrix.
 PLANE_CASE = (_random_hermitian(12), 8 * 4**8)
 
 
@@ -512,19 +518,19 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
         finally:
             tracemalloc.stop()
 
-    # the warm-up leaves sigma_alpha(1, 2) in the memo, or the same state
-    # evolved by evolve_heisenberg, whose dense matrix it handed out and is
-    # freed
+    # the warm-up is an OTOC call, or evolve_heisenberg, whose dense matrix
+    # it handed out and is freed: neither leaves anything behind that the
+    # next call pays for
     held = peak(lambda spec: oracle_otoc(spec, a, b, 0, 2))
     none = peak(lambda spec: evolve_heisenberg(spec, a, 1, 2))
     assert held < none + matrix // 4, matrix
-    # the spec's two buffers are all that is of matrix size, even mid-step
-    assert max(held, none) < 2 * matrix + matrix // 4, matrix
+    # nothing of the chain's coordinate size, even mid-step
+    assert max(held, none) < matrix // 4, matrix
 
 
 def test_memo_memory_stays_flat_on_a_warm_spec():
-    # a step, the first check of a new gate and a trace each run in the
-    # spec's two buffers
+    # a longer evolution, a trace at the same t and the check of a new gate
+    # each allocate less than a quarter of the chain's coordinates
     a, matrix = PLANE_CASE
     b = _random_hermitian(29)
     U = gate_matrix(random_kak(5)).copy()
@@ -549,8 +555,8 @@ def test_memo_memory_stays_flat_on_a_warm_spec():
 
 
 def test_memo_check_never_serves_a_clobbered_state():
-    # the check of another gate overwrites the buffers that hold sigma(t) of
-    # the first; a failing check must drop the state as well as a passing one
+    # checking another gate, passing or failing, leaves the values of the
+    # first as they were
     U = gate_matrix(random_kak(5)).copy()
     saved = U.copy()
     a, b = _random_hermitian(30), _random_hermitian(31)
@@ -561,7 +567,7 @@ def test_memo_check_never_serves_a_clobbered_state():
     oracle_otoc(spec, a, b, 1, 3)
     U[:] = saved
     assert oracle_otoc(spec, a, b, 1, 3) == want
-    oracle_otoc(spec, a, b, 1, 3)  # sigma(3) of U is remembered again
+    oracle_otoc(spec, a, b, 1, 3)
     U *= 1.001
     with pytest.raises(ValueError, match="not unitary"):
         oracle_otoc(spec, a, b, 1, 3)
@@ -583,44 +589,22 @@ def test_memo_rechecks_gate_changed_in_place():
 def test_memo_threads_sharing_a_spec_give_serial_values():
     gate = REF_GATES["du"]
     a, b = _random_hermitian(5), _random_hermitian(6)
-    cells = _memo_grid(8)
+    cells = _cells(8)
     serial_spec = ChainSpec(gate=gate, L=8)
-    serial = [_memo_value(serial_spec, a, b, c) for c in cells]
+    serial = [_value(serial_spec, a, b, c) for c in cells]
     shared = ChainSpec(gate=gate, L=8)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads between the memo's steps
+    sys.setswitchinterval(1e-6)  # switch threads between a call's steps
     try:
-        # rounds in shifted orders, so the threads keep replacing the entry
+        # rounds in shifted orders, so calls at different t overlap
         with ThreadPoolExecutor(max_workers=8) as pool:
             for order in (cells, cells[11:] + cells[:11], cells[::-1]):
-                values = pool.map(lambda c: _memo_value(shared, a, b, c), order,
+                values = pool.map(lambda c: _value(shared, a, b, c), order,
                                   timeout=120)
                 got = dict(zip(order, values))
                 assert [got[c] for c in cells] == serial
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_memo_threads_check_a_fresh_spec_once(conjugations):
-    # at t = 0 no step runs, so the one conjugation is the unitarity check's;
-    # four threads on the shared spec start together
-    spec = ChainSpec(gate=REF_GATES["kak"], L=8)
-    a, b = _random_hermitian(26), _random_hermitian(27)
-    start = threading.Barrier(4, timeout=60)
-
-    def call(_):
-        start.wait()
-        return oracle_otoc(spec, a, b, 0, 0)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            values = list(pool.map(call, range(4), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert conjugations == ["even"]
-    assert values == [oracle_otoc(ChainSpec(gate=REF_GATES["kak"], L=8), a, b, 0, 0)] * 4
 
 
 def test_memo_evolve_heisenberg_returns_an_owned_copy():
@@ -639,40 +623,21 @@ def test_memo_evolve_heisenberg_returns_an_owned_copy():
     assert oracle_otoc(spec, a, b, x, t) == want
 
 
+
+
 # ---------------------------------------------------------------------------
-# Two translated chains: a step translates the operator by one site and
-# conjugates it by the even layer, chain c = (a - t) mod 2 serves sigma_alpha
-# at site a, and a request at a later t extends the remembered chain state.
-
-@pytest.mark.parametrize("L", [4, 6, 8])
-def test_translate_moves_every_site_one_step(L):
-    sigma = _random_hermitian(L)
-    for x in range(L):
-        C = _coords(site_operator(sigma, x, L), L)
-        out = np.empty_like(C)
-        assert np.array_equal(_translate(C, out, 1, L),
-                              _coords(site_operator(sigma, x + 1, L), L))
-        assert np.array_equal(_translate(C, out, -1, L),
-                              _coords(site_operator(sigma, x - 1, L), L))
-    # the odd layer is the even one moved by a site, either way round
-    spec = ChainSpec(gate=REF_GATES["kak"], L=L)
-    R = _superoperator(gate_matrix(spec.gate))
-    H = _random_dense(2**L, L, True)
-    want = _coords(layer_conjugations(spec)[1](H), L)
-    for shift in (1, -1):
-        C = _translate(_coords(H, L), np.empty_like(want), -shift, L)
-        moved, free = _conjugate_layer(C, np.empty_like(C), R, L)
-        assert np.abs(_translate(moved, free, shift, L) - want).max() < REF_TOL
-
+# Light-cone windows: sigma_alpha at site a and time t is evolved on the 2t
+# sites [a - t + c, a + t + c), c = (a - t) mod 2, one layer conjugation per
+# step of the growing window, and nothing of the chain's size is allocated.
 
 def test_chain_values_match_dense_traces_at_every_cell():
-    # both chains, x < 0, and odd t, where the chain's operator sits at s = 2
-    # while sigma_alpha was asked for at site 0
+    # both frames c = 0 and 1, x < 0, and odd t, where the window starts at
+    # site a - t + c of the chain
     L = 8
     spec = ChainSpec(gate=REF_GATES["du"], L=L)
     circs = [_dense_evolution(gate_matrix(spec.gate), L, t) for t in range(L // 2)]
     a, b = _random_hermitian(14), _random_hermitian(15)
-    for kind, x, t in _memo_grid(L):
+    for kind, x, t in _cells(L):
         circ = circs[t]
         if kind == "otoc":
             anchor = (t + 1) % 2 if x >= 0 else t % 2
@@ -682,46 +647,74 @@ def test_chain_values_match_dense_traces_at_every_cell():
         else:
             A = circ.conj().T @ site_operator(a, x, L) @ circ
             want = np.trace(A @ site_operator(b, 0, L)) / 2**L
-        got = _memo_value(spec, a, b, (kind, x, t))
+        got = _value(spec, a, b, (kind, x, t))
         assert got == pytest.approx(want, abs=REF_TOL), (kind, x, t)
 
 
 def test_chain_requests_in_any_order_equal_a_fresh_spec():
     gate = REF_GATES["kak"]
     a, b = _random_hermitian(16), _random_hermitian(17)
-    cells = _memo_grid(8)  # both chains at every t, x < 0 included
-    want = {cell: _memo_value(ChainSpec(gate=gate, L=8), a, b, cell) for cell in cells}
+    cells = _cells(8)  # both frames at every t, x < 0 included
+    want = {cell: _value(ChainSpec(gate=gate, L=8), a, b, cell) for cell in cells}
     shuffled = [cells[i] for i in np.random.default_rng(18).permutation(len(cells))]
     for order in (cells, cells[::-1], shuffled):
         spec = ChainSpec(gate=gate, L=8)
         for cell in order:
-            assert _memo_value(spec, a, b, cell) == want[cell], cell
+            assert _value(spec, a, b, cell) == want[cell], cell
 
 
-def test_chain_request_below_the_remembered_t_restarts(conjugations):
-    gate = REF_GATES["kak"]
-    a, b = _random_hermitian(19), _random_hermitian(20)
-    want = oracle_otoc(ChainSpec(gate=gate, L=8), a, b, 1, 2)
-    spec = ChainSpec(gate=gate, L=8)
-    oracle_otoc(spec, a, b, 1, 3)
-    conjugations.clear()
-    assert oracle_otoc(spec, a, b, 1, 2) == want
-    assert conjugations == ["even"] * 2  # two steps from t = 0
-    oracle_otoc(spec, a, b, 0, 3)
-    assert conjugations == ["even"] * 3  # and one on to t = 3
-
-
-def test_oracle_sweep_grid_steps_each_chain_once(conjugations):
-    """The oracle cells of the bench's oracle_sweep, at L = 8: the OTOC grid
-    0 <= x <= t <= tmax runs chain 1 up to tmax, then the correlator at
-    x = t runs chain 0 up to tmax, one step per t."""
-    L, tmax = 8, 3
-    spec = ChainSpec(gate=REF_GATES["kak"], L=L)
+def test_a_call_conjugates_its_growing_window_once_per_step(conjugations):
+    # a call at time t conjugates windows of 2, 4, ..., 2t sites, in that
+    # order and nothing else: the unitarity check conjugates nothing, and a
+    # spec remembers no evolution between calls
+    spec = ChainSpec(gate=REF_GATES["kak"], L=10)
     a, b = _random_hermitian(21), _random_hermitian(22)
-    for t in range(tmax + 1):
-        for x in range(t + 1):
-            oracle_otoc(spec, a, b, x, t)
-    for t in range(tmax + 1):
-        oracle_correlator(spec, a, t, b, t)
-    # the unitarity check's one, then 2 * tmax steps
-    assert conjugations == ["even"] + ["even"] * (2 * tmax)
+    for t in range(5):
+        steps = list(range(2, 2 * t + 1, 2))
+        for call in (lambda: oracle_otoc(spec, a, b, 1, t),
+                     lambda: oracle_otoc(spec, a, b, -1, t),
+                     lambda: oracle_correlator(spec, a, t, b, t),
+                     lambda: evolve_heisenberg(spec, a, 0, t)):
+            for _ in range(2):
+                conjugations.clear()
+                call()
+                assert conjugations == steps, t
+
+
+def test_oracle_values_allocate_only_the_window():
+    # L = 12 at t = 2: a window of 4 sites, 2 kB of coordinates, where the
+    # whole ring's are 4^12 floats (128 MB)
+    spec = ChainSpec(gate=REF_GATES["kak"], L=12)
+    a, b = _random_hermitian(23), _random_hermitian(24)
+    tracemalloc.start()
+    try:
+        oracle_otoc(spec, a, b, 1, 2)
+        oracle_correlator(spec, a, 2, b, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_unitarity_bound_covers_the_whole_layer():
+    # (1 + d) U: its bond keeps the identity within eps = (1 + d)^2 - 1,
+    # below TOL_UNITARY, but the chain's even layer of L/2 such bonds
+    # deviates by (1 + d)^L - 1, above it at L = 10; the oracle raises there
+    # and passes the same gate at L = 4, where the layer is within the bound
+    U = (1 + 2e-11) * gate_matrix(random_kak(5))
+    R = _superoperator(U)
+    e = _site_coords(I2)
+    pair = np.kron(e, e)
+    eps = np.abs(pair @ R - pair).max()
+    assert eps < TOL_UNITARY
+    for L, unitary in ((10, False), (4, True)):
+        identity = functools.reduce(np.kron, [e] * L)
+        layer = np.abs(_conjugate_layer(identity, R, L) - identity).max()
+        assert (layer < TOL_UNITARY) == unitary, (L, layer)
+        spec = ChainSpec(gate=U, L=L)
+        if unitary:
+            oracle_otoc(spec, SX, SZ, 1, 1)
+            continue
+        for call in _calls_with(spec, SX):
+            with pytest.raises(ValueError, match="not unitary"):
+                call()
