@@ -6,7 +6,9 @@ left edge.  Channels are stored as 4 x 4 matrices in the Pauli basis,
 element ``(a, b) = tr[PAULI[a]^dag M(PAULI[b])]/2``, so spectra have four
 values.  Both are unital, trace-preserving, completely positive, and
 Hermitian conjugates of each other.  Every entry point that takes a gate
-rejects one that is not 4 x 4 (see ``gates._check_qubits``).
+rejects one that is not 4 x 4 (see ``gates._check_qubits``), and every one
+that takes an insertion rejects one that is not Hermitian
+(``opalg._hermitian``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, assert_unitary, op_to_vec
+from .opalg import PAULI, TOL_EIG, _hermitian, assert_unitary, op_to_vec
 
 __all__ = [
     "Channel",
@@ -136,8 +138,10 @@ def channel_spectrum(channel: Channel, tol: float = TOL_EIG) -> SpectrumReport:
     )
 
 
-def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, t: int):
-    """Infinite-temperature correlator on the right light-cone edge x = t.
+def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
+                         t: int) -> float:
+    """Infinite-temperature correlator on the right light-cone edge x = t,
+    a float for Hermitian insertions.
 
     Evaluates ``tr[sigma_alpha M_plus^t(sigma_beta)]/2`` and cross-checks the
     equivalent ``tr[sigma_beta M_minus^t(sigma_alpha)]/2``; at t = 0 this is
@@ -146,19 +150,20 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray, 
     if t < 0:
         raise ValueError("t must be a non-negative integer")
     _check_qubits(gate, sigma_alpha, sigma_beta)
+    _hermitian(sigma_alpha)
+    _hermitian(sigma_beta)
     U = gate_matrix(gate)
     a = op_to_vec(sigma_alpha)
     b = op_to_vec(sigma_beta)
     if t == 0:
-        return (np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real
+        return float((np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real)
     plus = channel_plus(U)
     minus = channel_minus(U)
     via_plus = np.vdot(a, np.linalg.matrix_power(plus.mat, t) @ b)
     via_minus = np.vdot(b, np.linalg.matrix_power(minus.mat, t) @ a)
     if abs(via_plus - np.conj(via_minus)) > _AGREE_TOL:
         raise AssertionError("edge-channel directions disagree beyond tolerance")
-    val = complex(via_plus)
-    return val.real if abs(val.imag) < _AGREE_TOL else val
+    return float(via_plus.real)
 
 
 def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
@@ -166,6 +171,7 @@ def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     _check_qubits(gate, sigma_beta)
+    _hermitian(sigma_beta)
     b = op_to_vec(sigma_beta)
     w = np.linalg.matrix_power(channel_plus(gate).mat, n) @ b
     return float(np.real(np.vdot(w, w)))

@@ -382,15 +382,16 @@ def cmd_classify(args) -> int:
         return 0
     def _eig_line(rep):
         return ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in rep.eigenvalues)
-    print(f"gate family:        {cfg.gate}  params={list(cfg.params)}"
-          + (f"  seed={cfg.seed}" if cfg.seed is not None else ""))
-    print(f"dual-unitary:       {'yes' if report['dual_unitary'] else 'no'}")
-    print(f"channel M+ eigs:    {_eig_line(plus)}")
-    print(f"channel M- eigs:    {_eig_line(minus)}")
-    print(f"ergodicity class:   {plus.ergodicity_class}")
-    print(f"slowest decay rate: {plus.decay_rate:.12g}")
-    print(f"unit-eigenvalue T_1 eigenvectors: {n_unit}")
-    print(f"maximal velocity (v_B = 1):       {'yes' if n_unit > 1 else 'no'}")
+    lines = [f"gate family:        {cfg.gate}  params={list(cfg.params)}"
+             + (f"  seed={cfg.seed}" if cfg.seed is not None else ""),
+             f"dual-unitary:       {'yes' if report['dual_unitary'] else 'no'}",
+             f"channel M+ eigs:    {_eig_line(plus)}",
+             f"channel M- eigs:    {_eig_line(minus)}",
+             f"ergodicity class:   {plus.ergodicity_class}",
+             f"slowest decay rate: {plus.decay_rate:.12g}",
+             f"unit-eigenvalue T_1 eigenvectors: {n_unit}",
+             f"maximal velocity (v_B = 1):       {'yes' if n_unit > 1 else 'no'}"]
+    _write(cfg, "\n".join(lines) + "\n")
     return 0
 
 

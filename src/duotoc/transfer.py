@@ -45,19 +45,22 @@ boundary in place, l_m = (T^T)^m L, and each step reads the overlaps
 l_m . R of both parities from the right boundaries' factors across the top
 cap, R = sum_t P_t (x) S_t (see ``_right_factors``), never from a dense
 right vector.  The module remembers the latest trajectory of each depth:
-the overlaps of both parities for m = 0..M, a 125-float sketch of each
-step, and l_M itself.  ``otoc_finite`` reads a cell with m <= M from it,
-and ``otoc_longtime`` stops a parity at the first m at which a window of
+the overlaps of both parities for m = 0..M, the snapshots (two overlaps
+and a 125-float sketch each) of the last 32 steps, l_M itself, and each
+parity's long-time stop.  Every step the trajectory records settles both
+parities at once: a parity stops at the first m at which a window of
 Aitken extrapolates (else of overlaps) has settled or a matrix-pencil fit
-of the trailing sketches is accepted (see ``_stopped_limit`` and
-``_sketch_fit``); either extends the trajectory when the remembered steps
-do not reach far enough.
+of the trailing snapshots is accepted (see ``_settle``).  ``otoc_finite``
+reads a cell with m <= M and ``otoc_longtime`` a parity that has stopped
+from the remembered trajectory; either extends it when it does not reach
+far enough.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -77,7 +80,7 @@ CESARO_WINDOW = 64
 STOP_WINDOW = 6
 TOL_STOP = 1e-10
 BLOCK_FLOATS = 2 ** 16
-# the sketched stop (see _sketch_fit): Gaussian rows per right-boundary term,
+# the sketched stop (see _accepted_fit): Gaussian rows per right-boundary term,
 # the two fit windows, the held-out snapshots, the relative SVD truncation,
 # the held-out residual and the decay every non-unit Ritz value must show
 # across a window
@@ -221,7 +224,7 @@ class _PauliColumnKernel:
     worker, one allocation of about 35 MB at n = 5 on one core, plus 1 MB
     per helper.  They make a kernel serve one calling thread at a time (the
     helpers work inside that thread's apply); each extension of a depth's
-    trajectory builds its own kernel (see _extend).
+    trajectory builds its own kernel (see _trajectory_until).
     """
 
     def __init__(self, gate, n: int):
@@ -563,39 +566,34 @@ PARITIES = ("even", "odd")
 
 class _Trajectory(NamedTuple):
     """Depth n's trajectory for ``key`` (the bytes of the gate, sigma_alpha
-    and sigma_beta) after m applications of T^T.
+    and sigma_beta) after m applications of T^T, settled at every step.
 
     ``overlaps`` maps each parity to the floats (L|T^k|R_parity), k = 0..m;
-    ``sketches`` holds the Gaussian sketch of each step's product with the
-    right factors (see _extend); ``left`` is l_m = (T^T)^m L; ``fits`` maps
-    each m at which _sketch_fit ran to its outcome (see _accepted_fit).  The memo
-    keeps tuples in ``overlaps`` and ``sketches``; _extend passes its
-    ``done`` one trajectory whose lists and ``left`` grow in place.
+    ``snapshots`` holds the snapshots of the trailing steps that a fit reads,
+    at most max(SKETCH_WINDOWS) + SKETCH_HOLD: a step's two overlaps, then
+    the Gaussian sketch of its product with the right factors (see
+    _trajectory_until); ``left`` is l_m = (T^T)^m L; ``stops`` maps each
+    parity to its OtocResult at the first m at which it stopped, or None
+    (see _settle); ``lambda2`` is the |lambda_2| of the latest fit that
+    measured one, or None.
     """
 
     key: tuple
     overlaps: dict
-    sketches: tuple
+    snapshots: deque
     left: np.ndarray
-    fits: dict
+    stops: dict
+    lambda2: float
 
     @property
     def m(self) -> int:
-        return len(self.sketches) - 1
+        return len(self.overlaps["even"]) - 1
 
 
 # The latest _Trajectory of each depth n, whose left vector the entry owns.
-# An entry is replaced whole; _extend pops it before it applies the kernel
-# to its l_m in place.  Only ``fits`` grows in place: a fit is a function of
-# the overlaps and sketches alone, so every thread that adds one adds the
-# same.
+# No entry changes once stored, but for l_m: _trajectory_until pops an entry
+# before it applies the kernel to its l_m in place, and stores a new one.
 _TRAJECTORY_MEMO = {}
-
-
-def _remembered(n: int, key: tuple):
-    """Depth n's remembered _Trajectory if it is for ``key``, else None."""
-    entry = _TRAJECTORY_MEMO.get(n)
-    return entry if entry is not None and entry.key == key else None
 
 
 @lru_cache(maxsize=None)
@@ -608,57 +606,60 @@ def _sketch_rows(n: int) -> np.ndarray:
     return omega
 
 
-def _extend(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
-    """Depth n's trajectory for ``key``, resumed from memory or started at
-    the left boundary, extended by applications of the column kernel (T^T)
-    until ``done(trajectory)`` holds; remembers it and returns (the
-    _Trajectory, applications made).
+def _trajectory_until(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
+    """(depth n's trajectory for ``key`` at which ``done(trajectory)``
+    holds, applications of the column kernel (T^T) made): the remembered
+    entry if it is for ``key`` and done, else that entry or a trajectory
+    started at the left boundary, extended until done and remembered.
 
-    The depth's entry leaves the memory before the first application, which
+    The call pops the depth's entry before the first application, which
     overwrites its l_m, so a failed extension leaves no entry whose m and
-    l_m disagree, and no other thread resumes the same vector; l_m goes back
-    into the memory uncopied.  Each step forms one GEMM of l_m, as a
-    4^n x 4^n matrix over slots (1..n, n+1..2n), with the S factors of both
-    right boundaries: G, 4^n x 5 (one column per factor term).  Its
-    contraction with the P factors gives both parities' overlaps (see
-    _right_factors), and the fixed Gaussian rows of ``_sketch_rows`` times
-    G the step's sketch, 125 floats at n >= 3: with the overlaps, the input
-    of the sketched stop.
+    l_m disagree, and no other thread resumes the same vector.  It resumes
+    only an entry it popped, into copies of its lists, so an entry another
+    thread read stays as it was; l_m goes back into the memory uncopied.
+    Each step forms one GEMM of l_m, as a 4^n x 4^n matrix over slots
+    (1..n, n+1..2n), with the S factors of both right boundaries: G, 4^n x 5
+    (one column per factor term).  Its contraction with the P factors gives
+    both parities' overlaps (see _right_factors), and the fixed Gaussian
+    rows of ``_sketch_rows`` times G the step's sketch, 125 floats at
+    n >= 3.  The two make the step's snapshot, and _settle settles both
+    parities at the step.
     """
+    entry = _TRAJECTORY_MEMO.get(n)
+    if entry is not None and entry.key == key and done(entry):
+        return entry, 0
     entry = _TRAJECTORY_MEMO.pop(n, None)
     factors = [_right_factors(sigma_beta, n, p, gate) for p in PARITIES]
     p_all = np.concatenate([p for p, _ in factors])
     s_all_t = np.concatenate([s for _, s in factors]).T
     even_terms, half = len(factors[0][0]), 4 ** n
     omega = _sketch_rows(n)
+    window = max(SKETCH_WINDOWS) + SKETCH_HOLD
 
-    def read(left):
-        """Both parities' overlaps (L|T^m|R) at l_m = left, and the step's
-        sketch."""
-        g = left.reshape(half, half) @ s_all_t
+    def record(trajectory):
+        """The trajectory with the step at its l_m recorded and settled."""
+        g = trajectory.left.reshape(half, half) @ s_all_t
         terms = np.einsum("at,ta->t", g, p_all)
-        return (float(terms[:even_terms].sum()), float(terms[even_terms:].sum())), omega @ g
+        pair = (float(terms[:even_terms].sum()), float(terms[even_terms:].sum()))
+        for p, s in zip(PARITIES, pair):
+            trajectory.overlaps[p].append(s)
+        trajectory.snapshots.append(np.concatenate((pair, (omega @ g).reshape(-1))))
+        return _settle(trajectory, n)
 
     if entry is not None and entry.key == key:
-        growing = _Trajectory(key, {p: list(entry.overlaps[p]) for p in PARITIES},
-                              list(entry.sketches), entry.left, entry.fits)
+        growing = entry._replace(overlaps={p: list(entry.overlaps[p]) for p in PARITIES},
+                                 snapshots=deque(entry.snapshots, window))
     else:
-        left = boundary_left(sigma_alpha, n)
-        pair, sketch = read(left)
-        growing = _Trajectory(key, {p: [s] for p, s in zip(PARITIES, pair)},
-                              [sketch], left, {})
+        growing = record(_Trajectory(key, {p: [] for p in PARITIES}, deque(maxlen=window),
+                                     boundary_left(sigma_alpha, n),
+                                     dict.fromkeys(PARITIES), None))
     start = growing.m
     kern = _PauliColumnKernel(gate, n)
     while not done(growing):
         kern.apply(growing.left)
-        pair, sketch = read(growing.left)
-        for p, s in zip(PARITIES, pair):
-            growing.overlaps[p].append(s)
-        growing.sketches.append(sketch)
-    entry = growing._replace(overlaps={p: tuple(s) for p, s in growing.overlaps.items()},
-                             sketches=tuple(growing.sketches))
-    _TRAJECTORY_MEMO[n] = entry
-    return entry, entry.m - start
+        growing = record(growing)
+    _TRAJECTORY_MEMO[n] = growing
+    return growing, growing.m - start
 
 
 def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
@@ -696,11 +697,8 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
                            sigma_alpha, sigma_beta, -x, t)
     n, m, parity = _depths(x, t)
     _check_depth(n)
-    trajectory = _remembered(n, key)
-    made = 0
-    if trajectory is None or m > trajectory.m:
-        trajectory, made = _extend(gate, sigma_alpha, sigma_beta, n, key,
-                                   lambda tr: tr.m >= m)
+    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
+                                         lambda tr: tr.m >= m)
     return OtocResult(parity, trajectory.overlaps[parity][m], "finite_transfer", n=n,
                       meta={"applications": made})
 
@@ -800,50 +798,29 @@ def _fit_due(n: int, m: int) -> bool:
             and m % 16 ** (N_MAX_APPLY - n) == 0)
 
 
-def _sketch_fit(trajectory: _Trajectory, n: int, m: int):
-    """The sketched stop at step m of the trajectory, both parities at
-    once: the outcome of _accepted_fit, whose ``values`` and window
-    ``spreads`` of both parities (in PARITIES order) are None unless the fit
-    is accepted, or None when the fit is not due at m (see _fit_due) or its
-    longest window fails the held-out check, sees no single unit Ritz value
-    or reads |lambda_2| >= 1.
-
-    The snapshot z_k of step k is its two overlaps followed by its sketch.
-    Each window w of SKETCH_WINDOWS fits z_(m-1-w) .. z_(m-2) and holds
-    out z_(m-1), z_m (see _window_fit).  The fit is accepted only if in
-    every window the held-out residual is below TOL_HELD_OUT, exactly one
-    Ritz value lies within TOL_EIG of 1, and every other Ritz value decays
-    below SKETCH_GAP across the window (|lambda_2|^w <= SKETCH_GAP, so that
-    the window tells the unit mode from the slowest other one), and if the
-    windows' unit-mode overlaps agree to TOL_STOP in both parities.  The values are the longest
-    window's, the spreads the windows' disagreements; ``ritz`` and
-    ``lambda2`` are the longest window's, ``residual`` the largest of all.
-    The trajectory's ``fits`` remembers each outcome, so a fit runs once
-    per trajectory and step.
-    """
-    if not _fit_due(n, m):
-        return None
-    if m in trajectory.fits:
-        return trajectory.fits[m]
-    steps = slice(m - max(SKETCH_WINDOWS) - SKETCH_HOLD + 1, m + 1)
-    sketches = np.array(trajectory.sketches[steps])
-    snapshots = np.hstack((np.array([trajectory.overlaps[p][steps] for p in PARITIES]).T,
-                           sketches.reshape(len(sketches), -1)))
-    trajectory.fits[m] = accepted = _accepted_fit(snapshots)
-    return accepted
-
-
 def _accepted_fit(snapshots: np.ndarray):
-    """_sketch_fit's outcome on the trailing snapshots: None if the longest
-    window fails its held-out check, sees no single Ritz value within
-    TOL_EIG of 1, or sees a non-unit Ritz value of modulus 1 or more (a
-    window that places the unit mode just outside TOL_EIG of 1 reads that
-    mode as |lambda_2|, which is no measurement of it), else a dict whose
-    ``lambda2`` is that window's |lambda_2| and whose ``values``,
-    ``spreads``, ``ritz`` and ``residual`` are the fit's if every window
-    passes and the windows agree, else None.  The longest window is fitted
-    first, and a window that fails ends the fit; an accepted fit's
-    |lambda_2|^w is at most SKETCH_GAP, so below 1."""
+    """The sketched stop on the trailing snapshots of step m, both parities
+    at once (the snapshot z_k of step k is its two overlaps followed by its
+    sketch).  Each window w of SKETCH_WINDOWS fits
+    z_(m-1-w) .. z_(m-2) and holds out z_(m-1), z_m (see _window_fit); the
+    longest is fitted first, and a window that fails ends the fit.
+
+    None if the longest window fails its held-out check, sees no single
+    Ritz value within TOL_EIG of 1, or sees a non-unit Ritz value of
+    modulus 1 or more (a window that places the unit mode just outside
+    TOL_EIG of 1 reads that mode as |lambda_2|, which is no measurement of
+    it); else a dict whose ``lambda2`` is that window's |lambda_2|.  Its
+    ``values`` and window ``spreads`` of both parities (in PARITIES order),
+    ``ritz`` and ``residual`` are None unless the fit is accepted: in every
+    window the held-out residual is below TOL_HELD_OUT, exactly one Ritz
+    value lies within TOL_EIG of 1, and every other Ritz value decays below
+    SKETCH_GAP across the window (|lambda_2|^w <= SKETCH_GAP, so that the
+    window tells the unit mode from the slowest other one), and the
+    windows' unit-mode overlaps agree to TOL_STOP in both parities.  The
+    values are the longest window's, the spreads the windows'
+    disagreements; ``ritz`` and ``lambda2`` are the longest window's,
+    ``residual`` the largest of all.  An accepted fit's |lambda_2|^w is at
+    most SKETCH_GAP, so below 1."""
     windows = []
     for w in sorted(SKETCH_WINDOWS, reverse=True):
         fit = _window_fit(snapshots[-(w + SKETCH_HOLD):])
@@ -868,50 +845,51 @@ def _accepted_fit(snapshots: np.ndarray):
             "lambda2": windows[0][3]}
 
 
-def _settled(trajectory: _Trajectory, m: int, n: int, parity: str):
-    """The OtocResult of a parity whose trajectory has reached m if it may
-    stop at m (see otoc_longtime), else None: the Aitken window first, then
-    the sketched fit, then at ITERATION_CAP the Cesaro mean."""
-    overlaps = trajectory.overlaps[parity]
-    stop = _stopped_limit(overlaps[max(0, m - STOP_WINDOW - 2):m + 1])
-    if stop is not None:
-        value, lam, span = stop
-        # lambda2 of the latest fit before m that measured it; a copy, since
-        # other threads may add fits meanwhile
-        fits = trajectory.fits.copy()
-        measured = [k for k, fit in fits.items() if k < m and fit is not None]
-        lambda2 = fits[max(measured)]["lambda2"] if measured else None
-        return OtocResult(parity, value, "longtime_iterate", n=n,
-                          meta={"iterations": m, "converged": True, "route": "aitken",
-                                "lambda": lam, "error_estimate": span,
-                                "ritz": None, "residual": None, "lambda2": lambda2})
-    fit = _sketch_fit(trajectory, n, m)
-    if fit is not None and fit["values"] is not None:
-        k = PARITIES.index(parity)
-        return OtocResult(parity, fit["values"][k], "longtime_iterate", n=n,
-                          meta={"iterations": m, "converged": True, "route": "sketch",
-                                "lambda": _aitken(*overlaps[m - 2:m + 1])[0],
-                                "error_estimate": fit["spreads"][k],
-                                "ritz": fit["ritz"], "residual": fit["residual"],
-                                "lambda2": fit["lambda2"]})
-    if m < ITERATION_CAP:
-        return None
-    tail = np.asarray(overlaps[max(0, m + 1 - CESARO_WINDOW):m + 1])
-    mean = float(tail.mean())
-    amplitude = float(np.max(np.abs(tail - mean)))
-    return OtocResult(parity, mean, "longtime_iterate", n=n,
-                      meta={"iterations": ITERATION_CAP, "converged": False,
-                            "route": "cesaro", "amplitude": amplitude})
+def _settle(trajectory: _Trajectory, n: int) -> _Trajectory:
+    """The trajectory with each open parity that may stop at its latest step
+    m stopped there (see otoc_longtime): the Aitken window of each open
+    parity first, then the sketched fit, once for both parities, if it is
+    due (see _fit_due) and a parity is still open, then at ITERATION_CAP the
+    Cesaro mean.  A fit that measures |lambda_2| becomes the running
+    ``lambda2`` that a later Aitken stop reports."""
+    if None not in trajectory.stops.values():
+        return trajectory
+    m, overlaps, lambda2 = trajectory.m, trajectory.overlaps, trajectory.lambda2
+    stops = dict(trajectory.stops)
 
+    def stop(parity, value, meta):
+        stops[parity] = OtocResult(parity, value, "longtime_iterate", n=n, meta=meta)
 
-def _first_settled(trajectory: _Trajectory, n: int, parity: str):
-    """_settled at the first m at which a parity may stop within the
-    trajectory, or None if it may stop at no m <= M."""
-    for m in range(trajectory.m + 1):
-        result = _settled(trajectory, m, n, parity)
-        if result is not None:
-            return result
-    return None
+    for parity in PARITIES:
+        settled = stops[parity] is None and _stopped_limit(
+            overlaps[parity][-(STOP_WINDOW + 3):])
+        if settled:
+            value, lam, span = settled
+            stop(parity, value, {"iterations": m, "converged": True, "route": "aitken",
+                                 "lambda": lam, "error_estimate": span,
+                                 "ritz": None, "residual": None, "lambda2": lambda2})
+    if None in stops.values() and _fit_due(n, m):
+        fit = _accepted_fit(np.array(trajectory.snapshots))
+        if fit is not None:
+            lambda2 = fit["lambda2"]
+        for k, parity in enumerate(PARITIES):
+            if fit is not None and fit["values"] is not None and stops[parity] is None:
+                stop(parity, fit["values"][k],
+                     {"iterations": m, "converged": True, "route": "sketch",
+                      "lambda": _aitken(*overlaps[parity][-3:])[0],
+                      "error_estimate": fit["spreads"][k], "ritz": fit["ritz"],
+                      "residual": fit["residual"], "lambda2": lambda2})
+    if m >= ITERATION_CAP:
+        for parity in PARITIES:
+            if stops[parity] is None:
+                tail = np.asarray(overlaps[parity][-CESARO_WINDOW:])
+                mean = float(tail.mean())
+                stop(parity, mean, {"iterations": ITERATION_CAP, "converged": False,
+                                    "route": "cesaro",
+                                    "amplitude": float(np.max(np.abs(tail - mean)))})
+    if (stops, lambda2) == (trajectory.stops, trajectory.lambda2):
+        return trajectory
+    return trajectory._replace(stops=stops, lambda2=lambda2)
 
 
 def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocResult:
@@ -937,7 +915,7 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
       amplitudes, read through the overlap rows, must agree to TOL_STOP.
       One fit settles both parities; it runs only at the steps of
       ``_fit_due`` (every step at n = 5, rarely at n <= 3).  See
-      ``_sketch_fit``.
+      ``_accepted_fit``.
 
     For the kicked Ising gate (0.4, 0.6) of fig4 the sketch settles both
     parities at n = 4 and 5 before either Aitken window; on slowly mixing
@@ -945,15 +923,15 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     long-time acceptance check at n >= 3) every fit is rejected and the
     Aitken window stops as before.
 
-    The overlaps and sketches come from the depth's trajectory, which
-    every OTOC cell at depth n shares (see the module docstring).  A parity
-    that stops within the remembered trajectory of the same gate and
-    insertions is read from it without an application; otherwise the call
-    extends the trajectory until the parity stops.  The trajectory
-    remembers each fit's outcome, so a call served from memory runs no fit.
-    Either way the result is the float a call on an empty memory computes,
-    from the same applications on the same vectors.  All argument checks
-    run before the lookup.
+    The overlaps and snapshots come from the depth's trajectory, which
+    every OTOC cell at depth n shares (see the module docstring), and
+    _settle settles both parities at every step the trajectory records,
+    finite-time or long-time.  A parity that stopped within the remembered
+    trajectory of the same gate and insertions is its remembered stop,
+    with no application, no rule and no fit; otherwise the call extends the
+    trajectory until the parity stops.  Either way the result is the float
+    a call on an empty memory computes, from the same applications on the
+    same vectors.  All argument checks run before the lookup.
 
     ``meta`` holds ``iterations`` (the m at which the parity stopped),
     ``converged`` (True), ``route``, ``lambda``, the last ratio of
@@ -982,13 +960,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     if parity not in PARITIES:
         raise ValueError("parity must be 'even' or 'odd'")
     key = _memo_key(gate, sigma_alpha, sigma_beta)
-    remembered = _remembered(n, key)
-    result = None if remembered is None else _first_settled(remembered, n, parity)
-    applications = 0
-    if result is None:
-        trajectory, applications = _extend(
-            gate, sigma_alpha, sigma_beta, n, key,
-            lambda tr: _settled(tr, tr.m, n, parity) is not None)
-        result = _settled(trajectory, trajectory.m, n, parity)
+    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
+                                         lambda tr: tr.stops[parity] is not None)
+    result = trajectory.stops[parity]
     return OtocResult(parity, result.value, result.method, n=n,
-                      meta={**result.meta, "applications": applications})
+                      meta={**result.meta, "applications": made})

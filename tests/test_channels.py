@@ -119,6 +119,22 @@ def test_lightcone_correlator_matches_oracle(name, gate, t):
         float(oracle_correlator(spec, alpha, t, beta, t)), abs=TOL)
 
 
+def test_channel_route_rejects_non_hermitian_insertions():
+    """lightcone_correlator and m_n apply the Hermiticity rule of the
+    transfer side and the oracle, at every t; a Hermitian insertion gives a
+    float at every t, t = 0 included."""
+    gate = random_kak(3)
+    bad = SX + 1j * SZ
+    for t in (0, 1, 2):
+        for alpha, beta in ((bad, SX), (SX, bad)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                lightcone_correlator(gate, alpha, beta, t)
+        with pytest.raises(ValueError, match="Hermitian"):
+            m_n(gate, bad, t)
+        assert type(lightcone_correlator(gate, SX + SZ, SX - SY, t)) is float
+        assert type(m_n(gate, SX, t)) is float
+
+
 def test_m_n_base_case_and_positivity():
     gate = build_kim(h1=0.4, h2=0.6)
     beta = SY

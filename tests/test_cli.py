@@ -49,6 +49,19 @@ def test_classify_xy_has_extra_unit_eigenvectors(capsys):
     assert report["maximal_velocity"] is True
 
 
+def test_classify_text_report_goes_to_out(tmp_path, capsys):
+    """classify in its text format writes the report to --out, like every
+    other subcommand, and the same report to stdout without it."""
+    flags = ["classify", "--gate", "kim", "--params", "0.4,0.6"]
+    assert main(flags) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("gate family:") and printed.endswith("\n")
+    out = tmp_path / "classify.txt"
+    assert main([*flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
 def test_corr_all_methods_strict(tmp_path):
     out = tmp_path / "corr.csv"
     code = main(["corr", "--preset", "fig5", "--method", "all",

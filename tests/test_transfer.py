@@ -840,7 +840,7 @@ def test_failed_resumed_extension_leaves_no_stale_entry(monkeypatch, k):
             otoc_finite(gate, ALPHA_I, BETA_I, 6, 8)  # m = 7: resumes from 3
     entry = _TRAJECTORY_MEMO.get(2)
     if entry is not None:
-        _, m, _, left = entry
+        m, left = entry.m, entry.left
         want = boundary_left(ALPHA_I, 2)
         kern = _PauliColumnKernel(gate, 2)
         for _ in range(m):
@@ -971,17 +971,29 @@ ROUTES = {"sketch": "sketch"}  # the route of every other order is "aitken"
 
 @pytest.fixture
 def fits(monkeypatch):
-    """The sketched fits that run from here on, as (n, m) pairs."""
-    ran = []
-    sketch_fit = transfer._sketch_fit
+    """The sketched fits that run from here on, as (n, m, outcome) triples:
+    the depth and step that _settle was settling when it called
+    _accepted_fit, and the fit's outcome."""
+    ran, settling = [], []
+    settle, accepted_fit = transfer._settle, transfer._accepted_fit
 
-    def counted(trajectory, n, m):
-        if transfer._fit_due(n, m) and m not in trajectory.fits:
-            ran.append((n, m))
-        return sketch_fit(trajectory, n, m)
+    def settled(trajectory, n):
+        settling[:] = [(n, trajectory.m)]
+        return settle(trajectory, n)
 
-    monkeypatch.setattr(transfer, "_sketch_fit", counted)
+    def fitted(snapshots):
+        outcome = accepted_fit(snapshots)
+        ran.append((*settling[0], outcome))
+        return outcome
+
+    monkeypatch.setattr(transfer, "_settle", settled)
+    monkeypatch.setattr(transfer, "_accepted_fit", fitted)
     return ran
+
+
+def _at(fits):
+    """The (n, m) of each fit that the ``fits`` fixture recorded."""
+    return [(n, m) for n, m, _ in fits]
 
 
 @pytest.mark.parametrize("first", PARITIES)
@@ -990,7 +1002,8 @@ def test_longtime_memo_hit_and_resume_are_bit_identical(applies, fits, order, fi
     """Whichever parity is asked first and whichever settles first, on
     either route, the second call returns what a call on an empty memory
     returns, bit for bit (value and meta), and makes only the applications
-    past the first call's stop; a call served from memory runs no fit."""
+    past the first call's stop; a call served from memory runs no fit and
+    makes no application."""
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
     fresh = {p: _fresh_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
@@ -1018,6 +1031,26 @@ def test_longtime_memo_hit_and_resume_are_bit_identical(applies, fits, order, fi
     assert fits == []
 
 
+def test_longtime_memo_hit_runs_no_stop_rule(applies, monkeypatch):
+    """Both parities' stops are settled as the trajectory grows and
+    remembered with it, so a call served from memory returns the stored
+    stop in a fresh meta: it replays neither the Aitken rule nor a fit."""
+    gate, n, _ = SETTLE_ORDERS["sketch"]
+    fresh = {p: otoc_longtime(gate, ALPHA_I, BETA_I, n, p) for p in PARITIES}
+    rules = []
+    for name in ("_stopped_limit", "_accepted_fit"):
+        rule = getattr(transfer, name)
+        monkeypatch.setattr(transfer, name,
+                            lambda arg, name=name, rule=rule: rules.append(name) or rule(arg))
+    del applies[:]
+    for p in PARITIES:
+        again = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
+        assert _without_applications(again) == _without_applications(fresh[p]), p
+        assert again.meta["applications"] == 0
+        assert again.meta is not fresh[p].meta
+    assert rules == [] and applies == []
+
+
 def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
     """Where neither parity settles before the cap, the first call leaves
     both Cesaro means, and the other parity is served from memory."""
@@ -1033,6 +1066,9 @@ def test_longtime_memo_keeps_results_at_the_iteration_cap(monkeypatch, applies):
     assert _without_applications(odd) == _without_applications(fresh["odd"])
 
 
+# the trailing snapshots that a fit reads, and that a trajectory keeps
+WINDOW = max(transfer.SKETCH_WINDOWS) + transfer.SKETCH_HOLD
+
 # SETTLE_ORDERS case and the m up to which a finite scan of its depth runs
 SCANS = {"one parity within the scan": ("odd first", 20),   # odd 8, even 35
          "both within the scan": ("even first", 45),        # even 38, odd 39
@@ -1044,11 +1080,13 @@ SCANS = {"one parity within the scan": ("odd first", 20),   # odd 8, even 35
 def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, fits, scan):
     """A finite scan of depth n up to m = M, far cell first, then both
     long-time parities on the same gate and insertions: each returns a fresh
-    call's value and meta, bit for bit.  The scan stores the sketches but
-    runs no fit.  A parity that stops at some m <= M is read from the
-    stored overlaps and sketches, at its first settled m rather than at M,
-    with no application; one that stops later extends the trajectory from
-    M.  Each due fit runs once, and a third call runs none."""
+    call's value and meta, bit for bit.  The scan settles both parities at
+    every step it records, so it runs the fits due up to M while a parity
+    is open; a parity that stops at some m <= M is its stored stop, at its
+    first settled m rather than at M, with no application; one that stops
+    later extends the trajectory from M.  Over the scan and the long-time
+    calls each fit due up to the later stop runs once, and a third call
+    runs none."""
     order, top = SCANS[scan]
     gate, n, iterations = SETTLE_ORDERS[order]
     its = dict(zip(PARITIES, iterations))
@@ -1058,9 +1096,11 @@ def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, fits, s
     # the even cells of depth n, t - x = 2n - 2, take m = x + n - 1
     for x in range(top - n + 1, -1, -1):
         otoc_finite(gate, ALPHA_I, BETA_I, x, x + 2 * n - 2)
+    stop = max(iterations)
+    due = [(n, m) for m in range(stop + 1) if transfer._fit_due(n, m)]
     assert _TRAJECTORY_MEMO[n].m == top
-    assert len(_TRAJECTORY_MEMO[n].sketches) == top + 1
-    assert fits == []
+    assert len(_TRAJECTORY_MEMO[n].snapshots) == min(top + 1, WINDOW)
+    assert _at(fits) == [(n, m) for n, m in due if m <= top]
     del applies[:]
     reached = top
     for p in PARITIES:
@@ -1069,9 +1109,8 @@ def test_longtime_after_a_finite_scan_resumes_from_the_stored_m(applies, fits, s
         assert got.meta["iterations"] == its[p]
         assert got.meta["applications"] == max(0, its[p] - reached), p
         reached = max(reached, its[p])
-    assert len(applies) == max(0, max(iterations) - top)
-    stop = max(iterations)
-    assert sorted(fits) == [(n, m) for m in range(stop + 1) if transfer._fit_due(n, m)]
+    assert len(applies) == max(0, stop - top)
+    assert _at(fits) == due
     del fits[:]
     for p in PARITIES:
         again = otoc_longtime(gate, ALPHA_I, BETA_I, n, p)
@@ -1329,10 +1368,11 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     held-out check and saw one unit Ritz value; a fit whose longer window
     sees the unit mode just outside TOL_EIG of 1 measures none.
 
-    The kicked XY row is then refitted from memory with a fit at every step
-    from m = 32 and the decay check off: the held-out check alone still
-    rejects every fit before the Aitken stop, so the row keeps its float;
-    without the held-out check as well, a fit would stop it early."""
+    The kicked XY row is then rerun on an empty memory with a fit at every
+    step from m = 32 and the decay check off.  The fits run up to the even
+    stop inclusive, where the odd parity is still open; the held-out check
+    alone still rejects every fit before that stop, so the row keeps its
+    float.  Without the held-out check as well, a fit stops it early."""
     gate, alpha, beta, n, iterations, lambda2, unchecked_stop = REJECTED_ROWS[row]
     res = otoc_longtime(gate, alpha, beta, n, "even")
     trajectory = _TRAJECTORY_MEMO[n]
@@ -1340,12 +1380,12 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     assert res.meta["ritz"] is res.meta["residual"] is None
     assert _first_stop(trajectory.overlaps["even"]) == (iterations, res.value)
     due = [(n, m) for m in range(iterations) if transfer._fit_due(n, m)]
-    assert due and fits == due
-    outcomes = [trajectory.fits[m] for _, m in due]
-    assert trajectory.fits[OFF_UNIT_FITS[row]] is None
-    assert all(fit is None or fit["values"] is None for fit in outcomes)
-    measured = [fit["lambda2"] for fit in outcomes if fit is not None]
-    assert res.meta["lambda2"] == measured[-1]
+    assert due and _at(fits) == due
+    outcomes = {m: outcome for _, m, outcome in fits}
+    assert outcomes[OFF_UNIT_FITS[row]] is None
+    assert all(fit is None or fit["values"] is None for fit in outcomes.values())
+    measured = [fit["lambda2"] for fit in outcomes.values() if fit is not None]
+    assert res.meta["lambda2"] == measured[-1] == trajectory.lambda2
     if lambda2 is not None:
         assert abs(res.meta["lambda2"] - lambda2) < 1e-3
     if unchecked_stop is None:
@@ -1353,45 +1393,57 @@ def test_longtime_rejected_fits_keep_the_aitken_stop(applies, fits, monkeypatch,
     monkeypatch.setattr(transfer, "_fit_due", lambda n, m: m >= 32)
     monkeypatch.setattr(transfer, "SKETCH_GAP", 1.0)
 
-    def refit():
-        """The even row, served from the remembered trajectory with its
-        fits forgotten."""
-        _TRAJECTORY_MEMO[n] = _TRAJECTORY_MEMO[n]._replace(fits={})
-        return otoc_longtime(gate, alpha, beta, n, "even")
-
     def stop(result):
         """The float and its stop; lambda2 follows the fit schedule."""
         value, meta = _without_applications(result)
         return value, {k: v for k, v in meta.items() if k != "lambda2"}
 
-    del applies[:]
-    assert stop(refit()) == stop(res)
-    # at m = iterations the Aitken window stops first, and no fit runs
-    rejected = _TRAJECTORY_MEMO[n].fits
-    assert sorted(rejected) == list(range(32, iterations))
-    assert all(fit is None or fit["values"] is None for fit in rejected.values())
+    del fits[:]
+    assert stop(_fresh_longtime(gate, alpha, beta, n, "even")) == stop(res)
+    assert _TRAJECTORY_MEMO[n].stops["odd"] is None
+    assert _at(fits) == [(n, m) for m in range(32, iterations + 1)]
+    assert all(fit is None or fit["values"] is None for _, m, fit in fits if m < iterations)
     monkeypatch.setattr(transfer, "TOL_HELD_OUT", np.inf)
-    unchecked = refit()
+    unchecked = _fresh_longtime(gate, alpha, beta, n, "even")
     assert (unchecked.meta["route"], unchecked.meta["iterations"]) == ("sketch", unchecked_stop)
-    assert applies == []
 
 
-def test_longtime_lambda2_never_reads_one_or_more(applies, monkeypatch):
+def test_longtime_lambda2_never_reads_one_or_more(applies, fits, monkeypatch):
     """The due fit of random_dual_unitary(7), sigma = X, n = 3 even at
     m = 256 passes its held-out check with its unit mode at 1.0000001,
     just outside TOL_EIG of 1, so that no Ritz value counts as the unit
     one; the fits from m = 512 on read 0.99507.  Such a fit measures no
-    |lambda_2|, nor does a Ritz value at 1 or above, so an Aitken stop
-    anywhere from m = 257 to 511 (forced here on the row's own trajectory)
-    reports none, and no fit outcome holds such a lambda2."""
+    |lambda_2|, nor does a Ritz value at 1 or above, so the running
+    lambda2 that an Aitken stop at m would report is None or below 1
+    before the settling of every step, m = 257 to 511 among them, and no
+    fit outcome holds such a lambda2."""
     gate, alpha, beta, n, _, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
-    otoc_longtime(gate, alpha, beta, n, "even")
-    trajectory = _TRAJECTORY_MEMO[n]
+    running = {}
+    settle = transfer._settle
+
+    def settled(trajectory, n):
+        running[trajectory.m] = trajectory.lambda2
+        return settle(trajectory, n)
+
+    monkeypatch.setattr(transfer, "_settle", settled)
+    res = otoc_longtime(gate, alpha, beta, n, "even")
+    assert sorted(running) == list(range(res.meta["iterations"] + 1))
     assert transfer._fit_due(n, 256) and not transfer._fit_due(n, 257)
-    assert all(fit is None or fit["lambda2"] < 1.0 for fit in trajectory.fits.values())
-    monkeypatch.setattr(transfer, "_stopped_limit",
-                        lambda overlaps: (overlaps[-1], None, 0.0))
+    assert all(fit is None or fit["lambda2"] < 1.0 for *_, fit in fits)
     for m in (257, 384, 511):
-        res = transfer._settled(trajectory, m, n, "even")
-        assert res.meta["route"] == "aitken"
-        assert res.meta["lambda2"] is None or res.meta["lambda2"] < 1.0, m
+        assert running[m] is None, m
+    assert all(lam is None or lam < 1.0 for lam in running.values())
+
+
+def test_longtime_trajectory_keeps_only_the_snapshots_a_fit_reads(applies):
+    """After the 1,789 steps of the dual-unitary row, the remembered entry
+    holds the last max(SKETCH_WINDOWS) + SKETCH_HOLD = 32 snapshots, each a
+    step's two overlaps followed by its sketch, and every overlap."""
+    gate, alpha, beta, n, iterations, _, _ = REJECTED_ROWS["du seed 7, n = 3"]
+    otoc_longtime(gate, alpha, beta, n, "even")
+    entry = _TRAJECTORY_MEMO[n]
+    assert entry.m == iterations and WINDOW == 32
+    assert len(entry.snapshots) == WINDOW
+    assert all(len(entry.overlaps[p]) == iterations + 1 for p in PARITIES)
+    for k, snapshot in enumerate(entry.snapshots, start=iterations + 1 - WINDOW):
+        assert tuple(snapshot[:2]) == tuple(entry.overlaps[p][k] for p in PARITIES)
