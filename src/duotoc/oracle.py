@@ -210,9 +210,12 @@ def _light_cone(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):
     if t == 0:
         return C, site
     c = (site - t) % 2
-    C = _conjugate_layer(np.kron(C, _IDENTITY) if c else np.kron(_IDENTITY, C), R, 2)
+    # padding by identity sites: outer products, the entries of np.kron
+    # without its per-call overhead
+    pad = np.multiply.outer
+    C = _conjugate_layer(pad(C, _IDENTITY) if c else pad(_IDENTITY, C), R, 2)
     for w in range(4, 2 * t + 1, 2):
-        C = _conjugate_layer(np.kron(np.kron(_IDENTITY, C), _IDENTITY), R, w)
+        C = _conjugate_layer(pad(pad(_IDENTITY, C), _IDENTITY), R, w)
     return C.reshape((4,) * (2 * t)), site - t + c
 
 

@@ -160,13 +160,31 @@ def _prefix_slots(n: int, d: int) -> int:
 
 def _hermitian_bundle(gate) -> np.ndarray:
     """The bundle w[out_slot, chain_up, chain_dn, in_slot] of the gate in the
-    orthonormal Hermitian leg basis, where it is real."""
-    w = _bundle_tensor(gate_matrix(gate))
+    orthonormal Hermitian leg basis, where it is real.
+
+    The bundle is derived once per gate and shared read-only: the derivation
+    is cached on the bytes and dtype of ``gate_matrix(gate)``, so equal gates,
+    as a Gate or as a raw matrix, share one array, and a gate changed in
+    place gets a fresh derivation.  The cache keeps two bundles, the least
+    recently used leaving first."""
+    u = gate_matrix(gate)
+    return _derived_bundle(u.tobytes(), u.dtype.str)
+
+
+# two bundles (256 floats each): a scan reads one gate, and otoc_finite's
+# x < 0 cells the mirrored gate
+@lru_cache(maxsize=2)
+def _derived_bundle(raw: bytes, dtype: str) -> np.ndarray:
+    """The read-only bundle of the gate whose matrix has these bytes and
+    dtype (see _hermitian_bundle)."""
+    w = _bundle_tensor(np.frombuffer(raw, dtype))
     wp = np.einsum("oudi,oa,ub,dc,ie->abce", w, _QMAT, _QMAT,
                    _QMAT.conj(), _QMAT.conj())
     if np.abs(wp.imag).max() > 1e-12:
         raise AssertionError("bundle is not real in the Hermitian leg basis")
-    return wp.real
+    wp = wp.real
+    wp.flags.writeable = False
+    return wp
 
 
 class _PauliColumnKernel:
@@ -224,7 +242,9 @@ class _PauliColumnKernel:
     worker, one allocation of about 35 MB at n = 5 on one core, plus 1 MB
     per helper.  They make a kernel serve one calling thread at a time (the
     helpers work inside that thread's apply); each extension of a depth's
-    trajectory builds its own kernel (see _trajectory_until).
+    trajectory builds its own kernel (see _trajectory_until).  The kernels
+    of one gate read the same bundle, derived once per gate and read-only
+    (see _hermitian_bundle), and copy what they need of it.
     """
 
     def __init__(self, gate, n: int):

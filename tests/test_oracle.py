@@ -11,9 +11,12 @@ import pytest
 from duotoc.gates import build_kim, gate_matrix, random_dual_unitary, random_kak
 from duotoc.opalg import PAULI, TOL_UNITARY
 from duotoc.oracle import (
+    _IDENTITY,
     _SITE_BASIS,
     ChainSpec,
+    _checked_gate,
     _conjugate_layer,
+    _light_cone,
     _site_coords,
     _superoperator,
     evolve_heisenberg,
@@ -679,6 +682,27 @@ def test_a_call_conjugates_its_growing_window_once_per_step(conjugations):
                 conjugations.clear()
                 call()
                 assert conjugations == steps, t
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_light_cone_padding_is_bit_identical_to_kron(t):
+    """The window padded by outer products equals, bit for bit, the same
+    evolution padded by np.kron, at both window offsets c = (site - t) mod 2."""
+    spec = ChainSpec(gate=REF_GATES["kak"], L=10)
+    a = _random_hermitian(25)
+    R = _checked_gate(spec)
+    for site in (t, t + 1):
+        c = (site - t) % 2
+        want = _site_coords(a)
+        if t:
+            padded = np.kron(want, _IDENTITY) if c else np.kron(_IDENTITY, want)
+            want = _conjugate_layer(padded, R, 2)
+            for w in range(4, 2 * t + 1, 2):
+                want = _conjugate_layer(np.kron(np.kron(_IDENTITY, want), _IDENTITY), R, w)
+        got, lo = _light_cone(spec, a, site, t)
+        assert lo == site - t + (c if t else 0)
+        assert got.shape == (4,) * max(1, 2 * t)
+        assert np.array_equal(got.reshape(-1), want), (site, t)
 
 
 def test_oracle_values_allocate_only_the_window():

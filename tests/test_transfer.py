@@ -20,6 +20,7 @@ from duotoc.channels import channel_minus, channel_plus, lightcone_correlator, m
 from duotoc.cli import operator_from_coeffs
 from duotoc.closed_forms import kim_longtime
 from duotoc.gates import (
+    Gate,
     build_kim,
     build_xy,
     gate_matrix,
@@ -147,6 +148,64 @@ def test_dense_matrix_matches_complex_reference(n):
     for name, gate in GATES:
         mat = build_transfer(gate, n)
         assert np.abs(legs.conj() @ mat @ legs.T - _complex_transfer(gate, n)).max() < 1e-13, name
+
+
+def test_bundle_is_shared_read_only_by_equal_gates():
+    """A Gate, its matrix, a copy and a nested list of it are one gate: one
+    derivation, one array, which nobody can write."""
+    gate = random_kak(1)
+    transfer._derived_bundle.cache_clear()
+    bundle = _hermitian_bundle(gate)
+    u = gate_matrix(gate)
+    for same in (gate, Gate(u.copy()), u, u.copy(), u.tolist()):
+        assert _hermitian_bundle(same) is bundle
+    assert transfer._derived_bundle.cache_info().misses == 1
+    assert not bundle.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        bundle[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        bundle.transpose(3, 1, 2, 0)[...] = 0.0
+
+
+def test_bundle_of_a_gate_changed_in_place_is_derived_again():
+    base, other = gate_matrix(random_kak(1)), gate_matrix(random_kak(2))
+    u = base.copy()
+    first = _hermitian_bundle(u)
+    u[...] = other
+    second = _hermitian_bundle(u)
+    assert second is not first
+    assert not np.array_equal(second, first)
+    assert np.array_equal(first, _hermitian_bundle(base))
+    transfer._derived_bundle.cache_clear()
+    assert np.array_equal(second, _hermitian_bundle(other.copy()))
+    legs = _legs(1)
+    mat = build_transfer(u, 1)
+    assert np.abs(legs.conj() @ mat @ legs.T - _complex_transfer(other, 1)).max() < 1e-13
+
+
+def test_bundle_cache_is_bounded():
+    size = transfer._derived_bundle.cache_info().maxsize
+    assert size is not None
+    transfer._derived_bundle.cache_clear()
+    for seed in range(size + 3):
+        _hermitian_bundle(random_kak(seed))
+    info = transfer._derived_bundle.cache_info()
+    assert info.currsize == size
+    assert info.misses == size + 3
+
+
+def test_fig5_scan_derives_the_bundle_once(tmp_path):
+    """duotoc otoc --preset fig5 --method all extends five trajectories,
+    each building a kernel and an odd right boundary from the one gate's
+    bundle, which is derived once."""
+    from duotoc.cli import main
+    transfer._derived_bundle.cache_clear()
+    _TRAJECTORY_MEMO.clear()
+    assert main(["otoc", "--preset", "fig5", "--method", "all",
+                 "--out", str(tmp_path / "fig5.csv")]) == 0
+    info = transfer._derived_bundle.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits == 9
 
 
 def test_build_transfer_checks_at_construction(monkeypatch):
@@ -915,6 +974,25 @@ def test_memo_holds_at_most_one_trajectory_per_slot():
             otoc_finite(SWAP @ gate_matrix(gate) @ SWAP, ALPHA, beta, 1, t)
     otoc_longtime(gate, ALPHA, BETA, 1, "odd")
     assert set(_TRAJECTORY_MEMO) == set(range(1, N_MAX_APPLY + 1))
+
+
+def test_memo_serves_both_signs_of_x_of_a_swap_symmetric_gate(applies):
+    """build_kim(h, h) is its own mirror, bit for bit, so its x < 0 cells
+    read the trajectories of the x > 0 cells: a scan that alternates the
+    signs of x makes no more applications than the cells x >= 0 alone, and
+    x and -x read the same float."""
+    gate = build_kim(0.3, 0.3)
+    assert (SWAP @ gate_matrix(gate) @ SWAP).tobytes() == gate_matrix(gate).tobytes()
+    half = [(x, t) for t in range(7) for x in range(t + 1)]
+    for x, t in half:
+        otoc_finite(gate, ALPHA, BETA, x, t)
+    made = len(applies)
+    _TRAJECTORY_MEMO.clear()
+    del applies[:]
+    got = {(x, t): otoc_finite(gate, ALPHA, BETA, x, t).value
+           for t in range(7) for x in range(-t, t + 1)}
+    assert len(applies) == made
+    assert all(got[-x, t] == got[x, t] for x, t in half)
 
 
 def test_memo_serves_threads_on_different_slots():
