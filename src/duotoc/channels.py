@@ -108,7 +108,7 @@ class SpectrumReport:
         }
 
 
-def channel_spectrum(channel: Channel, tol: float = TOL_EIG) -> SpectrumReport:
+def channel_spectrum(channel: Channel) -> SpectrumReport:
     """Classify the circuit by its channel spectrum.
 
     The classification uses all 6 nontrivial eigenvalues of the two
@@ -116,16 +116,17 @@ def channel_spectrum(channel: Channel, tol: float = TOL_EIG) -> SpectrumReport:
     the complex conjugate of the first, so one channel determines the verdict:
     every nontrivial eigenvalue equal to 1 -> non_interacting; at least one
     -> non_ergodic; none equal to 1 but some on the unit circle ->
-    ergodic_non_mixing; otherwise -> ergodic_mixing.
+    ergodic_non_mixing; otherwise -> ergodic_mixing.  "Equal" and "on" mean
+    within TOL_EIG.
     """
     nontrivial = channel.nontrivial_eigenvalues()
     both = np.concatenate([nontrivial, nontrivial.conj()])
-    n_unit = int(np.sum(np.abs(both - 1.0) < tol))
+    n_unit = int(np.sum(np.abs(both - 1.0) < TOL_EIG))
     if n_unit == both.size:
         klass = "non_interacting"
     elif n_unit > 0:
         klass = "non_ergodic"
-    elif np.any(np.abs(np.abs(both) - 1.0) < tol):
+    elif np.any(np.abs(np.abs(both) - 1.0) < TOL_EIG):
         klass = "ergodic_non_mixing"
     else:
         klass = "ergodic_mixing"

@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,12 +46,12 @@ from .opalg import normalize_coeffs, vec_to_op
 from .oracle import ChainSpec, oracle_correlator, oracle_otoc
 from .transfer import (
     N_MAX_APPLY,
+    PARITIES,
     _depths,
     _separation,
     build_transfer,
     otoc_finite,
     otoc_longtime,
-    parity_tag,
 )
 
 STRICT_TOL = 1e-10
@@ -62,6 +63,10 @@ STRICT_TOL = 1e-10
 LONGTIME_STRICT_TOL = 1e-8
 UNIT_EIG_TOL = 1e-8
 _METHODS = ("transfer", "oracle", "closed_form")
+_TRANSFER, _ORACLE, _CLOSED_FORM = _METHODS
+_ALL = "all"  # every method, and the delta column
+_FORMATS = ("csv", "json")
+_CSV, _JSON = _FORMATS
 
 _S6, _S2, _S3 = 1 / np.sqrt(6.0), 1 / np.sqrt(2.0), 1 / np.sqrt(3.0)
 
@@ -89,32 +94,23 @@ PRESETS = {
                     tmax=6),
 }
 
-_DEFAULTS = dict(gate=None, params=(), alpha=(1, 0, 0), beta=(1, 0, 0),
-                 tmax=8, nmax=5, method="transfer", seed=None,
-                 out=None, format="csv", strict=False, preset=None)
-
 
 @dataclass
 class RunConfig:
-    gate: str
-    params: tuple
-    alpha: tuple
-    beta: tuple
-    tmax: int
-    nmax: int
-    method: str
-    seed: object
-    out: object
-    format: str
-    strict: bool
-    preset: object
+    """A fully resolved run; the field defaults are the built-in defaults."""
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["params"] = [float(p) for p in self.params]
-        d["alpha"] = [float(a) for a in self.alpha]
-        d["beta"] = [float(b) for b in self.beta]
-        return d
+    gate: str | None = None
+    params: tuple = ()
+    alpha: tuple = (1, 0, 0)
+    beta: tuple = (1, 0, 0)
+    tmax: int = 8
+    nmax: int = 5
+    method: str = _TRANSFER
+    seed: int | None = None
+    out: str | None = None
+    format: str = _CSV
+    strict: bool = False
+    preset: str | None = None
 
 
 class ConfigError(ValueError):
@@ -182,18 +178,19 @@ def load_config_file(path: str) -> dict:
             if not sep:
                 raise ConfigError(f"config line {raw!r} is not key=value")
             data[key.strip()] = value.strip()
+    settings = {f.name for f in fields(RunConfig)}
     for key in data:
         if key == "preset":
             raise ConfigError(f"config file {path}: key 'preset' is not allowed; "
                               "a preset comes only through --preset")
-        if key not in _DEFAULTS:
+        if key not in settings:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
     return data
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < preset < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
+    merged = asdict(RunConfig())
     preset = getattr(args, "preset", None)
     if preset is not None:
         if preset not in PRESETS:
@@ -203,7 +200,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         merged.update(load_config_file(config_path))
-    for key in _DEFAULTS:
+    for key in merged:
         flag = getattr(args, key, None)
         if flag is not None and key not in ("preset", "strict"):
             merged[key] = flag
@@ -219,27 +216,26 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged["strict"] = _bool(merged["strict"])
     if merged["seed"] is not None:
         merged["seed"] = _int("seed", merged["seed"])
-    cfg = RunConfig(**{f.name: merged[f.name] for f in fields(RunConfig)})
+    cfg = RunConfig(**merged)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
-    if cfg.gate not in ("du", "kim", "xy", "kak"):
-        raise ConfigError("gate must be one of du, kim, xy, kak; "
+    if cfg.gate not in _GATES:
+        raise ConfigError(f"gate must be one of {', '.join(_GATES)}; "
                           "set --gate or --preset")
-    if cfg.gate in ("du", "kak") and cfg.seed is None:
+    params = _GATES[cfg.gate].params
+    if params is None and cfg.seed is None:
         raise ConfigError(f"gate family {cfg.gate!r} is random; --seed is required")
-    if cfg.gate == "kim" and len(cfg.params) != 2:
-        raise ConfigError("kim needs --params h1,h2")
-    if cfg.gate == "xy" and len(cfg.params) != 1:
-        raise ConfigError("xy needs --params j")
+    if params is not None and len(cfg.params) != len(params.split(",")):
+        raise ConfigError(f"{cfg.gate} needs --params {params}")
     if not np.all(np.isfinite(cfg.params)):
         raise ConfigError("params needs finite values")
-    if cfg.method not in _METHODS + ("all",):
-        raise ConfigError("method must be transfer, oracle, closed_form, or all")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
+    if cfg.method not in (*_METHODS, _ALL):
+        raise ConfigError(f"method must be {', '.join(_METHODS)}, or {_ALL}")
+    if cfg.format not in _FORMATS:
+        raise ConfigError(f"format must be {' or '.join(_FORMATS)}")
     for name in ("alpha", "beta"):
         coeffs = getattr(cfg, name)
         if len(coeffs) not in (3, 4):
@@ -252,14 +248,60 @@ def _validate(cfg: RunConfig):
         raise ConfigError("need tmax >= 0 and nmax >= 1")
 
 
+def _no_closed_form(*args):
+    return None
+
+
+class _Family(NamedTuple):
+    """A gate family: its builder, the ``--params`` it takes (None for a
+    seeded random family), and its closed forms, each returning None where
+    the family has none: corr(cfg, sigma_alpha, sigma_beta, t),
+    otoc(cfg, sigma_alpha, sigma_beta, x, t) and
+    longtime(cfg, gate, sigma_alpha, sigma_beta, t_minus_x)."""
+
+    build: Callable
+    params: str | None = None
+    corr: Callable = _no_closed_form
+    otoc: Callable = _no_closed_form
+    longtime: Callable = _no_closed_form
+
+
+def _kim_otoc(cfg, a_op, b_op, x, t):
+    """The kicked Ising OTOC in closed form, known at h1 = h2 = 0 only."""
+    if cfg.params == (0.0, 0.0):
+        return kim_integrable_otoc_symmetrized(a_op, b_op, x, t)
+    return None
+
+
+def _kim_longtime(cfg, gate, a_op, b_op, t_minus_x):
+    # any (x, t) >= 1 inside the cone with this separation
+    value = _kim_otoc(cfg, a_op, b_op, 2, 2 + t_minus_x)
+    if value is None:
+        value = kim_longtime(*cfg.params, a_op, b_op, 2, 2 + t_minus_x)
+    return float(value)
+
+
+# the gate families, in the order --gate lists them; the closed forms look
+# their functions up when called, so a replaced module attribute takes effect
+_GATES = {
+    "du": _Family(lambda cfg: random_dual_unitary(cfg.seed),
+                  longtime=lambda cfg, gate, a_op, b_op, t_minus_x: float(
+                      mc_longtime(a_op, b_op, -t_minus_x, gate=gate))),
+    "kim": _Family(lambda cfg: build_kim(*cfg.params), "h1,h2",
+                   corr=lambda cfg, a_op, b_op, t: float(
+                       kim_correlator(*cfg.params, a_op, b_op, t)),
+                   otoc=_kim_otoc, longtime=_kim_longtime),
+    "xy": _Family(lambda cfg: build_xy(*cfg.params), "j",
+                  corr=lambda cfg, a_op, b_op, t: float(
+                      xy_correlator(*cfg.params, a_op, b_op, t)),
+                  longtime=lambda cfg, gate, a_op, b_op, t_minus_x: float(
+                      xy_longtime(a_op, b_op, t_minus_x))),
+    "kak": _Family(lambda cfg: random_kak(cfg.seed)),
+}
+
+
 def build_gate(cfg: RunConfig):
-    if cfg.gate == "du":
-        return random_dual_unitary(cfg.seed)
-    if cfg.gate == "kak":
-        return random_kak(cfg.seed)
-    if cfg.gate == "kim":
-        return build_kim(h1=cfg.params[0], h2=cfg.params[1])
-    return build_xy(j=cfg.params[0])
+    return _GATES[cfg.gate].build(cfg)
 
 
 def operator_from_coeffs(coeffs) -> np.ndarray:
@@ -272,12 +314,8 @@ def operator_from_coeffs(coeffs) -> np.ndarray:
     return vec_to_op(c)
 
 
-def _is_integrable_kim(cfg: RunConfig) -> bool:
-    return cfg.gate == "kim" and cfg.params[0] == 0.0 and cfg.params[1] == 0.0
-
-
 def _selected(cfg: RunConfig) -> tuple:
-    return _METHODS if cfg.method == "all" else (cfg.method,)
+    return _METHODS if cfg.method == _ALL else (cfg.method,)
 
 
 def _fmt(value) -> str:
@@ -295,6 +333,25 @@ def _delta(row: dict, methods: tuple):
     if len(vals) < 2:
         return None
     return max(abs(a - b) for a in vals for b in vals)
+
+
+def _row(row: dict, methods: tuple, routes: dict) -> dict:
+    """``row`` with the value of each of ``methods`` from its route, a
+    callable of the row that returns None where the route's budget excludes
+    the cell, then with the methods' delta."""
+    for method in methods:
+        row[method] = routes[method](row)
+    row["delta"] = _delta(row, methods)
+    return row
+
+
+def _cell(xt) -> dict:
+    """The labels that start the row of the cell (x, t)."""
+    x, t = xt
+    return {"x": x, "t": t, "parity": _depths(x, t)[2]}
+
+
+_CELL_FIELDS = ["x", "t", "parity"]
 
 
 def _map_rows(fn, items):
@@ -336,8 +393,8 @@ def _emit(cfg: RunConfig, fieldnames: list, rows: list,
           strict_tol: float = STRICT_TOL) -> int:
     """Write CSV (+ config sidecar) or a single JSON document; then apply
     --strict to the delta column."""
-    if cfg.format == "json":
-        _write(cfg, _json({"config": cfg.to_json_dict(), "rows": rows}))
+    if cfg.format == _JSON:
+        _write(cfg, _json({"config": asdict(cfg), "rows": rows}))
     else:
         lines = [",".join(fieldnames)]
         for row in rows:
@@ -345,7 +402,7 @@ def _emit(cfg: RunConfig, fieldnames: list, rows: list,
         _write(cfg, "\n".join(lines) + "\n")
         if cfg.out:
             with open(cfg.out + ".json", "w") as fh:
-                fh.write(_json(cfg.to_json_dict()))
+                fh.write(_json(asdict(cfg)))
     if cfg.strict:
         worst = max((row["delta"] for row in rows
                      if row.get("delta") is not None), default=0.0)
@@ -358,16 +415,29 @@ def _emit(cfg: RunConfig, fieldnames: list, rows: list,
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_classify(args) -> int:
+def _spectra(args):
+    """The config, the gate and the spectra of its channels M+ and M-."""
     cfg = resolve_config(args)
     gate = build_gate(cfg)
-    plus = channel_spectrum(channel_plus(gate))
-    minus = channel_spectrum(channel_minus(gate))
+    return (cfg, gate, channel_spectrum(channel_plus(gate)),
+            channel_spectrum(channel_minus(gate)))
+
+
+def _setup(args):
+    """The config, the gate, sigma_alpha, sigma_beta and the oracle's chain."""
+    cfg = resolve_config(args)
+    gate = build_gate(cfg)
+    return (cfg, gate, operator_from_coeffs(cfg.alpha),
+            operator_from_coeffs(cfg.beta), ChainSpec(gate=gate))
+
+
+def cmd_classify(args) -> int:
+    cfg, gate, plus, minus = _spectra(args)
     eigs = np.linalg.eigvals(build_transfer(gate, 1))
     n_unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_EIG_TOL))
     report = {
         "gate": cfg.gate,
-        "params": [float(p) for p in cfg.params],
+        "params": list(cfg.params),
         "seed": cfg.seed,
         "dual_unitary": bool(is_dual_unitary(gate)),
         "ergodicity_class": plus.ergodicity_class,
@@ -377,7 +447,7 @@ def cmd_classify(args) -> int:
         "unit_eigenvalue_count_T1": n_unit,
         "maximal_velocity": n_unit > 1,
     }
-    if cfg.format == "json":
+    if cfg.format == _JSON:
         _write(cfg, _json(report))
         return 0
     def _eig_line(rep):
@@ -395,99 +465,38 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _corr_row(cfg, gate, spec, a_op, b_op, t):
-    row = {"x": t, "t": t, "parity": parity_tag(t, t)}
-    methods = _selected(cfg)
-    if "transfer" in methods:
-        row["transfer"] = float(lightcone_correlator(gate, a_op, b_op, t))
-    if "oracle" in methods:
-        row["oracle"] = (float(oracle_correlator(spec, a_op, t, b_op, t))
-                         if 2 * t < spec.L else None)
-    if "closed_form" in methods:
-        if cfg.gate == "kim":
-            row["closed_form"] = float(
-                kim_correlator(cfg.params[0], cfg.params[1], a_op, b_op, t))
-        elif cfg.gate == "xy":
-            row["closed_form"] = float(xy_correlator(cfg.params[0], a_op, b_op, t))
-        else:
-            row["closed_form"] = None
-    row["delta"] = _delta(row, methods)
-    return row
-
-
 def cmd_corr(args) -> int:
-    cfg = resolve_config(args)
-    gate = build_gate(cfg)
-    a_op = operator_from_coeffs(cfg.alpha)
-    b_op = operator_from_coeffs(cfg.beta)
-    spec = ChainSpec(gate=gate)
-    rows = _map_rows(lambda t: _corr_row(cfg, gate, spec, a_op, b_op, t),
-                     list(range(cfg.tmax + 1)))
-    names = ["x", "t", "parity"] + list(_selected(cfg)) + ["delta"]
-    return _emit(cfg, names, rows)
+    cfg, gate, a_op, b_op, spec = _setup(args)
+    closed = _GATES[cfg.gate].corr
+    routes = {
+        _TRANSFER: lambda row: float(lightcone_correlator(gate, a_op, b_op, row["t"])),
+        _ORACLE: lambda row: (float(oracle_correlator(spec, a_op, row["t"], b_op, row["t"]))
+                              if 2 * row["t"] < spec.L else None),
+        _CLOSED_FORM: lambda row: closed(cfg, a_op, b_op, row["t"]),
+    }
+    methods = _selected(cfg)
+    rows = _map_rows(lambda xt: _row(_cell(xt), methods, routes),
+                     [(t, t) for t in range(cfg.tmax + 1)])
+    return _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
 
 
-def _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt):
-    """One OTOC cell (x, t) by each of ``methods``, with their delta."""
-    x, t = xt
-    n_depth, _, parity = _depths(x, t)
-    row = {"x": x, "t": t, "parity": parity}
-    if "transfer" in methods:
-        row["transfer"] = (otoc_finite(gate, a_op, b_op, x, t).value
-                           if n_depth <= N_MAX_APPLY else None)
-    if "oracle" in methods:
-        row["oracle"] = (float(oracle_otoc(spec, a_op, b_op, x, t))
-                         if 2 * t < spec.L else None)
-    if "closed_form" in methods:
-        row["closed_form"] = (kim_integrable_otoc_symmetrized(a_op, b_op, x, t)
-                              if _is_integrable_kim(cfg) else None)
-    row["delta"] = _delta(row, methods)
-    return row
+def _otoc_routes(cfg, gate, a_op, b_op, spec) -> dict:
+    """The route of each method to an OTOC cell's value."""
+    closed = _GATES[cfg.gate].otoc
+    return {
+        _TRANSFER: lambda row: (otoc_finite(gate, a_op, b_op, row["x"], row["t"]).value
+                                if _depths(row["x"], row["t"])[0] <= N_MAX_APPLY else None),
+        _ORACLE: lambda row: (float(oracle_otoc(spec, a_op, b_op, row["x"], row["t"]))
+                              if 2 * row["t"] < spec.L else None),
+        _CLOSED_FORM: lambda row: closed(cfg, a_op, b_op, row["x"], row["t"]),
+    }
 
 
 def cmd_otoc(args) -> int:
-    cfg = resolve_config(args)
-    gate = build_gate(cfg)
-    a_op = operator_from_coeffs(cfg.alpha)
-    b_op = operator_from_coeffs(cfg.beta)
-    spec = ChainSpec(gate=gate)
-    methods = _selected(cfg)
-    rows = _scan_rows(lambda xt: _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt),
-                      cfg.tmax)
-    return _emit(cfg, ["x", "t", "parity", *methods, "delta"], rows)
-
-
-def _longtime_closed(cfg, gate, a_op, b_op, n, parity):
-    t_minus_x = _separation(n, parity)
-    if cfg.gate == "du":
-        return float(mc_longtime(a_op, b_op, -t_minus_x, gate=gate))
-    if _is_integrable_kim(cfg):
-        # any (x, t) >= 1 inside the cone with this separation
-        return float(kim_integrable_otoc_symmetrized(a_op, b_op, 2, 2 + t_minus_x))
-    if cfg.gate == "kim":
-        return float(kim_longtime(cfg.params[0], cfg.params[1], a_op, b_op,
-                                  2, 2 + t_minus_x))
-    if cfg.gate == "xy":
-        return float(xy_longtime(a_op, b_op, t_minus_x))
-    return None
-
-
-def _longtime_row(cfg, gate, a_op, b_op, np_):
-    n, parity = np_
-    row = {"n": n, "parity": parity, "t_minus_x": _separation(n, parity)}
-    methods = _selected(cfg)
-    if "transfer" in methods:
-        res = otoc_longtime(gate, a_op, b_op, n, parity)
-        row["transfer"] = res.value
-        row["iterations"] = res.meta.get("iterations")
-        row["converged"] = res.meta.get("converged")
-        row["amplitude"] = res.meta.get("amplitude")
-    if "oracle" in methods:
-        row["oracle"] = None  # infinite time is out of any finite-chain budget
-    if "closed_form" in methods:
-        row["closed_form"] = _longtime_closed(cfg, gate, a_op, b_op, n, parity)
-    row["delta"] = _delta(row, methods)
-    return row
+    cfg, gate, a_op, b_op, spec = _setup(args)
+    methods, routes = _selected(cfg), _otoc_routes(cfg, gate, a_op, b_op, spec)
+    rows = _scan_rows(lambda xt: _row(_cell(xt), methods, routes), cfg.tmax)
+    return _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
 
 
 def cmd_longtime(args) -> int:
@@ -498,28 +507,36 @@ def cmd_longtime(args) -> int:
     overlaps if it stopped on the way, or extends the trajectory further
     (see otoc_longtime).
     """
-    cfg = resolve_config(args)
-    gate = build_gate(cfg)
-    a_op = operator_from_coeffs(cfg.alpha)
-    b_op = operator_from_coeffs(cfg.beta)
+    cfg, gate, a_op, b_op, _ = _setup(args)
     if cfg.nmax > N_MAX_APPLY:
         raise ConfigError(f"longtime depth is capped at nmax <= {N_MAX_APPLY}")
-    items = [(n, parity) for n in range(1, cfg.nmax + 1) for parity in ("even", "odd")]
-    rows = _map_rows(lambda np_: _longtime_row(cfg, gate, a_op, b_op, np_), items)
-    names = ["n", "parity", "t_minus_x"] + list(_selected(cfg))
-    if "transfer" in _selected(cfg):
-        names += ["iterations", "converged", "amplitude"]
-    names += ["delta"]
+    closed = _GATES[cfg.gate].longtime
+    meta = ["iterations", "converged", "amplitude"]
+
+    def transfer(row):
+        res = otoc_longtime(gate, a_op, b_op, row["n"], row["parity"])
+        row.update((key, res.meta.get(key)) for key in meta)
+        return res.value
+
+    routes = {
+        _TRANSFER: transfer,
+        _ORACLE: lambda row: None,  # infinite time is out of any finite-chain budget
+        _CLOSED_FORM: lambda row: closed(cfg, gate, a_op, b_op, row["t_minus_x"]),
+    }
+    methods = _selected(cfg)
+    items = [(n, parity) for n in range(1, cfg.nmax + 1) for parity in PARITIES]
+    rows = _map_rows(lambda np_: _row({"n": np_[0], "parity": np_[1],
+                                       "t_minus_x": _separation(*np_)}, methods, routes),
+                     items)
+    names = ["n", "parity", "t_minus_x", *methods,
+             *(meta if _TRANSFER in methods else []), "delta"]
     return _emit(cfg, names, rows, strict_tol=LONGTIME_STRICT_TOL)
 
 
 def cmd_spectrum(args) -> int:
-    cfg = resolve_config(args)
-    gate = build_gate(cfg)
-    plus = channel_spectrum(channel_plus(gate))
-    minus = channel_spectrum(channel_minus(gate))
-    if cfg.format == "json":
-        _write(cfg, _json({"config": cfg.to_json_dict(),
+    cfg, _, plus, minus = _spectra(args)
+    if cfg.format == _JSON:
+        _write(cfg, _json({"config": asdict(cfg),
                            "channel_plus": plus.to_json_dict(),
                            "channel_minus": minus.to_json_dict()}))
         return 0
@@ -532,24 +549,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = resolve_config(args)
-    gate = build_gate(cfg)
-    a_op = operator_from_coeffs(cfg.alpha)
-    b_op = operator_from_coeffs(cfg.beta)
-    spec = ChainSpec(gate=gate)
+    cfg, gate, a_op, b_op, spec = _setup(args)
     tmax = min(cfg.tmax, (spec.L - 1) // 2)
     if tmax < cfg.tmax:
         print(f"oracle-check: clamping tmax to {tmax} (chain budget 2t < L = {spec.L})",
               file=sys.stderr)
 
-    methods = ("transfer", "oracle")
-    rows = _scan_rows(lambda xt: _otoc_row(cfg, methods, gate, spec, a_op, b_op, xt), tmax)
-    worst = max(row["delta"] for row in rows)
-    code = _emit(cfg, ["x", "t", "parity", *methods, "delta"], rows)
-    print(f"oracle-check: max |transfer - oracle| = {worst:.3e} "
+    methods, routes = (_TRANSFER, _ORACLE), _otoc_routes(cfg, gate, a_op, b_op, spec)
+    rows = _scan_rows(lambda xt: _row(_cell(xt), methods, routes), tmax)
+    code = _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
+    print(f"oracle-check: max |transfer - oracle| = {max(row['delta'] for row in rows):.3e} "
           f"over {len(rows)} points", file=sys.stderr)
-    if cfg.strict and worst > STRICT_TOL:
-        return 1
     return code
 
 
@@ -557,7 +567,7 @@ def cmd_oracle_check(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gate", choices=("du", "kim", "xy", "kak"),
+    common.add_argument("--gate", choices=tuple(_GATES),
                         help="gate family (du/kak are seeded random)")
     common.add_argument("--params", help="family parameters, e.g. 0.4,0.6 (kim) "
                                          "or 0.314 (xy)")
@@ -566,8 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta", help="sigma_beta Pauli coefficients")
     common.add_argument("--tmax", type=int, help="largest time in the scan")
     common.add_argument("--nmax", type=int, help="largest transfer depth")
-    common.add_argument("--method", choices=("transfer", "oracle",
-                                             "closed_form", "all"),
+    common.add_argument("--method", choices=(*_METHODS, _ALL),
                         help="computation route(s); 'all' adds a delta column")
     common.add_argument("--seed", type=int, help="seed for random gate families")
     common.add_argument("--preset", choices=sorted(PRESETS),
@@ -575,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON or key=value config file "
                                          "(flags override it)")
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=_FORMATS,
                         help="output format (default csv)")
     common.add_argument("--strict", action="store_true",
                         help="exit nonzero if any cross-method delta "
@@ -585,22 +594,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="duotoc",
         description="Exact correlators and OTOCs for brickwork circuits.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("classify", parents=[common],
-                   help="gate diagnostics and ergodicity class").set_defaults(
-        func=cmd_classify)
-    sub.add_parser("corr", parents=[common],
-                   help="light-cone correlator scan").set_defaults(func=cmd_corr)
-    sub.add_parser("otoc", parents=[common],
-                   help="OTOC scan over 0 <= x <= t <= tmax").set_defaults(
-        func=cmd_otoc)
-    sub.add_parser("longtime", parents=[common],
-                   help="long-time OTOC limits vs depth").set_defaults(
-        func=cmd_longtime)
-    sub.add_parser("spectrum", parents=[common],
-                   help="channel eigenvalue table").set_defaults(func=cmd_spectrum)
-    sub.add_parser("oracle-check", parents=[common],
-                   help="transfer vs brute-force cross-check").set_defaults(
-        func=cmd_oracle_check)
+    for name, func, help_ in (
+            ("classify", cmd_classify, "gate diagnostics and ergodicity class"),
+            ("corr", cmd_corr, "light-cone correlator scan"),
+            ("otoc", cmd_otoc, "OTOC scan over 0 <= x <= t <= tmax"),
+            ("longtime", cmd_longtime, "long-time OTOC limits vs depth"),
+            ("spectrum", cmd_spectrum, "channel eigenvalue table"),
+            ("oracle-check", cmd_oracle_check, "transfer vs brute-force cross-check")):
+        sub.add_parser(name, parents=[common], help=help_).set_defaults(func=func)
     return parser
 
 

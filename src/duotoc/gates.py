@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import PAULI, TOL_UNITARY, assert_unitary, dual, is_unitary
+from .opalg import PAULI, assert_unitary, dual, is_unitary
 
 __all__ = [
     "Gate",
@@ -197,14 +197,16 @@ _XY_LEFT_IDENTITIES = [
     (np.kron(_SY, _SX), np.kron(_ID, _SY)),
     (np.kron(_SZ, _ID), np.kron(_SX, _SZ)),
 ]
+# how far a candidate composition may miss an identity and still be selected
+_XY_IDENTITY_TOL = 1e-12
 
 
-def _xy_identities_hold(u: np.ndarray, tol: float = 1e-12) -> bool:
+def _xy_identities_hold(u: np.ndarray) -> bool:
     for a, b in _XY_RIGHT_IDENTITIES:
-        if np.max(np.abs(u @ a @ u.conj().T - b)) > tol:
+        if np.max(np.abs(u @ a @ u.conj().T - b)) > _XY_IDENTITY_TOL:
             return False
     for a, b in _XY_LEFT_IDENTITIES:
-        if np.max(np.abs(u.conj().T @ a @ u - b)) > tol:
+        if np.max(np.abs(u.conj().T @ a @ u - b)) > _XY_IDENTITY_TOL:
             return False
     return True
 
@@ -235,6 +237,7 @@ def build_xy(j: float) -> Gate:
     raise ValueError("no kicked-XY composition satisfies the defining identities")
 
 
-def is_dual_unitary(gate, tol: float = TOL_UNITARY) -> bool:
-    """True iff the space-time dual of the gate is unitary."""
-    return is_unitary(dual(gate_matrix(gate)), tol)
+def is_dual_unitary(gate) -> bool:
+    """True iff the space-time dual of the gate is unitary (within
+    TOL_UNITARY)."""
+    return is_unitary(dual(gate_matrix(gate)))

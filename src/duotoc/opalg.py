@@ -101,15 +101,15 @@ def normalize_coeffs(coeffs) -> np.ndarray:
     return c / nrm
 
 
-def is_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> bool:
+def is_unitary(U: np.ndarray) -> bool:
     U = np.asarray(U)
     d = U.shape[0]
-    return U.shape == (d, d) and np.max(np.abs(U.conj().T @ U - np.eye(d))) < tol
+    return U.shape == (d, d) and np.max(np.abs(U.conj().T @ U - np.eye(d))) < TOL_UNITARY
 
 
-def assert_unitary(U: np.ndarray, tol: float = TOL_UNITARY, name: str = "gate"):
-    if not is_unitary(U, tol):
-        raise ValueError(f"{name} is not unitary within {tol}")
+def assert_unitary(U: np.ndarray, name: str = "gate"):
+    if not is_unitary(U):
+        raise ValueError(f"{name} is not unitary within {TOL_UNITARY}")
 
 
 def _hermitian(op) -> np.ndarray:

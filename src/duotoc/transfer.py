@@ -399,6 +399,7 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
     insertions except the innermost pairing, which carries sigma_alpha; a
     real vector in the Hermitian leg basis (see the module docstring)."""
+    _check_depth(n)
     _check_qubits(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
     identity_pair = np.eye(4)
@@ -456,29 +457,30 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     to |R_n).  The vector is sum_t P[t] (x) S[t] of ``_right_factors``, which
     the trajectories read without forming it.
     """
+    _check_depth(n)
     p, s = _right_factors(sigma_beta, n, parity, gate)
     return (p.T @ s).reshape(-1)
 
 
-def _power_radius_estimate(kern, iters=200, seed=7):
-    """Power-iteration estimate of the spectral radius of the column, on
-    the kernel ``kern``, which applies T^T.
+def _power_radius_estimate(kern):
+    """Power-iteration estimate, over 200 applications, of the spectral
+    radius of the column, on the kernel ``kern``, which applies T^T.
 
-    The seed's complex start vector is drawn in the complex computational
+    The complex start vector of seed 7 is drawn in the complex computational
     folded basis and carried into the Hermitian leg basis by Q^dagger per
     slot, as a left vector.  That map is unitary, so the norms are those of
     the same iteration on the transpose of the complex-basis transfer
     matrix.  The kernel is real, so it applies to the real and imaginary
     parts separately.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     v = rng.standard_normal(kern.dim) + 1j * rng.standard_normal(kern.dim)
     v /= np.linalg.norm(v)
     for _ in range(2 * kern.n):
         # Q^dagger on the leading slot, which then moves behind the others
         v = (_QMAT.conj().T @ v.reshape(4, -1)).T.reshape(-1)
     growth = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         # apply overwrites its argument: give it owned copies of both parts
         re, im = v.real.copy(), v.imag.copy()
         kern.apply(re)

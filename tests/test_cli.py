@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from duotoc import cli
 from duotoc.cli import ConfigError, build_gate, main, operator_from_coeffs, resolve_config
 from duotoc.transfer import _TRAJECTORY_MEMO, otoc_finite
 
@@ -376,6 +377,71 @@ def test_oracle_check_passes_strict(tmp_path):
     assert code == 0
     for row in _read_csv(out):
         assert float(row["delta"]) < TOL
+
+
+def _strict_lines(err: str) -> list:
+    return [line for line in err.splitlines() if line.startswith("strict:")]
+
+
+@pytest.mark.parametrize("argv,route", [
+    (["corr", "--preset", "fig5", "--method", "all", "--tmax", "3"], "oracle_correlator"),
+    (["otoc", "--preset", "fig5", "--method", "all", "--tmax", "3"], "oracle_otoc"),
+    (["longtime", "--preset", "fig7", "--method", "all", "--nmax", "2"], "xy_longtime"),
+    (["oracle-check", "--preset", "fig5", "--tmax", "3"], "oracle_otoc"),
+], ids=["corr", "otoc", "longtime", "oracle-check"])
+def test_strict_run_with_a_disagreement_exits_1(monkeypatch, capsys, argv, route):
+    """--strict turns a cross-method delta above the tolerance into exit
+    status 1 with one ``strict:`` line on stderr; the same run without
+    --strict exits 0.  The disagreement comes from the oracle or closed form
+    that the command line calls, shifted by 1e-6."""
+    exact = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda *args, **kwargs: exact(*args, **kwargs) + 1e-6)
+    assert main([*argv, "--format", "json"]) == 0
+    assert _strict_lines(capsys.readouterr().err) == []
+    assert main([*argv, "--format", "json", "--strict"]) == 1
+    assert len(_strict_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("shift,code", [(1e-9, 0), (1e-7, 1)])
+def test_longtime_strict_uses_its_looser_tolerance(monkeypatch, capsys, shift, code):
+    """Long-time rows are judged at LONGTIME_STRICT_TOL = 1e-8, not
+    STRICT_TOL: a closed form shifted by 1e-9 still passes --strict, one
+    shifted by 1e-7 does not."""
+    exact = cli.xy_longtime
+    monkeypatch.setattr(cli, "xy_longtime", lambda *args: exact(*args) + shift)
+    assert main(["longtime", "--preset", "fig7", "--method", "all", "--nmax", "2",
+                 "--format", "json", "--strict"]) == code
+    assert len(_strict_lines(capsys.readouterr().err)) == code
+
+
+def test_oracle_check_rows_are_the_otoc_scan_rows(capsys):
+    """oracle-check and otoc --method all share the cell routes: at t <= 3,
+    the oracle-check rows of fig5 are the otoc rows, float for float, in
+    x, t, parity, transfer, oracle and delta (fig5 has no closed form)."""
+    assert main(["otoc", "--preset", "fig5", "--method", "all", "--format", "json"]) == 0
+    scan = json.loads(capsys.readouterr().out)["rows"]
+    assert main(["oracle-check", "--preset", "fig5", "--format", "json"]) == 0
+    checked = json.loads(capsys.readouterr().out)["rows"]
+    fields = ("x", "t", "parity", "transfer", "oracle", "delta")
+    want = [{k: row[k] for k in fields} for row in scan if row["t"] <= 3]
+    assert [{k: row[k] for k in fields} for row in checked] == want
+    assert len(want) == 10 and all(row["closed_form"] is None for row in scan)
+
+
+def test_json_config_block_is_the_sidecar(tmp_path, capsys):
+    """The config block of a --format json document and the sidecar of the
+    CSV run with the same flags record the same resolved configuration, but
+    for the format and the output path."""
+    flags = ["corr", "--preset", "fig8", "--tmax", "2", "--params", "0.3",
+             "--alpha", "1,2,2", "--strict"]
+    assert main([*flags, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    out = tmp_path / "corr.csv"
+    assert main([*flags, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "corr.csv.json").read_text())
+    assert config == {**sidecar, "format": "json", "out": None}
+    assert sidecar["format"] == "csv" and sidecar["out"] == str(out)
+    assert sidecar["params"] == [0.3] and sidecar["alpha"] == [1.0, 2.0, 2.0]
 
 
 def test_spectrum_rows(capsys):

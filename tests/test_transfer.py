@@ -780,6 +780,23 @@ def test_boundary_right_odd_needs_gate():
     assert np.linalg.norm(v) > 0
 
 
+@pytest.mark.parametrize("n", [0, -1, N_MAX_APPLY + 1])
+@pytest.mark.parametrize("build", [
+    lambda n: boundary_left(ALPHA, n),
+    lambda n: boundary_right(BETA, n, "even"),
+    lambda n: boundary_right(BETA, n, "odd", gate=build_kim(h1=0.4, h2=0.6)),
+    fixed_left,
+    fixed_right,
+], ids=["left", "right-even", "right-odd", "fixed_left", "fixed_right"])
+def test_boundary_builders_reject_depths_outside_the_budget(build, n):
+    """A depth below 1 is no column, and one above N_MAX_APPLY would
+    allocate 16^n floats: every boundary builder raises the depth check's
+    error, rather than returning the depth-1 vector or numpy's reshape
+    error."""
+    with pytest.raises(ValueError, match=r"need n >= 1|exceeds the application budget"):
+        build(n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_odd_boundary_matches_the_dressed_stepwise_column(n):
     """The odd boundary, built from its factors across the top cap without a
