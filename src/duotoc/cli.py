@@ -12,9 +12,13 @@ oracle-check  transfer matrix vs brute-force simulator on a small chain
 
 A run is configured by (in increasing precedence) built-in defaults, a named
 ``--preset``, a ``--config`` file (JSON or ``key=value`` lines), and explicit
-flags.  Scans write CSV with a header line (floats at 17 significant digits)
-plus a ``<out>.json`` sidecar recording the fully resolved configuration;
-``--format json`` bundles rows and configuration into a single JSON document.
+flags.  Each subcommand takes only the flags of the settings it reads, and an
+explicit flag the run would ignore (``--seed`` or ``--params``, whichever the
+gate family does not use) is a usage error.  Scans write CSV with a header
+line (floats at 17 significant digits) plus a ``<out>.json`` sidecar
+recording the settings the run read, resolved; ``--format json`` bundles rows
+and those settings into a single JSON document.  A preset or config-file
+value the run does not read is left out of both.
 Identical configuration and seed give byte-identical output at a fixed BLAS
 thread count: with another count (``OPENBLAS_NUM_THREADS``, say), transfer
 values at depth n >= 4 can move by an ulp, up to 1.1e-16 in the figure
@@ -217,17 +221,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if merged["seed"] is not None:
         merged["seed"] = _int("seed", merged["seed"])
     cfg = RunConfig(**merged)
-    _validate(cfg)
+    _validate(cfg, args)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, args: argparse.Namespace):
     if cfg.gate not in _GATES:
         raise ConfigError(f"gate must be one of {', '.join(_GATES)}; "
                           "set --gate or --preset")
     params = _GATES[cfg.gate].params
+    for flag in {"params", "seed"} - _record(cfg, args).keys():
+        if getattr(args, flag, None) is not None:
+            raise ConfigError(f"gate family {cfg.gate!r} takes no --{flag}")
     if params is None and cfg.seed is None:
         raise ConfigError(f"gate family {cfg.gate!r} is random; --seed is required")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed needs a non-negative integer, not {cfg.seed}")
     if params is not None and len(cfg.params) != len(params.split(",")):
         raise ConfigError(f"{cfg.gate} needs --params {params}")
     if not np.all(np.isfinite(cfg.params)):
@@ -389,12 +398,18 @@ def _write(cfg: RunConfig, payload: str):
         sys.stdout.write(payload)
 
 
-def _emit(cfg: RunConfig, fieldnames: list, rows: list,
+def _record(cfg: RunConfig, args: argparse.Namespace) -> dict:
+    """The settings the run read: its subcommand's, less the seed or params its gate skips."""
+    unread = "seed" if _GATES[cfg.gate].params else "params"
+    return {k: v for k, v in asdict(cfg).items() if hasattr(args, k) and k != unread}
+
+
+def _emit(cfg: RunConfig, args: argparse.Namespace, fieldnames: list, rows: list,
           strict_tol: float = STRICT_TOL) -> int:
-    """Write CSV (+ config sidecar) or a single JSON document; then apply
-    --strict to the delta column."""
+    """Write CSV (+ record sidecar) or a single JSON document; then apply
+    --strict to the delta column and to the long-time rows' convergence."""
     if cfg.format == _JSON:
-        _write(cfg, _json({"config": asdict(cfg), "rows": rows}))
+        _write(cfg, _json({"config": _record(cfg, args), "rows": rows}))
     else:
         lines = [",".join(fieldnames)]
         for row in rows:
@@ -402,15 +417,19 @@ def _emit(cfg: RunConfig, fieldnames: list, rows: list,
         _write(cfg, "\n".join(lines) + "\n")
         if cfg.out:
             with open(cfg.out + ".json", "w") as fh:
-                fh.write(_json(asdict(cfg)))
-    if cfg.strict:
-        worst = max((row["delta"] for row in rows
-                     if row.get("delta") is not None), default=0.0)
-        if worst > strict_tol:
-            print(f"strict: cross-method delta {worst:.3e} exceeds {strict_tol:.0e}",
-                  file=sys.stderr)
-            return 1
-    return 0
+                fh.write(_json(_record(cfg, args)))
+    if not cfg.strict:
+        return 0
+    failures = [f"long-time row n={row['n']} {row['parity']} did not converge "
+                f"in {row['iterations']} iterations"
+                for row in rows if row.get("converged") is False]
+    worst = max((row["delta"] for row in rows
+                 if row.get("delta") is not None), default=0.0)
+    if worst > strict_tol:
+        failures.append(f"cross-method delta {worst:.3e} exceeds {strict_tol:.0e}")
+    for failure in failures:
+        print(f"strict: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------- subcommands
@@ -477,7 +496,7 @@ def cmd_corr(args) -> int:
     methods = _selected(cfg)
     rows = _map_rows(lambda xt: _row(_cell(xt), methods, routes),
                      [(t, t) for t in range(cfg.tmax + 1)])
-    return _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
+    return _emit(cfg, args, [*_CELL_FIELDS, *methods, "delta"], rows)
 
 
 def _otoc_routes(cfg, gate, a_op, b_op, spec) -> dict:
@@ -496,7 +515,7 @@ def cmd_otoc(args) -> int:
     cfg, gate, a_op, b_op, spec = _setup(args)
     methods, routes = _selected(cfg), _otoc_routes(cfg, gate, a_op, b_op, spec)
     rows = _scan_rows(lambda xt: _row(_cell(xt), methods, routes), cfg.tmax)
-    return _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
+    return _emit(cfg, args, [*_CELL_FIELDS, *methods, "delta"], rows)
 
 
 def cmd_longtime(args) -> int:
@@ -530,13 +549,13 @@ def cmd_longtime(args) -> int:
                      items)
     names = ["n", "parity", "t_minus_x", *methods,
              *(meta if _TRANSFER in methods else []), "delta"]
-    return _emit(cfg, names, rows, strict_tol=LONGTIME_STRICT_TOL)
+    return _emit(cfg, args, names, rows, strict_tol=LONGTIME_STRICT_TOL)
 
 
 def cmd_spectrum(args) -> int:
     cfg, _, plus, minus = _spectra(args)
     if cfg.format == _JSON:
-        _write(cfg, _json({"config": asdict(cfg),
+        _write(cfg, _json({"config": _record(cfg, args),
                            "channel_plus": plus.to_json_dict(),
                            "channel_minus": minus.to_json_dict()}))
         return 0
@@ -545,7 +564,7 @@ def cmd_spectrum(args) -> int:
         for k, z in enumerate(rep.eigenvalues):
             rows.append({"channel": name, "index": k, "re": float(z.real),
                          "im": float(z.imag), "modulus": float(abs(z))})
-    return _emit(cfg, ["channel", "index", "re", "im", "modulus"], rows)
+    return _emit(cfg, args, ["channel", "index", "re", "im", "modulus"], rows)
 
 
 def cmd_oracle_check(args) -> int:
@@ -557,7 +576,7 @@ def cmd_oracle_check(args) -> int:
 
     methods, routes = (_TRANSFER, _ORACLE), _otoc_routes(cfg, gate, a_op, b_op, spec)
     rows = _scan_rows(lambda xt: _row(_cell(xt), methods, routes), tmax)
-    code = _emit(cfg, [*_CELL_FIELDS, *methods, "delta"], rows)
+    code = _emit(cfg, args, [*_CELL_FIELDS, *methods, "delta"], rows)
     print(f"oracle-check: max |transfer - oracle| = {max(row['delta'] for row in rows):.3e} "
           f"over {len(rows)} points", file=sys.stderr)
     return code
@@ -566,42 +585,44 @@ def cmd_oracle_check(args) -> int:
 # --------------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gate", choices=tuple(_GATES),
-                        help="gate family (du/kak are seeded random)")
-    common.add_argument("--params", help="family parameters, e.g. 0.4,0.6 (kim) "
-                                         "or 0.314 (xy)")
-    common.add_argument("--alpha", help="sigma_alpha Pauli coefficients ax,ay,az "
-                                        "(or a0,ax,ay,az); normalized before use")
-    common.add_argument("--beta", help="sigma_beta Pauli coefficients")
-    common.add_argument("--tmax", type=int, help="largest time in the scan")
-    common.add_argument("--nmax", type=int, help="largest transfer depth")
-    common.add_argument("--method", choices=(*_METHODS, _ALL),
-                        help="computation route(s); 'all' adds a delta column")
-    common.add_argument("--seed", type=int, help="seed for random gate families")
-    common.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named figure configuration")
-    common.add_argument("--config", help="JSON or key=value config file "
-                                         "(flags override it)")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=_FORMATS,
-                        help="output format (default csv)")
-    common.add_argument("--strict", action="store_true",
-                        help="exit nonzero if any cross-method delta "
-                             f"exceeds {STRICT_TOL:.0e}")
-
+    # every flag, defined once; a subcommand takes those it reads, and records them
+    flags = {
+        "gate": dict(choices=tuple(_GATES), help="gate family (du/kak are seeded random)"),
+        "params": dict(help="family parameters, e.g. 0.4,0.6 (kim) or 0.314 (xy)"),
+        "alpha": dict(help="sigma_alpha Pauli coefficients ax,ay,az "
+                           "(or a0,ax,ay,az); normalized before use"),
+        "beta": dict(help="sigma_beta Pauli coefficients"),
+        "tmax": dict(type=int, help="largest time in the scan"),
+        "nmax": dict(type=int, help="largest transfer depth"),
+        "method": dict(choices=(*_METHODS, _ALL), help="route(s); all adds a delta column"),
+        "seed": dict(type=int, help="seed for random gate families"),
+        "preset": dict(choices=sorted(PRESETS), help="named figure configuration"),
+        "config": dict(help="JSON or key=value config file (flags override it)"),
+        "out": dict(help="output path (default: stdout)"),
+        "format": dict(choices=_FORMATS, help="output format (default csv)"),
+        "strict": dict(action="store_true", help="exit 1 if a cross-method delta "
+                       f"exceeds {STRICT_TOL:.0e} ({LONGTIME_STRICT_TOL:.0e} for "
+                       "longtime) or a long-time row did not converge"),
+    }
+    gate = {"gate", "params", "seed", "preset", "config", "out", "format"}
+    scan = gate | {"alpha", "beta", "tmax", "method", "strict"}
     parser = argparse.ArgumentParser(
         prog="duotoc",
         description="Exact correlators and OTOCs for brickwork circuits.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, func, help_ in (
-            ("classify", cmd_classify, "gate diagnostics and ergodicity class"),
-            ("corr", cmd_corr, "light-cone correlator scan"),
-            ("otoc", cmd_otoc, "OTOC scan over 0 <= x <= t <= tmax"),
-            ("longtime", cmd_longtime, "long-time OTOC limits vs depth"),
-            ("spectrum", cmd_spectrum, "channel eigenvalue table"),
-            ("oracle-check", cmd_oracle_check, "transfer vs brute-force cross-check")):
-        sub.add_parser(name, parents=[common], help=help_).set_defaults(func=func)
+    for name, func, takes, help_ in (
+            ("classify", cmd_classify, gate, "gate diagnostics and ergodicity class"),
+            ("corr", cmd_corr, scan, "light-cone correlator scan"),
+            ("otoc", cmd_otoc, scan, "OTOC scan over 0 <= x <= t <= tmax"),
+            ("longtime", cmd_longtime, scan - {"tmax"} | {"nmax"},
+             "long-time OTOC limits vs depth"),
+            ("spectrum", cmd_spectrum, gate, "channel eigenvalue table"),
+            ("oracle-check", cmd_oracle_check, scan - {"method"},
+             "transfer vs brute-force cross-check")):
+        command = sub.add_parser(name, help=help_)
+        command.set_defaults(func=func)
+        for flag in sorted(takes):
+            command.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -52,7 +53,8 @@ def test_classify_xy_has_extra_unit_eigenvectors(capsys):
 
 def test_classify_text_report_goes_to_out(tmp_path, capsys):
     """classify in its text format writes the report to --out, like every
-    other subcommand, and the same report to stdout without it."""
+    other subcommand, and the same report to stdout without it; it writes
+    no record beside the report."""
     flags = ["classify", "--gate", "kim", "--params", "0.4,0.6"]
     assert main(flags) == 0
     printed = capsys.readouterr().out
@@ -61,6 +63,7 @@ def test_classify_text_report_goes_to_out(tmp_path, capsys):
     assert main([*flags, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text() == printed
+    assert os.listdir(tmp_path) == ["classify.txt"]
 
 
 def test_corr_all_methods_strict(tmp_path):
@@ -464,11 +467,129 @@ def test_spectrum_rows(capsys):
     ["otoc", "--gate", "kim", "--params", "0.4,0.6", "--beta", "0,0,0,0",
      "--method", "all", "--strict", "--tmax", "1"],
     ["corr", "--preset", "fig5", "--alpha", "nan,0,1"],  # non-finite
+    ["classify", "--gate", "du", "--seed=-1"],  # numpy takes no negative seed
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+# the flags each subcommand takes: exactly the settings it reads
+GATE_FLAGS = {"gate", "params", "seed", "preset", "config", "out", "format"}
+SCAN_FLAGS = GATE_FLAGS | {"alpha", "beta", "tmax", "method", "strict"}
+SUBCOMMAND_FLAGS = {"classify": GATE_FLAGS, "spectrum": GATE_FLAGS,
+                    "corr": SCAN_FLAGS, "otoc": SCAN_FLAGS,
+                    "longtime": SCAN_FLAGS - {"tmax"} | {"nmax"},
+                    "oracle-check": SCAN_FLAGS - {"method"}}
+
+
+def test_each_subcommand_takes_the_flags_of_the_settings_it_reads():
+    """61 subcommand-flag pairs in all, where one shared set of 13 flags
+    made 78."""
+    parser = cli._build_parser()
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        args, _ = parser.parse_known_args([name])
+        assert set(vars(args)) - {"cmd", "func"} == flags, name
+    assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 61
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle-check", "--preset", "fig5", "--method", "closed_form", "--tmax", "2"],
+     "unrecognized arguments: --method closed_form"),
+    (["spectrum", "--preset", "fig7", "--strict"], "unrecognized arguments: --strict"),
+    (["classify", "--alpha", "1,0,0", "--tmax", "3", "--gate", "kim", "--params", "0.4,0.6"],
+     "unrecognized arguments: --alpha 1,0,0 --tmax 3"),
+    (["otoc", "--preset", "fig5", "--nmax", "1"], "unrecognized arguments: --nmax 1"),
+    (["longtime", "--preset", "fig4", "--tmax", "0"], "unrecognized arguments: --tmax 0"),
+    (["corr", "--gate", "du", "--seed", "1", "--params", "0.3"],
+     "gate family 'du' takes no --params"),
+    (["corr", "--gate", "kim", "--params", "0.4,0.6", "--seed", "9"],
+     "gate family 'kim' takes no --seed"),
+], ids=["oracle-check-method", "spectrum-strict", "classify-scan-flags", "otoc-nmax",
+        "longtime-tmax", "du-params", "kim-seed"])
+def test_a_flag_the_run_does_not_read_exits_two(capsys, argv, message):
+    """A flag the subcommand, or the gate family, would ignore stops the run
+    with a usage message rather than being accepted and recorded."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+_READ_BY_GATE = {"du": {"gate", "seed"}, "kak": {"gate", "seed"},
+                 "kim": {"gate", "params"}, "xy": {"gate", "params"}}
+
+
+@pytest.mark.parametrize("argv,gate", [
+    (["corr", "--gate", "kim", "--params", "0.4,0.6", "--tmax", "2"], "kim"),
+    (["otoc", "--preset", "fig4", "--tmax", "2"], "kim"),
+    (["longtime", "--preset", "fig3", "--nmax", "1"], "du"),
+    (["spectrum", "--preset", "fig7"], "xy"),
+    (["oracle-check", "--gate", "kak", "--seed", "3", "--tmax", "2"], "kak"),
+], ids=["corr", "otoc", "longtime", "spectrum", "oracle-check"])
+def test_record_holds_exactly_the_settings_the_run_read(tmp_path, capsys, argv, gate):
+    """The sidecar and the --format json config block hold the settings the
+    subcommand reads, less --seed or --params, whichever the gate family
+    ignores: otoc records no nmax although fig4 sets one, a kim run no seed,
+    a du run no params.  Each value is the resolved one."""
+    name = argv[0]
+    want = (SUBCOMMAND_FLAGS[name] - {"config", "gate", "params", "seed"}
+            | _READ_BY_GATE[gate])
+    assert main([*argv, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "run.csv.json").read_text())
+    assert set(config) == set(sidecar) == want
+    args = cli._build_parser().parse_args([*argv, "--out", str(out)])
+    resolved = json.loads(json.dumps(asdict(resolve_config(args))))
+    assert sidecar == {key: resolved[key] for key in want}
+
+
+def test_preset_and_config_values_the_run_does_not_read_are_left_out(tmp_path, capsys):
+    """A config file's seed and nmax, and fig2's seed under --gate kim, are
+    no usage error (only an explicit flag is); the record leaves them out."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gate=kim\nparams=0.4,0.6\nseed=4\nnmax=3\ntmax=2\n")
+    assert main(["corr", "--config", str(cfg), "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert "seed" not in config and "nmax" not in config and config["tmax"] == 2
+    assert main(["corr", "--preset", "fig2", "--gate", "kim", "--params", "0.4,0.6",
+                 "--tmax", "1", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert "seed" not in config and config["preset"] == "fig2"
+
+
+@pytest.fixture
+def capped_memo():
+    """An empty trajectory memo, emptied again afterwards: trajectories
+    stopped under a patched ITERATION_CAP serve no other test."""
+    _TRAJECTORY_MEMO.clear()
+    yield
+    _TRAJECTORY_MEMO.clear()
+
+
+@pytest.mark.parametrize("cap,unconverged", [(30, [(n, p) for n in (1, 2, 3)
+                                                   for p in ("even", "odd")]),
+                                             (230, [(3, "even")])])
+def test_strict_fails_an_unconverged_longtime_row(monkeypatch, capsys, capped_memo, cap,
+                                                  unconverged):
+    """A long-time row stopped at ITERATION_CAP (route cesaro, converged
+    false) has no delta to judge, yet --strict exits 1 on it and names it on
+    stderr; without --strict the run exits 0.  fig3 stops at 47, 54, 118,
+    125, 259 and 205 applications at n = 1..3, so a cap of 230 leaves only
+    the n = 3 even row open."""
+    monkeypatch.setattr("duotoc.transfer.ITERATION_CAP", cap)
+    argv = ["longtime", "--preset", "fig3", "--nmax", "3", "--method", "transfer",
+            "--format", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["n"], r["parity"]) for r in rows if not r["converged"]] == unconverged
+    assert main([*argv, "--strict"]) == 1
+    assert _strict_lines(capsys.readouterr().err) == [
+        f"strict: long-time row n={n} {p} did not converge in {cap} iterations"
+        for n, p in unconverged]
 
 
 def test_operator_from_coeffs_normalization():
