@@ -398,10 +398,14 @@ def _write(cfg: RunConfig, payload: str):
         sys.stdout.write(payload)
 
 
+def _unread(cfg: RunConfig) -> str:
+    """The gate setting the run's family skips: seed for kim/xy, params for du/kak."""
+    return "seed" if _GATES[cfg.gate].params else "params"
+
+
 def _record(cfg: RunConfig, args: argparse.Namespace) -> dict:
     """The settings the run read: its subcommand's, less the seed or params its gate skips."""
-    unread = "seed" if _GATES[cfg.gate].params else "params"
-    return {k: v for k, v in asdict(cfg).items() if hasattr(args, k) and k != unread}
+    return {k: v for k, v in asdict(cfg).items() if hasattr(args, k) and k != _unread(cfg)}
 
 
 def _emit(cfg: RunConfig, args: argparse.Namespace, fieldnames: list, rows: list,
@@ -467,6 +471,7 @@ def cmd_classify(args) -> int:
         "maximal_velocity": n_unit > 1,
     }
     if cfg.format == _JSON:
+        del report[_unread(cfg)]
         _write(cfg, _json(report))
         return 0
     def _eig_line(rep):

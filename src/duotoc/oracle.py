@@ -67,6 +67,15 @@ BLAS products of size 4^(w-2) x 16 by 16 x 16: each contracts the two
 leading sites of C with R and appends them behind the others, and after w/2
 products every site is back in order.  U(t) is never formed.
 
+A call allocates one pair of flat buffers, 4^(2t) floats each, and evolves
+the window inside them.  The products of a layer ping-pong between the two
+(``np.matmul`` with ``out=``).  Each step writes its padded window into the
+buffer that the last product left free: zeros, then C in the block where
+every padded site is a diagonal unit, which are the entries of np.kron with
+e.  So a call's peak is two windows, 16 * 4^(2t) bytes (16 MiB at t = 5),
+and nothing else of that size.  The buffers belong to the call, so threads
+that share a ChainSpec share no state.
+
 The gate passes when its bond keeps the identity within
 eps = max |e_pair R - e_pair|, e_pair = e (x) e, and (1 + eps)^(L/2) - 1 <
 TOL_UNITARY.  The L-site even layer conjugates the identity's coordinates
@@ -83,14 +92,21 @@ vectors, and a trace over the chain divided by 2^L is the window's trace
 divided by 2^w: the identity on the other L - w sites contributes its trace
 2^(L-w).  sigma_beta at window site y has coordinates c_beta_a =
 tr(h_a sigma_beta): the correlator sums the entries of C whose indices are
-diagonal units on every site but y, then dots with c_beta.  For the OTOC write A = sum_a h_a (x) A_a with h_a on site y.  Then
+diagonal units on every site but y, then dots with c_beta.  For the OTOC
+write A = sum_a h_a (x) A_a with h_a on site y.  Then
 tr(BABA) = sum_ab (L_B^T L_B)_ab G_ab with (L_B)_ca = tr(h_c sigma_beta
 h_a), left multiplication by sigma_beta in the site basis, and
 G_ab = tr(A_a A_b), the real 4 x 4 Gram matrix of C along site y; for a
-Hermitian sigma_beta, L_B^T L_B is real too.  Where sigma_beta's site lies
+Hermitian sigma_beta, L_B^T L_B is real too.  G is one product of C with
+site y in front, a 4 x 4^(w-1) matrix, and its transpose.  For an inner
+site y the window is copied into the spare buffer with site y in front,
+and that copy's transpose is written back over the window, so both
+operands are contiguous and no third window is allocated; an edge site is
+in front or at the back of C already.  Where sigma_beta's site lies
 outside the window, it is an identity site of A, so the Gram matrix is
-|C|^2 e e^T / 2 and the partial trace is (the sum of C's diagonal-unit
-entries) e / 2.  Both traces are exact.
+|C|^2 e e^T / 2 (the squares summed in the spare buffer) and the partial
+trace is (the sum of C's diagonal-unit entries) e / 2.  Both traces are
+exact.
 """
 
 from __future__ import annotations
@@ -191,32 +207,44 @@ def _diagonal_units(coords: np.ndarray, free_site=None) -> np.ndarray:
                         for s in range(coords.ndim))]
 
 
-def _conjugate_layer(coords: np.ndarray, R: np.ndarray, w: int) -> np.ndarray:
+def _conjugate_layer(coords: np.ndarray, spare: np.ndarray, R: np.ndarray, w: int):
     """Lambda^dag A Lambda, for the layer whose bonds (0,1), (2,3), ... of
-    the w sites of A's coordinates ``coords`` carry the gate of the
-    superoperator R (see the module docstring); a new flat array."""
+    the w sites of A carry the gate of the superoperator R (see the module
+    docstring).  A's coordinates fill the first 4^w entries of the flat
+    buffer ``coords``; the w/2 products ping-pong between it and the flat
+    buffer ``spare``, as long, and allocate nothing.  Returns (holder, free):
+    the buffer whose first 4^w entries hold the result, and the other."""
+    n = len(R) ** (w // 2)
     for _ in range(w // 2):
         # contract the two leading sites with R and append them behind the others
-        coords = coords.reshape(len(R), -1).T @ R
-    return coords.reshape(-1)
+        np.matmul(coords[:n].reshape(len(R), -1).T, R, out=spare[:n].reshape(-1, len(R)))
+        coords, spare = spare, coords
+    return coords, spare
 
 
 def _light_cone(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):
-    """(C, lo): the coordinates of sigma(site, t) on its window, one axis per
-    window site, and the window's first chain site (not reduced mod L), for
-    the Hermitian sigma (see the module docstring)."""
+    """(C, lo, spare): the coordinates of sigma(site, t) on its window, one
+    axis per window site, the window's first chain site (not reduced mod L)
+    and a free flat buffer of C's size, for the Hermitian sigma (see the
+    module docstring).  C views one of the two buffers that the call
+    allocates, and spare is the other."""
     R = _checked_gate(spec)
-    C = _site_coords(sigma)
+    size = 4 ** max(1, 2 * t)
+    C, spare = np.empty(size), np.empty(size)
+    C[:4] = _site_coords(sigma)
     if t == 0:
-        return C, site
+        return C, site, spare
     c = (site - t) % 2
-    # padding by identity sites: outer products, the entries of np.kron
-    # without its per-call overhead
-    pad = np.multiply.outer
-    C = _conjugate_layer(pad(C, _IDENTITY) if c else pad(_IDENTITY, C), R, 2)
-    for w in range(4, 2 * t + 1, 2):
-        C = _conjugate_layer(pad(pad(_IDENTITY, C), _IDENTITY), R, w)
-    return C.reshape((4,) * (2 * t)), site - t + c
+    for w in range(2, 2 * t + 1, 2):
+        # e (x) C (x) e written into the free buffer, the entries of np.kron:
+        # zeros, then C where every padded site is a diagonal unit; the first
+        # step pads one side only
+        left, right = (4, 4) if w > 2 else (1, 4) if c else (4, 1)
+        padded = spare[:4**w].reshape(left, -1, right)
+        padded.fill(0.0)
+        padded[:2, :, :2] = C[:padded.shape[1]][None, :, None]
+        C, spare = _conjugate_layer(spare, C, R, w)
+    return C.reshape((4,) * (2 * t)), site - t + c, spare
 
 
 def _dense(coords: np.ndarray, L: int) -> np.ndarray:
@@ -248,7 +276,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
     (sigma,) = _checked_operators(spec, sigma)
     _check_budget(spec, 0, t)
     L = spec.L
-    A, lo = _light_cone(spec, sigma, site, t)
+    A, lo, _ = _light_cone(spec, sigma, site, t)
     for _ in range(L - A.ndim):
         A = np.multiply.outer(A, _IDENTITY)
     # window site j is chain site (lo + j) mod L
@@ -260,7 +288,7 @@ def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int,
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / 2^L."""
     sigma_alpha, sigma_beta = _checked_operators(spec, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
-    A, lo = _light_cone(spec, sigma_alpha, x, t)
+    A, lo, _ = _light_cone(spec, sigma_alpha, x, t)
     y = -lo
     if 0 <= y < A.ndim:
         # the partial trace over every window site but y
@@ -281,14 +309,23 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     # (L_B)[c, a] = tr(h_c sigma_beta h_a), and tr(B h_a B h_b) = (L_B^T L_B)[a, b]
     left = np.einsum("cji,jk,aki->ca", h, sigma_beta, h)
     pairing = (left.T @ left).real
-    A, lo = _light_cone(spec, sigma_alpha, anchor, t)
+    A, lo, spare = _light_cone(spec, sigma_alpha, anchor, t)
     y = anchor + x - lo
-    if 0 <= y < A.ndim:
-        # the Gram matrix along site y: every other window site summed over
-        others = [s for s in range(A.ndim) if s != y]
-        G = np.tensordot(A, A, axes=(others, others))
+    if 0 < y < A.ndim - 1:
+        # the Gram matrix along site y, every other site summed over by one
+        # product: the window copied into the spare buffer with site y in
+        # front, and that copy's transpose written over the window
+        front = spare.reshape(4, 4**y, -1)
+        np.copyto(front, A.reshape(4**y, 4, -1).transpose(1, 0, 2))
+        back = A.reshape(-1, 4)
+        np.copyto(back, front.reshape(4, -1).T)
+        G = front.reshape(4, -1) @ back
+    elif 0 <= y < A.ndim:
+        # an edge site of the window is in front or at the back already
+        M = A.reshape(4, -1) if y == 0 else A.reshape(-1, 4).T
+        G = M @ M.T
     else:
-        G = np.outer(_IDENTITY, _IDENTITY) * np.sum(A * A) / 2
+        G = np.outer(_IDENTITY, _IDENTITY) * np.square(A.reshape(-1), out=spare).sum() / 2
     return float(np.sum(pairing * G) / 2**A.ndim)
 
 

@@ -43,8 +43,10 @@ def record_note():
 
 @pytest.fixture
 def applies(monkeypatch):
-    """Clears the trajectory memo that otoc_finite and otoc_longtime share;
-    the list collects the depth of every column-kernel application that
+    """Clears the trajectory memo that otoc_finite and otoc_longtime share,
+    before the test and again after it, so that a stop made under a patched
+    stop setting (ITERATION_CAP, SKETCH_GAP, ...) serves no other test; the
+    list collects the depth of every column-kernel application that
     follows."""
     _TRAJECTORY_MEMO.clear()
     depths = []
@@ -55,7 +57,8 @@ def applies(monkeypatch):
         apply(self, u)
 
     monkeypatch.setattr(_PauliColumnKernel, "apply", counted)
-    return depths
+    yield depths
+    _TRAJECTORY_MEMO.clear()
 
 
 @pytest.fixture
@@ -66,9 +69,9 @@ def conjugations(monkeypatch):
     widths = []
     conjugate = oracle._conjugate_layer
 
-    def counted(coords, superoperator, w):
+    def counted(coords, spare, superoperator, w):
         widths.append(w)
-        return conjugate(coords, superoperator, w)
+        return conjugate(coords, spare, superoperator, w)
 
     monkeypatch.setattr(oracle, "_conjugate_layer", counted)
     return widths

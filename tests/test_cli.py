@@ -31,6 +31,8 @@ def test_classify_kim_json(capsys):
     assert report["unit_eigenvalue_count_T1"] == 3
     assert report["maximal_velocity"] is True
     assert report["decay_rate"] == pytest.approx(np.cos(1.0), abs=TOL)
+    # the gate setting the family reads, and not the one it skips
+    assert report["params"] == [0.4, 0.6] and "seed" not in report
 
 
 def test_classify_generic_gate_not_maximal(capsys):
@@ -40,6 +42,7 @@ def test_classify_generic_gate_not_maximal(capsys):
     assert report["dual_unitary"] is False
     assert report["unit_eigenvalue_count_T1"] == 1
     assert report["maximal_velocity"] is False
+    assert report["seed"] == 5 and "params" not in report
 
 
 def test_classify_xy_has_extra_unit_eigenvectors(capsys):
@@ -561,19 +564,10 @@ def test_preset_and_config_values_the_run_does_not_read_are_left_out(tmp_path, c
     assert "seed" not in config and config["preset"] == "fig2"
 
 
-@pytest.fixture
-def capped_memo():
-    """An empty trajectory memo, emptied again afterwards: trajectories
-    stopped under a patched ITERATION_CAP serve no other test."""
-    _TRAJECTORY_MEMO.clear()
-    yield
-    _TRAJECTORY_MEMO.clear()
-
-
 @pytest.mark.parametrize("cap,unconverged", [(30, [(n, p) for n in (1, 2, 3)
                                                    for p in ("even", "odd")]),
                                              (230, [(3, "even")])])
-def test_strict_fails_an_unconverged_longtime_row(monkeypatch, capsys, capped_memo, cap,
+def test_strict_fails_an_unconverged_longtime_row(monkeypatch, capsys, applies, cap,
                                                   unconverged):
     """A long-time row stopped at ITERATION_CAP (route cesaro, converged
     false) has no delta to judge, yet --strict exits 1 on it and names it on

@@ -16,6 +16,7 @@ from duotoc.oracle import (
     ChainSpec,
     _checked_gate,
     _conjugate_layer,
+    _dense,
     _light_cone,
     _site_coords,
     _superoperator,
@@ -76,6 +77,12 @@ def _dense_evolution(U, L, t):
 # The library's layer conjugation on real coordinates, taken to and from
 # dense matrices for comparison with the references above.
 
+def _conjugated(coords, R, w):
+    """The library's layer conjugation of the flat ``coords`` on w sites, in
+    a buffer pair of the coordinates' size; a new array, coords left alone."""
+    return _conjugate_layer(coords.copy(), np.empty_like(coords), R, w)[0]
+
+
 def _coords(op, L):
     """The real coordinates tr(h_(a_0) (x) ... op) of a dense Hermitian op in
     the oracle's site basis."""
@@ -122,7 +129,7 @@ def layer_conjugations(spec):
     R = _superoperator(gate_matrix(spec.gate))
 
     def hermitian_even(H):
-        return _from_coords(_conjugate_layer(_coords(H, L), R, L), L)
+        return _from_coords(_conjugated(_coords(H, L), R, L), L)
 
     def even(H):
         return _by_hermitian_parts(hermitian_even, H)
@@ -300,7 +307,7 @@ def test_conjugation_by_bond_pairs_matches_dense_kron(q, L):
     R = _superoperator(U)
 
     def conjugate(H):
-        return _from_coords(_conjugate_layer(_coords(H, L), R, L), L)
+        return _from_coords(_conjugated(_coords(H, L), R, L), L)
 
     for hermitian in (True, False):  # a non-Hermitian H by its Hermitian parts
         H = _random_dense(q**L, L, hermitian)
@@ -696,13 +703,110 @@ def test_light_cone_padding_is_bit_identical_to_kron(t):
         want = _site_coords(a)
         if t:
             padded = np.kron(want, _IDENTITY) if c else np.kron(_IDENTITY, want)
-            want = _conjugate_layer(padded, R, 2)
+            want = _conjugated(padded, R, 2)
             for w in range(4, 2 * t + 1, 2):
-                want = _conjugate_layer(np.kron(np.kron(_IDENTITY, want), _IDENTITY), R, w)
-        got, lo = _light_cone(spec, a, site, t)
+                want = _conjugated(np.kron(np.kron(_IDENTITY, want), _IDENTITY), R, w)
+        got, lo, _ = _light_cone(spec, a, site, t)
         assert lo == site - t + (c if t else 0)
         assert got.shape == (4,) * max(1, 2 * t)
         assert np.array_equal(got.reshape(-1), want), (site, t)
+
+
+# A reference window evolution that allocates as it goes, np.kron pads, a
+# new array per product and a tensordot Gram, for the oracle's buffer pair.
+
+def _kron_window(R, sigma, c, t):
+    """sigma(t)'s window coordinates, one axis per site, for the window
+    offset c = (site - t) mod 2; the same for every site of that offset."""
+    C = _site_coords(sigma)
+    if t == 0:
+        return C
+    C = np.kron(C, _IDENTITY) if c else np.kron(_IDENTITY, C)
+    for w in range(2, 2 * t + 1, 2):
+        if w > 2:
+            C = np.kron(np.kron(_IDENTITY, C), _IDENTITY)
+        for _ in range(w // 2):
+            C = C.reshape(len(R), -1).T @ R
+        C = C.reshape(-1)
+    return C.reshape((4,) * (2 * t))
+
+
+def _window_start(site, t):
+    """The first chain site of sigma(site, t)'s window, not reduced mod L."""
+    return site - t + (site - t) % 2 if t else site
+
+
+def _reference_values(windows, a, b, x, t):
+    """(OTOC, correlator) at (x, t) from the reference windows, keyed by
+    (t, c): the OTOC's Gram matrix by np.tensordot, the correlator's partial
+    trace as the oracle takes it."""
+    anchor = (t + 1) % 2 if x >= 0 else t % 2
+    h = _SITE_BASIS
+    left = np.einsum("cji,jk,aki->ca", h, b, h)
+    A = windows[t, (anchor - t) % 2]
+    y = anchor + x - _window_start(anchor, t)
+    if 0 <= y < A.ndim:
+        others = [s for s in range(A.ndim) if s != y]
+        G = np.tensordot(A, A, axes=(others, others))
+    else:
+        G = np.outer(_IDENTITY, _IDENTITY) * np.sum(A * A) / 2
+    otoc = float(np.sum((left.T @ left).real * G) / 2**A.ndim)
+    A = windows[t, (x - t) % 2]
+    y = -_window_start(x, t)
+    diagonal = tuple(slice(None) if s == y else slice(2) for s in range(A.ndim))
+    if 0 <= y < A.ndim:
+        traced = A[diagonal].sum(axis=tuple(s for s in range(A.ndim) if s != y))
+    else:
+        traced = A[diagonal].sum() * _IDENTITY / 2
+    return otoc, float(traced @ _site_coords(b) / 2**A.ndim)
+
+
+@pytest.mark.parametrize("name", sorted(REF_GATES))
+def test_buffer_pair_matches_the_kron_reference_on_every_cell(name):
+    """Every cell x = -t..t, 2t < L, of the L = 8, 10 and 12 chains against
+    the allocating reference: correlators equal, OTOCs within 1e-15;
+    evolve_heisenberg equal at every site and t of L = 8 and for the widest
+    window of L = 10 at both offsets (its dense matrix is the expensive
+    part, 268 MB alone at L = 12)."""
+    gate = REF_GATES[name]
+    R = _superoperator(gate_matrix(gate))
+    a, b = _random_hermitian(32), _random_hermitian(33)
+    windows = {(t, c): _kron_window(R, a, c, t) for t in range(6) for c in (0, 1)}
+    for L in (8, 10, 12):
+        spec = ChainSpec(gate=gate, L=L)
+        for t in range(L // 2):
+            for x in range(-t, t + 1):
+                otoc, corr = _reference_values(windows, a, b, x, t)
+                assert abs(oracle_otoc(spec, a, b, x, t) - otoc) <= 1e-15, (L, x, t)
+                assert oracle_correlator(spec, a, x, b, t) == corr, (L, x, t)
+    for L, site, t in [(8, site, t) for t in range(4) for site in range(8)] + [(10, 4, 4),
+                                                                             (10, 5, 4)]:
+        A = windows[t, (site - t) % 2]
+        for _ in range(L - A.ndim):
+            A = np.multiply.outer(A, _IDENTITY)
+        lo = _window_start(site, t)
+        want = _dense(A.transpose([(s - lo) % L for s in range(L)]), L)
+        spec = ChainSpec(gate=gate, L=L)
+        assert np.array_equal(evolve_heisenberg(spec, a, site, t), want), (L, site, t)
+
+
+def test_a_call_peaks_at_its_buffer_pair():
+    """At L = 12 and t = 5 the window has 10 sites, 8 * 4^10 bytes (8 MiB) of
+    coordinates: an OTOC call with sigma_beta inside the window and a
+    correlator call each peak at two windows, their buffer pair, plus at
+    most 1 MiB."""
+    spec = ChainSpec(gate=REF_GATES["kak"], L=12)
+    a, b = _random_hermitian(34), _random_hermitian(35)
+    window = 8 * 4**10
+    for call in (lambda: oracle_otoc(spec, a, b, 1, 5),
+                 lambda: oracle_correlator(spec, a, 5, b, 5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * window + 2**20, peak
 
 
 def test_oracle_values_allocate_only_the_window():
@@ -733,7 +837,7 @@ def test_unitarity_bound_covers_the_whole_layer():
     assert eps < TOL_UNITARY
     for L, unitary in ((10, False), (4, True)):
         identity = functools.reduce(np.kron, [e] * L)
-        layer = np.abs(_conjugate_layer(identity, R, L) - identity).max()
+        layer = np.abs(_conjugated(identity, R, L) - identity).max()
         assert (layer < TOL_UNITARY) == unitary, (L, layer)
         spec = ChainSpec(gate=U, L=L)
         if unitary:
