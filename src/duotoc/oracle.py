@@ -67,14 +67,19 @@ BLAS products of size 4^(w-2) x 16 by 16 x 16: each contracts the two
 leading sites of C with R and appends them behind the others, and after w/2
 products every site is back in order.  U(t) is never formed.
 
-A call allocates one pair of flat buffers, 4^(2t) floats each, and evolves
-the window inside them.  The products of a layer ping-pong between the two
-(``np.matmul`` with ``out=``).  Each step writes its padded window into the
-buffer that the last product left free: zeros, then C in the block where
-every padded site is a diagonal unit, which are the entries of np.kron with
-e.  So a call's peak is two windows, 16 * 4^(2t) bytes (16 MiB at t = 5),
-and nothing else of that size.  The buffers belong to the call, so threads
-that share a ChainSpec share no state.
+A call allocates one flat block of 2 * 4^(2t) floats and evolves the
+window inside its two halves, the buffer pair.  The products of a layer
+ping-pong between the two (``np.matmul`` with ``out=``).  Each step writes
+its padded window into the buffer that the last product left free: zeros,
+then C in the block where every padded site is a diagonal unit, which are
+the entries of np.kron with e.  So a call's peak is two windows,
+16 * 4^(2t) bytes (16 MiB at t = 5), and nothing else of that size.  The
+pair is one allocation, not two, so that a warm call takes no page faults:
+glibc's malloc keeps one freed block of that size at the top of its heap
+and hands it to the next call with its pages still mapped, while two
+half-size blocks, freed together, pass its trim threshold and are given
+back to the system and faulted in afresh on every call.  The block belongs
+to the call, so threads that share a ChainSpec share no state.
 
 The gate passes when its bond keeps the identity within
 eps = max |e_pair R - e_pair|, e_pair = e (x) e, and (1 + eps)^(L/2) - 1 <
@@ -82,8 +87,11 @@ TOL_UNITARY.  The L-site even layer conjugates the identity's coordinates
 to the product of L/2 bonds' e_pair + delta, |delta| <= eps, and e_pair's
 entries are 0 or 1, so that bound holds for every entry of the layer's
 deviation from the identity: the rule is never looser than checking the
-whole layer of the chain.  The check runs on every call, so a gate changed
-in place is checked again.
+whole layer of the chain.  R and eps depend on the gate alone, so they are
+derived once per gate and shared read-only: the derivation is cached on the
+bytes and dtype of the gate's matrix, so equal gates, as a Gate or as a raw
+matrix, share one R, and a gate changed in place is derived again.  The
+test against L runs on every call, so a bad gate raises on every call.
 
 Traces
 ------
@@ -112,6 +120,7 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,8 +156,11 @@ class ChainSpec:
     L: int = 8
 
     def __post_init__(self):
-        if self.L % 2 or self.L < 4:
-            raise ValueError("L must be an even integer >= 4")
+        # an int and nothing else: a float L would pass the parity test and
+        # fail later, and True is an int
+        if (not isinstance(self.L, int) or isinstance(self.L, bool)
+                or self.L % 2 or self.L < 4):
+            raise ValueError(f"L must be an even integer >= 4 (got {self.L!r})")
         if self.L > 12:
             raise ValueError("chain exceeds the 12-qubit budget")
 
@@ -186,17 +198,32 @@ def _superoperator(U: np.ndarray) -> np.ndarray:
 
 
 def _checked_gate(spec: ChainSpec) -> np.ndarray:
-    """R, the superoperator of the circuit gate, once its bond's deviation
-    eps from keeping the identity passes (1 + eps)^(L/2) - 1 < TOL_UNITARY,
-    a bound on the deviation of the chain's whole layer (see the module
-    docstring)."""
-    R = _superoperator(gate_matrix(spec.gate))
-    pair = np.kron(_IDENTITY, _IDENTITY)
-    eps = np.abs(pair @ R - pair).max()
+    """R, the read-only superoperator of the circuit gate, once its bond's
+    deviation eps from keeping the identity passes (1 + eps)^(L/2) - 1 <
+    TOL_UNITARY, a bound on the deviation of the chain's whole layer (see
+    the module docstring).  R and eps come from the cached derivation of
+    the gate, which saves rebuilding them on every call; the test against
+    L runs on every call, so a bad gate raises on every call."""
+    u = gate_matrix(spec.gate)
+    R, eps = _derived_gate(u.tobytes(), u.dtype.str)
     # (1 + eps)^(L/2) - 1 without rounding 1 + eps
     if not np.expm1(spec.L // 2 * np.log1p(eps)) < TOL_UNITARY:
         raise ValueError(f"layer is not unitary within {TOL_UNITARY}")
     return R
+
+
+# two gates, as the transfer side keeps two bundles: a run reads one gate,
+# and a caller that alternates two keeps both
+@lru_cache(maxsize=2)
+def _derived_gate(raw: bytes, dtype: str):
+    """(R, eps) of the gate whose 4 x 4 matrix has these bytes and dtype:
+    its superoperator, read-only, and its bond's deviation from keeping the
+    identity, eps = max |e_pair R - e_pair|."""
+    R = _superoperator(np.frombuffer(raw, dtype).reshape(4, 4))
+    pair = np.kron(_IDENTITY, _IDENTITY)
+    eps = np.abs(pair @ R - pair).max()
+    R.flags.writeable = False
+    return R, eps
 
 
 def _diagonal_units(coords: np.ndarray, free_site=None) -> np.ndarray:
@@ -226,11 +253,13 @@ def _light_cone(spec: ChainSpec, sigma: np.ndarray, site: int, t: int):
     """(C, lo, spare): the coordinates of sigma(site, t) on its window, one
     axis per window site, the window's first chain site (not reduced mod L)
     and a free flat buffer of C's size, for the Hermitian sigma (see the
-    module docstring).  C views one of the two buffers that the call
-    allocates, and spare is the other."""
+    module docstring).  C views one half of the block that the call
+    allocates, and spare is the other half: one block, so that the next
+    call gets it back from malloc without faulting its pages in again, and
+    the call's own, so that threads share no buffer."""
     R = _checked_gate(spec)
     size = 4 ** max(1, 2 * t)
-    C, spare = np.empty(size), np.empty(size)
+    C, spare = np.empty(2 * size).reshape(2, size)
     C[:4] = _site_coords(sigma)
     if t == 0:
         return C, site, spare

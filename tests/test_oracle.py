@@ -17,6 +17,7 @@ from duotoc.oracle import (
     _checked_gate,
     _conjugate_layer,
     _dense,
+    _derived_gate,
     _light_cone,
     _site_coords,
     _superoperator,
@@ -175,6 +176,9 @@ def test_chain_spec_validation():
         ChainSpec(gate=gate, L=2)
     with pytest.raises(ValueError, match="12-qubit"):
         ChainSpec(gate=gate, L=14)
+    for L in (8.0, "8", True):  # L is an int, and True is not a length
+        with pytest.raises(ValueError, match="even integer"):
+            ChainSpec(gate=gate, L=L)
 
 
 def test_budget_guard():
@@ -469,7 +473,7 @@ def _value(spec, a, b, cell):
 
 
 @pytest.mark.parametrize("L", [8, 10])
-def test_memo_matches_fresh_spec_exactly(L):
+def test_shared_spec_matches_fresh_spec_exactly(L):
     gate = REF_GATES["kak"]
     a, b = _random_hermitian(3), _random_hermitian(4)
     # L = 10 adds t = 4, on both edges and both anchors
@@ -483,7 +487,7 @@ def test_memo_matches_fresh_spec_exactly(L):
         assert got == want, cell
 
 
-def test_memo_leaves_spec_equality_and_repr_alone():
+def test_shared_spec_calls_leave_equality_and_repr_alone():
     gate = REF_GATES["kak"]
     used, fresh = ChainSpec(gate=gate, L=6), ChainSpec(gate=gate, L=6)
     oracle_otoc(used, SX, SZ, 1, 2)
@@ -491,7 +495,7 @@ def test_memo_leaves_spec_equality_and_repr_alone():
     assert repr(used) == repr(fresh)
 
 
-def test_memo_key_covers_gate_operator_site_and_t():
+def test_shared_spec_follows_gate_operator_site_and_t():
     # each call changes one input of the call before it, the gate in place
     # among them
     U = gate_matrix(random_kak(5)).copy()
@@ -512,7 +516,7 @@ def test_memo_key_covers_gate_operator_site_and_t():
 PLANE_CASE = (_random_hermitian(12), 8 * 4**8)
 
 
-def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
+def test_shared_spec_call_pays_nothing_for_the_last_call():
     gate = REF_GATES["kak"]
     a, matrix = PLANE_CASE
     b = _random_hermitian(13)
@@ -538,7 +542,7 @@ def test_memo_frees_the_old_matrix_before_evolving_a_new_one():
     assert max(held, none) < matrix // 4, matrix
 
 
-def test_memo_memory_stays_flat_on_a_warm_spec():
+def test_shared_spec_memory_stays_flat_when_warm():
     # a longer evolution, a trace at the same t and the check of a new gate
     # each allocate less than a quarter of the chain's coordinates
     a, matrix = PLANE_CASE
@@ -564,7 +568,7 @@ def test_memo_memory_stays_flat_on_a_warm_spec():
     assert max(step, trace, check) < matrix // 4, (matrix, step, trace, check)
 
 
-def test_memo_check_never_serves_a_clobbered_state():
+def test_shared_spec_values_outlive_checks_of_other_gates():
     # checking another gate, passing or failing, leaves the values of the
     # first as they were
     U = gate_matrix(random_kak(5)).copy()
@@ -585,7 +589,7 @@ def test_memo_check_never_serves_a_clobbered_state():
     assert oracle_otoc(spec, a, b, 1, 3) == want
 
 
-def test_memo_rechecks_gate_changed_in_place():
+def test_shared_spec_rechecks_gate_changed_in_place():
     U = gate_matrix(random_kak(5)).copy()
     spec = ChainSpec(gate=U, L=6)
     oracle_otoc(spec, SX, SZ, 1, 2)
@@ -596,7 +600,7 @@ def test_memo_rechecks_gate_changed_in_place():
         oracle_correlator(spec, SX, 1, SZ, 2)
 
 
-def test_memo_threads_sharing_a_spec_give_serial_values():
+def test_shared_spec_threads_give_serial_values():
     gate = REF_GATES["du"]
     a, b = _random_hermitian(5), _random_hermitian(6)
     cells = _cells(8)
@@ -617,7 +621,7 @@ def test_memo_threads_sharing_a_spec_give_serial_values():
         sys.setswitchinterval(interval)
 
 
-def test_memo_evolve_heisenberg_returns_an_owned_copy():
+def test_shared_spec_evolve_heisenberg_returns_an_owned_copy():
     spec = ChainSpec(gate=REF_GATES["kak"], L=8)
     a, b = _random_hermitian(7), _random_hermitian(8)
     x, t = 1, 3
@@ -710,6 +714,20 @@ def test_light_cone_padding_is_bit_identical_to_kron(t):
         assert lo == site - t + (c if t else 0)
         assert got.shape == (4,) * max(1, 2 * t)
         assert np.array_equal(got.reshape(-1), want), (site, t)
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_light_cone_buffer_pair_is_one_block_in_two_halves(t):
+    """C and spare are the two halves of one allocation of the call: they
+    never overlap, each holds one window, 4^(2t) floats (4 at t = 0, one
+    site), and both view one block of twice that."""
+    spec = ChainSpec(gate=REF_GATES["kak"], L=10)
+    size = 4 ** max(1, 2 * t)
+    for site in (t, t + 1):
+        C, _, spare = _light_cone(spec, _random_hermitian(36), site, t)
+        assert C.size == spare.size == size
+        assert not np.shares_memory(C, spare)
+        assert C.base is spare.base and C.base.size == 2 * size, (site, t)
 
 
 # A reference window evolution that allocates as it goes, np.kron pads, a
@@ -846,3 +864,46 @@ def test_unitarity_bound_covers_the_whole_layer():
         for call in _calls_with(spec, SX):
             with pytest.raises(ValueError, match="not unitary"):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# The gate's superoperator R and its bond deviation eps are derived once per
+# gate, cached on the bytes and dtype of its matrix, and shared read-only;
+# every call still tests eps against its own L.
+
+def test_equal_gates_share_one_read_only_superoperator():
+    gate = REF_GATES["kak"]
+    R = _checked_gate(ChainSpec(gate=gate, L=8))
+    # the same matrix as a raw copy, on another chain
+    assert _checked_gate(ChainSpec(gate=gate_matrix(gate).copy(), L=10)) is R
+    assert not R.flags.writeable
+    assert np.array_equal(R, _superoperator(gate_matrix(gate)))
+
+
+def test_a_gate_changed_in_place_is_derived_again():
+    U = gate_matrix(random_kak(5)).copy()
+    saved = U.copy()
+    spec = ChainSpec(gate=U, L=8)
+    R = _checked_gate(spec)
+    U[:] = gate_matrix(random_kak(6))
+    changed = _checked_gate(spec)
+    assert not changed.flags.writeable
+    assert np.array_equal(changed, _superoperator(U))
+    # the first gate's R is left as it was, and served again once the gate is
+    assert np.array_equal(R, _superoperator(saved))
+    U[:] = saved
+    assert _checked_gate(spec) is R
+
+
+def test_the_gate_derivation_cache_is_bounded():
+    bound = _derived_gate.cache_info().maxsize
+    assert bound is not None  # an unbounded cache grows with every gate
+    _derived_gate.cache_clear()
+    specs = [ChainSpec(gate=random_kak(seed), L=6) for seed in range(bound + 1)]
+    first = _checked_gate(specs[0])
+    for spec in specs[1:]:
+        _checked_gate(spec)
+    assert _derived_gate.cache_info().currsize == bound
+    # the least recently used gate left first, and is derived again
+    again = _checked_gate(specs[0])
+    assert again is not first and np.array_equal(again, first)
