@@ -46,7 +46,6 @@ from .transfer import (
     boundary_right,
     fixed_left,
     fixed_right,
-    parity_tag,
     otoc_finite,
     otoc_longtime,
 )
@@ -88,7 +87,7 @@ __all__ = [
     "lightcone_correlator", "m_n",
     "OtocResult", "build_transfer",
     "boundary_left", "boundary_right", "fixed_left", "fixed_right",
-    "parity_tag", "otoc_finite", "otoc_longtime",
+    "otoc_finite", "otoc_longtime",
     "e_basis", "kim_z_basis", "xy_overlap_matrix", "xy_dual_basis",
     "xy_longtime_projector",
     "mc_longtime", "kim_longtime", "kim_correlator", "kim_integrable_otoc",

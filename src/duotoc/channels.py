@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, _hermitian, assert_unitary, op_to_vec
+from .opalg import PAULI, TOL_EIG, _hermitian, _integer, assert_unitary, op_to_vec
 
 __all__ = [
     "Channel",
@@ -148,6 +148,7 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
     equivalent ``tr[sigma_beta M_minus^t(sigma_alpha)]/2``; at t = 0 this is
     the plain overlap ``tr(sigma_alpha sigma_beta)/2``.
     """
+    t = _integer("t", t)
     if t < 0:
         raise ValueError("t must be a non-negative integer")
     _check_qubits(gate, sigma_alpha, sigma_beta)
@@ -169,6 +170,7 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
 
 def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     """OTOC kernel ``M_n = tr[(M_plus^n s)^dag (M_plus^n s)]/2``; M_0 = 1."""
+    n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     _check_qubits(gate, sigma_beta)

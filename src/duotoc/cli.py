@@ -46,7 +46,7 @@ from .closed_forms import (
     xy_longtime,
 )
 from .gates import build_kim, build_xy, is_dual_unitary, random_dual_unitary, random_kak
-from .opalg import normalize_coeffs, vec_to_op
+from .opalg import TOL_EIG, normalize_coeffs, vec_to_op
 from .oracle import ChainSpec, oracle_correlator, oracle_otoc
 from .transfer import (
     N_MAX_APPLY,
@@ -65,7 +65,6 @@ STRICT_TOL = 1e-10
 # the decay is slow; cross-method deltas on long-time rows are therefore
 # judged at the looser scale.
 LONGTIME_STRICT_TOL = 1e-8
-UNIT_EIG_TOL = 1e-8
 _METHODS = ("transfer", "oracle", "closed_form")
 _TRANSFER, _ORACLE, _CLOSED_FORM = _METHODS
 _ALL = "all"  # every method, and the delta column
@@ -457,7 +456,7 @@ def _setup(args):
 def cmd_classify(args) -> int:
     cfg, gate, plus, minus = _spectra(args)
     eigs = np.linalg.eigvals(build_transfer(gate, 1))
-    n_unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_EIG_TOL))
+    n_unit = int(np.sum(np.abs(eigs - 1.0) < TOL_EIG))
     report = {
         "gate": cfg.gate,
         "params": list(cfg.params),

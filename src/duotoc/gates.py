@@ -11,7 +11,7 @@ they reshape anything, and so do the brute-force oracle's entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gate:
-    """A two-site unitary with provenance metadata."""
+    """A two-site unitary, checked at construction to be 4 x 4 and unitary."""
 
     u: np.ndarray
-    family: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_qubits(self.u)
-        assert_unitary(self.u, name=f"{self.family or 'gate'}")
+        assert_unitary(self.u)
 
 
 def gate_matrix(gate) -> np.ndarray:
@@ -109,7 +107,7 @@ def build_kak(p: KakParams) -> Gate:
     left = np.kron(one_qubit_gate(p.u_plus), one_qubit_gate(p.u_minus))
     right = np.kron(one_qubit_gate(p.v_minus), one_qubit_gate(p.v_plus))
     u = np.exp(1j * p.phase) * left @ _heisenberg_v(p.jx, p.jy, p.jz) @ right
-    return Gate(u=u, family="kak", meta={"params": p})
+    return Gate(u=u)
 
 
 def _ball_point(rng, radius: float) -> tuple:
@@ -145,14 +143,12 @@ def random_kak_params(seed, dual_unitary: bool = False) -> KakParams:
 
 def random_kak(seed) -> Gate:
     """A generic (typically non-dual-unitary) random two-qubit gate."""
-    g = build_kak(random_kak_params(seed, dual_unitary=False))
-    return Gate(u=g.u, family="kak", meta={**g.meta, "seed": seed})
+    return build_kak(random_kak_params(seed, dual_unitary=False))
 
 
 def random_dual_unitary(seed) -> Gate:
     """A random dual-unitary gate: jx = jy = pi/4, everything else random."""
-    g = build_kak(random_kak_params(seed, dual_unitary=True))
-    return Gate(u=g.u, family="dual", meta={**g.meta, "seed": seed})
+    return build_kak(random_kak_params(seed, dual_unitary=True))
 
 
 def build_kim(h1: float, h2: float) -> Gate:
@@ -178,12 +174,13 @@ def build_kim(h1: float, h2: float) -> Gate:
                         * np.exp(1j * (np.pi / 4) * (a - d) * (c - b))
                         * np.exp(-1j * (h1 / 2) * (a + c) - 1j * (h2 / 2) * (b + d))
                     )
-    return Gate(u=u, family="kim", meta={"h1": h1, "h2": h2})
+    return Gate(u=u)
 
 
 # The kicked XY gate is defined diagrammatically; its algebraic content is the
 # set of conjugation identities below, which single out one composition of
-# J[J] = exp[iJ ZZ] exp[i(pi/4) YY] with the kick K = exp[i(pi/4) X].
+# J[J] = exp[iJ ZZ] exp[i(pi/4) YY] with the kick K = exp[i(pi/4) X]:
+# U = J[J] (1 kron K).
 _ID, _SX, _SY, _SZ = (np.eye(2, dtype=complex), PAULI[1], PAULI[2], PAULI[3])
 _XY_RIGHT_IDENTITIES = [
     (np.kron(_ID, _ID), np.kron(_ID, _ID)),
@@ -197,44 +194,28 @@ _XY_LEFT_IDENTITIES = [
     (np.kron(_SY, _SX), np.kron(_ID, _SY)),
     (np.kron(_SZ, _ID), np.kron(_SX, _SZ)),
 ]
-# how far a candidate composition may miss an identity and still be selected
+# how far the composition may miss an identity before construction fails
 _XY_IDENTITY_TOL = 1e-12
 
 
-def _xy_identities_hold(u: np.ndarray) -> bool:
-    for a, b in _XY_RIGHT_IDENTITIES:
-        if np.max(np.abs(u @ a @ u.conj().T - b)) > _XY_IDENTITY_TOL:
-            return False
-    for a, b in _XY_LEFT_IDENTITIES:
-        if np.max(np.abs(u.conj().T @ a @ u - b)) > _XY_IDENTITY_TOL:
-            return False
-    return True
-
-
 def build_xy(j: float) -> Gate:
-    """The kicked XY gate at coupling J (the J_z of the figures), with the
-    kick placement fixed constructively; dual-unitary iff |J| = pi/4.
+    """The kicked XY gate at coupling J (the J_z of the figures),
+    U = J[J] (1 kron K); dual-unitary iff |J| = pi/4.
 
-    The candidate compositions of the two-qubit part with the one-qubit kick
-    are tried in turn; the one satisfying all eight conjugation identities
-    (to 1e-12) is selected and recorded in ``meta["placement"]``.  If none
-    does, the conventions are broken and construction fails loudly.
+    U must satisfy all eight conjugation identities above (to 1e-12); if it
+    misses one, the conventions are broken and construction fails loudly.
     """
     j = float(j)
     kick = np.cos(np.pi / 4) * np.eye(2) + 1j * np.sin(np.pi / 4) * _SX
     jj = (np.cos(j) * np.eye(4) + 1j * np.sin(j) * np.kron(_SZ, _SZ)) @ (
         np.cos(np.pi / 4) * np.eye(4) + 1j * np.sin(np.pi / 4) * np.kron(_SY, _SY)
     )
-    candidates = [
-        ("J*(KxI)", jj @ np.kron(kick, _ID)),
-        ("J*(IxK)", jj @ np.kron(_ID, kick)),
-        ("(KxI)*J", np.kron(kick, _ID) @ jj),
-        ("(IxK)*J", np.kron(_ID, kick) @ jj),
-    ]
-    for name, u in candidates:
-        if _xy_identities_hold(u):
-            return Gate(u=u, family="xy", meta={"j": j, "placement": name})
-    raise ValueError("no kicked-XY composition satisfies the defining identities")
+    u = jj @ np.kron(_ID, kick)
+    misses = [u @ a @ u.conj().T - b for a, b in _XY_RIGHT_IDENTITIES]
+    misses += [u.conj().T @ a @ u - b for a, b in _XY_LEFT_IDENTITIES]
+    if max(np.max(np.abs(miss)) for miss in misses) > _XY_IDENTITY_TOL:
+        raise ValueError("the kicked-XY composition misses a defining identity")
+    return Gate(u=u)
 
 
 def is_dual_unitary(gate) -> bool:

@@ -6,6 +6,8 @@ Conventions used throughout the package
   anything else.
 * Insertions are Hermitian: ``_hermitian`` is the one rule, shared by the
   transfer side and the brute-force oracle.
+* Sites, times, depths and chain lengths are integers, Python or numpy, and
+  never bools: ``_integer`` is the one rule, shared the same way.
 * Vectorization is row-major: operator element ``(i, j)`` maps to flat index
   ``i*2 + j``.  ``vec(U X V) = (U kron V^T) vec(X)``.
 * Two-site indices pair as ``(a, b) -> a*2 + b`` with the LEFT site slower.
@@ -20,6 +22,8 @@ as "unitary" or "an eigenvalue equal to one".
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -121,6 +125,14 @@ def _hermitian(op) -> np.ndarray:
         raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
                          "operators Hermitian?")
     return op
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer (Python or numpy) and not a
+    bool; raises ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    return int(value)
 
 
 def dual(U: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import TOL_UNITARY, _hermitian
+from .opalg import TOL_UNITARY, _hermitian, _integer
 
 __all__ = [
     "ChainSpec",
@@ -156,17 +156,22 @@ class ChainSpec:
     L: int = 8
 
     def __post_init__(self):
-        # an int and nothing else: a float L would pass the parity test and
-        # fail later, and True is an int
-        if (not isinstance(self.L, int) or isinstance(self.L, bool)
-                or self.L % 2 or self.L < 4):
+        # an integer and nothing else (see opalg._integer): a float L would
+        # pass the parity test and fail later, and True is an int
+        try:
+            L = _integer("L", self.L)
+        except ValueError:
+            L = None
+        if L is None or L % 2 or L < 4:
             raise ValueError(f"L must be an even integer >= 4 (got {self.L!r})")
-        if self.L > 12:
+        if L > 12:
             raise ValueError("chain exceeds the 12-qubit budget")
+        object.__setattr__(self, "L", L)
 
 
 def site_operator(sigma: np.ndarray, x: int, L: int) -> np.ndarray:
     """Dense embedding 1 (x) sigma (x) 1 of a one-site operator at site x."""
+    x, L = _integer("x", x), _integer("L", L)
     _check_qubits(None, sigma)
     out = np.zeros((2**L, 2**L), dtype=complex)
     # r[i, a, k] is the row of the basis state (i, a, k), a the digit of site x
@@ -302,6 +307,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
     """sigma(site, t) = U(t)^dag sigma(site) U(t) for 0 <= t, 2t < L, a fresh
     dense matrix the caller owns: the window padded with identity sites to
     the chain and expanded from its coordinates."""
+    site, t = _integer("site", site), _integer("t", t)
     (sigma,) = _checked_operators(spec, sigma)
     _check_budget(spec, 0, t)
     L = spec.L
@@ -315,6 +321,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
 def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int,
                       sigma_beta: np.ndarray, t: int) -> float:
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / 2^L."""
+    x, t = _integer("x", x), _integer("t", t)
     sigma_alpha, sigma_beta = _checked_operators(spec, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     A, lo, _ = _light_cone(spec, sigma_alpha, x, t)
@@ -331,6 +338,7 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
                 x: int, t: int) -> float:
     """tr[A B A B] / 2^L with A the evolved alpha operator and B = sigma_beta
     placed x sites to its right (see the module docstring for anchoring)."""
+    x, t = _integer("x", x), _integer("t", t)
     sigma_alpha, sigma_beta = _checked_operators(spec, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     anchor = (t + 1) % 2 if x >= 0 else t % 2

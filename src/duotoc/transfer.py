@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, _hermitian, swap_gate
+from .opalg import PAULI, TOL_EIG, _hermitian, _integer, swap_gate
 
 TOL_FIXED = 1e-10
 TOL_RADIUS = 1e-8
@@ -95,10 +95,6 @@ SKETCH_GAP = 0.1
 # (see _PauliColumnKernel)
 _CORES = os.cpu_count() or 1
 _HELPERS = ThreadPoolExecutor(_CORES - 1, "duotoc-column") if _CORES > 1 else None
-
-
-def parity_tag(x: int, t: int) -> str:
-    return "even" if (t - x) % 2 == 0 else "odd"
 
 
 def _bundle_tensor(u: np.ndarray) -> np.ndarray:
@@ -399,6 +395,7 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
     insertions except the innermost pairing, which carries sigma_alpha; a
     real vector in the Hermitian leg basis (see the module docstring)."""
+    n = _integer("n", n)
     _check_depth(n)
     _check_qubits(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
@@ -457,6 +454,7 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     to |R_n).  The vector is sum_t P[t] (x) S[t] of ``_right_factors``, which
     the trajectories read without forming it.
     """
+    n = _integer("n", n)
     _check_depth(n)
     p, s = _right_factors(sigma_beta, n, parity, gate)
     return (p.T @ s).reshape(-1)
@@ -512,6 +510,7 @@ def build_transfer(gate, n: int) -> np.ndarray:
     to 16^n <= 4096 (n <= 3); the matrix-free kernel behind
     otoc_finite/otoc_longtime serves deeper columns.
     """
+    n = _integer("n", n)
     _check_qubits(gate)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -557,9 +556,10 @@ def build_transfer(gate, n: int) -> np.ndarray:
 
 @dataclass
 class OtocResult:
-    parity: str
+    """A transfer-route OTOC: its value, the depth n it was read at (None
+    outside the light cone) and ``meta``, how it was computed."""
+
     value: float
-    method: str
     n: int = None
     meta: dict = field(default_factory=dict)
 
@@ -706,13 +706,13 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     the applications past the remembered m, 0 when the
     remembered trajectory served it or the cell lies outside the light cone.
     """
+    x, t = _integer("x", x), _integer("t", t)
     _check_qubits(gate, sigma_alpha, sigma_beta)
     key = _memo_key(gate, sigma_alpha, sigma_beta)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
-        return OtocResult(parity_tag(x, t), 1.0, "finite_transfer",
-                          meta={"applications": 0})
+        return OtocResult(1.0, meta={"applications": 0})
     if x < 0:
         swap = swap_gate()
         return otoc_finite(swap @ gate_matrix(gate) @ swap,
@@ -721,8 +721,7 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     _check_depth(n)
     trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
                                          lambda tr: tr.m >= m)
-    return OtocResult(parity, trajectory.overlaps[parity][m], "finite_transfer", n=n,
-                      meta={"applications": made})
+    return OtocResult(trajectory.overlaps[parity][m], n=n, meta={"applications": made})
 
 
 def _aitken(s0: float, s1: float, s2: float):
@@ -880,7 +879,7 @@ def _settle(trajectory: _Trajectory, n: int) -> _Trajectory:
     stops = dict(trajectory.stops)
 
     def stop(parity, value, meta):
-        stops[parity] = OtocResult(parity, value, "longtime_iterate", n=n, meta=meta)
+        stops[parity] = OtocResult(value, n=n, meta=meta)
 
     for parity in PARITIES:
         settled = stops[parity] is None and _stopped_limit(
@@ -977,6 +976,7 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     the Cesaro mean over a trailing window of 64 overlaps, flagged with
     ``converged`` False, ``route`` "cesaro" and the oscillation amplitude.
     """
+    n = _integer("n", n)
     _check_qubits(gate, sigma_alpha, sigma_beta)
     _check_depth(n)
     if parity not in PARITIES:
@@ -985,5 +985,4 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
                                          lambda tr: tr.stops[parity] is not None)
     result = trajectory.stops[parity]
-    return OtocResult(parity, result.value, result.method, n=n,
-                      meta={**result.meta, "applications": made})
+    return OtocResult(result.value, n=n, meta={**result.meta, "applications": made})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from duotoc import gates
 from duotoc.gates import (
     build_kak,
     build_kim,
@@ -73,6 +74,14 @@ def test_xy_conjugation_identities():
     assert np.abs(lhs - np.kron(SY, SX)).max() < TOL
     lhs = u.conj().T @ np.kron(SZ, np.eye(2)) @ u
     assert np.abs(lhs - np.kron(SX, SZ)).max() < TOL
+
+
+def test_xy_fails_loudly_when_an_identity_misses(monkeypatch):
+    # a tolerance below zero makes every identity miss, as a broken
+    # convention would
+    monkeypatch.setattr(gates, "_XY_IDENTITY_TOL", -1.0)
+    with pytest.raises(ValueError, match="kicked-XY"):
+        build_xy(j=np.pi / 10)
 
 
 def test_one_qubit_gate():

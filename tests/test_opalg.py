@@ -13,7 +13,25 @@ from duotoc.opalg import (
     swap_gate,
     vec_to_op,
 )
-from duotoc.gates import random_dual_unitary, random_kak, gate_matrix
+from duotoc.channels import lightcone_correlator, m_n
+from duotoc.gates import build_kim, random_dual_unitary, random_kak, gate_matrix
+from duotoc.oracle import (
+    ChainSpec,
+    evolve_heisenberg,
+    oracle_correlator,
+    oracle_otoc,
+    site_operator,
+)
+from duotoc.transfer import (
+    OtocResult,
+    boundary_left,
+    boundary_right,
+    build_transfer,
+    fixed_left,
+    fixed_right,
+    otoc_finite,
+    otoc_longtime,
+)
 
 TOL = 1e-14
 
@@ -82,3 +100,51 @@ def test_swap_gate():
     # swap exchanges the tensor factors
     x = np.kron(a, b)
     assert np.abs(s @ x - np.kron(b, a)).max() < TOL
+
+
+# Every entry point that takes a site, a time, a depth or a chain length, as
+# a function of that one argument; 2 is a valid value for each.
+_GATE = build_kim(0.4, 0.6)
+_SPEC = ChainSpec(gate=_GATE, L=8)
+_X, _Y = PAULI[1], PAULI[2]
+INTEGER_ARGUMENTS = {
+    "otoc_finite x": lambda v: otoc_finite(_GATE, _X, _Y, v, 3),
+    "otoc_finite t": lambda v: otoc_finite(_GATE, _X, _Y, 1, v),
+    "otoc_longtime n": lambda v: otoc_longtime(_GATE, _X, _Y, v, "even"),
+    "boundary_left n": lambda v: boundary_left(_X, v),
+    "boundary_right n": lambda v: boundary_right(_Y, v, "odd", _GATE),
+    "fixed_left n": fixed_left,
+    "fixed_right n": fixed_right,
+    "build_transfer n": lambda v: build_transfer(_GATE, v),
+    "site_operator x": lambda v: site_operator(_X, v, 4),
+    "site_operator L": lambda v: site_operator(_X, 1, v),
+    "evolve_heisenberg site": lambda v: evolve_heisenberg(_SPEC, _X, v, 2),
+    "evolve_heisenberg t": lambda v: evolve_heisenberg(_SPEC, _X, 1, v),
+    "oracle_correlator x": lambda v: oracle_correlator(_SPEC, _X, v, _Y, 2),
+    "oracle_correlator t": lambda v: oracle_correlator(_SPEC, _X, 1, _Y, v),
+    "oracle_otoc x": lambda v: oracle_otoc(_SPEC, _X, _Y, v, 2),
+    "oracle_otoc t": lambda v: oracle_otoc(_SPEC, _X, _Y, 1, v),
+    "lightcone_correlator t": lambda v: lightcone_correlator(_GATE, _X, _Y, v),
+    "m_n n": lambda v: m_n(_GATE, _Y, v),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5, True, "2"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats_bools_and_strings(entry, value):
+    # one rule, opalg._integer: a float, even a whole one, a bool and a
+    # string each raise the same ValueError naming the argument
+    name = entry.split()[1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        INTEGER_ARGUMENTS[entry](value)
+
+
+def test_integer_arguments_accept_numpy_integers():
+    for entry, call in INTEGER_ARGUMENTS.items():
+        want, got = call(2), call(np.int64(2))
+        if isinstance(want, OtocResult):
+            want, got = (want.value, want.n), (got.value, got.n)
+        assert np.array_equal(got, want), entry
+    spec = ChainSpec(gate=_GATE, L=np.int64(8))
+    assert type(spec.L) is int and spec.L == 8
+    assert oracle_otoc(spec, _X, _Y, 1, 2) == oracle_otoc(_SPEC, _X, _Y, 1, 2)

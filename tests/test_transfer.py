@@ -52,7 +52,6 @@ from duotoc.transfer import (
     fixed_right,
     otoc_finite,
     otoc_longtime,
-    parity_tag,
 )
 
 TOL_FIXED = 1e-10
@@ -648,13 +647,6 @@ def test_finite_matches_dense_boundaries_depth3():
         got = otoc_finite(gate, ALPHA_I, BETA_I, x, t)
         assert got.n == 3
         assert got.value == pytest.approx(want.real, abs=TOL_AGREE), (x, t)
-
-
-def test_parity_tag():
-    assert parity_tag(3, 3) == "even"
-    assert parity_tag(2, 3) == "odd"
-    assert parity_tag(0, 4) == "even"
-    assert parity_tag(-1, 2) == "odd"
 
 
 @pytest.mark.parametrize("x,t", [(3, 2), (5, 1), (-4, 3), (1, 0)])
@@ -1323,7 +1315,6 @@ def test_longtime_iteration_metadata():
     assert 0.0 <= res.meta["error_estimate"] < 1e-10
     lam = res.meta["lambda"]
     assert lam is None or isinstance(lam, float)
-    assert res.method == "longtime_iterate"
     assert res.meta["route"] == "aitken"
 
 
