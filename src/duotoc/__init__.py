@@ -30,7 +30,6 @@ from .gates import (
     is_dual_unitary,
 )
 from .channels import (
-    Channel,
     SpectrumReport,
     channel_plus,
     channel_minus,
@@ -82,7 +81,7 @@ __all__ = [
     "Gate", "KakParams", "gate_matrix",
     "build_kak", "build_kim", "build_xy", "random_kak",
     "random_dual_unitary", "is_dual_unitary",
-    "Channel", "SpectrumReport", "channel_plus", "channel_minus",
+    "SpectrumReport", "channel_plus", "channel_minus",
     "channel_spectrum", "choi_matrix",
     "lightcone_correlator", "m_n",
     "OtocResult", "build_transfer",

@@ -2,7 +2,7 @@
 
 ``M_plus(s) = tr_1[U (s kron 1) U^dag]/2`` propagates operators along the
 right light-cone edge; ``M_minus(s) = tr_2[U^dag (1 kron s) U]/2`` along the
-left edge.  Channels are stored as 4 x 4 matrices in the Pauli basis,
+left edge.  A channel is a plain 4 x 4 complex array in the Pauli basis,
 element ``(a, b) = tr[PAULI[a]^dag M(PAULI[b])]/2``, so spectra have four
 values.  Both are unital, trace-preserving, completely positive, and
 Hermitian conjugates of each other.  Every entry point that takes a gate
@@ -21,7 +21,6 @@ from .gates import _check_qubits, gate_matrix
 from .opalg import PAULI, TOL_EIG, _hermitian, _integer, assert_unitary, op_to_vec
 
 __all__ = [
-    "Channel",
     "SpectrumReport",
     "channel_plus",
     "channel_minus",
@@ -33,18 +32,6 @@ __all__ = [
 ]
 
 _AGREE_TOL = 1e-12  # cross-direction agreement for correlators
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One-site channel in the Pauli basis."""
-
-    mat: np.ndarray  # (4, 4), element (a,b) = tr[PAULI[a]^dag M(PAULI[b])]/2
-
-    def nontrivial_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues on the traceless sector (the identity row/column of the
-        matrix is exactly (1,0,...,0) by unitality/trace preservation)."""
-        return np.linalg.eigvals(self.mat[1:, 1:])
 
 
 def _superop_plus(U: np.ndarray) -> np.ndarray:
@@ -64,29 +51,31 @@ def _superop_minus(U: np.ndarray) -> np.ndarray:
 _P = PAULI.reshape(4, 4)
 
 
-def _channel(gate, superop) -> Channel:
+def _channel(gate, superop) -> np.ndarray:
     _check_qubits(gate)
     U = gate_matrix(gate)
     assert_unitary(U)
     # the vec-convention superoperator as the Pauli-basis matrix
-    return Channel(mat=_P.conj() @ superop(U) @ _P.T / 2)
+    return _P.conj() @ superop(U) @ _P.T / 2
 
 
-def channel_plus(gate) -> Channel:
+def channel_plus(gate) -> np.ndarray:
+    """M_plus as its (4, 4) complex Pauli-basis matrix."""
     return _channel(gate, _superop_plus)
 
 
-def channel_minus(gate) -> Channel:
+def channel_minus(gate) -> np.ndarray:
+    """M_minus as its (4, 4) complex Pauli-basis matrix."""
     return _channel(gate, _superop_minus)
 
 
-def channel_superop(channel: Channel) -> np.ndarray:
+def channel_superop(channel: np.ndarray) -> np.ndarray:
     """The channel as a 4 x 4 matrix acting on row-major vec(s)."""
-    # the inverse of _channel's mat = P* S P^T / 2
-    return _P.T @ channel.mat @ _P.conj() / 2
+    # the inverse of _channel's P* S P^T / 2
+    return _P.T @ channel @ _P.conj() / 2
 
 
-def choi_matrix(channel: Channel) -> np.ndarray:
+def choi_matrix(channel: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij E_ij kron M(E_ij); positive semidefinite iff CP."""
     S4 = channel_superop(channel).reshape(2, 2, 2, 2)
     return S4.transpose(2, 0, 3, 1).reshape(4, 4)
@@ -108,7 +97,7 @@ class SpectrumReport:
         }
 
 
-def channel_spectrum(channel: Channel) -> SpectrumReport:
+def channel_spectrum(channel: np.ndarray) -> SpectrumReport:
     """Classify the circuit by its channel spectrum.
 
     The classification uses all 6 nontrivial eigenvalues of the two
@@ -119,7 +108,9 @@ def channel_spectrum(channel: Channel) -> SpectrumReport:
     ergodic_non_mixing; otherwise -> ergodic_mixing.  "Equal" and "on" mean
     within TOL_EIG.
     """
-    nontrivial = channel.nontrivial_eigenvalues()
+    # the traceless block: the identity row and column are exactly
+    # (1, 0, 0, 0) by unitality and trace preservation
+    nontrivial = np.linalg.eigvals(channel[1:, 1:])
     both = np.concatenate([nontrivial, nontrivial.conj()])
     n_unit = int(np.sum(np.abs(both - 1.0) < TOL_EIG))
     if n_unit == both.size:
@@ -130,7 +121,7 @@ def channel_spectrum(channel: Channel) -> SpectrumReport:
         klass = "ergodic_non_mixing"
     else:
         klass = "ergodic_mixing"
-    full = np.linalg.eigvals(channel.mat)
+    full = np.linalg.eigvals(channel)
     full = full[np.argsort(-np.abs(full))]
     return SpectrumReport(
         eigenvalues=full,
@@ -159,10 +150,8 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
     b = op_to_vec(sigma_beta)
     if t == 0:
         return float((np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real)
-    plus = channel_plus(U)
-    minus = channel_minus(U)
-    via_plus = np.vdot(a, np.linalg.matrix_power(plus.mat, t) @ b)
-    via_minus = np.vdot(b, np.linalg.matrix_power(minus.mat, t) @ a)
+    via_plus = np.vdot(a, np.linalg.matrix_power(channel_plus(U), t) @ b)
+    via_minus = np.vdot(b, np.linalg.matrix_power(channel_minus(U), t) @ a)
     if abs(via_plus - np.conj(via_minus)) > _AGREE_TOL:
         raise AssertionError("edge-channel directions disagree beyond tolerance")
     return float(via_plus.real)
@@ -176,5 +165,5 @@ def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     _check_qubits(gate, sigma_beta)
     _hermitian(sigma_beta)
     b = op_to_vec(sigma_beta)
-    w = np.linalg.matrix_power(channel_plus(gate).mat, n) @ b
+    w = np.linalg.matrix_power(channel_plus(gate), n) @ b
     return float(np.real(np.vdot(w, w)))

@@ -285,7 +285,7 @@ def _kim_longtime(cfg, gate, a_op, b_op, t_minus_x):
     # any (x, t) >= 1 inside the cone with this separation
     value = _kim_otoc(cfg, a_op, b_op, 2, 2 + t_minus_x)
     if value is None:
-        value = kim_longtime(*cfg.params, a_op, b_op, 2, 2 + t_minus_x)
+        value = kim_longtime(*cfg.params, a_op, b_op, t_minus_x)
     return float(value)
 
 
@@ -294,7 +294,7 @@ def _kim_longtime(cfg, gate, a_op, b_op, t_minus_x):
 _GATES = {
     "du": _Family(lambda cfg: random_dual_unitary(cfg.seed),
                   longtime=lambda cfg, gate, a_op, b_op, t_minus_x: float(
-                      mc_longtime(a_op, b_op, -t_minus_x, gate=gate))),
+                      mc_longtime(a_op, b_op, t_minus_x, gate=gate))),
     "kim": _Family(lambda cfg: build_kim(*cfg.params), "h1,h2",
                    corr=lambda cfg, a_op, b_op, t: float(
                        kim_correlator(*cfg.params, a_op, b_op, t)),

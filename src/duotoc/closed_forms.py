@@ -5,7 +5,8 @@ algebraic simplification, so that any disagreement with the transfer-matrix
 or brute-force routes points at the formula (or at a typo in it) rather than
 at the evaluator.  All operator arguments are single-site Hermitian matrices;
 the expressions are written for the unit-normalized traceless case
-tr sigma = 0, tr sigma^2 = 2, with components a_i = tr(sigma_i sigma)/2.
+tr sigma = 0, tr sigma^2 = 2, with components a_i = tr(sigma_i sigma)/2
+(``op_to_vec``'s traceless entries).
 
 Conventions shared with the transfer module: x - t even is called even
 parity (supports of the two operators collide), odd parity otherwise; the
@@ -14,6 +15,11 @@ The alpha-side sign of kim_correlator follows the gate convention used
 throughout this package; it is pinned by the exact channel eigenvectors and
 by the brute-force oracle (see lightcone_correlator), and differs from a
 sign that sometimes appears in print.
+
+Every long-time form takes the one argument its value depends on, the
+separation t_minus_x = t - x: negative outside the light cone, 0 on it.
+Times, sites and separations are integers (``opalg._integer``), and a
+correlator or OTOC raises at t < 0, as on the transfer route.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .channels import m_n
 from .eigenbases import e_basis
-from .opalg import PAULI
+from .opalg import _integer, op_to_vec
 
 __all__ = [
     "mc_longtime",
@@ -38,9 +44,7 @@ __all__ = [
 
 def _components(op):
     """(a_x, a_y, a_z) with a_i = tr(sigma_i op)/2."""
-    mat = np.asarray(op, dtype=complex)
-    comps = [np.trace(p @ mat) / 2 for p in PAULI[1:]]
-    return tuple(float(c.real) for c in comps)
+    return tuple(float(c.real) for c in op_to_vec(op)[1:])
 
 
 def _delta_overlap(sigma_alpha, sigma_beta) -> float:
@@ -55,8 +59,9 @@ def _t0_otoc(sigma_alpha, sigma_beta) -> float:
     return float((np.trace(prod @ prod) / 2).real)
 
 
-def mc_longtime(sigma_alpha, sigma_beta, x_minus_t, gate=None):
-    """Long-time OTOC of a maximally chaotic dual-unitary circuit.
+def mc_longtime(sigma_alpha, sigma_beta, t_minus_x, gate=None):
+    """Long-time OTOC of a maximally chaotic dual-unitary circuit at
+    separation t_minus_x = t - x (1 outside the cone, t - x < 0).
 
     Even parity: -1/3 on the light cone (x = t), zero elsewhere.  Odd
     parity: [4 M_{(t-x+1)/2} - M_{(t-x-1)/2}]/3, with M_n the channel
@@ -64,9 +69,9 @@ def mc_longtime(sigma_alpha, sigma_beta, x_minus_t, gate=None):
     because the even branch is gate-free.  (For local dimension q these
     are -1/(q^2-1) and [q^2 M - M']/(q^2-1).)
     """
-    if x_minus_t > 0:
+    tmx = _integer("t_minus_x", t_minus_x)
+    if tmx < 0:
         return 1.0
-    tmx = -int(x_minus_t)
     if tmx % 2 == 0:
         return -1.0 / 3.0 if tmx == 0 else 0.0
     if gate is None:
@@ -76,17 +81,18 @@ def mc_longtime(sigma_alpha, sigma_beta, x_minus_t, gate=None):
     return (4 * m_hi - m_lo) / 3.0
 
 
-def kim_longtime(h1, h2, sigma_alpha, sigma_beta, x, t):
-    """Long-time OTOC of the kicked Ising circuit; only t - x matters.
+def kim_longtime(h1, h2, sigma_alpha, sigma_beta, t_minus_x):
+    """Long-time OTOC of the kicked Ising circuit at separation
+    t_minus_x = t - x (1 outside the cone, t - x < 0).
 
     Even parity: 3 bz^2 az^2 - az^2 - bz^2 on the cone, zero inside.  Odd
     parity: (1 + az^2)(bx cos h1 - by sin h1)^2 - az^2 right behind the cone
     (t - x = 1), and for t - x >= 3
     (bx cos h1 - by sin h1)^2 cos(h1+h2)^(t-x-3) (cos^2(h1+h2) - az^2 sin^2(h1+h2)).
     """
+    tmx = _integer("t_minus_x", t_minus_x)
     ax, ay, az = _components(sigma_alpha)
     bx, by, bz = _components(sigma_beta)
-    tmx = t - x
     if tmx < 0:
         return 1.0
     if tmx % 2 == 0:
@@ -107,6 +113,9 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
     t = 0 gives the plain overlap tr(sigma_alpha sigma_beta)/2; for t > 0 the
     value is cos(h1+h2)^(t-1) (ax cos h2 + ay sin h2)(bx cos h1 - by sin h1).
     """
+    t = _integer("t", t)
+    if t < 0:
+        raise ValueError("t must be a non-negative integer")
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
     ax, ay, az = _components(sigma_alpha)
@@ -118,9 +127,12 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
 def _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized: bool):
     """The self-dual kicked Ising OTOC at h1 = h2 = 0; the odd-parity branch
     carries (1 - ax^2) if ``symmetrized``, else the printed (1 - ax)^2."""
+    x, t = _integer("x", x), _integer("t", t)
+    if t < 0:
+        raise ValueError("need t >= 0")
     ax, ay, az = _components(sigma_alpha)
     bx, by, bz = _components(sigma_beta)
-    s = abs(int(x))
+    s = abs(x)
     if s > t:
         return 1.0
     if t == 0:
@@ -161,6 +173,7 @@ def xy_longtime(sigma_alpha, sigma_beta, t_minus_x):
     x = t is its own case; away from the cone the value is periodic in t - x
     with period 4 and independent of the coupling J.
     """
+    t_minus_x = _integer("t_minus_x", t_minus_x)
     if t_minus_x < 0:
         return 1.0
     ax, ay, az = _components(sigma_alpha)
@@ -181,6 +194,9 @@ def xy_correlator(j, sigma_alpha, sigma_beta, t):
     """Light-cone correlator of the kicked XY circuit: delta overlap at t = 0,
     then ax bx sin(2J)^t.  At J = pi/4 this is constant and coincides with the
     self-dual kicked Ising correlator."""
+    t = _integer("t", t)
+    if t < 0:
+        raise ValueError("t must be a non-negative integer")
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
     ax, _, _ = _components(sigma_alpha)

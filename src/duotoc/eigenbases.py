@@ -17,7 +17,14 @@ Families provided: the nested identity-pairing states e_{n,k} and their
 orthonormal combinations (unit-eigenvalue eigenoperators of every dual-unitary
 column transfer matrix), the sigma_z-decorated states z_{n,k} of the kicked
 Ising chain, and the bitstring-labeled product/pairing bases of the kicked XY
-chain together with their integer overlap matrix and biorthogonal dual basis.
+chain together with their integer overlap matrix (a plain int64 array over
+all bitstrings in binary order) and biorthogonal dual basis.
+
+The five basis builders take a depth that is an integer
+(``opalg._integer``) with n >= 1.  Those that form dense 4^(2n) vectors
+(``e_basis``, ``kim_z_basis``, ``xy_dual_basis``) also keep n within the
+transfer's application budget ``N_MAX_APPLY``; the overlap matrix and the
+projector form no such vector.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import PAULI
-from .transfer import _pair_block, _slot_coeffs
+from .opalg import PAULI, _integer
+from .transfer import _check_depth, _pair_block, _slot_coeffs
 
 _EYE, _SX, _SY, _SZ = PAULI
 
@@ -89,6 +96,8 @@ def e_basis(n: int):
         e~_{n,0}    = 2^{-n} e_{n,0}
         e~_{n,k>0}  = 2^{-n} (2 e_{n,k} - e_{n,k-1}) / sqrt(3)
     """
+    n = _integer("n", n)
+    _check_depth(n)
     raw = np.stack([e_state(n, k).vector() for k in range(n + 1)])
     tilde = np.vstack([raw[:1], (2 * raw[1:] - raw[:-1]) / np.sqrt(3.0)])
     return raw, 2.0 ** (-n) * tilde
@@ -117,8 +126,8 @@ def kim_z_basis(n: int):
     e~_{n,n+k} = 2^{-n} (sqrt(3/2) z_{n,k} - sqrt(2/3) e_{n,k} + sqrt(1/6) e_{n,k-1})
     completes the e~_{n,0..n} set to an orthonormal family of 2n+1 states.
     """
+    raw_e, _ = e_basis(n)  # checks n first
     zs = np.stack([kim_z_state(n, k).vector() for k in range(1, n + 1)])
-    raw_e, _ = e_basis(n)
     tilde = 2.0 ** (-n) * (
         np.sqrt(1.5) * zs
         - np.sqrt(2.0 / 3.0) * raw_e[1:]
@@ -177,23 +186,21 @@ def xy_overlap(l, r) -> int:
     return (2 ** n) * (-1) ** (expo % 2)
 
 
-@dataclass
-class OverlapMatrix:
-    """Integer matrix G[l, r] = ({l}|{r}) over all bitstrings in binary order."""
-
-    n: int
-    entries: np.ndarray
-    labels: tuple
-
-    def gram_identity_holds(self) -> bool:
-        gram = self.entries @ self.entries.T
-        return bool(np.array_equal(gram, 2 ** (3 * self.n) * np.eye(2 ** self.n, dtype=gram.dtype)))
+def _labels(n: int) -> tuple:
+    """Every bitstring of length n, in binary order: the rows and columns of
+    the overlap matrix.  Every XY builder that takes a depth reads it here
+    first, so this is where n must be an integer >= 1."""
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return tuple(itertools.product((0, 1), repeat=n))
 
 
-def xy_overlap_matrix(n: int) -> OverlapMatrix:
-    labels = tuple(itertools.product((0, 1), repeat=n))
-    g = np.array([[xy_overlap(l, r) for r in labels] for l in labels], dtype=np.int64)
-    return OverlapMatrix(n=n, entries=g, labels=labels)
+def xy_overlap_matrix(n: int) -> np.ndarray:
+    """Integer matrix G[l, r] = ({l}|{r}), int64, over ``_labels(n)``;
+    G G^T = 2^(3n) times the identity."""
+    labels = _labels(n)
+    return np.array([[xy_overlap(l, r) for r in labels] for l in labels], dtype=np.int64)
 
 
 def xy_dual_basis(n: int):
@@ -205,10 +212,11 @@ def xy_dual_basis(n: int):
     so that (L({l})|R({l'})) = delta exactly.  Returns (lefts, rights), one
     state per row in the order of the overlap matrix's labels.
     """
-    overlap = xy_overlap_matrix(n)
-    lefts = np.stack([xy_left_state(l).vector() for l in overlap.labels])
-    rights = np.stack([xy_right_state(r).vector() for r in overlap.labels])
-    return 2.0 ** (-n) * lefts, 2.0 ** (-2 * n) * overlap.entries @ rights
+    n = _integer("n", n)
+    _check_depth(n)
+    lefts = np.stack([xy_left_state(l).vector() for l in _labels(n)])
+    rights = np.stack([xy_right_state(r).vector() for r in _labels(n)])
+    return 2.0 ** (-n) * lefts, 2.0 ** (-2 * n) * xy_overlap_matrix(n) @ rights
 
 
 def xy_left_boundary_overlap(sigma_alpha, r) -> float:
@@ -244,13 +252,12 @@ def xy_longtime_projector(sigma_alpha, sigma_beta, n: int, parity: str) -> float
     """Long-time OTOC limit for the kicked XY chain by projecting onto the
     bitstring eigenbasis: sum_l (L(sigma_alpha)|R({l})) (L({l})|R(sigma_beta)).
     Uses only closed-form overlaps, so no dense vectors are materialized."""
-    overlap = xy_overlap_matrix(n)
-    left_bnd = np.array([xy_left_boundary_overlap(sigma_alpha, r) for r in overlap.labels])
+    left_bnd = np.array([xy_left_boundary_overlap(sigma_alpha, r) for r in _labels(n)])
     right_bnd = np.array(
-        [xy_right_boundary_overlap(sigma_beta, l, parity) for l in overlap.labels]
+        [xy_right_boundary_overlap(sigma_beta, l, parity) for l in _labels(n)]
     )
     # (L(a)|R({l})) = 2^{-2n} sum_r G[l,r] (L(a)|{r});  (L({l})| = 2^{-n} ({l}|
-    left_dual = 2.0 ** (-2 * n) * overlap.entries @ left_bnd
+    left_dual = 2.0 ** (-2 * n) * xy_overlap_matrix(n) @ left_bnd
     return float(2.0 ** (-n) * np.dot(left_dual, right_bnd))
 
 

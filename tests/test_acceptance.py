@@ -23,6 +23,7 @@ from duotoc.closed_forms import (
     xy_longtime,
 )
 from duotoc.eigenbases import (
+    _labels,
     e_basis,
     kim_z_basis,
     product_state,
@@ -102,7 +103,7 @@ def test_criterion_03_kim_longtime_closed_form(record_criterion):
         for parity in ("even", "odd"):
             tmx = 2 * n - 2 if parity == "even" else 2 * n - 1
             tv = otoc_longtime(gate, A_KIM, B_KIM, n, parity).value
-            cv = kim_longtime(H1, H2, A_KIM, B_KIM, 2, 2 + tmx)
+            cv = kim_longtime(H1, H2, A_KIM, B_KIM, tmx)
             worst = max(worst, abs(tv - cv))
             if parity == "even" and n == 1:
                 worst = max(worst, abs(tv + 0.5))  # light-cone value -1/2
@@ -210,7 +211,11 @@ def test_criterion_06_kicked_xy(record_criterion):
 
 
 def test_criterion_07_xy_overlap_orthogonality(record_criterion):
-    ok = all(xy_overlap_matrix(n).gram_identity_holds() for n in (2, 3, 4))
+    def gram_identity_holds(n):
+        g = xy_overlap_matrix(n)
+        return np.array_equal(g @ g.T, 2 ** (3 * n) * np.eye(2 ** n, dtype=np.int64))
+
+    ok = all(gram_identity_holds(n) for n in (2, 3, 4))
     record_criterion(7, "XY overlap matrix: G G^T = 2^(3n) I exactly, n=2,3,4",
                      ok, "integer arithmetic, no tolerance")
     assert ok
@@ -262,8 +267,8 @@ def test_criterion_10_property_suite(record_criterion):
     for label, gate in FAMILIES:
         for chan in (channel_plus(gate), channel_minus(gate)):
             chan_res = max(chan_res,
-                           np.abs(chan.mat[:, 0] - e0).max(),   # unital
-                           np.abs(chan.mat[0, :] - e0).max())   # trace-preserving
+                           np.abs(chan[:, 0] - e0).max(),   # unital
+                           np.abs(chan[0, :] - e0).max())   # trace-preserving
             min_eig = np.linalg.eigvalsh(choi_matrix(chan)).min()
             chan_res = max(chan_res, max(0.0, -float(min_eig)))  # CP
 
@@ -283,7 +288,7 @@ def test_criterion_10_property_suite(record_criterion):
                 for v in zs:
                     eig_res = max(eig_res, np.abs(tmat @ v - v).max())
             if label.startswith("xy"):
-                for lab in xy_overlap_matrix(n).labels:
+                for lab in _labels(n):
                     rv = xy_right_state(lab).vector()
                     lv = xy_left_state(lab).vector()
                     eig_res = max(eig_res,

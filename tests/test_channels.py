@@ -25,7 +25,7 @@ I2, SX, SY, SZ = PAULI
 def channel_apply(channel, sigma, t=1):
     """The channel applied t times to a one-site operator, through the
     power of its operator-basis matrix."""
-    return vec_to_op(np.linalg.matrix_power(channel.mat, t) @ op_to_vec(sigma))
+    return vec_to_op(np.linalg.matrix_power(channel, t) @ op_to_vec(sigma))
 
 GATES = [
     ("du0", random_dual_unitary(0)),
@@ -58,14 +58,14 @@ def test_channel_completely_positive(name, gate, which):
 
 @pytest.mark.parametrize("name,gate", GATES)
 def test_channels_are_mutual_adjoints(name, gate):
-    mp = channel_plus(gate).mat
-    mm = channel_minus(gate).mat
+    mp = channel_plus(gate)
+    mm = channel_minus(gate)
     assert np.abs(mm - mp.conj().T).max() < TOL
 
 
 @pytest.mark.parametrize("h1,h2", [(0.4, 0.6), (0.0, 0.0), (0.3, -0.3), (1.0, 0.25)])
 def test_kim_channel_eigenvalues(h1, h2):
-    eigs = np.linalg.eigvals(channel_plus(build_kim(h1=h1, h2=h2)).mat)
+    eigs = np.linalg.eigvals(channel_plus(build_kim(h1=h1, h2=h2)))
     eigs = eigs[np.argsort(-np.abs(eigs))]
     expected = np.array([1.0, np.cos(h1 + h2), 0.0, 0.0])
     expected = expected[np.argsort(-np.abs(expected))]
@@ -74,7 +74,7 @@ def test_kim_channel_eigenvalues(h1, h2):
 
 @pytest.mark.parametrize("j", [np.pi / 10, np.pi / 6, np.pi / 5])
 def test_xy_channel_eigenvalues(j):
-    eigs = np.abs(np.linalg.eigvals(channel_plus(build_xy(j=j)).mat))
+    eigs = np.abs(np.linalg.eigvals(channel_plus(build_xy(j=j))))
     eigs.sort()
     assert np.abs(eigs - np.array([0.0, 0.0, abs(np.sin(2 * j)), 1.0])).max() < TOL
 

@@ -1,5 +1,7 @@
 """Closed-form evaluators against the iterative and brute-force routes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from duotoc.eigenbases import e_basis
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
 from duotoc.opalg import PAULI
 from duotoc.oracle import ChainSpec, oracle_otoc
-from duotoc.transfer import otoc_longtime
+from duotoc.transfer import otoc_finite, otoc_longtime
 
 TOL_EXACT = 1e-12
 TOL_ITER = 1e-8
@@ -32,15 +34,15 @@ A45 = (SX + SZ) / np.sqrt(2)
 # ------------------------------------------------------------ maximal chaos
 
 def test_mc_longtime_branch_table():
-    assert mc_longtime(A45, SY, 1) == 1.0          # outside the cone
+    assert mc_longtime(A45, SY, -1) == 1.0         # outside the cone
     assert mc_longtime(A45, SY, 0) == pytest.approx(-1 / 3, abs=TOL_EXACT)
-    assert mc_longtime(A45, SY, -2) == 0.0
-    assert mc_longtime(A45, SY, -4) == 0.0
+    assert mc_longtime(A45, SY, 2) == 0.0
+    assert mc_longtime(A45, SY, 4) == 0.0
 
 
 def test_mc_longtime_odd_needs_gate():
     with pytest.raises(ValueError):
-        mc_longtime(A45, SY, -1)
+        mc_longtime(A45, SY, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -48,7 +50,7 @@ def test_mc_longtime_odd_needs_gate():
 def test_mc_longtime_odd_matches_iteration(seed, t_minus_x):
     gate = random_dual_unitary(seed)
     n = (t_minus_x + 1) // 2
-    got = mc_longtime(A45, SY, -t_minus_x, gate=gate)
+    got = mc_longtime(A45, SY, t_minus_x, gate=gate)
     ref = otoc_longtime(gate, A45, SY, n, "odd").value
     assert got == pytest.approx(ref, abs=TOL_ITER)
 
@@ -56,18 +58,18 @@ def test_mc_longtime_odd_matches_iteration(seed, t_minus_x):
 # ------------------------------------------------------------- kicked Ising
 
 def test_kim_longtime_cone_and_first_inside():
-    assert kim_longtime(0.4, 0.6, A45, SY, 3, 3) == pytest.approx(-0.5, abs=TOL_EXACT)
+    assert kim_longtime(0.4, 0.6, A45, SY, 0) == pytest.approx(-0.5, abs=TOL_EXACT)
     want = 1.5 * np.sin(0.4) ** 2 - 0.5
-    assert kim_longtime(0.4, 0.6, A45, SY, 2, 3) == pytest.approx(want, abs=TOL_EXACT)
-    assert kim_longtime(0.4, 0.6, A45, SY, 0, 2) == pytest.approx(0.0, abs=TOL_EXACT)
-    assert kim_longtime(0.4, 0.6, A45, SY, 4, 3) == 1.0
+    assert kim_longtime(0.4, 0.6, A45, SY, 1) == pytest.approx(want, abs=TOL_EXACT)
+    assert kim_longtime(0.4, 0.6, A45, SY, 2) == pytest.approx(0.0, abs=TOL_EXACT)
+    assert kim_longtime(0.4, 0.6, A45, SY, -1) == 1.0
 
 
 def test_kim_longtime_odd_decay_slope():
     # ratio of consecutive odd-separation values is cos^2(h1+h2) from the
     # second step on
     c2 = np.cos(1.0) ** 2
-    vals = [kim_longtime(0.4, 0.6, A45, SY, 1, 2 * n) for n in range(2, 6)]
+    vals = [kim_longtime(0.4, 0.6, A45, SY, 2 * n - 1) for n in range(2, 6)]
     for a, b in zip(vals, vals[1:]):
         assert b / a == pytest.approx(c2, abs=TOL_EXACT)
 
@@ -77,7 +79,7 @@ def test_kim_longtime_odd_decay_slope():
 def test_kim_longtime_matches_iteration(n, parity):
     gate = build_kim(h1=0.4, h2=0.6)
     t_minus_x = 2 * n - 2 if parity == "even" else 2 * n - 1
-    got = kim_longtime(0.4, 0.6, A45, SY, 2, 2 + t_minus_x)
+    got = kim_longtime(0.4, 0.6, A45, SY, t_minus_x)
     ref = otoc_longtime(gate, A45, SY, n, parity).value
     assert got == pytest.approx(ref, abs=TOL_ITER)
 
@@ -94,6 +96,27 @@ def test_kim_correlator_t0_and_lightcone():
 def test_kim_correlator_non_mixing_point_is_constant():
     vals = {kim_correlator(0.3, -0.3, A45, SY, t) for t in (1, 4, 9)}
     assert max(vals) - min(vals) < TOL_EXACT
+
+
+@pytest.mark.parametrize("t", [-1, -2])
+@pytest.mark.parametrize("closed,route", [
+    (lambda t: kim_correlator(0.4, 0.6, SX, SY, t),
+     lambda t: lightcone_correlator(build_kim(0.4, 0.6), SX, SY, t)),
+    (lambda t: xy_correlator(0.3, SX, SX, t),
+     lambda t: lightcone_correlator(build_xy(0.3), SX, SX, t)),
+    (lambda t: kim_integrable_otoc(SX, SY, 0, t),
+     lambda t: otoc_finite(build_kim(0.0, 0.0), SX, SY, 0, t)),
+    (lambda t: kim_integrable_otoc_symmetrized(SX, SY, 0, t),
+     lambda t: otoc_finite(build_kim(0.0, 0.0), SX, SY, 0, t)),
+], ids=["kim_correlator", "xy_correlator", "kim_integrable_otoc",
+        "kim_integrable_otoc_symmetrized"])
+def test_negative_times_raise_as_on_the_transfer_route(closed, route, t):
+    # a correlator or OTOC before t = 0 is no value: each closed form raises
+    # the ValueError of the route it stands in for
+    with pytest.raises(ValueError) as refused:
+        route(t)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        closed(t)
 
 
 # -------------------------------------------------- integrable kicked Ising

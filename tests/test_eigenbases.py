@@ -8,6 +8,7 @@ from conftest import Q_LEG
 
 from duotoc.eigenbases import (
     SlotState,
+    _labels,
     e_basis,
     kim_z_basis,
     product_state,
@@ -20,7 +21,13 @@ from duotoc.eigenbases import (
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
 from duotoc.opalg import PAULI
-from duotoc.transfer import _pair_block, _slot_coeffs, build_transfer, otoc_longtime
+from duotoc.transfer import (
+    N_MAX_APPLY,
+    _pair_block,
+    _slot_coeffs,
+    build_transfer,
+    otoc_longtime,
+)
 
 TOL_RESIDUAL = 1e-10
 TOL_BASIS = 1e-12
@@ -67,7 +74,7 @@ def test_kim_extended_family_orthonormal(n):
 @pytest.mark.parametrize("j", [np.pi / 10, np.pi / 5])
 def test_xy_states_are_unit_eigenvectors(n, j):
     tm = build_transfer(build_xy(j=j), n)
-    labels = xy_overlap_matrix(n).labels
+    labels = _labels(n)
     for r in labels:
         v = xy_right_state(r).vector()
         assert np.abs(tm @ v - v).max() < TOL_RESIDUAL * np.linalg.norm(v)
@@ -78,7 +85,7 @@ def test_xy_states_are_unit_eigenvectors(n, j):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_xy_overlap_closed_form_matches_vectors(n):
-    labels = xy_overlap_matrix(n).labels
+    labels = _labels(n)
     for l in labels:
         lv = xy_left_state(l).vector()
         for r in labels:
@@ -88,7 +95,9 @@ def test_xy_overlap_closed_form_matches_vectors(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_xy_gram_identity(n):
-    assert xy_overlap_matrix(n).gram_identity_holds()
+    g = xy_overlap_matrix(n)
+    assert g.dtype == np.int64
+    assert np.array_equal(g @ g.T, 2 ** (3 * n) * np.eye(2 ** n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -103,6 +112,26 @@ def test_xy_projector_matches_iteration(n, parity):
     via_proj = xy_longtime_projector(ALPHA, BETA, n, parity)
     via_iter = otoc_longtime(gate, ALPHA, BETA, n, parity).value
     assert via_proj == pytest.approx(via_iter, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [
+    e_basis, kim_z_basis, xy_dual_basis, xy_overlap_matrix,
+    lambda n: xy_longtime_projector(ALPHA, BETA, n, "even"),
+], ids=["e_basis", "kim_z_basis", "xy_dual_basis", "xy_overlap_matrix",
+        "xy_longtime_projector"])
+def test_builders_refuse_depths_below_one(build, n):
+    # a depth below 1 has no column: no empty stack, no 1 x 1 matrix
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build(n)
+
+
+@pytest.mark.parametrize("build", [e_basis, kim_z_basis, xy_dual_basis])
+def test_dense_builders_keep_the_application_budget(build):
+    # each row is a 16^n vector: past N_MAX_APPLY the call refuses before it
+    # allocates one
+    with pytest.raises(ValueError, match="application budget"):
+        build(N_MAX_APPLY + 1)
 
 
 def test_product_state_is_kron():

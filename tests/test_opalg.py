@@ -14,6 +14,22 @@ from duotoc.opalg import (
     vec_to_op,
 )
 from duotoc.channels import lightcone_correlator, m_n
+from duotoc.closed_forms import (
+    kim_correlator,
+    kim_integrable_otoc,
+    kim_integrable_otoc_symmetrized,
+    kim_longtime,
+    mc_longtime,
+    xy_correlator,
+    xy_longtime,
+)
+from duotoc.eigenbases import (
+    e_basis,
+    kim_z_basis,
+    xy_dual_basis,
+    xy_longtime_projector,
+    xy_overlap_matrix,
+)
 from duotoc.gates import build_kim, random_dual_unitary, random_kak, gate_matrix
 from duotoc.oracle import (
     ChainSpec,
@@ -102,8 +118,9 @@ def test_swap_gate():
     assert np.abs(s @ x - np.kron(b, a)).max() < TOL
 
 
-# Every entry point that takes a site, a time, a depth or a chain length, as
-# a function of that one argument; 2 is a valid value for each.
+# Every entry point that takes a site, a time, a depth, a chain length or a
+# separation t - x, as a function of that one argument; 2 is a valid value
+# for each.
 _GATE = build_kim(0.4, 0.6)
 _SPEC = ChainSpec(gate=_GATE, L=8)
 _X, _Y = PAULI[1], PAULI[2]
@@ -126,6 +143,22 @@ INTEGER_ARGUMENTS = {
     "oracle_otoc t": lambda v: oracle_otoc(_SPEC, _X, _Y, 1, v),
     "lightcone_correlator t": lambda v: lightcone_correlator(_GATE, _X, _Y, v),
     "m_n n": lambda v: m_n(_GATE, _Y, v),
+    "mc_longtime t_minus_x": lambda v: mc_longtime(_X, _Y, v, gate=_GATE),
+    "kim_longtime t_minus_x": lambda v: kim_longtime(0.4, 0.6, _X, _Y, v),
+    "xy_longtime t_minus_x": lambda v: xy_longtime(_X, _Y, v),
+    "kim_correlator t": lambda v: kim_correlator(0.4, 0.6, _X, _Y, v),
+    "xy_correlator t": lambda v: xy_correlator(0.3, _X, _Y, v),
+    "kim_integrable_otoc x": lambda v: kim_integrable_otoc(_X, _Y, v, 3),
+    "kim_integrable_otoc t": lambda v: kim_integrable_otoc(_X, _Y, 1, v),
+    "kim_integrable_otoc_symmetrized x":
+        lambda v: kim_integrable_otoc_symmetrized(_X, _Y, v, 3),
+    "kim_integrable_otoc_symmetrized t":
+        lambda v: kim_integrable_otoc_symmetrized(_X, _Y, 1, v),
+    "e_basis n": e_basis,
+    "kim_z_basis n": kim_z_basis,
+    "xy_overlap_matrix n": xy_overlap_matrix,
+    "xy_dual_basis n": xy_dual_basis,
+    "xy_longtime_projector n": lambda v: xy_longtime_projector(_X, _Y, v, "even"),
 }
 
 

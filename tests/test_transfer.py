@@ -608,18 +608,21 @@ def _complex_right(gate, sigma_beta, n, parity):
     return 2.0 ** (-n / 2 - 1) * raw.reshape(-1)
 
 
-def _dense_otoc(gate, sigma_alpha, sigma_beta, x, t, mats):
-    """C(x, t) from the complex-basis reference matrix and boundaries; mats
-    caches the dense matrices by (mirrored, n)."""
-    mirrored = x < 0
-    if mirrored:
+def _dense_otoc(gate, sigma_alpha, sigma_beta, x, t):
+    """C(x, t) from the complex-basis reference column and boundaries.  The
+    column is applied without forming _complex_transfer: with the iterate
+    read as the 4^n x 4^n matrix V[b, d] (sheet one's slots, then sheet
+    two's), one application is sum_kl top_kl s1_k V s2_l^T / 2, the forward
+    form of _column_radius_estimate's."""
+    if x < 0:
         gate, x = SWAP @ gate_matrix(gate) @ SWAP, -x
     n, applications, parity = _depths(x, t)
-    if (mirrored, n) not in mats:
-        mats[mirrored, n] = _complex_transfer(gate, n)
+    top, s1, s2 = _complex_sheets(gate, n, np.eye(2))
+    terms = list(zip(*np.nonzero(top)))
     v = _complex_right(gate, sigma_beta, n, parity)
     for _ in range(applications):
-        v = mats[mirrored, n] @ v
+        V = v.reshape(4**n, 4**n)
+        v = sum(top[k, l] * (s1[k] @ V @ s2[l].T) for k, l in terms).reshape(-1) / 2
     return complex(np.dot(_complex_left(sigma_alpha, n), v))
 
 
@@ -630,9 +633,8 @@ def test_finite_matches_dense_boundaries(name, gate):
     with an identity component."""
     cells = [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (2, 3), (1, 4),
              (3, 4), (-1, 1), (-1, 2), (-1, 3), (-1, 4)]
-    mats = {}
     for x, t in cells:
-        want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t, mats)
+        want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t)
         assert abs(want.imag) < TOL_AGREE
         got = otoc_finite(gate, ALPHA_I, BETA_I, x, t)
         assert got.value == pytest.approx(want.real, abs=TOL_AGREE), (x, t)
@@ -641,12 +643,23 @@ def test_finite_matches_dense_boundaries(name, gate):
 
 def test_finite_matches_dense_boundaries_depth3():
     gate = random_kak(1)
-    mats = {}
     for x, t in [(0, 4), (1, 5), (0, 5)]:  # n = 3: even, even, odd
-        want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t, mats)
+        want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t)
         got = otoc_finite(gate, ALPHA_I, BETA_I, x, t)
         assert got.n == 3
         assert got.value == pytest.approx(want.real, abs=TOL_AGREE), (x, t)
+
+
+@pytest.mark.parametrize("name,gate", GATES)
+def test_finite_matches_dense_boundaries_depth4(name, gate):
+    """The matrix-free reference reaches n = 4, where a dense 16^n matrix
+    would hold 2^32 entries: both parities and x < 0."""
+    for x, t in [(0, 6), (1, 7), (0, 7), (2, 8), (-1, 7)]:
+        want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t)
+        assert abs(want.imag) < TOL_AGREE
+        got = otoc_finite(gate, ALPHA_I, BETA_I, x, t)
+        assert got.n == 4
+        assert got.value == pytest.approx(want.real, abs=1e-13), (x, t)
 
 
 @pytest.mark.parametrize("x,t", [(3, 2), (5, 1), (-4, 3), (1, 0)])
@@ -1328,7 +1341,7 @@ def test_longtime_sketch_route_metadata(parity):
     res = _fresh_longtime(build_kim(h1=0.4, h2=0.6), a, b, 4, parity)
     meta = res.meta
     assert (meta["route"], meta["iterations"], meta["converged"]) == ("sketch", 64, True)
-    exact = kim_longtime(0.4, 0.6, a, b, 2, 8 if parity == "even" else 9)
+    exact = kim_longtime(0.4, 0.6, a, b, 6 if parity == "even" else 7)
     assert abs(res.value - exact) < 1e-10
     assert 0.0 <= meta["error_estimate"] < transfer.TOL_STOP
     assert 0.0 <= meta["residual"] < transfer.TOL_HELD_OUT
@@ -1425,7 +1438,7 @@ def test_longtime_single_increment_false_stop_regression():
     b = operator_from_coeffs(rng.standard_normal(3))
     res = otoc_longtime(build_kim(h1=0.4, h2=0.6), a, b, 4, "even")
     assert res.meta["converged"] is True
-    assert abs(res.value - kim_longtime(0.4, 0.6, a, b, 2, 8)) <= 5e-10
+    assert abs(res.value - kim_longtime(0.4, 0.6, a, b, 6)) <= 5e-10
 
 
 # even rows whose every due sketched fit is rejected, with the iterations at
