@@ -6,9 +6,8 @@ left edge.  A channel is a plain 4 x 4 complex array in the Pauli basis,
 element ``(a, b) = tr[PAULI[a]^dag M(PAULI[b])]/2``, so spectra have four
 values.  Both are unital, trace-preserving, completely positive, and
 Hermitian conjugates of each other.  Every entry point that takes a gate
-rejects one that is not 4 x 4 (see ``gates._check_qubits``), and every one
-that takes an insertion rejects one that is not Hermitian
-(``opalg._hermitian``).
+or an insertion checks them once with the package's input rule
+(``gates._checked_inputs``): a 4 x 4 gate and 2 x 2 Hermitian insertions.
 """
 
 from __future__ import annotations
@@ -17,19 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, _hermitian, _integer, assert_unitary, op_to_vec
-
-__all__ = [
-    "SpectrumReport",
-    "channel_plus",
-    "channel_minus",
-    "channel_superop",
-    "choi_matrix",
-    "channel_spectrum",
-    "lightcone_correlator",
-    "m_n",
-]
+from .gates import _checked_inputs, gate_matrix
+from .opalg import PAULI, TOL_EIG, _integer, assert_unitary, op_to_vec
 
 _AGREE_TOL = 1e-12  # cross-direction agreement for correlators
 
@@ -52,7 +40,7 @@ _P = PAULI.reshape(4, 4)
 
 
 def _channel(gate, superop) -> np.ndarray:
-    _check_qubits(gate)
+    _checked_inputs(gate)
     U = gate_matrix(gate)
     assert_unitary(U)
     # the vec-convention superoperator as the Pauli-basis matrix
@@ -142,14 +130,12 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
     t = _integer("t", t)
     if t < 0:
         raise ValueError("t must be a non-negative integer")
-    _check_qubits(gate, sigma_alpha, sigma_beta)
-    _hermitian(sigma_alpha)
-    _hermitian(sigma_beta)
+    sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
     U = gate_matrix(gate)
     a = op_to_vec(sigma_alpha)
     b = op_to_vec(sigma_beta)
     if t == 0:
-        return float((np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2).real)
+        return float((np.trace(sigma_alpha @ sigma_beta) / 2).real)
     via_plus = np.vdot(a, np.linalg.matrix_power(channel_plus(U), t) @ b)
     via_minus = np.vdot(b, np.linalg.matrix_power(channel_minus(U), t) @ a)
     if abs(via_plus - np.conj(via_minus)) > _AGREE_TOL:
@@ -162,8 +148,7 @@ def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    _check_qubits(gate, sigma_beta)
-    _hermitian(sigma_beta)
+    (sigma_beta,) = _checked_inputs(gate, sigma_beta)
     b = op_to_vec(sigma_beta)
     w = np.linalg.matrix_power(channel_plus(gate), n) @ b
     return float(np.real(np.vdot(w, w)))

@@ -19,7 +19,13 @@ sign that sometimes appears in print.
 Every long-time form takes the one argument its value depends on, the
 separation t_minus_x = t - x: negative outside the light cone, 0 on it.
 Times, sites and separations are integers (``opalg._integer``), and a
-correlator or OTOC raises at t < 0, as on the transfer route.
+correlator or OTOC raises at t < 0, as on the transfer route.  Each form
+checks its operators once with the package's input rule
+(``gates._checked_inputs``), inside the helper that first reads them
+(``_components``, ``_delta_overlap``, ``_t0_otoc``), or at its top
+(``mc_longtime``, whose odd branch then reads M_n through the public
+``m_n``), so a non-Hermitian insertion raises on every branch, outside the
+light cone included.
 """
 
 from __future__ import annotations
@@ -28,34 +34,28 @@ import numpy as np
 
 from .channels import m_n
 from .eigenbases import e_basis
+from .gates import _checked_inputs
 from .opalg import _integer, op_to_vec
 
-__all__ = [
-    "mc_longtime",
-    "kim_longtime",
-    "kim_correlator",
-    "kim_integrable_otoc",
-    "kim_integrable_otoc_symmetrized",
-    "xy_longtime",
-    "xy_correlator",
-    "haar_projector",
-]
 
-
-def _components(op):
-    """(a_x, a_y, a_z) with a_i = tr(sigma_i op)/2."""
-    return tuple(float(c.real) for c in op_to_vec(op)[1:])
+def _components(sigma_alpha, sigma_beta) -> list:
+    """[(a_x, a_y, a_z), (b_x, b_y, b_z)] with a_i = tr(sigma_i sigma_alpha)/2
+    and b_i = tr(sigma_i sigma_beta)/2, once both pass the input rule."""
+    return [tuple(float(c.real) for c in op_to_vec(op)[1:])
+            for op in _checked_inputs(None, sigma_alpha, sigma_beta)]
 
 
 def _delta_overlap(sigma_alpha, sigma_beta) -> float:
-    """tr(sigma_alpha sigma_beta)/2: the t = 0 value of any correlator."""
-    val = np.trace(np.asarray(sigma_alpha) @ np.asarray(sigma_beta)) / 2
-    return float(val.real)
+    """tr(sigma_alpha sigma_beta)/2, the t = 0 value of any correlator, once
+    both operators pass the input rule."""
+    sigma_alpha, sigma_beta = _checked_inputs(None, sigma_alpha, sigma_beta)
+    return float((np.trace(sigma_alpha @ sigma_beta) / 2).real)
 
 
 def _t0_otoc(sigma_alpha, sigma_beta) -> float:
-    """tr[(sigma_alpha sigma_beta)^2]/2: the t = 0 value of any OTOC."""
-    prod = np.asarray(sigma_alpha, dtype=complex) @ np.asarray(sigma_beta)
+    """tr[(sigma_alpha sigma_beta)^2]/2, the t = 0 value of any OTOC, once
+    both operators pass the input rule."""
+    prod = np.matmul(*_checked_inputs(None, sigma_alpha, sigma_beta))
     return float((np.trace(prod @ prod) / 2).real)
 
 
@@ -67,9 +67,11 @@ def mc_longtime(sigma_alpha, sigma_beta, t_minus_x, gate=None):
     parity: [4 M_{(t-x+1)/2} - M_{(t-x-1)/2}]/3, with M_n the channel
     moment of sigma_beta; this branch needs the gate, passed as a keyword
     because the even branch is gate-free.  (For local dimension q these
-    are -1/(q^2-1) and [q^2 M - M']/(q^2-1).)
+    are -1/(q^2-1) and [q^2 M - M']/(q^2-1).)  The insertions, and the gate
+    if it is given, pass the input rule on every branch.
     """
     tmx = _integer("t_minus_x", t_minus_x)
+    _checked_inputs(gate, sigma_alpha, sigma_beta)
     if tmx < 0:
         return 1.0
     if tmx % 2 == 0:
@@ -91,8 +93,7 @@ def kim_longtime(h1, h2, sigma_alpha, sigma_beta, t_minus_x):
     (bx cos h1 - by sin h1)^2 cos(h1+h2)^(t-x-3) (cos^2(h1+h2) - az^2 sin^2(h1+h2)).
     """
     tmx = _integer("t_minus_x", t_minus_x)
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
+    (ax, ay, az), (bx, by, bz) = _components(sigma_alpha, sigma_beta)
     if tmx < 0:
         return 1.0
     if tmx % 2 == 0:
@@ -118,8 +119,7 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
         raise ValueError("t must be a non-negative integer")
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
+    (ax, ay, _), (bx, by, _) = _components(sigma_alpha, sigma_beta)
     pref = (ax * np.cos(h2) + ay * np.sin(h2)) * (bx * np.cos(h1) - by * np.sin(h1))
     return float(np.cos(h1 + h2) ** (t - 1) * pref)
 
@@ -130,13 +130,12 @@ def _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized: bool):
     x, t = _integer("x", x), _integer("t", t)
     if t < 0:
         raise ValueError("need t >= 0")
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
+    if t == x == 0:
+        return _t0_otoc(sigma_alpha, sigma_beta)
+    (ax, ay, az), (bx, by, bz) = _components(sigma_alpha, sigma_beta)
     s = abs(x)
     if s > t:
         return 1.0
-    if t == 0:
-        return _t0_otoc(sigma_alpha, sigma_beta)
     if (t - s) % 2 == 0:
         if s == t:
             return 2.0 * ((ay * by + az * bz) ** 2 + ax**2 * bx**2) - 1.0
@@ -174,10 +173,9 @@ def xy_longtime(sigma_alpha, sigma_beta, t_minus_x):
     with period 4 and independent of the coupling J.
     """
     t_minus_x = _integer("t_minus_x", t_minus_x)
+    (ax, ay, az), (bx, by, bz) = _components(sigma_alpha, sigma_beta)
     if t_minus_x < 0:
         return 1.0
-    ax, ay, az = _components(sigma_alpha)
-    bx, by, bz = _components(sigma_beta)
     if t_minus_x == 0:
         return ay**2 + (1.0 - ay**2) * (2.0 * bz**2 - 1.0)
     m = t_minus_x % 4
@@ -199,8 +197,7 @@ def xy_correlator(j, sigma_alpha, sigma_beta, t):
         raise ValueError("t must be a non-negative integer")
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
-    ax, _, _ = _components(sigma_alpha)
-    bx, _, _ = _components(sigma_beta)
+    (ax, _, _), (bx, _, _) = _components(sigma_alpha, sigma_beta)
     return float(ax * bx * np.sin(2.0 * j) ** t)
 
 

@@ -24,7 +24,10 @@ The five basis builders take a depth that is an integer
 (``opalg._integer``) with n >= 1.  Those that form dense 4^(2n) vectors
 (``e_basis``, ``kim_z_basis``, ``xy_dual_basis``) also keep n within the
 transfer's application budget ``N_MAX_APPLY``; the overlap matrix and the
-projector form no such vector.
+projector form no such vector.  A ``SlotState`` and a bitstring label
+describe a column of depth n >= 1 too.  A ``SlotState`` checks its
+operators, and each XY boundary overlap its insertion, with the package's
+input rule (``gates._checked_inputs``) when it is made or called.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gates import _checked_inputs
 from .opalg import PAULI, _integer
 from .transfer import _check_depth, _pair_block, _slot_coeffs
 
@@ -48,17 +52,23 @@ _LETTERS = "abcdefghijklmnopqrst"
 
 @dataclass
 class SlotState:
-    """Symbolic product/pairing state on 2n slots of dimension 4; every slot
-    operator and pairing insertion must be Hermitian."""
+    """Symbolic product/pairing state on 2n slots of dimension 4, n >= 1;
+    every slot operator and pairing insertion passes the input rule when
+    the state is made, and the state keeps the checked complex arrays."""
 
     n: int
     prods: dict = field(default_factory=dict)
     pairs: tuple = ()
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need n >= 1")
         covered = sorted(self.prods) + sorted(s for p in self.pairs for s in p[:2])
         if sorted(covered) != list(range(1, 2 * self.n + 1)):
             raise ValueError("slots must cover 1..2n exactly once")
+        ops = _checked_inputs(None, *self.prods.values(), *(p[2] for p in self.pairs))
+        self.prods = dict(zip(self.prods, ops))
+        self.pairs = tuple((i, j, x) for (i, j, _), x in zip(self.pairs, ops[len(self.prods):]))
 
     def vector(self) -> np.ndarray:
         """The real 4^(2n) vector, slot 1 slowest."""
@@ -140,9 +150,13 @@ def kim_z_basis(n: int):
 # kicked-XY bitstring bases
 
 def _bits(label) -> tuple:
+    """The label as a tuple of bits; an empty label, a depth-0 column,
+    raises."""
     bits = tuple(int(b) for b in label)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("labels are bitstrings")
+    if not bits:
+        raise ValueError("need n >= 1")
     return bits
 
 
@@ -222,21 +236,21 @@ def xy_dual_basis(n: int):
 def xy_left_boundary_overlap(sigma_alpha, r) -> float:
     """(L_n(sigma_alpha)|{r}) = 2^{n/2-1} tr(sigma_alpha X sigma_alpha X) with
     X = sigma(r_{n-1}, r_n)."""
+    (a,) = _checked_inputs(None, sigma_alpha)
     r = _bits(r)
     n = len(r)
     rr = (0,) + r
     x = _XY_SLOT_OP[(rr[n - 1], rr[n])]
-    a = np.asarray(sigma_alpha)
     return 2.0 ** (n / 2.0 - 1.0) * float(np.trace(a @ x @ a @ x).real)
 
 
 def xy_right_boundary_overlap(sigma_beta, l, parity: str) -> float:
     """({l}|R(sigma_beta)) against the even (product) or odd (gate-dressed)
     right boundary; the dressed overlap collapses to a J-independent value."""
+    (b,) = _checked_inputs(None, sigma_beta)
     l = _bits(l)
     n = len(l)
     ll = (0,) + l
-    b = np.asarray(sigma_beta)
     if parity == "even":
         x = _XY_SLOT_OP[(ll[n], ll[n - 1])]
         return 2.0 ** (n / 2.0 - 1.0) * float(np.trace(b @ x @ b @ x).real)
@@ -263,7 +277,7 @@ def xy_longtime_projector(sigma_alpha, sigma_beta, n: int, parity: str) -> float
 
 def product_state(ops) -> SlotState:
     """Bare product state with explicit one-site operators on all 2n slots."""
-    ops = tuple(np.asarray(op) for op in ops)
+    ops = tuple(ops)
     if len(ops) % 2:
         raise ValueError("need an even number of slot operators")
     n = len(ops) // 2

@@ -3,10 +3,9 @@ the self-dual kicked Ising gate, and the kicked XY gate.
 
 All gates are two-qubit 4x4 unitaries in the index convention of
 :mod:`duotoc.opalg`: element ``U[(a,b),(c,d)]`` maps input pair (c,d) to
-output pair (a,b) with the left site slower.  ``_check_qubits`` is the one
-place that decides q = 2: the transfer entry points and every function of
-this module, ``opalg`` and ``channels`` that takes a gate call it before
-they reshape anything, and so do the brute-force oracle's entry points.
+output pair (a,b) with the left site slower.  ``_checked_inputs`` is the
+input rule of every public entry point of the package, the brute-force
+oracle's included: it decides q = 2 and that insertions are Hermitian.
 """
 
 from __future__ import annotations
@@ -15,21 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import opalg
 from .opalg import PAULI, assert_unitary, dual, is_unitary
-
-__all__ = [
-    "Gate",
-    "KakParams",
-    "gate_matrix",
-    "one_qubit_gate",
-    "build_kak",
-    "random_kak_params",
-    "random_kak",
-    "random_dual_unitary",
-    "build_kim",
-    "build_xy",
-    "is_dual_unitary",
-]
 
 
 @dataclass(frozen=True)
@@ -39,7 +25,7 @@ class Gate:
     u: np.ndarray
 
     def __post_init__(self):
-        _check_qubits(self.u)
+        _checked_inputs(self.u)
         assert_unitary(self.u)
 
 
@@ -50,10 +36,15 @@ def gate_matrix(gate) -> np.ndarray:
     return np.asarray(gate, dtype=complex)
 
 
-def _check_qubits(gate, *ops):
-    """Raise unless ``gate`` (if not None) is 4 x 4 and every insertion in
-    ``ops`` is 2 x 2: every model here, the brute-force oracle's chain
-    included, is a qubit chain."""
+def _checked_inputs(gate, *ops) -> list:
+    """The insertions ``ops`` as complex arrays, once ``gate`` (if not None)
+    is 4 x 4 and every insertion is 2 x 2 and Hermitian, no entry of
+    op - op^dag above ``opalg.TOL_REAL``; raises ValueError otherwise.
+
+    Every model here, the brute-force oracle's chain included, is a qubit
+    chain with Hermitian insertions.  Each public entry point calls this
+    once, where it checks its inputs, and works on what it returns; the
+    private builders behind it trust their callers."""
     shapes = [np.shape(op) for op in ops]
     want = [(2, 2)] * len(ops)
     if gate is not None:
@@ -62,6 +53,13 @@ def _check_qubits(gate, *ops):
     if shapes != want:
         raise ValueError(f"only q = 2 is supported (got shapes {shapes}, need "
                          f"{want})")
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    # opalg.TOL_REAL read at each call, so that a changed tolerance applies
+    residue = max((float(np.abs(op - op.conj().T).max()) for op in ops), default=0.0)
+    if residue > opalg.TOL_REAL:
+        raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
+                         "operators Hermitian?")
+    return ops
 
 
 @dataclass(frozen=True)

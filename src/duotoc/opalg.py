@@ -2,10 +2,10 @@
 
 Conventions used throughout the package
 ---------------------------------------
-* Every site is a qubit (q = 2), and ``gates._check_qubits`` rejects
-  anything else.
-* Insertions are Hermitian: ``_hermitian`` is the one rule, shared by the
-  transfer side and the brute-force oracle.
+* Every site is a qubit (q = 2) and every insertion Hermitian:
+  ``gates._checked_inputs`` is the one rule, shared by the transfer side,
+  the channels, the closed forms, the eigenbases and the brute-force
+  oracle.
 * Sites, times, depths and chain lengths are integers, Python or numpy, and
   never bools: ``_integer`` is the one rule, shared the same way.
 * Vectorization is row-major: operator element ``(i, j)`` maps to flat index
@@ -37,21 +37,6 @@ TOL_BASIS = 1e-14
 # Insertion admission: the largest entry of op - op^dag that still counts as
 # Hermitian.
 TOL_REAL = 1e-10
-
-__all__ = [
-    "TOL_UNITARY",
-    "TOL_EIG",
-    "TOL_BASIS",
-    "TOL_REAL",
-    "PAULI",
-    "op_to_vec",
-    "vec_to_op",
-    "normalize_coeffs",
-    "dual",
-    "swap_gate",
-    "assert_unitary",
-    "is_unitary",
-]
 
 
 def _checked_basis(ops: np.ndarray) -> np.ndarray:
@@ -116,17 +101,6 @@ def assert_unitary(U: np.ndarray, name: str = "gate"):
         raise ValueError(f"{name} is not unitary within {TOL_UNITARY}")
 
 
-def _hermitian(op) -> np.ndarray:
-    """``op`` as a complex array, if no entry of op - op^dag exceeds
-    TOL_REAL; raises ValueError otherwise."""
-    op = np.asarray(op, dtype=complex)
-    residue = float(np.abs(op - op.conj().T).max())
-    if residue > TOL_REAL:
-        raise ValueError(f"operator has anti-Hermitian residue {residue:.3e}; "
-                         "operators Hermitian?")
-    return op
-
-
 def _integer(name: str, value) -> int:
     """``value`` as an int, if it is an integer (Python or numpy) and not a
     bool; raises ValueError otherwise."""
@@ -141,9 +115,9 @@ def dual(U: np.ndarray) -> np.ndarray:
     An involution on the index permutation; the result carries no unitarity
     guarantee (the gate is dual-unitary exactly when it does come out unitary).
     """
-    from .gates import _check_qubits  # gates imports this module
+    from .gates import _checked_inputs  # gates imports this module
 
-    _check_qubits(U)
+    _checked_inputs(U)
     U4 = np.asarray(U, dtype=complex).reshape(2, 2, 2, 2)
     return U4.transpose(3, 1, 2, 0).reshape(4, 4)
 

@@ -6,8 +6,8 @@ beyond the gate and the input rules: operators on the chain are their full
 expansion in a product basis, conjugated layer by layer, and
 correlators/OTOCs are exact traces.  It is the ground truth that every
 folded-diagram result is validated against.  Every entry point takes a
-4 x 4 gate and 2 x 2 Hermitian insertions (``gates._check_qubits`` and
-``opalg._hermitian``, the transfer side's own checks).
+4 x 4 gate and 2 x 2 Hermitian insertions, checked once per call by
+``gates._checked_inputs``, the transfer side's own input rule.
 
 Real coordinates
 ----------------
@@ -124,17 +124,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import _check_qubits, gate_matrix
-from .opalg import TOL_UNITARY, _hermitian, _integer
-
-__all__ = [
-    "ChainSpec",
-    "site_operator",
-    "evolve_heisenberg",
-    "oracle_correlator",
-    "oracle_otoc",
-    "haar_sample",
-]
+from .gates import _checked_inputs, gate_matrix
+from .opalg import TOL_UNITARY, _integer
 
 # The orthonormal Hermitian basis h[a] of one site: E_00, E_11, X/sqrt2 and
 # Y/sqrt2, and the identity's coordinates e in it.  Read-only.
@@ -170,27 +161,20 @@ class ChainSpec:
 
 
 def site_operator(sigma: np.ndarray, x: int, L: int) -> np.ndarray:
-    """Dense embedding 1 (x) sigma (x) 1 of a one-site operator at site x."""
+    """Dense embedding 1 (x) sigma (x) 1 of a one-site Hermitian operator at
+    site x."""
     x, L = _integer("x", x), _integer("L", L)
-    _check_qubits(None, sigma)
+    (sigma,) = _checked_inputs(None, sigma)
     out = np.zeros((2**L, 2**L), dtype=complex)
     # r[i, a, k] is the row of the basis state (i, a, k), a the digit of site x
     r = np.arange(2**L).reshape(2 ** (x % L), 2, -1)
-    out[r[:, :, None], r[:, None]] = np.asarray(sigma)[:, :, None]
+    out[r[:, :, None], r[:, None]] = sigma[:, :, None]
     return out
 
 
 def _site_coords(sigma: np.ndarray) -> np.ndarray:
     """The real coordinates tr(h_a sigma) of a Hermitian one-site operator."""
     return np.einsum("aji,ij->a", _SITE_BASIS, sigma).real
-
-
-def _checked_operators(spec: ChainSpec, *ops) -> list:
-    """``ops`` as complex arrays, once the circuit gate is 4 x 4 and every
-    insertion is 2 x 2 and Hermitian; raises the transfer side's errors
-    otherwise."""
-    _check_qubits(spec.gate, *ops)
-    return [_hermitian(op) for op in ops]
 
 
 def _superoperator(U: np.ndarray) -> np.ndarray:
@@ -308,7 +292,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
     dense matrix the caller owns: the window padded with identity sites to
     the chain and expanded from its coordinates."""
     site, t = _integer("site", site), _integer("t", t)
-    (sigma,) = _checked_operators(spec, sigma)
+    (sigma,) = _checked_inputs(spec.gate, sigma)
     _check_budget(spec, 0, t)
     L = spec.L
     A, lo, _ = _light_cone(spec, sigma, site, t)
@@ -322,7 +306,7 @@ def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int,
                       sigma_beta: np.ndarray, t: int) -> float:
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / 2^L."""
     x, t = _integer("x", x), _integer("t", t)
-    sigma_alpha, sigma_beta = _checked_operators(spec, sigma_alpha, sigma_beta)
+    sigma_alpha, sigma_beta = _checked_inputs(spec.gate, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     A, lo, _ = _light_cone(spec, sigma_alpha, x, t)
     y = -lo
@@ -339,7 +323,7 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
     """tr[A B A B] / 2^L with A the evolved alpha operator and B = sigma_beta
     placed x sites to its right (see the module docstring for anchoring)."""
     x, t = _integer("x", x), _integer("t", t)
-    sigma_alpha, sigma_beta = _checked_operators(spec, sigma_alpha, sigma_beta)
+    sigma_alpha, sigma_beta = _checked_inputs(spec.gate, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     anchor = (t + 1) % 2 if x >= 0 else t % 2
     h = _SITE_BASIS

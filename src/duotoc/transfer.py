@@ -33,9 +33,12 @@ boundary as Q^dagger l, slot by slot; their plain dot product equals the
 bilinear overlap of the complex vectors.  ``build_transfer`` returns the
 complex-basis matrix T in the same basis, Q^T T conj(Q) slot by slot, so it
 carries the right coefficients and its transpose the left ones.  Every
-entry point rejects a gate that is not 4 x 4 or an insertion that is not
-2 x 2 (``gates._check_qubits``), and it rejects non-Hermitian insertions
-(``opalg._hermitian``), whose coefficients would not be real.
+entry point checks its gate and insertions once, with the package's input
+rule (``gates._checked_inputs``): a gate that is not 4 x 4, an insertion
+that is not 2 x 2 or one that is not Hermitian, whose coefficients would
+not be real, raises.  The private builders behind the entry points
+(``_slot_coeffs``, ``_pair_block``, ``_right_factors``, ``_memo_key``) take
+the checked arrays and check nothing.
 
 Every OTOC cell at depth n, finite-time or long-time, is an overlap
 (L|T^m|R) with the same column T and the same left boundary L; only m and
@@ -53,7 +56,11 @@ Aitken extrapolates (else of overlaps) has settled or a matrix-pencil fit
 of the trailing snapshots is accepted (see ``_settle``).  ``otoc_finite``
 reads a cell with m <= M and ``otoc_longtime`` a parity that has stopped
 from the remembered trajectory; either extends it when it does not reach
-far enough.
+far enough.  A trajectory is remembered under its key: the bytes of the
+gate and both insertions, and the stop settings under which its stops were
+made (``ITERATION_CAP``, the Aitken window's and the sketched stop's
+constants; see ``_memo_key``), so a call under other settings starts afresh
+rather than read a stop that they would not have made.
 """
 
 from __future__ import annotations
@@ -68,8 +75,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import _check_qubits, gate_matrix
-from .opalg import PAULI, TOL_EIG, _hermitian, _integer, swap_gate
+from .gates import _checked_inputs, gate_matrix
+from .opalg import PAULI, TOL_EIG, _integer, swap_gate
 
 TOL_FIXED = 1e-10
 TOL_RADIUS = 1e-8
@@ -119,23 +126,22 @@ def _check_depth(n: int):
 _QMAT = np.stack([m.reshape(4) / np.sqrt(2.0) for m in PAULI], axis=1)
 
 
-def _slot_coeffs(op) -> np.ndarray:
-    """Product-slot coefficients Q^T vec(X) = tr(sigma_mu^T X)/sqrt(2), real for
-    Hermitian X; the identity maps to sqrt(2) e_0.  A bra slot, Q^dagger
-    vec(X^T), has the same coefficients."""
-    return np.ascontiguousarray((_QMAT.T @ _hermitian(op).reshape(4)).real)
+def _slot_coeffs(op: np.ndarray) -> np.ndarray:
+    """Product-slot coefficients Q^T vec(X) = tr(sigma_mu^T X)/sqrt(2) of a
+    checked Hermitian X, where they are real; the identity maps to
+    sqrt(2) e_0.  A bra slot, Q^dagger vec(X^T), has the same coefficients."""
+    return np.ascontiguousarray((_QMAT.T @ op.reshape(4)).real)
 
 
 _IDENTITY_COEFFS = _slot_coeffs(np.eye(2))
 
 
-def _pair_block(op) -> np.ndarray:
-    """Pairing block tying two slots through X, on either side:
-    B[mu, nu] = tr(sigma_mu^T X sigma_nu^T X)/2, real for Hermitian X; the
-    identity pairing is the 4x4 identity.  It is the bra block below under
-    Q^dagger per slot and equally the ket block X[u,vbar] X[v,ubar] under
-    Q^T per slot."""
-    x = _hermitian(op)
+def _pair_block(x: np.ndarray) -> np.ndarray:
+    """Pairing block tying two slots through a checked Hermitian X, on
+    either side: B[mu, nu] = tr(sigma_mu^T X sigma_nu^T X)/2, which is real;
+    the identity pairing is the 4x4 identity.  It is the bra block below
+    under Q^dagger per slot and equally the ket block X[u,vbar] X[v,ubar]
+    under Q^T per slot."""
     # complex-basis block A[(u,ubar),(v,vbar)] = X[vbar,u] X[ubar,v]
     block = np.einsum("da,bc->abcd", x, x).reshape(4, 4)
     return np.ascontiguousarray((_QMAT.conj().T @ block @ _QMAT.conj()).real)
@@ -397,7 +403,7 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     real vector in the Hermitian leg basis (see the module docstring)."""
     n = _integer("n", n)
     _check_depth(n)
-    _check_qubits(None, sigma_alpha)
+    (sigma_alpha,) = _checked_inputs(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
     identity_pair = np.eye(4)
     for _ in range(n - 1):
@@ -407,10 +413,11 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     return vec
 
 
-def _right_factors(sigma_beta, n: int, parity: str, gate=None):
+def _right_factors(sigma_beta: np.ndarray, n: int, parity: str, gate=None):
     """(P, S), rows P[t] over slots 1..n and S[t] over slots n+1..2n with
     |R_n(sigma_beta)) = sum_t P[t] (x) S[t] for the requested parity of
-    t - x (see ``boundary_right``), in the Hermitian leg basis.
+    t - x (see ``boundary_right``), in the Hermitian leg basis, for a
+    checked gate and sigma_beta.
 
     even: one term, sigma_beta on slot 1 (in P, with the scale q^{-n/2}) and
     on slot 2n (in S).
@@ -422,7 +429,6 @@ def _right_factors(sigma_beta, n: int, parity: str, gate=None):
     (the slot reversal exchanges the sheets) times sheet one's 1/q and
     q^{-n/2}.  That is O(4^n) work and needs no column kernel.
     """
-    _check_qubits(gate, sigma_beta)
     beta = _slot_coeffs(sigma_beta)
     ident = _IDENTITY_COEFFS
     scale = 2.0 ** (-n / 2.0)
@@ -456,6 +462,7 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     """
     n = _integer("n", n)
     _check_depth(n)
+    (sigma_beta,) = _checked_inputs(gate, sigma_beta)
     p, s = _right_factors(sigma_beta, n, parity, gate)
     return (p.T @ s).reshape(-1)
 
@@ -511,7 +518,7 @@ def build_transfer(gate, n: int) -> np.ndarray:
     otoc_finite/otoc_longtime serves deeper columns.
     """
     n = _integer("n", n)
-    _check_qubits(gate)
+    _checked_inputs(gate)
     if n < 1:
         raise ValueError("need n >= 1")
     dim = 16 ** n
@@ -576,19 +583,21 @@ def _separation(n: int, parity: str) -> int:
     return 2 * n - 2 if parity == "even" else 2 * n - 1
 
 
-def _memo_key(gate, sigma_alpha, sigma_beta) -> tuple:
-    """The bytes of the gate and both insertions, which raises on a
-    non-Hermitian insertion."""
-    return tuple(op.tobytes() for op in (gate_matrix(gate), _hermitian(sigma_alpha),
-                                        _hermitian(sigma_beta)))
+def _memo_key(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray) -> tuple:
+    """The bytes of the gate and both checked insertions, then every stop
+    setting that _settle, _fit_due and a step's record read: a stored stop
+    is served only under the settings that made it."""
+    return (*(op.tobytes() for op in (gate_matrix(gate), sigma_alpha, sigma_beta)),
+            ITERATION_CAP, CESARO_WINDOW, STOP_WINDOW, TOL_STOP, N_MAX_APPLY, TOL_EIG,
+            SKETCH_ROWS, SKETCH_WINDOWS, SKETCH_HOLD, TOL_RANK, TOL_HELD_OUT, SKETCH_GAP)
 
 
 PARITIES = ("even", "odd")
 
 
 class _Trajectory(NamedTuple):
-    """Depth n's trajectory for ``key`` (the bytes of the gate, sigma_alpha
-    and sigma_beta) after m applications of T^T, settled at every step.
+    """Depth n's trajectory for ``key`` (see _memo_key) after m applications
+    of T^T, settled at every step.
 
     ``overlaps`` maps each parity to the floats (L|T^k|R_parity), k = 0..m;
     ``snapshots`` holds the snapshots of the trailing steps that a fit reads,
@@ -619,20 +628,22 @@ _TRAJECTORY_MEMO = {}
 
 
 @lru_cache(maxsize=None)
-def _sketch_rows(n: int) -> np.ndarray:
-    """The fixed-seed Gaussian rows, min(SKETCH_ROWS, 4^n) x 4^n, that
-    compress each column of a step's product with the right factors."""
-    rows = min(SKETCH_ROWS, 4 ** n)
+def _sketch_rows(n: int, rows: int) -> np.ndarray:
+    """The fixed-seed Gaussian rows, min(rows, 4^n) x 4^n, that compress
+    each column of a step's product with the right factors; the caller
+    passes SKETCH_ROWS."""
+    rows = min(rows, 4 ** n)
     omega = np.random.default_rng(0).standard_normal((rows, 4 ** n)) / np.sqrt(rows)
     omega.flags.writeable = False
     return omega
 
 
-def _trajectory_until(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
-    """(depth n's trajectory for ``key`` at which ``done(trajectory)``
-    holds, applications of the column kernel (T^T) made): the remembered
-    entry if it is for ``key`` and done, else that entry or a trajectory
-    started at the left boundary, extended until done and remembered.
+def _trajectory_until(gate, sigma_alpha, sigma_beta, n: int, done):
+    """(depth n's trajectory for the checked gate and insertions at which
+    ``done(trajectory)`` holds, applications of the column kernel (T^T)
+    made): the remembered entry if it is for their key (see _memo_key) and
+    done, else that entry or a trajectory started at the left boundary,
+    extended until done and remembered.
 
     The call pops the depth's entry before the first application, which
     overwrites its l_m, so a failed extension leaves no entry whose m and
@@ -647,6 +658,7 @@ def _trajectory_until(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     n >= 3.  The two make the step's snapshot, and _settle settles both
     parities at the step.
     """
+    key = _memo_key(gate, sigma_alpha, sigma_beta)
     entry = _TRAJECTORY_MEMO.get(n)
     if entry is not None and entry.key == key and done(entry):
         return entry, 0
@@ -655,7 +667,7 @@ def _trajectory_until(gate, sigma_alpha, sigma_beta, n: int, key: tuple, done):
     p_all = np.concatenate([p for p, _ in factors])
     s_all_t = np.concatenate([s for _, s in factors]).T
     even_terms, half = len(factors[0][0]), 4 ** n
-    omega = _sketch_rows(n)
+    omega = _sketch_rows(n, SKETCH_ROWS)
     window = max(SKETCH_WINDOWS) + SKETCH_HOLD
 
     def record(trajectory):
@@ -693,8 +705,9 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
 
     The cell is (L|T^m|R) at depth n = n_- with m = n_+, read from the
     depth's trajectory as l_m . R (see the module docstring).  A cell whose
-    m lies within the remembered trajectory of the same gate and insertions
-    (keyed on their bytes) is read without building a boundary or a kernel;
+    m lies within the remembered trajectory of the same key (the bytes of
+    the gate and insertions, and the stop settings; see _memo_key) is read
+    without building a boundary or a kernel;
     otherwise the call extends the trajectory to m.  Either way the value is
     the float a call on an empty memory computes, from the same applications
     on the same vectors.  All argument checks run first, so a call raises
@@ -707,19 +720,17 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     remembered trajectory served it or the cell lies outside the light cone.
     """
     x, t = _integer("x", x), _integer("t", t)
-    _check_qubits(gate, sigma_alpha, sigma_beta)
-    key = _memo_key(gate, sigma_alpha, sigma_beta)
+    sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
     if t < 0:
         raise ValueError("need t >= 0")
     if abs(x) > t:
         return OtocResult(1.0, meta={"applications": 0})
     if x < 0:
         swap = swap_gate()
-        return otoc_finite(swap @ gate_matrix(gate) @ swap,
-                           sigma_alpha, sigma_beta, -x, t)
+        gate, x = swap @ gate_matrix(gate) @ swap, -x
     n, m, parity = _depths(x, t)
     _check_depth(n)
-    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
+    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n,
                                          lambda tr: tr.m >= m)
     return OtocResult(trajectory.overlaps[parity][m], n=n, meta={"applications": made})
 
@@ -948,7 +959,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     every OTOC cell at depth n shares (see the module docstring), and
     _settle settles both parities at every step the trajectory records,
     finite-time or long-time.  A parity that stopped within the remembered
-    trajectory of the same gate and insertions is its remembered stop,
+    trajectory of the same gate, insertions and stop settings (see
+    _memo_key) is its remembered stop,
     with no application, no rule and no fit; otherwise the call extends the
     trajectory until the parity stops.  Either way the result is the float
     a call on an empty memory computes, from the same applications on the
@@ -977,12 +989,11 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     ``converged`` False, ``route`` "cesaro" and the oscillation amplitude.
     """
     n = _integer("n", n)
-    _check_qubits(gate, sigma_alpha, sigma_beta)
+    sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
     _check_depth(n)
     if parity not in PARITIES:
         raise ValueError("parity must be 'even' or 'odd'")
-    key = _memo_key(gate, sigma_alpha, sigma_beta)
-    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n, key,
+    trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n,
                                          lambda tr: tr.stops[parity] is not None)
     result = trajectory.stops[parity]
     return OtocResult(result.value, n=n, meta={**result.meta, "applications": made})

@@ -43,11 +43,11 @@ def record_note():
 
 @pytest.fixture
 def applies(monkeypatch):
-    """Clears the trajectory memo that otoc_finite and otoc_longtime share,
-    before the test and again after it, so that a stop made under a patched
-    stop setting (ITERATION_CAP, SKETCH_GAP, ...) serves no other test; the
-    list collects the depth of every column-kernel application that
-    follows."""
+    """The depth of every column-kernel application that follows, in call
+    order.  The trajectory memo that otoc_finite and otoc_longtime share is
+    cleared before the test and again after it, so that the test counts the
+    applications of calls on an empty memory and leaves no trajectory to
+    the next test's counts."""
     _TRAJECTORY_MEMO.clear()
     depths = []
     apply = _PauliColumnKernel.apply

@@ -119,6 +119,38 @@ def test_negative_times_raise_as_on_the_transfer_route(closed, route, t):
         closed(t)
 
 
+# sigma = X + iY: its anti-Hermitian residue is 2
+NON_HERMITIAN = SX + 1j * SY
+CLOSED_FORM_CALLS = {
+    "mc_longtime-cone": lambda op: mc_longtime(op, SY, 0),
+    "mc_longtime-outside": lambda op: mc_longtime(op, SY, -1),
+    "mc_longtime-odd": lambda op: mc_longtime(op, SY, 1, gate=random_dual_unitary(0)),
+    "mc_longtime-beta": lambda op: mc_longtime(SX, op, 2),
+    "kim_longtime": lambda op: kim_longtime(0.4, 0.6, op, SY, 1),
+    "kim_longtime-outside": lambda op: kim_longtime(0.4, 0.6, op, SY, -1),
+    "kim_longtime-beta": lambda op: kim_longtime(0.4, 0.6, SX, op, 1),
+    "kim_correlator": lambda op: kim_correlator(0.4, 0.6, op, SY, 2),
+    "kim_correlator-t0": lambda op: kim_correlator(0.4, 0.6, op, SY, 0),
+    "kim_integrable_otoc": lambda op: kim_integrable_otoc(op, SY, 1, 2),
+    "kim_integrable_otoc-t0": lambda op: kim_integrable_otoc(op, SY, 0, 0),
+    "kim_integrable_otoc-outside": lambda op: kim_integrable_otoc(op, SY, 3, 2),
+    "kim_integrable_otoc_symmetrized": lambda op: kim_integrable_otoc_symmetrized(op, SY, 1, 2),
+    "xy_longtime": lambda op: xy_longtime(op, SX, 2),
+    "xy_longtime-outside": lambda op: xy_longtime(op, SX, -1),
+    "xy_longtime-beta": lambda op: xy_longtime(SX, op, 1),
+    "xy_correlator": lambda op: xy_correlator(0.3, op, SX, 2),
+    "xy_correlator-t0": lambda op: xy_correlator(0.3, op, SX, 0),
+}
+
+
+@pytest.mark.parametrize("call", CLOSED_FORM_CALLS.values(), ids=CLOSED_FORM_CALLS)
+def test_non_hermitian_insertions_raise_on_every_branch(call):
+    # the transfer route's input rule, on every branch: outside the light
+    # cone, at t = 0 and on the branches that never read the insertion
+    with pytest.raises(ValueError, match=r"operators Hermitian\?"):
+        call(NON_HERMITIAN)
+
+
 # -------------------------------------------------- integrable kicked Ising
 
 def test_integrable_even_branches():

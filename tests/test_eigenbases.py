@@ -10,13 +10,16 @@ from duotoc.eigenbases import (
     SlotState,
     _labels,
     e_basis,
+    e_state,
     kim_z_basis,
     product_state,
     xy_dual_basis,
+    xy_left_boundary_overlap,
     xy_left_state,
     xy_longtime_projector,
     xy_overlap,
     xy_overlap_matrix,
+    xy_right_boundary_overlap,
     xy_right_state,
 )
 from duotoc.gates import build_kim, build_xy, random_dual_unitary
@@ -126,6 +129,24 @@ def test_builders_refuse_depths_below_one(build, n):
         build(n)
 
 
+DEPTH_ZERO_CALLS = {
+    "xy_left_boundary_overlap": lambda: xy_left_boundary_overlap(SX, ()),
+    "xy_right_boundary_overlap": lambda: xy_right_boundary_overlap(SX, (), "odd"),
+    "xy_overlap": lambda: xy_overlap((), ()),
+    "xy_right_state": lambda: xy_right_state(()),
+    "xy_left_state": lambda: xy_left_state(()),
+    "e_state": lambda: e_state(0, 0).vector(),
+}
+
+
+@pytest.mark.parametrize("call", DEPTH_ZERO_CALLS.values(), ids=DEPTH_ZERO_CALLS)
+def test_per_label_helpers_refuse_depth_zero(call):
+    # an empty bitstring or a state on no slots is a depth-0 column, which
+    # the builders refuse with the same message
+    with pytest.raises(ValueError, match="need n >= 1"):
+        call()
+
+
 @pytest.mark.parametrize("build", [e_basis, kim_z_basis, xy_dual_basis])
 def test_dense_builders_keep_the_application_budget(build):
     # each row is a 16^n vector: past N_MAX_APPLY the call refuses before it
@@ -161,10 +182,32 @@ def test_slot_builders_are_the_folded_definitions_on_either_side():
     assert np.abs(qd @ bra_pair @ qd.T - _pair_block(x)).max() < 1e-15
 
 
+# sigma = X + iY: its anti-Hermitian residue is 2
+NON_HERMITIAN = SX + 1j * SY
+XY_OVERLAP_CALLS = {
+    "left": lambda op: xy_left_boundary_overlap(op, (0, 1)),
+    "right-even": lambda op: xy_right_boundary_overlap(op, (0, 1), "even"),
+    "right-odd": lambda op: xy_right_boundary_overlap(op, (1, 1), "odd"),
+    "right-odd-label-ending-in-0": lambda op: xy_right_boundary_overlap(op, (1, 0), "odd"),
+    "projector-alpha": lambda op: xy_longtime_projector(op, SX, 2, "even"),
+    "projector-beta": lambda op: xy_longtime_projector(SX, op, 2, "odd"),
+}
+
+
+@pytest.mark.parametrize("call", XY_OVERLAP_CALLS.values(), ids=XY_OVERLAP_CALLS)
+def test_xy_boundary_overlaps_reject_non_hermitian_insertions(call):
+    # the transfer route's input rule; the odd overlap of a label that ends
+    # in 0 never reads its insertion, and raises all the same
+    with pytest.raises(ValueError, match=r"operators Hermitian\?"):
+        call(NON_HERMITIAN)
+
+
 @pytest.mark.parametrize("where", ["prods", "pairs"])
 def test_slot_state_rejects_non_hermitian_operators(where):
+    # the state checks its operators when it is made, not in vector()
     x = SX + 1j * SY
-    state = (SlotState(n=1, prods={1: x, 2: I2}) if where == "prods"
-             else SlotState(n=1, pairs=((1, 2, x),)))
     with pytest.raises(ValueError, match=r"operators Hermitian\?"):
-        state.vector()
+        if where == "prods":
+            SlotState(n=1, prods={1: x, 2: I2})
+        else:
+            SlotState(n=1, pairs=((1, 2, x),))

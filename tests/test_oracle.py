@@ -402,7 +402,7 @@ def _calls_with(spec, op):
 
 
 def test_other_local_dimensions_rejected():
-    # gates._check_qubits decides q = 2 for the oracle as for the transfer side
+    # gates._checked_inputs decides q = 2 for the oracle as for the transfer side
     for spec, op in ((ChainSpec(gate=haar_sample(9, 11), L=4), SY),
                      (ChainSpec(gate=REF_GATES["kak"], L=6), np.eye(3))):
         for call in _calls_with(spec, op):
@@ -417,6 +417,8 @@ def test_non_hermitian_operators_rejected(monkeypatch):
     for call in _calls_with(spec, _random_operator(42)):
         with pytest.raises(ValueError, match="operators Hermitian"):
             call()
+    with pytest.raises(ValueError, match="operators Hermitian"):
+        site_operator(_random_operator(42), 0, 4)
     # the one rule of opalg: a residue within TOL_REAL passes, and tightening
     # TOL_REAL rejects it on both routes
     beta = SZ + 1e-11j * I2

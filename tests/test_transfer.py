@@ -18,7 +18,7 @@ from conftest import Q_LEG
 from duotoc import transfer
 from duotoc.channels import channel_minus, channel_plus, lightcone_correlator, m_n
 from duotoc.cli import operator_from_coeffs
-from duotoc.closed_forms import kim_longtime
+from duotoc.closed_forms import kim_longtime, mc_longtime
 from duotoc.gates import (
     Gate,
     build_kim,
@@ -650,10 +650,20 @@ def test_finite_matches_dense_boundaries_depth3():
         assert got.value == pytest.approx(want.real, abs=TOL_AGREE), (x, t)
 
 
-@pytest.mark.parametrize("name,gate", GATES)
+# criterion 1's families that GATES lacks
+CRITERION_1_REST = [
+    ("du1", random_dual_unitary(1)),
+    ("du2", random_dual_unitary(2)),
+    ("kim-int", build_kim(h1=0.3, h2=-0.3)),
+    ("kak0", random_kak(0)),
+]
+
+
+@pytest.mark.parametrize("name,gate", GATES + CRITERION_1_REST)
 def test_finite_matches_dense_boundaries_depth4(name, gate):
     """The matrix-free reference reaches n = 4, where a dense 16^n matrix
-    would hold 2^32 entries: both parities and x < 0."""
+    would hold 2^32 entries: both parities and x < 0, for every family of
+    criterion 1."""
     for x, t in [(0, 6), (1, 7), (0, 7), (2, 8), (-1, 7)]:
         want = _dense_otoc(gate, ALPHA_I, BETA_I, x, t)
         assert abs(want.imag) < TOL_AGREE
@@ -1266,6 +1276,22 @@ def test_longtime_memo_key_covers_gate_operators_and_depth(applies):
     assert got.meta["applications"] == got.meta["iterations"]
     want = _fresh_longtime(other, ALPHA_I, BETA_I, 2, "odd")
     assert _without_applications(got) == _without_applications(want)
+
+
+def test_stored_stop_is_served_only_under_the_settings_that_made_it(monkeypatch, applies):
+    """A stop made under ITERATION_CAP = 30 is not served once the cap is
+    back: the stop settings are part of the memo key, so the second call
+    runs its own trajectory, and nothing clears the memo between the
+    calls."""
+    gate = random_dual_unitary(7)
+    monkeypatch.setattr(transfer, "ITERATION_CAP", 30)
+    capped = otoc_longtime(gate, SX, SX, 3, "even")
+    assert (capped.meta["iterations"], capped.meta["converged"]) == (30, False)
+    monkeypatch.setattr(transfer, "ITERATION_CAP", ITERATION_CAP)
+    got = otoc_longtime(gate, SX, SX, 3, "even")
+    assert (got.meta["iterations"], got.meta["converged"]) == (1789, True)
+    assert got.meta["applications"] == 1789
+    assert got.value == pytest.approx(mc_longtime(SX, SX, 4), abs=1e-8)
 
 
 def test_longtime_memo_does_not_bypass_argument_checks(monkeypatch, applies):
