@@ -138,6 +138,12 @@ _IDENTITY = np.array([1.0, 1.0, 0.0, 0.0])
 _SITE_BASIS.flags.writeable = False
 _IDENTITY.flags.writeable = False
 
+# Rows of one layer product (rows x 16 times 16 x 16) per BLAS call.  At
+# m n k <= 2^18 OpenBLAS runs a product on the calling thread; a larger one
+# (from a t = 4 window on) it splits across threads, whose wake-up costs more
+# than the product and varies from call to call with the load on the cores.
+_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -233,7 +239,9 @@ def _conjugate_layer(coords: np.ndarray, spare: np.ndarray, R: np.ndarray, w: in
     n = len(R) ** (w // 2)
     for _ in range(w // 2):
         # contract the two leading sites with R and append them behind the others
-        np.matmul(coords[:n].reshape(len(R), -1).T, R, out=spare[:n].reshape(-1, len(R)))
+        src, dst = coords[:n].reshape(len(R), -1).T, spare[:n].reshape(-1, len(R))
+        for i in range(0, len(src), _BLOCK_ROWS):
+            np.matmul(src[i:i + _BLOCK_ROWS], R, out=dst[i:i + _BLOCK_ROWS])
         coords, spare = spare, coords
     return coords, spare
 
