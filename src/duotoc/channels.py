@@ -127,9 +127,7 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
     equivalent ``tr[sigma_beta M_minus^t(sigma_alpha)]/2``; at t = 0 this is
     the plain overlap ``tr(sigma_alpha sigma_beta)/2``.
     """
-    t = _integer("t", t)
-    if t < 0:
-        raise ValueError("t must be a non-negative integer")
+    t = _integer("t", t, 0)
     sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
     U = gate_matrix(gate)
     a = op_to_vec(sigma_alpha)
@@ -145,9 +143,7 @@ def lightcone_correlator(gate, sigma_alpha: np.ndarray, sigma_beta: np.ndarray,
 
 def m_n(gate, sigma_beta: np.ndarray, n: int) -> float:
     """OTOC kernel ``M_n = tr[(M_plus^n s)^dag (M_plus^n s)]/2``; M_0 = 1."""
-    n = _integer("n", n)
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
+    n = _integer("n", n, 0)
     (sigma_beta,) = _checked_inputs(gate, sigma_beta)
     b = op_to_vec(sigma_beta)
     w = np.linalg.matrix_power(channel_plus(gate), n) @ b

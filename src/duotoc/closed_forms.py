@@ -18,8 +18,9 @@ sign that sometimes appears in print.
 
 Every long-time form takes the one argument its value depends on, the
 separation t_minus_x = t - x: negative outside the light cone, 0 on it.
-Times, sites and separations are integers (``opalg._integer``), and a
-correlator or OTOC raises at t < 0, as on the transfer route.  Each form
+Times, sites and separations are integers, and a correlator or OTOC
+raises "need t >= 0" at t < 0, as on the transfer route: both go through
+the package's one integer rule (``opalg._integer``).  Each form
 checks its operators once with the package's input rule
 (``gates._checked_inputs``), inside the helper that first reads them
 (``_components``, ``_delta_overlap``, ``_t0_otoc``), or at its top
@@ -114,9 +115,7 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
     t = 0 gives the plain overlap tr(sigma_alpha sigma_beta)/2; for t > 0 the
     value is cos(h1+h2)^(t-1) (ax cos h2 + ay sin h2)(bx cos h1 - by sin h1).
     """
-    t = _integer("t", t)
-    if t < 0:
-        raise ValueError("t must be a non-negative integer")
+    t = _integer("t", t, 0)
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
     (ax, ay, _), (bx, by, _) = _components(sigma_alpha, sigma_beta)
@@ -127,9 +126,7 @@ def kim_correlator(h1, h2, sigma_alpha, sigma_beta, t):
 def _kim_integrable(sigma_alpha, sigma_beta, x, t, symmetrized: bool):
     """The self-dual kicked Ising OTOC at h1 = h2 = 0; the odd-parity branch
     carries (1 - ax^2) if ``symmetrized``, else the printed (1 - ax)^2."""
-    x, t = _integer("x", x), _integer("t", t)
-    if t < 0:
-        raise ValueError("need t >= 0")
+    x, t = _integer("x", x), _integer("t", t, 0)
     if t == x == 0:
         return _t0_otoc(sigma_alpha, sigma_beta)
     (ax, ay, az), (bx, by, bz) = _components(sigma_alpha, sigma_beta)
@@ -192,9 +189,7 @@ def xy_correlator(j, sigma_alpha, sigma_beta, t):
     """Light-cone correlator of the kicked XY circuit: delta overlap at t = 0,
     then ax bx sin(2J)^t.  At J = pi/4 this is constant and coincides with the
     self-dual kicked Ising correlator."""
-    t = _integer("t", t)
-    if t < 0:
-        raise ValueError("t must be a non-negative integer")
+    t = _integer("t", t, 0)
     if t == 0:
         return _delta_overlap(sigma_alpha, sigma_beta)
     (ax, _, _), (bx, _, _) = _components(sigma_alpha, sigma_beta)

@@ -20,20 +20,29 @@ Ising chain, and the bitstring-labeled product/pairing bases of the kicked XY
 chain together with their integer overlap matrix (a plain int64 array over
 all bitstrings in binary order) and biorthogonal dual basis.
 
-The five basis builders take a depth that is an integer
-(``opalg._integer``) with n >= 1.  Those that form dense 4^(2n) vectors
-(``e_basis``, ``kim_z_basis``, ``xy_dual_basis``) also keep n within the
-transfer's application budget ``N_MAX_APPLY``; the overlap matrix and the
-projector form no such vector.  A ``SlotState`` and a bitstring label
-describe a column of depth n >= 1 too.  A ``SlotState`` checks its
-operators, and each XY boundary overlap its insertion, with the package's
-input rule (``gates._checked_inputs``) when it is made or called.
+Depths, indices and bits go through the package's integer rule
+(``opalg._integer``) with their ranges.  The five basis builders take a
+depth n >= 1; those that form dense 4^(2n) vectors (``e_basis``,
+``kim_z_basis``, ``xy_dual_basis``) also keep n within the transfer's
+application budget ``N_MAX_APPLY``, while the overlap matrix and the
+projector form no such vector.  ``e_state`` takes 0 <= k <= n and
+``kim_z_state`` 1 <= k <= n.  A ``SlotState`` and a bitstring label
+describe a column of depth n >= 1 too, and every bit of a label is an
+integer 0 or 1, never a float or a bool.
+
+A ``SlotState`` is frozen: it checks its operators with the package's
+input rule (``gates._checked_inputs``) when it is made and keeps read-only
+copies of them, so nothing can change them afterwards and the caller's
+arrays stay as they were.  The public XY boundary overlaps check their
+insertion and label on every call; ``xy_longtime_projector`` checks its
+two insertions and its depth once and runs the private per-label overlaps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,25 +59,32 @@ _XY_SLOT_OP = {(0, 0): _EYE, (0, 1): _SY, (1, 0): _SZ, (1, 1): _SX}
 _LETTERS = "abcdefghijklmnopqrst"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlotState:
     """Symbolic product/pairing state on 2n slots of dimension 4, n >= 1;
     every slot operator and pairing insertion passes the input rule when
-    the state is made, and the state keeps the checked complex arrays."""
+    the state is made.  The state is frozen and keeps read-only copies of
+    the checked complex arrays, ``prods`` as a read-only mapping and
+    ``pairs`` as a tuple."""
 
     n: int
     prods: dict = field(default_factory=dict)
     pairs: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        n = _integer("n", self.n, 1)
         covered = sorted(self.prods) + sorted(s for p in self.pairs for s in p[:2])
-        if sorted(covered) != list(range(1, 2 * self.n + 1)):
+        if sorted(covered) != list(range(1, 2 * n + 1)):
             raise ValueError("slots must cover 1..2n exactly once")
-        ops = _checked_inputs(None, *self.prods.values(), *(p[2] for p in self.pairs))
-        self.prods = dict(zip(self.prods, ops))
-        self.pairs = tuple((i, j, x) for (i, j, _), x in zip(self.pairs, ops[len(self.prods):]))
+        # copies, so that the read-only flag never lands on a caller's array
+        ops = [np.array(op) for op in
+               _checked_inputs(None, *self.prods.values(), *(p[2] for p in self.pairs))]
+        for op in ops:
+            op.flags.writeable = False
+        pairs = tuple((i, j, x) for (i, j, _), x in zip(self.pairs, ops[len(self.prods):]))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "prods", MappingProxyType(dict(zip(self.prods, ops))))
+        object.__setattr__(self, "pairs", pairs)
 
     def vector(self) -> np.ndarray:
         """The real 4^(2n) vector, slot 1 slowest."""
@@ -90,8 +106,8 @@ def e_state(n: int, k: int) -> SlotState:
     """Raw e_{n,k}: k nested identity pairings tying slots n-k+1 .. n+k from
     the outside in, identity products elsewhere.  e_{n,0} is the all-identity
     product state."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    n = _integer("n", n, 1)
+    k = _integer("k", k, 0, n)
     eye = np.eye(2)
     pairs = tuple((n - j, n + 1 + j, eye) for j in range(k))
     prods = {s: eye for s in range(1, n - k + 1)}
@@ -106,8 +122,7 @@ def e_basis(n: int):
         e~_{n,0}    = 2^{-n} e_{n,0}
         e~_{n,k>0}  = 2^{-n} (2 e_{n,k} - e_{n,k-1}) / sqrt(3)
     """
-    n = _integer("n", n)
-    _check_depth(n)
+    n = _check_depth(n)
     raw = np.stack([e_state(n, k).vector() for k in range(n + 1)])
     tilde = np.vstack([raw[:1], (2 * raw[1:] - raw[:-1]) / np.sqrt(3.0)])
     return raw, 2.0 ** (-n) * tilde
@@ -119,8 +134,8 @@ def e_basis(n: int):
 def kim_z_state(n: int, k: int) -> SlotState:
     """Raw z_{n,k}: sigma_z products on slots n-k+1 and n+k around a nested
     identity-pairing core, identity products outside."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    n = _integer("n", n, 1)
+    k = _integer("k", k, 1, n)
     eye = np.eye(2)
     pairs = tuple((n - j, n + 1 + j, eye) for j in range(k - 1))
     prods = {n - k + 1: _SZ, n + k: _SZ}
@@ -150,13 +165,10 @@ def kim_z_basis(n: int):
 # kicked-XY bitstring bases
 
 def _bits(label) -> tuple:
-    """The label as a tuple of bits; an empty label, a depth-0 column,
-    raises."""
-    bits = tuple(int(b) for b in label)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("labels are bitstrings")
-    if not bits:
-        raise ValueError("need n >= 1")
+    """The label as a tuple of bits, each an integer 0 or 1; an empty label,
+    a depth-0 column, raises."""
+    bits = tuple(_integer("bit", b, 0, 1) for b in label)
+    _integer("n", len(bits), 1)
     return bits
 
 
@@ -194,6 +206,11 @@ def xy_overlap(l, r) -> int:
     l, r = _bits(l), _bits(r)
     if len(l) != len(r):
         raise ValueError("bitstring lengths differ")
+    return _overlap(l, r)
+
+
+def _overlap(l: tuple, r: tuple) -> int:
+    """``xy_overlap`` of two checked bit tuples of one length."""
     n = len(l)
     ll, rr = (0,) + l, (0,) + r
     expo = sum(rr[i - 1] * ll[n - i] + rr[i] * ll[n - i + 1] for i in range(1, n + 1))
@@ -202,19 +219,19 @@ def xy_overlap(l, r) -> int:
 
 def _labels(n: int) -> tuple:
     """Every bitstring of length n, in binary order: the rows and columns of
-    the overlap matrix.  Every XY builder that takes a depth reads it here
-    first, so this is where n must be an integer >= 1."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    the overlap matrix, for a checked depth n >= 1."""
     return tuple(itertools.product((0, 1), repeat=n))
 
 
 def xy_overlap_matrix(n: int) -> np.ndarray:
     """Integer matrix G[l, r] = ({l}|{r}), int64, over ``_labels(n)``;
     G G^T = 2^(3n) times the identity."""
-    labels = _labels(n)
-    return np.array([[xy_overlap(l, r) for r in labels] for l in labels], dtype=np.int64)
+    return _overlap_matrix(_labels(_integer("n", n, 1)))
+
+
+def _overlap_matrix(labels: tuple) -> np.ndarray:
+    """``xy_overlap_matrix`` over the checked ``labels``."""
+    return np.array([[_overlap(l, r) for r in labels] for l in labels], dtype=np.int64)
 
 
 def xy_dual_basis(n: int):
@@ -226,18 +243,22 @@ def xy_dual_basis(n: int):
     so that (L({l})|R({l'})) = delta exactly.  Returns (lefts, rights), one
     state per row in the order of the overlap matrix's labels.
     """
-    n = _integer("n", n)
-    _check_depth(n)
-    lefts = np.stack([xy_left_state(l).vector() for l in _labels(n)])
-    rights = np.stack([xy_right_state(r).vector() for r in _labels(n)])
-    return 2.0 ** (-n) * lefts, 2.0 ** (-2 * n) * xy_overlap_matrix(n) @ rights
+    n = _check_depth(n)
+    labels = _labels(n)
+    lefts = np.stack([xy_left_state(l).vector() for l in labels])
+    rights = np.stack([xy_right_state(r).vector() for r in labels])
+    return 2.0 ** (-n) * lefts, 2.0 ** (-2 * n) * _overlap_matrix(labels) @ rights
 
 
 def xy_left_boundary_overlap(sigma_alpha, r) -> float:
     """(L_n(sigma_alpha)|{r}) = 2^{n/2-1} tr(sigma_alpha X sigma_alpha X) with
     X = sigma(r_{n-1}, r_n)."""
     (a,) = _checked_inputs(None, sigma_alpha)
-    r = _bits(r)
+    return _left_boundary_overlap(a, _bits(r))
+
+
+def _left_boundary_overlap(a: np.ndarray, r: tuple) -> float:
+    """``xy_left_boundary_overlap`` of a checked insertion and bit tuple."""
     n = len(r)
     rr = (0,) + r
     x = _XY_SLOT_OP[(rr[n - 1], rr[n])]
@@ -248,7 +269,11 @@ def xy_right_boundary_overlap(sigma_beta, l, parity: str) -> float:
     """({l}|R(sigma_beta)) against the even (product) or odd (gate-dressed)
     right boundary; the dressed overlap collapses to a J-independent value."""
     (b,) = _checked_inputs(None, sigma_beta)
-    l = _bits(l)
+    return _right_boundary_overlap(b, _bits(l), parity)
+
+
+def _right_boundary_overlap(b: np.ndarray, l: tuple, parity: str) -> float:
+    """``xy_right_boundary_overlap`` of a checked insertion and bit tuple."""
     n = len(l)
     ll = (0,) + l
     if parity == "even":
@@ -266,12 +291,13 @@ def xy_longtime_projector(sigma_alpha, sigma_beta, n: int, parity: str) -> float
     """Long-time OTOC limit for the kicked XY chain by projecting onto the
     bitstring eigenbasis: sum_l (L(sigma_alpha)|R({l})) (L({l})|R(sigma_beta)).
     Uses only closed-form overlaps, so no dense vectors are materialized."""
-    left_bnd = np.array([xy_left_boundary_overlap(sigma_alpha, r) for r in _labels(n)])
-    right_bnd = np.array(
-        [xy_right_boundary_overlap(sigma_beta, l, parity) for l in _labels(n)]
-    )
+    n = _integer("n", n, 1)
+    labels = _labels(n)
+    a, b = _checked_inputs(None, sigma_alpha, sigma_beta)
+    left_bnd = np.array([_left_boundary_overlap(a, r) for r in labels])
+    right_bnd = np.array([_right_boundary_overlap(b, l, parity) for l in labels])
     # (L(a)|R({l})) = 2^{-2n} sum_r G[l,r] (L(a)|{r});  (L({l})| = 2^{-n} ({l}|
-    left_dual = 2.0 ** (-2 * n) * xy_overlap_matrix(n) @ left_bnd
+    left_dual = 2.0 ** (-2 * n) * _overlap_matrix(labels) @ left_bnd
     return float(2.0 ** (-n) * np.dot(left_dual, right_bnd))
 
 

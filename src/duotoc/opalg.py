@@ -6,8 +6,11 @@ Conventions used throughout the package
   ``gates._checked_inputs`` is the one rule, shared by the transfer side,
   the channels, the closed forms, the eigenbases and the brute-force
   oracle.
-* Sites, times, depths and chain lengths are integers, Python or numpy, and
-  never bools: ``_integer`` is the one rule, shared the same way.
+* Sites, times, depths, chain lengths and bits are integers, Python or
+  numpy, and never bools, and a bounded one lies within its range
+  (t >= 0, n >= 1, 0 <= bit <= 1, ...): ``_integer(name, value, low,
+  high)`` is the one rule for both, shared the same way, and its message
+  names the argument.
 * Vectorization is row-major: operator element ``(i, j)`` maps to flat index
   ``i*2 + j``.  ``vec(U X V) = (U kron V^T) vec(X)``.
 * Two-site indices pair as ``(a, b) -> a*2 + b`` with the LEFT site slower.
@@ -101,12 +104,18 @@ def assert_unitary(U: np.ndarray, name: str = "gate"):
         raise ValueError(f"{name} is not unitary within {TOL_UNITARY}")
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, if it is an integer (Python or numpy) and not a
-    bool; raises ValueError otherwise."""
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (Python or numpy), not a
+    bool, and within the bounds given; raises ValueError otherwise, with
+    ``name`` and the value in the message."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer (got {value!r})")
-    return int(value)
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"need {low} <= {name} <= {high} (got {value})")
+    if low is not None and value < low:
+        raise ValueError(f"need {name} >= {low} (got {value})")
+    return value
 
 
 def dual(U: np.ndarray) -> np.ndarray:

@@ -286,8 +286,6 @@ def _dense(coords: np.ndarray, L: int) -> np.ndarray:
 
 
 def _check_budget(spec: ChainSpec, x: int, t: int):
-    if t < 0:
-        raise ValueError("t must be non-negative")
     if 2 * t >= spec.L:
         raise ValueError(f"2t < L required to avoid wrap-around (t={t}, L={spec.L})")
     if abs(x) + t >= spec.L:
@@ -299,7 +297,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
     """sigma(site, t) = U(t)^dag sigma(site) U(t) for 0 <= t, 2t < L, a fresh
     dense matrix the caller owns: the window padded with identity sites to
     the chain and expanded from its coordinates."""
-    site, t = _integer("site", site), _integer("t", t)
+    site, t = _integer("site", site), _integer("t", t, 0)
     (sigma,) = _checked_inputs(spec.gate, sigma)
     _check_budget(spec, 0, t)
     L = spec.L
@@ -313,7 +311,7 @@ def evolve_heisenberg(spec: ChainSpec, sigma: np.ndarray, site: int, t: int) -> 
 def oracle_correlator(spec: ChainSpec, sigma_alpha: np.ndarray, x: int,
                       sigma_beta: np.ndarray, t: int) -> float:
     """tr[sigma_alpha(x, t) sigma_beta(0, 0)] / 2^L."""
-    x, t = _integer("x", x), _integer("t", t)
+    x, t = _integer("x", x), _integer("t", t, 0)
     sigma_alpha, sigma_beta = _checked_inputs(spec.gate, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     A, lo, _ = _light_cone(spec, sigma_alpha, x, t)
@@ -330,7 +328,7 @@ def oracle_otoc(spec: ChainSpec, sigma_alpha: np.ndarray, sigma_beta: np.ndarray
                 x: int, t: int) -> float:
     """tr[A B A B] / 2^L with A the evolved alpha operator and B = sigma_beta
     placed x sites to its right (see the module docstring for anchoring)."""
-    x, t = _integer("x", x), _integer("t", t)
+    x, t = _integer("x", x), _integer("t", t, 0)
     sigma_alpha, sigma_beta = _checked_inputs(spec.gate, sigma_alpha, sigma_beta)
     _check_budget(spec, x, t)
     anchor = (t + 1) % 2 if x >= 0 else t % 2

@@ -111,14 +111,16 @@ def _bundle_tensor(u: np.ndarray) -> np.ndarray:
     return np.einsum("abcd,efgh->aebfcgdh", u4, u4.conj()).reshape(4, 4, 4, 4)
 
 
-def _check_depth(n: int):
-    if n < 1:
-        raise ValueError("need n >= 1")
+def _check_depth(n: int) -> int:
+    """``n`` as an int, if it is an integer (``opalg._integer``) with
+    1 <= n <= N_MAX_APPLY; raises ValueError otherwise."""
+    n = _integer("n", n, 1)
     if n > N_MAX_APPLY:
         raise ValueError(
             f"depth n={n} exceeds the application budget (n <= {N_MAX_APPLY}); "
             "use the brute-force oracle or a closed form"
         )
+    return n
 
 
 # Q: columns are vec(sigma_mu)/sqrt(2), the unitary change from the
@@ -250,8 +252,7 @@ class _PauliColumnKernel:
     """
 
     def __init__(self, gate, n: int):
-        _check_depth(n)
-        self.n = n
+        self.n = n = _check_depth(n)
         self.d = d = 4
         wp = np.ascontiguousarray(_hermitian_bundle(gate).transpose(3, 1, 2, 0))
         # sheet-two slots pair (in_slot, chain_dn) -> (chain_up, out);
@@ -401,8 +402,7 @@ def boundary_left(sigma_alpha, n: int) -> np.ndarray:
     """(L_n(sigma_alpha)|: nested pairings tying slots j and 2n+1-j, identity
     insertions except the innermost pairing, which carries sigma_alpha; a
     real vector in the Hermitian leg basis (see the module docstring)."""
-    n = _integer("n", n)
-    _check_depth(n)
+    n = _check_depth(n)
     (sigma_alpha,) = _checked_inputs(None, sigma_alpha)
     vec = _pair_block(sigma_alpha).reshape(-1)
     identity_pair = np.eye(4)
@@ -460,8 +460,7 @@ def boundary_right(sigma_beta, n: int, parity: str, gate=None) -> np.ndarray:
     to |R_n).  The vector is sum_t P[t] (x) S[t] of ``_right_factors``, which
     the trajectories read without forming it.
     """
-    n = _integer("n", n)
-    _check_depth(n)
+    n = _check_depth(n)
     (sigma_beta,) = _checked_inputs(gate, sigma_beta)
     p, s = _right_factors(sigma_beta, n, parity, gate)
     return (p.T @ s).reshape(-1)
@@ -517,10 +516,8 @@ def build_transfer(gate, n: int) -> np.ndarray:
     to 16^n <= 4096 (n <= 3); the matrix-free kernel behind
     otoc_finite/otoc_longtime serves deeper columns.
     """
-    n = _integer("n", n)
+    n = _integer("n", n, 1)
     _checked_inputs(gate)
-    if n < 1:
-        raise ValueError("need n >= 1")
     dim = 16 ** n
     if n > N_MAX_DENSE:
         raise ValueError(
@@ -719,10 +716,8 @@ def otoc_finite(gate, sigma_alpha, sigma_beta, x: int, t: int) -> OtocResult:
     the applications past the remembered m, 0 when the
     remembered trajectory served it or the cell lies outside the light cone.
     """
-    x, t = _integer("x", x), _integer("t", t)
+    x, t = _integer("x", x), _integer("t", t, 0)
     sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
-    if t < 0:
-        raise ValueError("need t >= 0")
     if abs(x) > t:
         return OtocResult(1.0, meta={"applications": 0})
     if x < 0:
@@ -988,9 +983,8 @@ def otoc_longtime(gate, sigma_alpha, sigma_beta, n: int, parity: str) -> OtocRes
     the Cesaro mean over a trailing window of 64 overlaps, flagged with
     ``converged`` False, ``route`` "cesaro" and the oscillation amplitude.
     """
-    n = _integer("n", n)
+    n = _check_depth(n)
     sigma_alpha, sigma_beta = _checked_inputs(gate, sigma_alpha, sigma_beta)
-    _check_depth(n)
     if parity not in PARITIES:
         raise ValueError("parity must be 'even' or 'odd'")
     trajectory, made = _trajectory_until(gate, sigma_alpha, sigma_beta, n,

@@ -471,6 +471,8 @@ def test_spectrum_rows(capsys):
      "--method", "all", "--strict", "--tmax", "1"],
     ["corr", "--preset", "fig5", "--alpha", "nan,0,1"],  # non-finite
     ["classify", "--gate", "du", "--seed=-1"],  # numpy takes no negative seed
+    ["otoc", "--preset", "fig5", "--tmax", "-1"],  # below range
+    ["longtime", "--preset", "fig4", "--nmax", "0"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as err:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from conftest import Q_LEG
 
+from duotoc import eigenbases
 from duotoc.eigenbases import (
     SlotState,
     _labels,
     e_basis,
     e_state,
     kim_z_basis,
+    kim_z_state,
     product_state,
     xy_dual_basis,
     xy_left_boundary_overlap,
@@ -211,3 +213,74 @@ def test_slot_state_rejects_non_hermitian_operators(where):
             SlotState(n=1, prods={1: x, 2: I2})
         else:
             SlotState(n=1, pairs=((1, 2, x),))
+
+
+BAD_BITS = {
+    "half": ([0.5, 1], r"^bit must be an integer \(got 0.5\)$"),
+    "bools": ([True, False], r"^bit must be an integer \(got True\)$"),
+    "two": ((0, 2), r"^need 0 <= bit <= 1 \(got 2\)$"),
+    "minus-one": ((1, -1), r"^need 0 <= bit <= 1 \(got -1\)$"),
+}
+BIT_CALLS = {
+    "xy_right_state": xy_right_state,
+    "xy_left_state": xy_left_state,
+    "xy_overlap": lambda label: xy_overlap(label, (0, 1)),
+    "xy_left_boundary_overlap": lambda label: xy_left_boundary_overlap(SX, label),
+    "xy_right_boundary_overlap": lambda label: xy_right_boundary_overlap(SX, label, "even"),
+}
+
+
+@pytest.mark.parametrize("label,message", BAD_BITS.values(), ids=BAD_BITS)
+@pytest.mark.parametrize("call", BIT_CALLS.values(), ids=BIT_CALLS)
+def test_labels_take_integer_bits_only(call, label, message):
+    # every bit goes through the integer rule with 0 <= bit <= 1: 0.5 is not
+    # truncated to 0, and a bool is no bit
+    with pytest.raises(ValueError, match=message):
+        call(label)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SlotState(n=0), r"^need n >= 1 \(got 0\)$"),
+    (lambda: e_state(2, 3), r"^need 0 <= k <= 2 \(got 3\)$"),
+    (lambda: e_state(2, -1), r"^need 0 <= k <= 2 \(got -1\)$"),
+    (lambda: kim_z_state(2, 0), r"^need 1 <= k <= 2 \(got 0\)$"),
+], ids=["slot-state-zero", "e-state-k-above", "e-state-k-below", "kim-z-state-k-below"])
+def test_states_take_depths_and_indices_in_range(call, message):
+    # float, bool and string values of the same arguments are in
+    # test_opalg.py's INTEGER_ARGUMENTS
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_slot_state_is_frozen_and_keeps_read_only_copies():
+    # after the check nothing can change what was checked: not the fields,
+    # not the mapping, not the stored arrays; the caller's array is untouched
+    mine = np.array(SX)
+    s = SlotState(n=1, prods={1: mine, 2: I2}, pairs=())
+    t = SlotState(n=1, pairs=[(1, 2, mine)])
+    with pytest.raises(AttributeError):
+        s.n = 2
+    with pytest.raises(TypeError):
+        s.prods[1] = SX + 1j * SY
+    with pytest.raises(ValueError, match="read-only"):
+        s.prods[1][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        t.pairs[0] = (1, 2, I2)
+    with pytest.raises(ValueError, match="read-only"):
+        t.pairs[0][2][0, 0] = 1.0
+    assert mine.flags.writeable
+    mine[0, 0] = 5.0
+    assert s.prods[1][0, 0] == 0 and t.pairs[0][2][0, 0] == 0
+    assert np.array_equal(s.vector(), product_state([SX, I2]).vector())
+
+
+def test_projector_checks_its_insertions_once(monkeypatch):
+    # one call of the input rule for both insertions, not one per label
+    calls = []
+    checked = eigenbases._checked_inputs
+    monkeypatch.setattr(eigenbases, "_checked_inputs",
+                        lambda *args: calls.append(args) or checked(*args))
+    for parity in ("even", "odd"):
+        calls.clear()
+        xy_longtime_projector(ALPHA, BETA, 3, parity)
+        assert len(calls) == 1, parity

@@ -24,8 +24,11 @@ from duotoc.closed_forms import (
     xy_longtime,
 )
 from duotoc.eigenbases import (
+    SlotState,
     e_basis,
+    e_state,
     kim_z_basis,
+    kim_z_state,
     xy_dual_basis,
     xy_longtime_projector,
     xy_overlap_matrix,
@@ -118,9 +121,9 @@ def test_swap_gate():
     assert np.abs(s @ x - np.kron(b, a)).max() < TOL
 
 
-# Every entry point that takes a site, a time, a depth, a chain length or a
-# separation t - x, as a function of that one argument; 2 is a valid value
-# for each.
+# Every entry point that takes a site, a time, a depth, an index, a chain
+# length or a separation t - x, as a function of that one argument; 2 is a
+# valid value for each.
 _GATE = build_kim(0.4, 0.6)
 _SPEC = ChainSpec(gate=_GATE, L=8)
 _X, _Y = PAULI[1], PAULI[2]
@@ -159,6 +162,40 @@ INTEGER_ARGUMENTS = {
     "xy_overlap_matrix n": xy_overlap_matrix,
     "xy_dual_basis n": xy_dual_basis,
     "xy_longtime_projector n": lambda v: xy_longtime_projector(_X, _Y, v, "even"),
+    "e_state n": lambda v: e_state(v, 0).vector(),
+    "e_state k": lambda v: e_state(2, v).vector(),
+    "kim_z_state n": lambda v: kim_z_state(v, 1).vector(),
+    "kim_z_state k": lambda v: kim_z_state(2, v).vector(),
+    "SlotState n": lambda v: SlotState(n=v, prods={i: PAULI[0] for i in range(1, 5)}).vector(),
+}
+
+# The arguments of INTEGER_ARGUMENTS with a lower bound alone, each with its
+# lowest valid value (SlotState's n is tested in test_eigenbases.py, since
+# its slots depend on it).
+LOWEST_VALUES = {
+    "otoc_finite t": 0,
+    "otoc_longtime n": 1,
+    "boundary_left n": 1,
+    "boundary_right n": 1,
+    "fixed_left n": 1,
+    "fixed_right n": 1,
+    "build_transfer n": 1,
+    "evolve_heisenberg t": 0,
+    "oracle_correlator t": 0,
+    "oracle_otoc t": 0,
+    "lightcone_correlator t": 0,
+    "m_n n": 0,
+    "kim_correlator t": 0,
+    "xy_correlator t": 0,
+    "kim_integrable_otoc t": 0,
+    "kim_integrable_otoc_symmetrized t": 0,
+    "e_basis n": 1,
+    "kim_z_basis n": 1,
+    "xy_overlap_matrix n": 1,
+    "xy_dual_basis n": 1,
+    "xy_longtime_projector n": 1,
+    "e_state n": 1,
+    "kim_z_state n": 1,
 }
 
 
@@ -170,6 +207,16 @@ def test_integer_arguments_refuse_floats_bools_and_strings(entry, value):
     name = entry.split()[1]
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         INTEGER_ARGUMENTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(LOWEST_VALUES))
+def test_bounded_integer_arguments_refuse_values_below_range(entry):
+    # the same rule checks the range: one message, naming the argument, its
+    # bound and the value
+    name, low = entry.split()[1], LOWEST_VALUES[entry]
+    INTEGER_ARGUMENTS[entry](low)
+    with pytest.raises(ValueError, match=rf"^need {name} >= {low} \(got {low - 1}\)$"):
+        INTEGER_ARGUMENTS[entry](low - 1)
 
 
 def test_integer_arguments_accept_numpy_integers():

@@ -608,22 +608,27 @@ def _complex_right(gate, sigma_beta, n, parity):
     return 2.0 ** (-n / 2 - 1) * raw.reshape(-1)
 
 
-def _dense_otoc(gate, sigma_alpha, sigma_beta, x, t):
+def _dense_otoc(gate, sigma_alpha, sigma_beta, x, t, sequence=False):
     """C(x, t) from the complex-basis reference column and boundaries.  The
     column is applied without forming _complex_transfer: with the iterate
     read as the 4^n x 4^n matrix V[b, d] (sheet one's slots, then sheet
     two's), one application is sum_kl top_kl s1_k V s2_l^T / 2, the forward
-    form of _column_radius_estimate's."""
+    form of _column_radius_estimate's.  With ``sequence``, the list of the
+    overlaps (L|T^m|R) of m = 0..n_+ at the cell's depth and parity, the
+    last of them C(x, t)."""
     if x < 0:
         gate, x = SWAP @ gate_matrix(gate) @ SWAP, -x
     n, applications, parity = _depths(x, t)
     top, s1, s2 = _complex_sheets(gate, n, np.eye(2))
     terms = list(zip(*np.nonzero(top)))
+    left = _complex_left(sigma_alpha, n)
     v = _complex_right(gate, sigma_beta, n, parity)
+    overlaps = [complex(np.dot(left, v))]
     for _ in range(applications):
         V = v.reshape(4**n, 4**n)
         v = sum(top[k, l] * (s1[k] @ V @ s2[l].T) for k, l in terms).reshape(-1) / 2
-    return complex(np.dot(_complex_left(sigma_alpha, n), v))
+        overlaps.append(complex(np.dot(left, v)))
+    return overlaps if sequence else overlaps[-1]
 
 
 @pytest.mark.parametrize("name,gate", GATES)
@@ -670,6 +675,23 @@ def test_finite_matches_dense_boundaries_depth4(name, gate):
         got = otoc_finite(gate, ALPHA_I, BETA_I, x, t)
         assert got.n == 4
         assert got.value == pytest.approx(want.real, abs=1e-13), (x, t)
+
+
+def test_longtime_trajectory_matches_dense_reference_depth4():
+    """The first 20 overlaps of each parity of the n = 4 trajectory that
+    otoc_longtime stops on, m = 0..19, against the matrix-free reference:
+    its cells (16, 22) and (16, 23) are m = 19 at n = 4, even and odd."""
+    gate = build_kim(h1=0.4, h2=0.6)
+    _TRAJECTORY_MEMO.clear()
+    for parity in PARITIES:
+        otoc_longtime(gate, ALPHA_I, BETA_I, 4, parity)
+    trajectory = _TRAJECTORY_MEMO[4]
+    assert trajectory.m >= 19
+    for parity, (x, t) in zip(PARITIES, [(16, 22), (16, 23)]):
+        want = np.array(_dense_otoc(gate, ALPHA_I, BETA_I, x, t, sequence=True))
+        assert len(want) == 20 and np.abs(want.imag).max() < 1e-13
+        got = np.array(trajectory.overlaps[parity][:20])
+        assert np.abs(got - want.real).max() < 1e-13, parity
 
 
 @pytest.mark.parametrize("x,t", [(3, 2), (5, 1), (-4, 3), (1, 0)])
